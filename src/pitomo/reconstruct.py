@@ -10,7 +10,12 @@ orthonormal (Frobenius) basis of traceless directions: per-sector
 generalized Gell-Mann matrices plus ``num_sectors - 1`` diagonal
 inter-sector trace shifts.  Outcome probabilities are affine in x,
 p = p0 + G x, with the overlap table G[row, i] = tr(B_i M_k^a) assembled
-once per (layout, settings).
+once per (layout, settings).  Each block of G is read off the entries of
+M_{k,j}^a at its Gell-Mann index pairs, O(n^2) per outcome and sector,
+not contracted against the dense basis stack (O(n^4)).  Every fit
+Hessian is G^T diag(c) G with c >= 0, formed as the symmetric rank-k
+(BLAS syrk) product of sqrt(c) G; the Newton system t H_barrier + H_fit
+is then assembled in place in the barrier Hessian's buffer.
 
 Three convex fit principles are supported, plus a hedged variant:
 
@@ -253,6 +258,16 @@ class AffineBlockMap:
         return solved.reshape(n, q, n).transpose(1, 0, 2)
 
 
+def _diagonal_table(n: int) -> np.ndarray:
+    """(n, n-1) diagonals of the n-1 diagonal Gell-Mann matrices of size n."""
+    table = np.zeros((n, n - 1))
+    for l in range(1, n):
+        scale = 1.0 / math.sqrt(l * (l + 1))
+        table[:l, l - 1] = scale
+        table[l, l - 1] = -l * scale
+    return table
+
+
 def _gell_mann_stack(n: int) -> np.ndarray:
     """Orthonormal traceless Hermitian basis of an n x n block."""
     mats = []
@@ -266,16 +281,36 @@ def _gell_mann_stack(n: int) -> np.ndarray:
             m[r, c] = -1j * inv_sqrt2
             m[c, r] = 1j * inv_sqrt2
             mats.append(m)
-    for l in range(1, n):
-        m = np.zeros((n, n), dtype=complex)
-        scale = 1.0 / math.sqrt(l * (l + 1))
-        for i in range(l):
-            m[i, i] = scale
-        m[l, l] = -l * scale
-        mats.append(m)
+    for diag in _diagonal_table(n).T:
+        mats.append(np.diag(diag).astype(complex))
     if mats:
         return np.array(mats)
     return np.zeros((0, n, n), dtype=complex)
+
+
+def _gell_mann_coordinates(stack: np.ndarray, shift_coeff: np.ndarray) -> np.ndarray:
+    """Re tr(D_q M) for every slab M of an (R, n, n) stack, in O(n^2) each.
+
+    D_q runs over one sector's directions in ``Parametrization`` order:
+    the ``_gell_mann_stack(n)`` matrices, then the trace shifts
+    ``shift_coeff[s] * I``.  The coordinates are read off the entries
+    (sqrt2 Re M_rc and -sqrt2 Im M_rc for r < c when M is Hermitian,
+    diag(M) against the diagonal table, and tr M for the shifts) instead
+    of contracting against the dense (q, n, n) direction stack.
+    """
+    R, n, _ = stack.shape
+    upper_r, upper_c = np.triu_indices(n, 1)
+    pairs = upper_r.size
+    upper = stack[:, upper_r, upper_c]
+    lower = stack[:, upper_c, upper_r]
+    diag = np.diagonal(stack, axis1=1, axis2=2).real
+    out = np.empty((R, n * n - 1 + shift_coeff.size))
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    out[:, 0 : 2 * pairs : 2] = (upper.real + lower.real) * inv_sqrt2
+    out[:, 1 : 2 * pairs : 2] = (lower.imag - upper.imag) * inv_sqrt2
+    out[:, 2 * pairs : n * n - 1] = diag @ _diagonal_table(n)
+    out[:, n * n - 1 :] = np.outer(diag.sum(axis=1), shift_coeff)
+    return out
 
 
 class Parametrization:
@@ -303,6 +338,7 @@ class Parametrization:
             shift_coeff = Q[:, 1:n_sectors] / sqrtn[:, None]  # (sector, shift)
         else:
             shift_coeff = np.zeros((1, 0))
+        self.shift_coeff = shift_coeff
 
         base = maximally_mixed_ensemble(layout)
         constants, stacks, indices = [], [], []
@@ -330,15 +366,14 @@ class Parametrization:
         if ensemble.layout != self.layout:
             raise ValueError("ensemble layout does not match parametrization")
         x = np.zeros(self.dimension)
-        for two_j, C, D, idx in zip(
+        for two_j, C, coeff, idx in zip(
             self.layout.two_j_values,
             self.affine.constants,
-            self.affine.dir_stacks,
+            self.shift_coeff,
             self.affine.dir_indices,
         ):
             delta = ensemble.blocks[two_j] - C
-            contrib = np.einsum("qmn,mn->q", D.conj(), delta).real
-            np.add.at(x, idx, contrib)
+            x[idx] += _gell_mann_coordinates(delta[None], coeff)[0]
         return x
 
     def basis_element(self, i: int) -> dict[int, np.ndarray]:
@@ -401,7 +436,14 @@ class FitModel:
     """A fit principle evaluated over parametrization coordinates.
 
     Precomputes p0 and the overlap table G with p(x) = p0 + G x; rows run
-    over (setting, outcome) in dataset order.
+    over (setting, outcome) in dataset order.  Each (setting, sector)
+    block of G is read off the POVM block entries by
+    ``_gell_mann_coordinates`` in O(n^2) per outcome.  Every fit Hessian
+    has the form G^T diag(c) G with c >= 0 and is formed as the
+    symmetric rank-k product Gs^T Gs of Gs = sqrt(c) G, which numpy hands
+    to BLAS syrk (half the flops of a general product) and which is
+    exactly symmetric.  The constant LS Hessian is built once and stored
+    read-only.
     """
 
     def __init__(self, spec: FitSpec, parametrization: Parametrization,
@@ -429,13 +471,11 @@ class FitModel:
             row0 = r * (n + 1)
             for b, two_j in enumerate(layout.two_j_values):
                 stack = bs.sector_stacks[two_j]
-                D = affine.dir_stacks[b]
-                idx = affine.dir_indices[b]
                 off = row0 + bs.k_offset(two_j)
-                rows_b = np.arange(off, off + two_j + 1)
-                G[np.ix_(rows_b, idx)] += np.einsum(
-                    "qmn,rnm->rq", D, stack
-                ).real
+                rows_b = slice(off, off + two_j + 1)
+                G[rows_b, affine.dir_indices[b]] += _gell_mann_coordinates(
+                    stack, parametrization.shift_coeff[b]
+                )
                 p0[rows_b] += np.einsum(
                     "mn,rnm->r", affine.constants[b], stack
                 ).real
@@ -447,7 +487,13 @@ class FitModel:
             w = spec.weights
             if w.shape != self.frequencies.shape:
                 raise ValueError("weights length does not match dataset rows")
-            self._ls_hessian = 2.0 * (G * w[:, None]).T @ G
+            self._ls_hessian = self._gram(np.sqrt(2.0 * w))
+            self._ls_hessian.setflags(write=False)
+
+    def _gram(self, scale: np.ndarray) -> np.ndarray:
+        """G^T diag(scale^2) G as the syrk product of scale * G."""
+        Gs = self.G * scale[:, None]
+        return Gs.T @ Gs
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
         return self.p0 + self.G @ x
@@ -473,6 +519,8 @@ class FitModel:
         return self.G.T @ (1.0 - f**2 / p**2)
 
     def gradient_hessian(self, x: np.ndarray):
+        """(gradient, Hessian) at x; the LS Hessian is the shared read-only
+        array, the others are fresh and exactly symmetric."""
         p = self.probabilities(x)
         f = self.frequencies
         kind = self.spec.principle
@@ -483,19 +531,18 @@ class FitModel:
             ratio = np.zeros_like(p)
             ratio[mask] = f[mask] / p[mask]
             grad = -(self.G.T @ ratio)
-            curv = np.zeros_like(p)
-            curv[mask] = f[mask] / p[mask] ** 2
-            hess = (self.G * curv[:, None]).T @ self.G
-        elif kind == "ls":
+            # curvature f / p^2, so sqrt(curvature) = sqrt(f) / p
+            scale = np.zeros_like(p)
+            scale[mask] = np.sqrt(f[mask]) / p[mask]
+            return grad, self._gram(scale)
+        if kind == "ls":
             w = self.spec.weights
-            grad = 2.0 * (self.G.T @ (w * (p - f)))
-            return grad, self._ls_hessian.copy()
-        else:  # freels
-            if np.any(p <= 0):
-                raise ValueError("non-interior evaluation: p_k <= 0")
-            grad = self.G.T @ (1.0 - f**2 / p**2)
-            hess = (self.G * (2.0 * f**2 / p**3)[:, None]).T @ self.G
-        return grad, 0.5 * (hess + hess.T)
+            return 2.0 * (self.G.T @ (w * (p - f))), self._ls_hessian
+        if np.any(p <= 0):
+            raise ValueError("non-interior evaluation: p_k <= 0")
+        grad = self.G.T @ (1.0 - f**2 / p**2)
+        # curvature 2 f^2 / p^3 with f >= 0
+        return grad, self._gram(math.sqrt(2.0) * f / (p * np.sqrt(p)))
 
 
 class LinearFit:
@@ -593,8 +640,10 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
         if grad_norm <= cfg.grad_tol:
             converged = True
             break
-        H = H_fit + t * bH
-        delta, slope = _newton_direction(H, g)
+        # assembled in place: bH is fresh each step, H_fit may be shared
+        bH *= t
+        bH += H_fit
+        delta, slope = _newton_direction(bH, g)
         # Affine-invariant centrality: the squared Newton decrement
         # g^T H^-1 g is what self-concordance bounds the remaining
         # decrease by.  In badly scaled geometry (barrier curvature

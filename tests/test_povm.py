@@ -35,7 +35,8 @@ class TestSetting:
             Setting(axis=np.array([1.0, 1.0, 0.0]))
 
     def test_from_vector_normalizes(self):
-        s = Setting.from_vector([2.0, 0.0, 0.0])
+        with pytest.warns(UserWarning, match="normalizing"):
+            s = Setting.from_vector([2.0, 0.0, 0.0])
         np.testing.assert_allclose(s.axis, [1.0, 0.0, 0.0])
 
     def test_from_vector_warns(self):
@@ -274,7 +275,8 @@ class TestMomentCoefficients:
 
 class TestSettingsIO:
     def test_round_trip(self, tmp_path):
-        settings = [E1, E2, E3, Setting.from_vector([1.0, 1.0, 1.0])]
+        with pytest.warns(UserWarning, match="normalizing"):
+            settings = [E1, E2, E3, Setting.from_vector([1.0, 1.0, 1.0])]
         path = tmp_path / "settings.json"
         save_settings(settings, path)
         back = load_settings(path)

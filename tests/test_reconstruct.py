@@ -210,6 +210,36 @@ class TestParametrization:
         assert param.dimension == 3
 
 
+class TestOverlapTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_trace_oracle(self, n):
+        # G[(a, k), i] = tr(B_i M_k^a) and p0[(a, k)] = tr(base M_k^a),
+        # summed over the sectors where the block is not structurally zero.
+        rng = np.random.default_rng(40 + n)
+        layout = sector_layout(n)
+        param = Parametrization(layout)
+        settings = random_settings(rng, 3)
+        model = build_fit_model(exact_dataset(maximally_mixed_ensemble(layout), settings),
+                                FitSpec.max_lik(), param)
+        base = param.ensemble(np.zeros(param.dimension)).blocks
+        basis = [param.basis_element(i) for i in range(param.dimension)]
+        G = np.zeros((len(settings) * (n + 1), param.dimension))
+        p0 = np.zeros(G.shape[0])
+        for a, setting in enumerate(settings):
+            bs = rotated_blocks(n, setting)
+            for k in range(n + 1):
+                for two_j in layout.two_j_values:
+                    M = bs.block(k, two_j)
+                    if M is None:
+                        continue
+                    row = a * (n + 1) + k
+                    p0[row] += np.trace(base[two_j] @ M).real
+                    for i, element in enumerate(basis):
+                        G[row, i] += np.trace(element[two_j] @ M).real
+        np.testing.assert_allclose(model.G, G, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(model.p0, p0, rtol=0, atol=1e-13)
+
+
 class TestFitValue:
     def test_perfect_fit(self):
         f = np.array([0.25, 0.5, 0.25])
@@ -290,13 +320,18 @@ class TestDerivatives:
         g_fd = oracles.fd_gradient(model.value, x, h=1e-6)
         np.testing.assert_allclose(g, g_fd, rtol=0, atol=1e-6 * (1 + abs(g).max()))
 
-    @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
-    def test_fit_hessian_matches_fd(self, problem, principle):
+    @pytest.mark.parametrize(
+        "spec",
+        [FitSpec.max_lik(), FitSpec.least_squares(), FitSpec.free_least_squares(),
+         FitSpec.hedged(0.01)],
+        ids=lambda spec: spec.principle,
+    )
+    def test_fit_hessian_matches_fd(self, problem, spec):
         ds, param, x = problem
-        model = build_fit_model(ds, FitSpec(principle=principle), param)
+        model = build_fit_model(ds, spec, param)
         g, H = model.gradient_hessian(x)
         np.testing.assert_allclose(g, model.gradient(x), atol=1e-13)
-        np.testing.assert_allclose(H, H.T, atol=1e-12)
+        assert np.array_equal(H, H.T)
         rng = np.random.default_rng(0)
         for _ in range(3):
             v = rng.normal(size=param.dimension)
@@ -319,6 +354,16 @@ class TestDerivatives:
         _, h1 = model.gradient_hessian(x)
         _, h2 = model.gradient_hessian(0.5 * x)
         np.testing.assert_array_equal(h1, h2)
+
+    def test_ls_hessian_read_only_through_newton_stage(self, problem):
+        ds, param, _ = problem
+        model = build_fit_model(ds, FitSpec.least_squares(), param)
+        _, H = model.gradient_hessian(np.zeros(param.dimension))
+        assert not H.flags.writeable
+        before = H.copy()
+        stage = newton_stage(model, param, 1e-3, np.zeros(param.dimension))
+        assert stage.iterations > 0
+        np.testing.assert_array_equal(H, before)
 
     def test_barrier_matches_fd(self, problem):
         _, param, x = problem
