@@ -187,17 +187,19 @@ class DesignProblem:
                 f"state; at least {needed} are required"
             )
         axes = np.array([s.axis for s in settings])
-        for i in range(len(axes)):
-            for j in range(i + 1, len(axes)):
-                gap = min(
-                    np.linalg.norm(axes[i] - axes[j]),
-                    np.linalg.norm(axes[i] + axes[j]),
-                )
-                if gap < DUPLICATE_ANGLE_TOL:
-                    raise ValueError(
-                        f"settings {i} and {j} coincide up to sign "
-                        f"(separation {gap:.2e})"
-                    )
+        # separation up to sign of every pair: min(|a_i - a_j|, |a_i + a_j|)
+        gap = np.minimum(
+            np.linalg.norm(axes[:, None] - axes[None], axis=-1),
+            np.linalg.norm(axes[:, None] + axes[None], axis=-1),
+        )
+        rows, cols = np.triu_indices(len(axes), 1)
+        close = np.flatnonzero(gap[rows, cols] < DUPLICATE_ANGLE_TOL)
+        if close.size:
+            i, j = rows[close[0]], cols[close[0]]
+            raise ValueError(
+                f"settings {i} and {j} coincide up to sign "
+                f"(separation {gap[i, j]:.2e})"
+            )
         object.__setattr__(self, "settings", settings)
 
 

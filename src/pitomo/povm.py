@@ -15,8 +15,17 @@ rotation taking e_z to a:
     W_j = exp(-i theta n.S_j),   n = (e_z x a)/|e_z x a|,
     theta = arccos(a_z),
 
-with n = e_x when a is (anti)parallel to e_z.  Sector probabilities of a
-PI state then reduce to block traces, p_k = sum_j tr(rho_j M_{k,j}^a).
+with n = e_x when a is (anti)parallel to e_z.  Every block element is
+therefore the rank-one projector u u^dagger onto one column of W_j, and a
+``MeasurementBlockSet`` stores only U_j = W_j[:, ::-1] per sector: column
+r of U_j is the vector that outcome k = k_offset(2j) + r projects onto.
+All contractions go through two operations on U_j:
+
+    forward   p_k = sum_j [diag(U_j^dagger rho_j U_j)]_r      (probabilities)
+    adjoint   sum_k w_k M_{k,j}^a = U_j diag(w) U_j^dagger    (weighted_sum)
+
+They are adjoint: sum_k w_k p_k = sum_j tr(rho_j weighted_sum(w)_j).
+The dense per-outcome stacks are derived on demand (``sector_stacks``).
 
 The module also provides the moment coefficients K(k,w,N) that convert
 outcome distributions into expectation values of symmetrized w-fold
@@ -38,6 +47,7 @@ import numpy as np
 from .spin_blocks import (
     SpinEnsemble,
     SpinSectorLayout,
+    _as_readonly,
     hermitian_expm,
     sector_layout,
     spin_operators,
@@ -116,16 +126,19 @@ def rotation_params(setting: Setting) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class MeasurementBlockSet:
-    """Block-diagonal POVM for one setting.
+    """Block-diagonal POVM for one setting, one (2j+1) x (2j+1) unitary per
+    sector.
 
-    ``sector_stacks[two_j]`` has shape (two_j+1, two_j+1, two_j+1): entry
-    r is the block of outcome k = k_offset(two_j) + r.  Outcomes outside
-    that range have no support in the sector (structural zeros).
+    ``rotations[two_j]`` is U_j = W_j[:, ::-1]: outcome
+    k = k_offset(two_j) + r has the block u_r u_r^dagger with u_r column r
+    of U_j.  Outcomes outside that range have no support in the sector
+    (structural zeros).  ``probabilities`` (forward) and ``weighted_sum``
+    (adjoint) contract the POVM without forming its blocks.
     """
 
     n_qubits: int
     setting: Setting
-    sector_stacks: dict[int, np.ndarray]
+    rotations: dict[int, np.ndarray]
 
     def k_offset(self, two_j: int) -> int:
         return (self.n_qubits - two_j) // 2
@@ -134,6 +147,15 @@ class MeasurementBlockSet:
         off = self.k_offset(two_j)
         return range(off, off + two_j + 1)
 
+    @property
+    def sector_stacks(self) -> dict[int, np.ndarray]:
+        """Dense blocks, built from ``rotations`` on each access:
+        ``sector_stacks[two_j][r]`` is the block of outcome k_offset + r."""
+        return {
+            two_j: np.einsum("mr,nr->rmn", U, U.conj())
+            for two_j, U in self.rotations.items()
+        }
+
     def block(self, k: int, two_j: int) -> np.ndarray | None:
         """Block of outcome k in sector two_j, or None if structurally zero."""
         if not 0 <= k <= self.n_qubits:
@@ -141,45 +163,55 @@ class MeasurementBlockSet:
         off = self.k_offset(two_j)
         if k < off or k > off + two_j:
             return None
-        return self.sector_stacks[two_j][k - off]
+        u = self.rotations[two_j][:, k - off]
+        return np.outer(u, u.conj())
+
+    def weighted_sum(self, weights) -> dict[int, np.ndarray]:
+        """Adjoint of ``probabilities``: {two_j: sum_k w_k M_{k,j}}, each
+        U_j diag(w[k_offset : k_offset + 2j + 1]) U_j^dagger."""
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (self.n_qubits + 1,):
+            raise ValueError(
+                f"weights have shape {w.shape}, expected ({self.n_qubits + 1},)"
+            )
+        out = {}
+        for two_j, U in self.rotations.items():
+            off = self.k_offset(two_j)
+            out[two_j] = (U * w[off : off + two_j + 1]) @ U.conj().T
+        return out
 
 
 def standard_blocks(n_qubits: int) -> MeasurementBlockSet:
-    """Block POVM for the z axis: projectors onto m = k - N/2."""
+    """Block POVM for the z axis: projectors onto m = k - N/2.
+
+    Outcome k = k_offset + r sits at m = k - N/2, basis index two_j - r
+    (the basis is ordered m descending), so U_j is the exact anti-identity.
+    """
     layout = sector_layout(n_qubits)
-    stacks = {}
-    for two_j in layout.two_j_values:
-        dim = two_j + 1
-        stack = np.zeros((dim, dim, dim), dtype=complex)
-        for r in range(dim):
-            # outcome k = k_offset + r sits at m = k - N/2, basis index
-            # i = j - m = two_j - r (basis is ordered m descending)
-            stack[r, two_j - r, two_j - r] = 1.0
-        stack.setflags(write=False)
-        stacks[two_j] = stack
-    return MeasurementBlockSet(n_qubits=n_qubits, setting=E3, sector_stacks=stacks)
+    rotations = {
+        two_j: _as_readonly(np.eye(two_j + 1)[:, ::-1])
+        for two_j in layout.two_j_values
+    }
+    return MeasurementBlockSet(n_qubits=n_qubits, setting=E3, rotations=rotations)
 
 
 def rotated_blocks(n_qubits: int, setting: Setting) -> MeasurementBlockSet:
     """Block POVM for an arbitrary setting, by collective rotation."""
     layout = sector_layout(n_qubits)
     axis, theta = rotation_params(setting)
-    stacks = {}
+    rotations = {}
     for two_j in layout.two_j_values:
-        dim = two_j + 1
         ops = spin_operators(two_j)
         gen = axis[0] * ops.s_x + axis[1] * ops.s_y + axis[2] * ops.s_z
-        W = hermitian_expm(gen, theta)
         # W e_i is column i; outcome r projects onto column two_j - r
-        cols = W[:, ::-1]  # column r of this view is W[:, two_j - r]
-        stack = np.einsum("mr,nr->rmn", cols, cols.conj())
-        stack.setflags(write=False)
-        stacks[two_j] = stack
-    return MeasurementBlockSet(n_qubits=n_qubits, setting=setting, sector_stacks=stacks)
+        W = hermitian_expm(gen, theta)
+        rotations[two_j] = _as_readonly(W[:, ::-1])
+    return MeasurementBlockSet(n_qubits=n_qubits, setting=setting, rotations=rotations)
 
 
 def probabilities(state: SpinEnsemble, blocks: MeasurementBlockSet) -> np.ndarray:
-    """Outcome distribution p_k = sum_j tr(rho_j M_{k,j}), k = 0..N.
+    """Outcome distribution p_k = sum_j tr(rho_j M_{k,j}), k = 0..N, as
+    diag(U_j^dagger rho_j U_j) per sector.
 
     Tiny negative values from roundoff are clamped to zero.
     """
@@ -190,9 +222,8 @@ def probabilities(state: SpinEnsemble, blocks: MeasurementBlockSet) -> np.ndarra
     n = blocks.n_qubits
     p = np.zeros(n + 1)
     for two_j in state.layout.two_j_values:
-        rho = state.blocks[two_j]
-        stack = blocks.sector_stacks[two_j]
-        vals = np.einsum("mn,rnm->r", rho, stack).real
+        U = blocks.rotations[two_j]
+        vals = ((state.blocks[two_j] @ U) * U.conj()).sum(axis=0).real
         off = blocks.k_offset(two_j)
         p[off : off + two_j + 1] += vals
     return np.where(p < 0.0, 0.0, p)

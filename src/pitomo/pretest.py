@@ -58,19 +58,11 @@ DEFAULT_COEFFICIENT_BOUND = 3.0
 
 def _slack_blocks(n_qubits: int, block_sets, coefficients: np.ndarray):
     """Slack operators (1 - sum z M_top, -sum z M_j, ...) in layout order."""
-    layout = sector_layout(n_qubits)
-    out = []
-    for two_j in layout.two_j_values:
-        dim = two_j + 1
-        acc = np.eye(dim, dtype=complex) if two_j == n_qubits else np.zeros(
-            (dim, dim), dtype=complex
-        )
-        for row, bs in zip(coefficients, block_sets):
-            off = bs.k_offset(two_j)
-            stack = bs.sector_stacks[two_j]
-            acc = acc - np.tensordot(row[off:off + dim], stack, axes=(0, 0))
-        out.append(acc)
-    return out
+    sums = [bs.weighted_sum(row) for row, bs in zip(coefficients, block_sets)]
+    return [
+        (np.eye(two_j + 1) if two_j == n_qubits else 0.0) - sum(s[two_j] for s in sums)
+        for two_j in sector_layout(n_qubits).two_j_values
+    ]
 
 
 @dataclass(frozen=True)
@@ -157,23 +149,19 @@ def optimize_witness(
     constants = []
     dir_stacks = []
     dir_indices = []
-    layout = target.layout
-    for two_j in layout.two_j_values:
+    stacks = [bs.sector_stacks for bs in block_sets]
+    for two_j in target.layout.two_j_values:
         d = two_j + 1
         if two_j == n:
             constants.append(np.eye(d, dtype=complex))
         else:
             constants.append(np.zeros((d, d), dtype=complex))
-        dirs = []
-        idx = []
-        for a, bs in enumerate(block_sets):
-            off = bs.k_offset(two_j)
-            stack = bs.sector_stacks[two_j]
-            for r in range(d):
-                dirs.append(-stack[r])
-                idx.append(a * n_out + off + r)
-        dir_stacks.append(np.array(dirs))
-        dir_indices.append(np.array(idx, dtype=np.intp))
+        # direction of z[a, k] is -M_{k,j}^a, setting-major like z
+        dir_stacks.append(-np.concatenate([st[two_j] for st in stacks]))
+        dir_indices.append(np.concatenate([
+            a * n_out + bs.k_offset(two_j) + np.arange(d)
+            for a, bs in enumerate(block_sets)
+        ]))
     # box slacks B - z_i >= 0 and B + z_i >= 0, one 1x1 block each
     bound = float(coefficient_bound)
     for sign in (-1.0, 1.0):

@@ -39,6 +39,8 @@ swapping in a different affine block map, so it is written generically.
 ``fixed_point_reconstruct`` provides the non-convex iteration
 rho_j <- R_j rho_j R_j / norm with R_j = sum (f/p) M_{k,j}, mainly as a
 cross-check; it stalls near the boundary where the Newton path does not.
+R_j is the POVM adjoint ``MeasurementBlockSet.weighted_sum`` of the ratios
+f/p, summed over settings, and p the forward ``probabilities``.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .povm import rotated_blocks
+from .povm import probabilities, rotated_blocks
 from .spin_blocks import (
     SpinEnsemble,
     SpinSectorLayout,
@@ -435,14 +437,14 @@ def resolve_least_squares_weights(frequencies, repetitions) -> np.ndarray:
 class FitModel:
     """A fit principle evaluated over parametrization coordinates.
 
-    Precomputes p0 and the overlap table G with p(x) = p0 + G x; rows run
-    over (setting, outcome) in dataset order.  Each (setting, sector)
-    block of G is read off the POVM block entries by
-    ``_gell_mann_coordinates`` in O(n^2) per outcome.  Every fit Hessian
-    has the form G^T diag(c) G with c >= 0 and is formed as the
-    symmetric rank-k product Gs^T Gs of Gs = sqrt(c) G, which numpy hands
-    to BLAS syrk (half the flops of a general product) and which is
-    exactly symmetric.  The constant LS Hessian is built once and stored
+    Precomputes p0 (the outcome probabilities of the maximally mixed
+    state) and the overlap table G with p(x) = p0 + G x; rows run over
+    (setting, outcome) in dataset order.  Each (setting, sector) block of
+    G is read off the dense POVM blocks by ``_gell_mann_coordinates`` in
+    O(n^2) per outcome.  Every fit Hessian has the form G^T diag(c) G
+    with c >= 0 and is formed as the symmetric rank-k product Gs^T Gs of
+    Gs = sqrt(c) G, which numpy hands to BLAS syrk (half the flops of a
+    general product) and which is exactly symmetric.  The constant LS Hessian is built once and stored
     read-only.
     """
 
@@ -462,25 +464,21 @@ class FitModel:
             raise ValueError(
                 f"{self.frequencies.size} frequencies for {rows} outcome rows"
             )
-        affine = parametrization.affine
+        indices = parametrization.affine.dir_indices
+        shift_coeff = parametrization.shift_coeff
         G = np.zeros((rows, parametrization.dimension))
-        p0 = np.zeros(rows)
         for r, bs in enumerate(blocksets):
             if bs.n_qubits != n:
                 raise ValueError("block set qubit number does not match layout")
-            row0 = r * (n + 1)
+            stacks = bs.sector_stacks
             for b, two_j in enumerate(layout.two_j_values):
-                stack = bs.sector_stacks[two_j]
-                off = row0 + bs.k_offset(two_j)
-                rows_b = slice(off, off + two_j + 1)
-                G[rows_b, affine.dir_indices[b]] += _gell_mann_coordinates(
-                    stack, parametrization.shift_coeff[b]
+                off = r * (n + 1) + bs.k_offset(two_j)
+                G[off : off + two_j + 1, indices[b]] += _gell_mann_coordinates(
+                    stacks[two_j], shift_coeff[b]
                 )
-                p0[rows_b] += np.einsum(
-                    "mn,rnm->r", affine.constants[b], stack
-                ).real
         self.G = G
-        self.p0 = p0
+        base = maximally_mixed_ensemble(layout)
+        self.p0 = np.concatenate([probabilities(base, bs) for bs in blocksets])
         self._mask = self.frequencies > 0
         self._ls_hessian = None
         if spec.principle == "ls":
@@ -856,21 +854,17 @@ class FixedPointResult:
     iterations: int
 
 
-def _stack_sectors(layout, blocksets, n):
-    """Per-sector POVM blocks of all records stacked, with the flat
-    (record, outcome) row index each slab belongs to."""
-    sector_rows = {}
-    sector_stacks = {}
-    for two_j in layout.two_j_values:
-        rows = []
-        mats = []
-        for r, bs in enumerate(blocksets):
-            off = bs.k_offset(two_j)
-            rows.extend(range(r * (n + 1) + off, r * (n + 1) + off + two_j + 1))
-            mats.append(bs.sector_stacks[two_j])
-        sector_rows[two_j] = np.asarray(rows, dtype=np.intp)
-        sector_stacks[two_j] = np.concatenate(mats, axis=0)
-    return sector_rows, sector_stacks
+def _ratio_operators(blocksets, f: np.ndarray, p: np.ndarray) -> dict[int, np.ndarray]:
+    """R_j = sum_{a,k} (f_k^a / p_k^a) M_{k,j}^a from flat (setting,
+    outcome) frequencies and probabilities; outcomes with f = 0 add 0."""
+    ratio = np.zeros_like(p)
+    pos = f > 0
+    ratio[pos] = f[pos] / np.maximum(p[pos], 1e-300)
+    R = {}
+    for bs, w in zip(blocksets, ratio.reshape(len(blocksets), -1)):
+        for two_j, term in bs.weighted_sum(w).items():
+            R[two_j] = R[two_j] + term if two_j in R else term
+    return R
 
 
 def likelihood_residual(dataset, ensemble: SpinEnsemble) -> float:
@@ -883,28 +877,15 @@ def likelihood_residual(dataset, ensemble: SpinEnsemble) -> float:
     """
     freqs = _dataset_frequencies(dataset)
     n = dataset.n_qubits
-    layout = ensemble.layout
-    if layout.n_qubits != n:
+    if ensemble.layout.n_qubits != n:
         raise ValueError("ensemble does not match dataset qubit number")
     blocksets = [rotated_blocks(n, rec.setting) for rec in dataset.records]
-    sector_rows, sector_stacks = _stack_sectors(layout, blocksets, n)
-    f = np.concatenate(freqs)
+    p = np.concatenate([probabilities(ensemble, bs) for bs in blocksets])
+    R = _ratio_operators(blocksets, np.concatenate(freqs), p)
     n_settings = len(dataset.records)
-
-    p = np.zeros(f.size)
-    for two_j in layout.two_j_values:
-        p[sector_rows[two_j]] += np.einsum(
-            "mn,rnm->r", ensemble.blocks[two_j], sector_stacks[two_j]
-        ).real
-    ratio = np.zeros_like(p)
-    pos = f > 0
-    ratio[pos] = f[pos] / np.maximum(p[pos], 1e-300)
-
     total = 0.0
-    for two_j in layout.two_j_values:
-        R = np.tensordot(ratio[sector_rows[two_j]], sector_stacks[two_j], axes=(0, 0))
-        diff = R @ ensemble.blocks[two_j] - n_settings * ensemble.blocks[two_j]
-        total += float(np.linalg.norm(diff)) ** 2
+    for two_j, rho in ensemble.blocks.items():
+        total += float(np.linalg.norm(R[two_j] @ rho - n_settings * rho)) ** 2
     return math.sqrt(total)
 
 
@@ -920,39 +901,32 @@ def fixed_point_reconstruct(dataset, iterations: int = 3000,
     freqs = _dataset_frequencies(dataset)
     n = dataset.n_qubits
     layout = sector_layout(n)
+    state = start or maximally_mixed_ensemble(layout)
+    if state.layout != layout:
+        raise ValueError(
+            f"start state has N={state.layout.n_qubits}, dataset has N={n}"
+        )
     blocksets = [rotated_blocks(n, rec.setting) for rec in dataset.records]
     f = np.concatenate(freqs)
-
-    state = start or maximally_mixed_ensemble(layout)
-    blocks = {t: state.blocks[t].copy() for t in layout.two_j_values}
-
-    sector_rows, sector_stacks = _stack_sectors(layout, blocksets, n)
 
     ml_spec = FitSpec.max_lik()
     values = np.empty(iterations + 1)
     for it in range(iterations + 1):
-        p = np.zeros(f.size)
-        for two_j in layout.two_j_values:
-            p[sector_rows[two_j]] += np.einsum(
-                "mn,rnm->r", blocks[two_j], sector_stacks[two_j]
-            ).real
+        p = np.concatenate([probabilities(state, bs) for bs in blocksets])
         values[it] = fit_value(ml_spec, f, np.maximum(p, 1e-300))
         if it == iterations:
             break
-        ratio = np.zeros_like(p)
-        pos = f > 0
-        ratio[pos] = f[pos] / np.maximum(p[pos], 1e-300)
         new_blocks = {}
         norm = 0.0
-        for two_j in layout.two_j_values:
-            R = np.tensordot(ratio[sector_rows[two_j]], sector_stacks[two_j], axes=(0, 0))
-            updated = R @ blocks[two_j] @ R.conj().T
+        for two_j, R in _ratio_operators(blocksets, f, p).items():
+            updated = R @ state.blocks[two_j] @ R.conj().T
             updated = 0.5 * (updated + updated.conj().T)
             new_blocks[two_j] = updated
             norm += float(np.trace(updated).real)
         if norm <= 0.0:
             raise ValueError("fixed-point normalization vanished (degenerate data)")
-        blocks = {t: m / norm for t, m in new_blocks.items()}
+        state = SpinEnsemble(
+            layout=layout, blocks={t: m / norm for t, m in new_blocks.items()}
+        )
 
-    estimate = SpinEnsemble(layout=layout, blocks=blocks)
-    return FixedPointResult(estimate=estimate, fit_trace=values, iterations=iterations)
+    return FixedPointResult(estimate=state, fit_trace=values, iterations=iterations)

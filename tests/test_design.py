@@ -1,4 +1,5 @@
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -178,10 +179,26 @@ class TestDesignProblem:
         with pytest.raises(ValueError, match="noise_constant"):
             self.make(noise_constant=0.0)
 
-    def test_rejects_sign_duplicates(self):
+    @pytest.mark.parametrize(
+        "sign, offset, rejected",
+        [(-1.0, 0.0, True), (1.0, 1e-7, True), (-1.0, 1e-7, True),
+         (1.0, 1e-5, False), (-1.0, 1e-5, False)],
+        ids=["antipodal", "near-1e-7", "near-antipodal-1e-7", "near-1e-5",
+             "near-antipodal-1e-5"],
+    )
+    def test_rejects_sign_duplicates(self, sign, offset, rejected):
+        # setting 3 sits at angle ~offset from +-setting 0; the tolerance
+        # DUPLICATE_ANGLE_TOL = 1e-6 lies between the two offsets used
         settings = random_settings(6, seed=2)
-        settings[3] = Setting(axis=-settings[0].axis)
-        with pytest.raises(ValueError, match="coincide"):
+        a = settings[0].axis
+        perp = np.cross(a, E3.axis)
+        moved = sign * a + offset * perp / np.linalg.norm(perp)
+        settings[3] = Setting(axis=moved / np.linalg.norm(moved))
+        expect = (
+            pytest.raises(ValueError, match="settings 0 and 3 coincide")
+            if rejected else nullcontext()
+        )
+        with expect:
             DesignProblem(
                 n_qubits=2,
                 target=maximally_mixed_ensemble(sector_layout(2)),

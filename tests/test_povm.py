@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pitomo.povm import (
     E1,
@@ -17,6 +18,7 @@ from pitomo.povm import (
     save_settings,
     standard_blocks,
 )
+from pitomo.sim import PURITY_MODES, random_pi_state
 from pitomo.spin_blocks import (
     dicke_ensemble,
     expand_full,
@@ -27,6 +29,19 @@ from pitomo.spin_blocks import (
 
 import oracles
 from test_spin_blocks import random_ensemble
+
+# Measurement axes: the two poles, where the rotation axis degenerates,
+# and arbitrary non-zero directions (normalized in the tests).
+AXES = st.one_of(
+    st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]),
+    st.tuples(*3 * [st.floats(-1.0, 1.0)]).filter(lambda v: np.linalg.norm(v) > 1e-3),
+)
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def unit_setting(axis):
+    v = np.asarray(axis, dtype=float)
+    return Setting(axis=v / np.linalg.norm(v))
 
 
 class TestSetting:
@@ -113,6 +128,45 @@ class TestStandardBlocks:
             for two_j, stack in bs.sector_stacks.items():
                 total = stack.sum(axis=0)
                 np.testing.assert_allclose(total, np.eye(two_j + 1), atol=1e-12)
+
+
+class TestRankOneContractions:
+    """probabilities (forward) and weighted_sum (adjoint) of the stored U_j."""
+
+    @PROPERTY
+    @given(n=st.integers(1, 6), axis=AXES, mode=st.sampled_from(PURITY_MODES),
+           seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_duality(self, n, axis, mode, seed):
+        # sum_k w_k p_k(rho) = sum_j tr(rho_j weighted_sum(w)_j)
+        rng = np.random.default_rng(seed)
+        bs = rotated_blocks(n, unit_setting(axis))
+        state = random_pi_state(sector_layout(n), mode, seed=rng)
+        w = rng.normal(size=n + 1)
+        adjoint = bs.weighted_sum(w)
+        dual = sum(
+            np.trace(rho @ adjoint[two_j]).real for two_j, rho in state.blocks.items()
+        )
+        assert abs(w @ probabilities(state, bs) - dual) <= 1e-12
+
+    @PROPERTY
+    @given(n=st.integers(1, 6), axis=AXES)
+    def test_completeness_and_dense_blocks(self, n, axis):
+        bs = rotated_blocks(n, unit_setting(axis))
+        identity = bs.weighted_sum(np.ones(n + 1))
+        stacks = bs.sector_stacks
+        for two_j in sector_layout(n).two_j_values:
+            np.testing.assert_allclose(
+                identity[two_j], np.eye(two_j + 1), rtol=0, atol=1e-12
+            )
+            off = bs.k_offset(two_j)
+            for r in range(two_j + 1):
+                np.testing.assert_allclose(
+                    stacks[two_j][r], bs.block(off + r, two_j), rtol=0, atol=1e-12
+                )
+
+    def test_weights_must_cover_every_outcome(self):
+        with pytest.raises(ValueError, match="expected"):
+            standard_blocks(3).weighted_sum(np.ones(3))
 
 
 class TestRotatedBlocks:

@@ -726,6 +726,14 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="degenerate"):
             fixed_point_reconstruct(Dataset(2, [rec]), iterations=5, start=start)
 
+    @pytest.mark.parametrize("start_n", [3, 6])
+    def test_rejects_start_of_other_size(self, start_n):
+        rng = np.random.default_rng(5)
+        ds = exact_dataset(interior_ensemble(4, rng), random_settings(rng, 4))
+        start = maximally_mixed_ensemble(sector_layout(start_n))
+        with pytest.raises(ValueError, match=f"start state has N={start_n}"):
+            fixed_point_reconstruct(ds, iterations=2, start=start)
+
 
 class TestLikelihoodResidual:
     def test_zero_at_exact_truth(self):
