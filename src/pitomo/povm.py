@@ -25,7 +25,10 @@ All contractions go through two operations on U_j:
     adjoint   sum_k w_k M_{k,j}^a = U_j diag(w) U_j^dagger    (weighted_sum)
 
 They are adjoint: sum_k w_k p_k = sum_j tr(rho_j weighted_sum(w)_j).
-The dense per-outcome stacks are derived on demand (``sector_stacks``).
+The same two operations serve ``StackedBlockSets``, the U_j of several
+settings concatenated column-wise (n x S n), so a contraction over all
+settings is one product per sector.  The dense per-outcome stacks are
+derived on demand (``sector_stacks``).
 
 The module also provides the moment coefficients K(k,w,N) that convert
 outcome distributions into expectation values of symmetrized w-fold
@@ -59,6 +62,8 @@ __all__ = [
     "E2",
     "E3",
     "MeasurementBlockSet",
+    "StackedBlockSets",
+    "stack_block_sets",
     "rotation_params",
     "standard_blocks",
     "rotated_blocks",
@@ -124,8 +129,27 @@ def rotation_params(setting: Setting) -> tuple[np.ndarray, float]:
     return cross / norm, theta
 
 
+class _RankOnePOVM:
+    """Adjoint shared by single-setting and stacked block sets: column r
+    of ``rotations[two_j]`` is the vector that outcome
+    ``outcome_slots(two_j)[r]`` projects onto, out of ``n_outcomes``."""
+
+    def weighted_sum(self, weights) -> dict[int, np.ndarray]:
+        """Adjoint of ``probabilities``: {two_j: sum_k w_k M_{k,j}}, each
+        U_j diag(w[outcome_slots(two_j)]) U_j^dagger."""
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (self.n_outcomes,):
+            raise ValueError(
+                f"weights have shape {w.shape}, expected ({self.n_outcomes},)"
+            )
+        return {
+            two_j: (U * w[self.outcome_slots(two_j)]) @ U.conj().T
+            for two_j, U in self.rotations.items()
+        }
+
+
 @dataclass(frozen=True)
-class MeasurementBlockSet:
+class MeasurementBlockSet(_RankOnePOVM):
     """Block-diagonal POVM for one setting, one (2j+1) x (2j+1) unitary per
     sector.
 
@@ -140,12 +164,20 @@ class MeasurementBlockSet:
     setting: Setting
     rotations: dict[int, np.ndarray]
 
+    @property
+    def n_outcomes(self) -> int:
+        return self.n_qubits + 1
+
     def k_offset(self, two_j: int) -> int:
         return (self.n_qubits - two_j) // 2
 
     def outcome_range(self, two_j: int) -> range:
         off = self.k_offset(two_j)
         return range(off, off + two_j + 1)
+
+    def outcome_slots(self, two_j: int) -> slice:
+        off = self.k_offset(two_j)
+        return slice(off, off + two_j + 1)
 
     @property
     def sector_stacks(self) -> dict[int, np.ndarray]:
@@ -166,19 +198,46 @@ class MeasurementBlockSet:
         u = self.rotations[two_j][:, k - off]
         return np.outer(u, u.conj())
 
-    def weighted_sum(self, weights) -> dict[int, np.ndarray]:
-        """Adjoint of ``probabilities``: {two_j: sum_k w_k M_{k,j}}, each
-        U_j diag(w[k_offset : k_offset + 2j + 1]) U_j^dagger."""
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (self.n_qubits + 1,):
-            raise ValueError(
-                f"weights have shape {w.shape}, expected ({self.n_qubits + 1},)"
-            )
-        out = {}
-        for two_j, U in self.rotations.items():
-            off = self.k_offset(two_j)
-            out[two_j] = (U * w[off : off + two_j + 1]) @ U.conj().T
-        return out
+
+@dataclass(frozen=True)
+class StackedBlockSets(_RankOnePOVM):
+    """The block sets of several settings as one POVM with S (N+1)
+    outcomes, setting-major: outcome k of setting a is a (N+1) + k.
+
+    ``rotations[two_j]`` is [U_j^1 | ... | U_j^S] (n x S n), so one
+    ``probabilities`` or ``weighted_sum`` call covers every setting.
+    """
+
+    n_qubits: int
+    n_outcomes: int
+    rotations: dict[int, np.ndarray]
+    slots: dict[int, np.ndarray]
+
+    def outcome_slots(self, two_j: int) -> np.ndarray:
+        return self.slots[two_j]
+
+
+def stack_block_sets(block_sets) -> StackedBlockSets:
+    """Concatenate the per-sector rotations of same-size block sets."""
+    block_sets = list(block_sets)
+    if not block_sets or len({bs.n_qubits for bs in block_sets}) != 1:
+        raise ValueError("need at least one block set, all of one qubit number")
+    n_out = block_sets[0].n_outcomes
+    rotations, slots = {}, {}
+    for two_j in block_sets[0].rotations:
+        rotations[two_j] = _as_readonly(
+            np.hstack([bs.rotations[two_j] for bs in block_sets])
+        )
+        slots[two_j] = np.concatenate([
+            a * n_out + np.arange(n_out)[bs.outcome_slots(two_j)]
+            for a, bs in enumerate(block_sets)
+        ])
+    return StackedBlockSets(
+        n_qubits=block_sets[0].n_qubits,
+        n_outcomes=len(block_sets) * n_out,
+        rotations=rotations,
+        slots=slots,
+    )
 
 
 def standard_blocks(n_qubits: int) -> MeasurementBlockSet:
@@ -209,9 +268,11 @@ def rotated_blocks(n_qubits: int, setting: Setting) -> MeasurementBlockSet:
     return MeasurementBlockSet(n_qubits=n_qubits, setting=setting, rotations=rotations)
 
 
-def probabilities(state: SpinEnsemble, blocks: MeasurementBlockSet) -> np.ndarray:
-    """Outcome distribution p_k = sum_j tr(rho_j M_{k,j}), k = 0..N, as
-    diag(U_j^dagger rho_j U_j) per sector.
+def probabilities(state: SpinEnsemble, blocks) -> np.ndarray:
+    """Outcome distribution p_k = sum_j tr(rho_j M_{k,j}) as
+    diag(U_j^dagger rho_j U_j) per sector: k = 0..N for a
+    ``MeasurementBlockSet``, setting-major over all settings for a
+    ``StackedBlockSets``.
 
     Tiny negative values from roundoff are clamped to zero.
     """
@@ -219,13 +280,11 @@ def probabilities(state: SpinEnsemble, blocks: MeasurementBlockSet) -> np.ndarra
         raise ValueError(
             f"state has N={state.layout.n_qubits}, POVM has N={blocks.n_qubits}"
         )
-    n = blocks.n_qubits
-    p = np.zeros(n + 1)
+    p = np.zeros(blocks.n_outcomes)
     for two_j in state.layout.two_j_values:
         U = blocks.rotations[two_j]
         vals = ((state.blocks[two_j] @ U) * U.conj()).sum(axis=0).real
-        off = blocks.k_offset(two_j)
-        p[off : off + two_j + 1] += vals
+        p[blocks.outcome_slots(two_j)] += vals
     return np.where(p < 0.0, 0.0, p)
 
 

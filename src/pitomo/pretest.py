@@ -14,8 +14,9 @@ into one LMI per sector:
 
 ``optimize_witness`` maximizes tr(rho_tar Z) over z subject to those
 LMIs plus a box |z| <= coefficient_bound, reusing the reconstruction
-module's log-det barrier Newton engine on the slack blocks (the box
-slacks enter as 1x1 blocks).  The box costs nothing at the optimum -
+module's log-det barrier Newton engine on the slack blocks (the
+2 S (N+1) box slacks B -/+ z enter as one diagonal block, whose barrier
+is -sum log of the slacks).  The box costs nothing at the optimum -
 solutions sit at coefficients of order one - while making the feasible
 set compact: without it, outcomes the target never produces (common for
 Dicke targets) would let coefficients drift to -infinity along the
@@ -162,13 +163,10 @@ def optimize_witness(
             a * n_out + bs.k_offset(two_j) + np.arange(d)
             for a, bs in enumerate(block_sets)
         ]))
-    # box slacks B - z_i >= 0 and B + z_i >= 0, one 1x1 block each
-    bound = float(coefficient_bound)
-    for sign in (-1.0, 1.0):
-        for i in range(dim):
-            constants.append(np.array([[bound]], dtype=complex))
-            dir_stacks.append(np.array([[[sign]]], dtype=complex))
-            dir_indices.append(np.array([i], dtype=np.intp))
+    # box slacks B - z_i >= 0, then B + z_i >= 0, as one diagonal block
+    constants.append(np.full(2 * dim, float(coefficient_bound)))
+    dir_stacks.append(np.hstack([-np.eye(dim), np.eye(dim)]))
+    dir_indices.append(np.arange(dim))
     affine = AffineBlockMap(constants, dir_stacks, dir_indices, dim)
 
     expectations = np.concatenate(

@@ -39,19 +39,21 @@ swapping in a different affine block map, so it is written generically.
 ``fixed_point_reconstruct`` provides the non-convex iteration
 rho_j <- R_j rho_j R_j / norm with R_j = sum (f/p) M_{k,j}, mainly as a
 cross-check; it stalls near the boundary where the Newton path does not.
-R_j is the POVM adjoint ``MeasurementBlockSet.weighted_sum`` of the ratios
-f/p, summed over settings, and p the forward ``probabilities``.
+R_j is the POVM adjoint ``weighted_sum`` of the ratios f/p and p the
+forward ``probabilities``, both over the ``StackedBlockSets`` of all
+settings, built once: one product per sector and iteration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .povm import probabilities, rotated_blocks
+from .povm import probabilities, rotated_blocks, stack_block_sets
 from .spin_blocks import (
     SpinEnsemble,
     SpinSectorLayout,
@@ -165,70 +167,126 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 
-class AffineBlockMap:
-    """x -> [C_b + sum_i x[idx_b[i]] * D_b[i]]_b over Hermitian blocks.
+@functools.lru_cache(maxsize=None)
+def _hermitian_coordinates(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and weights that read the n^2 real coordinates of a
+    Hermitian n x n matrix off its flat complex entries viewed as
+    (re, im) float pairs: sqrt2 Re and sqrt2 Im of the strict upper
+    triangle, then the diagonal.  The dot product of two coordinate rows
+    is the Frobenius inner product tr(A B) of the matrices."""
+    rows, cols = np.triu_indices(n, 1)
+    upper = 2 * (rows * n + cols)
+    columns = np.concatenate([upper, upper + 1, 2 * (n + 1) * np.arange(n)])
+    weights = np.ones(n * n)
+    weights[: 2 * upper.size] = math.sqrt(2.0)
+    # read-only: the cache hands the same arrays to every caller
+    columns.setflags(write=False)
+    weights.setflags(write=False)
+    return columns, weights
 
-    ``dir_stacks[b]`` has shape (q_b, n_b, n_b); ``dir_indices[b]`` maps
-    the local direction axis into the global coordinate vector.
+
+def _log_det(factor: np.ndarray) -> float:
+    """log det of a block from its factor: the slack vector of a diagonal
+    block, the lower Cholesky factor of a Hermitian one."""
+    if factor.ndim == 1:
+        return float(np.sum(np.log(factor)))
+    return 2.0 * float(np.sum(np.log(np.diag(factor).real)))
+
+
+def _triangular_inverse(L: np.ndarray) -> np.ndarray:
+    n = L.shape[0]
+    return solve_triangular(L, np.eye(n, dtype=complex), lower=True, check_finite=False)
+
+
+class AffineBlockMap:
+    """x -> [C_b + sum_i x[idx_b[i]] * D_b[i]]_b over Hermitian and
+    diagonal blocks.
+
+    A Hermitian block has ``constants[b]`` of shape (n, n) and
+    ``dir_stacks[b]`` of shape (q, n, n) of Hermitian directions.  A
+    diagonal block has a real constant c of shape (m,) and real
+    directions D of shape (q, m): it stands for m scalar slacks
+    s = c + D^T x[idx], feasible iff every s > 0, with barrier -sum log s
+    (a linear-programming block beside the semidefinite ones).
+    ``dir_indices[b]`` maps the local direction axis into the global
+    coordinate vector; an index may repeat across blocks, not within one.
     """
 
     def __init__(self, constants, dir_stacks, dir_indices, dim):
-        self.constants = [np.ascontiguousarray(c, dtype=complex) for c in constants]
-        self.dir_stacks = [np.ascontiguousarray(d, dtype=complex) for d in dir_stacks]
+        self.constants = []
+        self.dir_stacks = []
+        for c, d in zip(constants, dir_stacks):
+            dtype = float if np.ndim(c) == 1 else complex
+            self.constants.append(np.ascontiguousarray(c, dtype=dtype))
+            self.dir_stacks.append(np.ascontiguousarray(d, dtype=dtype))
         self.dir_indices = [np.asarray(i, dtype=np.intp) for i in dir_indices]
+        if any(np.unique(i).size != i.size for i in self.dir_indices):
+            raise ValueError("a block's direction indices must be distinct")
         self.dim = int(dim)
-        self.block_dims = [c.shape[0] for c in self.constants]
-        self.total_block_dim = sum(self.block_dims)
 
     def blocks(self, x: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for C, D, idx in zip(self.constants, self.dir_stacks, self.dir_indices):
-            if D.shape[0]:
-                out.append(C + np.tensordot(x[idx], D, axes=(0, 0)))
-            else:
-                out.append(C.copy())
-        return out
+        return [
+            C + (x[idx] @ D if C.ndim == 1 else np.tensordot(x[idx], D, axes=(0, 0)))
+            for C, D, idx in zip(self.constants, self.dir_stacks, self.dir_indices)
+        ]
 
     def cholesky_list(self, blocks) -> list[np.ndarray] | None:
-        """Lower-triangular factors, or None if any block is not PD."""
+        """Factors of the blocks (lower Cholesky factor of a Hermitian
+        block, the slack vector itself for a diagonal one), or None if any
+        block is not positive definite or has a NaN or infinite pivot."""
         chols = []
         for blk in blocks:
-            try:
-                chols.append(np.linalg.cholesky(blk))
-            except np.linalg.LinAlgError:
+            if blk.ndim == 2:
+                try:
+                    blk = np.linalg.cholesky(blk)
+                except np.linalg.LinAlgError:
+                    return None
+            pivots = blk if blk.ndim == 1 else np.diag(blk).real
+            # LAPACK passes NaN through; NaN fails both comparisons
+            if not np.all((pivots > 0.0) & (pivots < np.inf)):
                 return None
+            chols.append(blk)
         return chols
 
     @staticmethod
     def barrier_value(chols) -> float:
-        """-sum_b log det(block_b) from the Cholesky factors."""
-        return -2.0 * sum(
-            float(np.sum(np.log(np.diag(L).real))) for L in chols
-        )
+        """-sum_b log det(block_b) from the factors."""
+        return -sum(_log_det(F) for F in chols)
 
     def barrier_grad_hess(self, chols):
         """(value, gradient, Hessian) of -sum_b log det(block_b).
 
         grad_i = -sum_b tr(block^-1 D_i), hess_il = sum_b tr(block^-1 D_i
-        block^-1 D_l); computed per block as the Gram matrix of
-        T_i = L^-1 D_i L^-dagger.
+        block^-1 D_l).  A Hermitian block with factor L contributes through
+        T_i = L^-1 D_i L^-dagger, formed from one triangular inverse and
+        two flat products with no solve per direction.  The n^2 real
+        coordinates of each T_i (sqrt2 Re and sqrt2 Im of the strict upper
+        triangle, then the diagonal) are the rows of a real matrix C: the
+        block Hessian is the real syrk C C^T, exactly symmetric, and the
+        gradient is minus the diagonal sums.  A diagonal block with slacks
+        s has C = D / s, gradient -D (1/s) and Hessian (D/s)(D/s)^T.
         """
         value = 0.0
         grad = np.zeros(self.dim)
         hess = np.zeros((self.dim, self.dim))
-        for L, D, idx in zip(chols, self.dir_stacks, self.dir_indices):
-            n = L.shape[0]
-            value -= 2.0 * float(np.sum(np.log(np.diag(L).real)))
-            q = D.shape[0]
-            if q == 0:
-                continue
-            A = self._left_solve(L, D)  # A_i = L^-1 D_i
-            T = self._left_solve(L, A.conj().transpose(0, 2, 1))
-            T = T.conj().transpose(0, 2, 1)  # T_i = L^-1 D_i L^-dagger
-            np.subtract.at(grad, idx, np.einsum("qii->q", T).real)
-            flat = T.reshape(q, n * n)
-            local = (flat @ flat.conj().T).real
-            hess[np.ix_(idx, idx)] += local
+        for F, D, idx in zip(chols, self.dir_stacks, self.dir_indices):
+            value -= _log_det(F)
+            if F.ndim == 1:
+                C = D / F
+                grad[idx] -= C.sum(axis=1)
+            else:
+                q, n, _ = D.shape
+                inv_l = _triangular_inverse(F)
+                # slabs of P are D_i L^-dagger; P_i^T L^-T = conj(T_i) for
+                # Hermitian D_i, which has the same real coordinates up to
+                # the sign of every Im entry, so the same Gram matrix
+                P = (D.reshape(q * n, n) @ inv_l.conj().T).reshape(q, n, n)
+                T_conj = P.transpose(0, 2, 1).reshape(q * n, n) @ inv_l.T
+                columns, weights = _hermitian_coordinates(n)
+                C = T_conj.reshape(q, n * n).view(float)[:, columns]
+                C *= weights
+                grad[idx] -= C[:, n * n - n :].sum(axis=1)
+            hess[np.ix_(idx, idx)] += C @ C.T
         return value, grad, hess
 
     def barrier_grad(self, chols):
@@ -239,25 +297,15 @@ class AffineBlockMap:
         """
         value = 0.0
         grad = np.zeros(self.dim)
-        for L, D, idx in zip(chols, self.dir_stacks, self.dir_indices):
-            n = L.shape[0]
-            value -= 2.0 * float(np.sum(np.log(np.diag(L).real)))
-            if D.shape[0] == 0:
-                continue
-            inv_l = solve_triangular(
-                L, np.eye(n, dtype=complex), lower=True, check_finite=False
-            )
-            inv = inv_l.conj().T @ inv_l
-            np.subtract.at(grad, idx, np.einsum("mn,qnm->q", inv, D).real)
+        for F, D, idx in zip(chols, self.dir_stacks, self.dir_indices):
+            value -= _log_det(F)
+            if F.ndim == 1:
+                grad[idx] -= (D / F).sum(axis=1)
+            else:
+                inv_l = _triangular_inverse(F)
+                inv = inv_l.conj().T @ inv_l
+                grad[idx] -= np.einsum("mn,qnm->q", inv, D).real
         return value, grad
-
-    @staticmethod
-    def _left_solve(L, stack):
-        """L^-1 @ stack[i] for every slab of a (q, n, n) stack."""
-        q, n, _ = stack.shape
-        flat = stack.transpose(1, 0, 2).reshape(n, q * n)
-        solved = solve_triangular(L, flat, lower=True, check_finite=False)
-        return solved.reshape(n, q, n).transpose(1, 0, 2)
 
 
 def _diagonal_table(n: int) -> np.ndarray:
@@ -854,17 +902,13 @@ class FixedPointResult:
     iterations: int
 
 
-def _ratio_operators(blocksets, f: np.ndarray, p: np.ndarray) -> dict[int, np.ndarray]:
+def _ratio_operators(stack, f: np.ndarray, p: np.ndarray) -> dict[int, np.ndarray]:
     """R_j = sum_{a,k} (f_k^a / p_k^a) M_{k,j}^a from flat (setting,
     outcome) frequencies and probabilities; outcomes with f = 0 add 0."""
     ratio = np.zeros_like(p)
     pos = f > 0
     ratio[pos] = f[pos] / np.maximum(p[pos], 1e-300)
-    R = {}
-    for bs, w in zip(blocksets, ratio.reshape(len(blocksets), -1)):
-        for two_j, term in bs.weighted_sum(w).items():
-            R[two_j] = R[two_j] + term if two_j in R else term
-    return R
+    return stack.weighted_sum(ratio)
 
 
 def likelihood_residual(dataset, ensemble: SpinEnsemble) -> float:
@@ -879,9 +923,8 @@ def likelihood_residual(dataset, ensemble: SpinEnsemble) -> float:
     n = dataset.n_qubits
     if ensemble.layout.n_qubits != n:
         raise ValueError("ensemble does not match dataset qubit number")
-    blocksets = [rotated_blocks(n, rec.setting) for rec in dataset.records]
-    p = np.concatenate([probabilities(ensemble, bs) for bs in blocksets])
-    R = _ratio_operators(blocksets, np.concatenate(freqs), p)
+    stack = stack_block_sets(rotated_blocks(n, rec.setting) for rec in dataset.records)
+    R = _ratio_operators(stack, np.concatenate(freqs), probabilities(ensemble, stack))
     n_settings = len(dataset.records)
     total = 0.0
     for two_j, rho in ensemble.blocks.items():
@@ -906,19 +949,19 @@ def fixed_point_reconstruct(dataset, iterations: int = 3000,
         raise ValueError(
             f"start state has N={state.layout.n_qubits}, dataset has N={n}"
         )
-    blocksets = [rotated_blocks(n, rec.setting) for rec in dataset.records]
+    stack = stack_block_sets(rotated_blocks(n, rec.setting) for rec in dataset.records)
     f = np.concatenate(freqs)
 
     ml_spec = FitSpec.max_lik()
     values = np.empty(iterations + 1)
     for it in range(iterations + 1):
-        p = np.concatenate([probabilities(state, bs) for bs in blocksets])
+        p = probabilities(state, stack)
         values[it] = fit_value(ml_spec, f, np.maximum(p, 1e-300))
         if it == iterations:
             break
         new_blocks = {}
         norm = 0.0
-        for two_j, R in _ratio_operators(blocksets, f, p).items():
+        for two_j, R in _ratio_operators(stack, f, p).items():
             updated = R @ state.blocks[two_j] @ R.conj().T
             updated = 0.5 * (updated + updated.conj().T)
             new_blocks[two_j] = updated

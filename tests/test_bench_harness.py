@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from pitomo.pretest import optimize_witness
+from pitomo.reconstruct import SolverConfig, t_schedule
 from pitomo.spin_blocks import dicke_ensemble
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -61,3 +62,25 @@ def test_witness_dual_gap(tracing, workloads):
     target = dicke_ensemble(3, 1)
     witness = optimize_witness(target)
     assert workloads.witness_dual_gap(api, target, witness) <= workloads.WITNESS_GAP_TOL
+
+
+def test_tracer_sees_witness_barrier_work(tracing):
+    # newton_stage evaluates the barrier derivatives once per accepted
+    # step plus once in each stage's last iteration; barrier work moved
+    # off the hooked AffineBlockMap methods would vanish from these figures
+    api = tracing.pitomo_modules()
+    tracer = tracing.Tracer()
+    tracer.install(api)
+    try:
+        tracer.active = True
+        api["pretest"].optimize_witness(dicke_ensemble(3, 1))
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    metrics = tracing.per_layer_metrics(tracer.spans)
+    stages = len(t_schedule(SolverConfig()))
+    assert metrics["pretest.newton_steps"] > 0
+    assert metrics["reconstruct.barrier_derivs_calls"] == (
+        metrics["pretest.newton_steps"] + stages
+    )
+    assert metrics["reconstruct.line_search_calls"] > 0

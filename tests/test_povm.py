@@ -16,6 +16,7 @@ from pitomo.povm import (
     rotated_blocks,
     rotation_params,
     save_settings,
+    stack_block_sets,
     standard_blocks,
 )
 from pitomo.sim import PURITY_MODES, random_pi_state
@@ -167,6 +168,38 @@ class TestRankOneContractions:
     def test_weights_must_cover_every_outcome(self):
         with pytest.raises(ValueError, match="expected"):
             standard_blocks(3).weighted_sum(np.ones(3))
+
+    @PROPERTY
+    @given(n=st.integers(1, 6), axes=st.lists(AXES, min_size=1, max_size=4),
+           mode=st.sampled_from(PURITY_MODES), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_matches_per_setting(self, n, axes, mode, seed):
+        # one forward/adjoint over all settings = the per-setting calls,
+        # concatenated (forward) or summed (adjoint), setting-major
+        rng = np.random.default_rng(seed)
+        block_sets = [rotated_blocks(n, unit_setting(a)) for a in axes]
+        stack = stack_block_sets(block_sets)
+        state = random_pi_state(sector_layout(n), mode, seed=rng)
+        w = rng.normal(size=(len(axes), n + 1))
+        np.testing.assert_allclose(
+            probabilities(state, stack),
+            np.concatenate([probabilities(state, bs) for bs in block_sets]),
+            rtol=0, atol=1e-12,
+        )
+        stacked = stack.weighted_sum(w.ravel())
+        for two_j in sector_layout(n).two_j_values:
+            np.testing.assert_allclose(
+                stacked[two_j],
+                sum(bs.weighted_sum(row)[two_j] for bs, row in zip(block_sets, w)),
+                rtol=0, atol=1e-12,
+            )
+
+    def test_stack_rejects_empty_and_mixed_sizes(self):
+        with pytest.raises(ValueError, match="qubit number"):
+            stack_block_sets([])
+        with pytest.raises(ValueError, match="qubit number"):
+            stack_block_sets([standard_blocks(2), standard_blocks(3)])
+        with pytest.raises(ValueError, match="expected"):
+            stack_block_sets([standard_blocks(2)] * 2).weighted_sum(np.ones(3))
 
 
 class TestRotatedBlocks:

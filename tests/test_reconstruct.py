@@ -3,6 +3,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pitomo.povm import Setting, probabilities, rotated_blocks
 from pitomo.reconstruct import (
@@ -774,3 +775,141 @@ class TestAffineBlockMapDirect:
         np.testing.assert_allclose(blocks[0], const[0])
         chols = amap.cholesky_list(blocks)
         assert amap.barrier_value(chols) == pytest.approx(-math.log(0.25))
+
+
+def random_hermitian(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (a + a.conj().T) / 2
+
+
+def random_block_map(rng, sizes, m, dim, floor=0.05):
+    """Hermitian blocks of the given sizes plus one diagonal block of m
+    slacks; each block reads a random subset of the dim coordinates, so
+    coordinates are shared between blocks.  Every constant has smallest
+    eigenvalue (or slack) ``floor`` and every direction unit spectral
+    norm, so x with |x|_1 < floor stays interior."""
+    constants, stacks, indices = [], [], []
+    for n in sizes:
+        q = int(rng.integers(0, dim + 1))
+        dirs = np.array([random_hermitian(rng, n) for _ in range(q)]).reshape(q, n, n)
+        dirs /= np.maximum(np.abs(np.linalg.eigvalsh(dirs)).max(axis=-1), 1e-12)[:, None, None]
+        vecs = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        eigs = np.concatenate([[floor], rng.uniform(floor, 2.0, n - 1)])
+        constants.append((vecs * eigs) @ vecs.conj().T)
+        stacks.append(dirs)
+        indices.append(rng.choice(dim, size=q, replace=False))
+    q = int(rng.integers(0, dim + 1))
+    diag_dirs = rng.uniform(-1.0, 1.0, size=(q, m))
+    constants.append(floor + rng.uniform(0.0, 2.0, m))
+    stacks.append(diag_dirs)
+    indices.append(rng.choice(dim, size=q, replace=False))
+    return AffineBlockMap(constants, stacks, indices, dim)
+
+
+def barrier_oracle(amap, x):
+    """-sum log det B_b(x), its gradient -tr(B^-1 D_i) and Hessian
+    tr(B^-1 D_i B^-1 D_l) from dense inverses, diagonal blocks as
+    diagonal matrices."""
+    value, grad = 0.0, np.zeros(amap.dim)
+    hess = np.zeros((amap.dim, amap.dim))
+    for C, D, idx in zip(amap.constants, amap.dir_stacks, amap.dir_indices):
+        if C.ndim == 1:
+            C = np.diag(C)
+            D = np.array([np.diag(d) for d in D]).reshape(len(D), *C.shape)
+        B = C + np.einsum("q,qmn->mn", x[idx], D)
+        BD = np.linalg.inv(B) @ D
+        value -= np.linalg.slogdet(B)[1]
+        grad[idx] -= np.einsum("qmm->q", BD).real
+        hess[np.ix_(idx, idx)] += np.einsum("imn,lnm->il", BD, BD).real
+    return value, grad, hess
+
+
+def assert_close(actual, expected, rel):
+    scale = max(1.0, float(np.max(np.abs(expected), initial=0.0)))
+    assert float(np.max(np.abs(actual - expected), initial=0.0)) <= rel * scale
+
+
+BARRIER_PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+MAP_SHAPES = dict(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    m=st.integers(1, 4),
+    dim=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestBarrierProperties:
+    """The barrier layer of AffineBlockMap against dense-inverse oracles."""
+
+    @BARRIER_PROPERTY
+    @given(**MAP_SHAPES)
+    def test_derivatives_match_oracle(self, sizes, m, dim, seed):
+        rng = np.random.default_rng(seed)
+        amap = random_block_map(rng, sizes, m, dim)
+        x = rng.uniform(-1.0, 1.0, dim)
+        x *= 0.04 / np.abs(x).sum()  # |x|_1 below the floor 0.05: interior
+        chols = amap.cholesky_list(amap.blocks(x))
+        assert chols is not None
+        value, grad, hess = amap.barrier_grad_hess(chols)
+        ref_value, ref_grad, ref_hess = barrier_oracle(amap, x)
+        assert_close(value, ref_value, 1e-10)
+        assert_close(grad, ref_grad, 1e-10)
+        assert_close(hess, ref_hess, 1e-10)
+        assert np.array_equal(hess, hess.T)
+        assert amap.barrier_value(chols) == value
+        value_only, grad_only = amap.barrier_grad(chols)
+        assert value_only == value
+        assert_close(grad_only, grad, 1e-12)
+
+    @BARRIER_PROPERTY
+    @given(**MAP_SHAPES, scale=st.floats(0.0, 10.0),
+           nan_at=st.one_of(st.none(), st.integers(0, 5)),
+           pinned=st.sampled_from([-1.0, 0.0, 1.0]))
+    def test_cholesky_list_none_iff_not_positive(self, sizes, m, dim, seed, scale,
+                                                 nan_at, pinned):
+        # one slack ignores x and is pinned at -1, 0 or 1; a NaN
+        # coordinate poisons every block that reads it
+        rng = np.random.default_rng(seed)
+        amap = random_block_map(rng, sizes, m, dim)
+        amap.constants[-1][0] = pinned
+        amap.dir_stacks[-1][:, 0] = 0.0
+        x = rng.uniform(-1.0, 1.0, dim)
+        x *= scale * 0.05 / np.abs(x).sum()
+        if nan_at is not None:
+            x[nan_at % dim] = np.nan
+        blocks = amap.blocks(x)
+
+        def positive(blk):
+            if not np.all(np.isfinite(blk)):
+                return False
+            if blk.ndim == 1:
+                return bool(np.all(blk > 0.0))
+            lowest = np.linalg.eigvalsh(blk)[0]
+            # Cholesky and eigvalsh may disagree within roundoff of zero
+            assume(abs(lowest) > 1e-9)
+            return lowest > 0.0
+
+        feasible = all([positive(blk) for blk in blocks])
+        assert (amap.cholesky_list(blocks) is None) == (not feasible)
+
+    def test_diagonal_block_equals_scalar_blocks(self):
+        rng = np.random.default_rng(11)
+        dim, m = 5, 6
+        herm = random_block_map(rng, [3], m, dim)
+        c, D, idx = herm.constants[-1], herm.dir_stacks[-1], herm.dir_indices[-1]
+        scalars = AffineBlockMap(
+            herm.constants[:-1] + [np.array([[v]]) for v in c],
+            herm.dir_stacks[:-1] + [D[:, k, None, None] for k in range(m)],
+            herm.dir_indices[:-1] + [idx] * m,
+            dim,
+        )
+        x = rng.uniform(-1.0, 1.0, dim)
+        x *= 0.04 / np.abs(x).sum()
+        ours = herm.barrier_grad_hess(herm.cholesky_list(herm.blocks(x)))
+        theirs = scalars.barrier_grad_hess(scalars.cholesky_list(scalars.blocks(x)))
+        for a, b in zip(ours, theirs):
+            assert_close(a, b, 1e-12)
+
+    def test_repeated_index_within_block_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            AffineBlockMap([np.eye(2)], [np.zeros((2, 2, 2))], [[0, 0]], 1)
