@@ -8,17 +8,27 @@ multinomial(w; k,l,m) a_x^k a_y^l a_z^m.  Inverting that expansion
 (minimum-norm least squares) yields per-element estimators whose
 variances, propagated with squared coefficients and weighted by the
 multinomial element count, form the total-error figure of merit that
-the random-walk optimizer minimizes.
+the random-walk optimizer minimizes (Toth et al., PRL 105, 250403
+(2010)).
+
+The figure of merit is evaluated for every proposal, so it works on
+whole tables: one power table a_c^p per settings list feeds the
+expansion matrix of every weight (multinomial coefficients cached per
+weight), the outcome distributions of all settings come from one batched
+rotation build, and the moment means and variances of all weights are
+two (S, N+1) @ (N+1, N+1) products with the table of the cached
+moment coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .povm import Setting, moment_coefficients, probabilities, rotated_blocks
+from .povm import Setting, moment_coefficients, probabilities, rotated_blocks, stacked_blocks
 from .spin_blocks import SpinEnsemble
 
 __all__ = [
@@ -96,33 +106,65 @@ class BlochIndex:
         )
 
 
-def _weight_monomials(weight: int) -> list[tuple[int, int, int]]:
+@lru_cache(maxsize=64)
+def _weight_monomials(weight: int) -> tuple[tuple[int, int, int], ...]:
     """All (k, l, m) with k + l + m = weight, in a fixed order."""
-    return [
+    return tuple(
         (k, l, weight - k - l)
         for k in range(weight + 1)
         for l in range(weight - k + 1)
-    ]
+    )
 
 
-def _expansion_matrix(settings, weight: int) -> np.ndarray:
-    """Row i holds the weight-w expansion of [(a_i.sigma)^(x)w (x) 1]_PI."""
+@lru_cache(maxsize=64)
+def _monomial_table(weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents (monomials, 3) of ``_weight_monomials(weight)`` and their
+    multinomial coefficients w!/(k! l! m!) as floats, both read-only.
+
+    The coefficients are exact in double precision for every weight that
+    ``sector_layout`` admits (w <= 30 keeps them below 2^53).
+    """
     monos = _weight_monomials(weight)
-    out = np.empty((len(settings), len(monos)))
-    for i, s in enumerate(settings):
-        ax, ay, az = s.axis
-        out[i] = [
-            math.factorial(weight) // (math.factorial(k) * math.factorial(l) * math.factorial(m))
-            * ax**k * ay**l * az**m
-            for (k, l, m) in monos
-        ]
-    return out
+    exps = np.array(monos, dtype=np.intp).reshape(-1, 3)
+    multinomial = np.array([
+        math.factorial(weight) // (math.factorial(k) * math.factorial(l) * math.factorial(m))
+        for k, l, m in monos
+    ], dtype=float)
+    exps.setflags(write=False)
+    multinomial.setflags(write=False)
+    return exps, multinomial
 
 
-def _solve_weight(settings, weight: int) -> np.ndarray:
+def _axis_powers(settings, max_weight: int) -> np.ndarray:
+    """Power table (S, max_weight + 1, 3): entry [i, p, c] is a_c^p of
+    setting i, shared by the expansion matrices of every weight.
+
+    The powers come from the C library's pow, not numpy's vectorized
+    power: the high-weight systems are ill-conditioned (condition ~4e6 at
+    N=12), and numpy's last-bit differences move total_error by ~1e-10.
+    """
+    comps = [c for s in settings for c in s.axis.tolist()]
+    table = np.array([[c**p for p in range(max_weight + 1)] for c in comps])
+    return table.reshape(-1, 3, max_weight + 1).transpose(0, 2, 1)
+
+
+def _expansion_matrix(powers: np.ndarray, weight: int) -> np.ndarray:
+    """Row i holds the weight-w expansion of [(a_i.sigma)^(x)w (x) 1]_PI,
+    multinomial(w; k,l,m) a_x^k a_y^l a_z^m per monomial, read off the
+    power table of ``_axis_powers``."""
+    exps, multinomial = _monomial_table(weight)
+    return (
+        multinomial
+        * powers[:, exps[:, 0], 0]
+        * powers[:, exps[:, 1], 1]
+        * powers[:, exps[:, 2], 2]
+    )
+
+
+def _solve_weight(powers: np.ndarray, weight: int) -> np.ndarray:
     """Min-norm coefficients for every weight-w monomial: column j of the
     result combines the settings into monomial j.  Raises on deficiency."""
-    mat = _expansion_matrix(settings, weight)
+    mat = _expansion_matrix(powers, weight)
     n_mono = mat.shape[1]
     coeff, *_ = np.linalg.lstsq(mat.T, np.eye(n_mono), rcond=None)
     residual = np.abs(mat.T @ coeff - np.eye(n_mono)).max()
@@ -143,7 +185,7 @@ def bloch_coefficients(settings, bloch_index: BlochIndex) -> np.ndarray:
     monos = _weight_monomials(bloch_index.weight)
     rhs = np.zeros(len(monos))
     rhs[monos.index((bloch_index.k, bloch_index.l, bloch_index.m))] = 1.0
-    mat = _expansion_matrix(settings, bloch_index.weight)
+    mat = _expansion_matrix(_axis_powers(settings, bloch_index.weight), bloch_index.weight)
     coeff, *_ = np.linalg.lstsq(mat.T, rhs, rcond=None)
     residual = float(np.abs(mat.T @ coeff - rhs).max())
     if residual > RANK_RESIDUAL_TOL:
@@ -220,37 +262,43 @@ def element_error(problem: DesignProblem, settings, bloch_index: BlochIndex) -> 
 
 def total_error(problem: DesignProblem, settings) -> float:
     """Multinomially weighted squared error summed over all Bloch
-    elements; +inf when any weight is outside the settings' span."""
+    elements; +inf when any weight is outside the settings' span.
+
+    The expansion matrices of all weights read one power table.  One
+    batched rotation build and one contraction give the (S, N+1) outcome
+    table P, so the estimator means and variances of every weight are
+    the columns of P @ K and P @ K^2 - (P @ K)^2, K being the moment
+    table.
+    """
     n = problem.n_qubits
     settings = list(settings)
-    probs = [
-        probabilities(problem.target, rotated_blocks(n, s)) for s in settings
-    ]
+    powers = _axis_powers(settings, n)
+    try:
+        coeffs = [_solve_weight(powers, weight) for weight in range(n + 1)]
+    except RankDeficientSettings:
+        return math.inf
+    probs = probabilities(problem.target, stacked_blocks(n, settings)).reshape(
+        len(settings), n + 1
+    )
+    # column w of the moment table is K(., w, N)
+    kk = np.column_stack([moment_coefficients(n, w) for w in range(n + 1)])
+    means = probs @ kk
+    variances = probs @ kk**2 - means**2
     total = 0.0
-    for weight in range(n + 1):
-        try:
-            coeff = _solve_weight(settings, weight)
-        except RankDeficientSettings:
-            return math.inf
-        kk = moment_coefficients(n, weight)
-        means = np.array([kk @ p for p in probs])
-        variances = np.array([kk**2 @ p for p in probs]) - means**2
+    for weight, coeff in enumerate(coeffs):
         # element multiplicity = multinomial(N; k, l, m, N-w)
-        scale = math.factorial(n) // math.factorial(n - weight)
-        for j, (k, l, m) in enumerate(_weight_monomials(weight)):
-            mult = scale // (
-                math.factorial(k) * math.factorial(l) * math.factorial(m)
-            )
-            total += mult * float(np.sum(coeff[:, j] ** 2 * variances))
+        mult = math.comb(n, weight) * _monomial_table(weight)[1]
+        total += float(variances[:, weight] @ coeff**2 @ mult)
     return problem.noise_constant * total
 
 
 def first_deficient_weight(settings, n_qubits: int) -> int | None:
     """Smallest weight whose monomials the settings cannot all reach,
     or None when every coefficient system is solvable."""
+    powers = _axis_powers(settings, n_qubits)
     for w in range(n_qubits + 1):
         try:
-            _solve_weight(settings, w)
+            _solve_weight(powers, w)
         except RankDeficientSettings as err:
             return err.weight
     return None

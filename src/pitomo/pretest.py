@@ -197,7 +197,11 @@ def optimize_witness(
 
 
 def _frequency_table(witness: PretestWitness, source) -> np.ndarray:
-    """Per-setting outcome frequencies, rows aligned with witness.settings."""
+    """Per-setting outcome frequencies, rows aligned with witness.settings.
+
+    A dataset record measured along -a serves witness setting a with its
+    frequencies reversed (outcome k along -a is outcome N - k along a).
+    """
     n_out = witness.n_qubits + 1
     if isinstance(source, SpinEnsemble):
         if source.layout.n_qubits != witness.n_qubits:
@@ -211,16 +215,18 @@ def _frequency_table(witness: PretestWitness, source) -> np.ndarray:
             raise ValueError("dataset size does not match the witness")
         rows = []
         for s in witness.settings:
-            matches = [
-                rec for rec in source.records
-                if np.allclose(rec.setting.axis, s.axis, atol=1e-9)
-            ]
+            matches = []
+            for rec in source.records:
+                if np.allclose(rec.setting.axis, s.axis, atol=1e-9):
+                    matches.append(rec.frequencies)
+                elif np.allclose(rec.setting.axis, -s.axis, atol=1e-9):
+                    matches.append(rec.frequencies[::-1])
             if len(matches) != 1:
                 raise ValueError(
                     f"dataset must contain exactly one record for setting "
-                    f"{s.axis}, found {len(matches)}"
+                    f"{s.axis} or its antipode, found {len(matches)}"
                 )
-            rows.append(matches[0].frequencies)
+            rows.append(matches[0])
         return np.array(rows)
     table = np.array(source, dtype=float)
     if table.shape != (len(witness.settings), n_out):

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import Setting, probabilities, rotated_blocks
+from .povm import Setting, probabilities, stacked_blocks
+from .povm import rotated_blocks  # unused here; kept so the benchmark tracer's hook resolves
 from .spin_blocks import (
     SpinEnsemble,
     SpinSectorLayout,
@@ -140,18 +141,22 @@ def random_pi_state(layout: SpinSectorLayout, purity_mode: str = "haar-pure",
     return SpinEnsemble(layout=layout, blocks=blocks)
 
 
+def _setting_probabilities(state: SpinEnsemble, settings: list) -> np.ndarray:
+    """(S, N+1) outcome distributions, one row per setting, from one
+    batched rotation build and one contraction."""
+    n = state.layout.n_qubits
+    p = probabilities(state, stacked_blocks(n, settings))
+    return p.reshape(len(settings), n + 1)
+
+
 def exact_dataset(state: SpinEnsemble, settings) -> Dataset:
     """Dataset whose frequencies equal the exact outcome distributions."""
-    n = state.layout.n_qubits
+    settings = list(settings)
     records = tuple(
-        DatasetRecord(
-            setting=s,
-            counts=probabilities(state, rotated_blocks(n, s)),
-            repetitions=1.0,
-        )
-        for s in settings
+        DatasetRecord(setting=s, counts=p, repetitions=1.0)
+        for s, p in zip(settings, _setting_probabilities(state, settings))
     )
-    return Dataset(n_qubits=n, records=records, exact=True)
+    return Dataset(n_qubits=state.layout.n_qubits, records=records, exact=True)
 
 
 def sample_dataset(state: SpinEnsemble, settings, repetitions: int,
@@ -162,13 +167,12 @@ def sample_dataset(state: SpinEnsemble, settings, repetitions: int,
     if reps < 1 or reps != repetitions:
         raise ValueError("repetitions must be a positive integer")
     rng = np.random.default_rng(seed)
-    n = state.layout.n_qubits
+    settings = list(settings)
     records = []
-    for s in settings:
-        p = probabilities(state, rotated_blocks(n, s))
+    for s, p in zip(settings, _setting_probabilities(state, settings)):
         counts = rng.multinomial(reps, p / p.sum())
         records.append(DatasetRecord(setting=s, counts=counts, repetitions=reps))
-    return Dataset(n_qubits=n, records=tuple(records), exact=False)
+    return Dataset(n_qubits=state.layout.n_qubits, records=tuple(records), exact=False)
 
 
 def collective_y_rotation(state: SpinEnsemble, theta: float) -> SpinEnsemble:

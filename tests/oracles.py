@@ -117,6 +117,25 @@ def sym_axis_power(n, axis, w):
     return acc / count
 
 
+def expansion_matrix(axes, weight):
+    """Row i: multinomial(w; k,l,m) a_x^k a_y^l a_z^m of axis i for every
+    (k, l, m) with k + l + m = w, in the package's monomial order (k, then
+    l ascending), element by element in exact-integer coefficients."""
+    monos = [
+        (k, l, weight - k - l)
+        for k in range(weight + 1)
+        for l in range(weight - k + 1)
+    ]
+    out = np.empty((len(axes), len(monos)))
+    for i, (ax, ay, az) in enumerate(axes):
+        out[i] = [
+            math.factorial(weight) // (math.factorial(k) * math.factorial(l) * math.factorial(m))
+            * ax**k * ay**l * az**m
+            for (k, l, m) in monos
+        ]
+    return out
+
+
 def series_expm(H, scale=1.0, terms=40):
     """exp(-i*scale*H) by Taylor series with scaling and squaring."""
     A = -1j * scale * np.asarray(H, dtype=complex)

@@ -84,3 +84,21 @@ def test_tracer_sees_witness_barrier_work(tracing):
         metrics["pretest.newton_steps"] + stages
     )
     assert metrics["reconstruct.line_search_calls"] > 0
+
+
+def test_tiny_passes_pass_their_checks(tracing, workloads):
+    # one untraced pass per workload at self-test size, every operation
+    # checked as the benchmark checks it: an API change that breaks a
+    # workload fails here before the benchmark runs
+    api = tracing.pitomo_modules()
+    for name, workload in workloads.TINY_WORKLOADS.items():
+        inputs = workload.build(api, 7)
+        clock = workloads.Clock()
+        workload.run_pass(api, inputs, clock)
+        assert clock.ops, name
+        failures = [
+            (op.kind, reasons)
+            for op in clock.ops
+            if (reasons := workloads.check_op(api, op))
+        ]
+        assert not failures, (name, failures)

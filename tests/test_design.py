@@ -17,8 +17,9 @@ from pitomo.design import (
     random_settings,
     total_error,
 )
+from pitomo.design import _axis_powers, _expansion_matrix
 from pitomo.povm import E1, E2, E3, Setting, moment_coefficients, probabilities, rotated_blocks
-from pitomo.sim import random_pi_state
+from pitomo.sim import PURITY_MODES, random_pi_state
 from pitomo.spin_blocks import (
     dicke_ensemble,
     expand_full,
@@ -244,24 +245,39 @@ class TestElementError:
 
 
 class TestTotalError:
-    def problem(self, n=2, seed=0):
-        target = random_pi_state(sector_layout(n), "hs-mixed", seed=seed)
+    def problem(self, n=2, seed=0, mode="hs-mixed"):
+        target = random_pi_state(sector_layout(n), mode, seed=seed)
         return DesignProblem(
             n_qubits=n,
             target=target,
             settings=tuple(random_settings(determined_setting_count(n), seed=seed)),
         )
 
-    def test_matches_element_enumeration(self):
-        problem = self.problem()
+    @pytest.mark.parametrize("mode", PURITY_MODES)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_element_enumeration(self, n, mode):
+        problem = self.problem(n, mode=mode)
         settings = problem.settings
         total = total_error(problem, settings)
         brute = sum(
             idx.multiplicity * element_error(problem, settings, idx)
-            for idx in all_indices(2)
+            for idx in all_indices(n)
         )
         assert total == pytest.approx(brute, abs=1e-8)
         assert total > 0
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_expansion_matrix_matches_element_oracle(self, n):
+        # the power-table expansion against the per-element reference,
+        # including axes with exact zero components
+        settings = [E1, E2, E3, Setting(axis=-E3.axis)] + random_settings(8, seed=n)
+        powers = _axis_powers(settings, n)
+        for w in range(n + 1):
+            np.testing.assert_allclose(
+                _expansion_matrix(powers, w),
+                oracles.expansion_matrix([s.axis for s in settings], w),
+                rtol=1e-13, atol=0,
+            )
 
     def test_permutation_invariant(self):
         problem = self.problem(seed=3)

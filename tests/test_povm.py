@@ -16,7 +16,7 @@ from pitomo.povm import (
     rotated_blocks,
     rotation_params,
     save_settings,
-    stack_block_sets,
+    stacked_blocks,
     standard_blocks,
 )
 from pitomo.sim import PURITY_MODES, random_pi_state
@@ -24,8 +24,10 @@ from pitomo.spin_blocks import (
     dicke_ensemble,
     expand_full,
     ghz_ensemble,
+    hermitian_expm,
     maximally_mixed_ensemble,
     sector_layout,
+    spin_operators,
 )
 
 import oracles
@@ -36,6 +38,20 @@ from test_spin_blocks import random_ensemble
 AXES = st.one_of(
     st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]),
     st.tuples(*3 * [st.floats(-1.0, 1.0)]).filter(lambda v: np.linalg.norm(v) > 1e-3),
+)
+# The rotation build's edge cases on top: the six coordinate axes
+# (theta = 0, pi/2, pi; at the poles rotation_params returns the e_x
+# rotation axis) and axes within 1e-12 of a pole, where theta has to
+# come from atan2 because arccos(a_z) has no digits left.
+ROTATION_AXES = st.one_of(
+    st.sampled_from([
+        (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+        (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+    ]),
+    st.tuples(
+        st.floats(-1e-12, 1e-12), st.floats(-1e-12, 1e-12), st.sampled_from([1.0, -1.0])
+    ),
+    AXES,
 )
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -176,8 +192,9 @@ class TestRankOneContractions:
         # one forward/adjoint over all settings = the per-setting calls,
         # concatenated (forward) or summed (adjoint), setting-major
         rng = np.random.default_rng(seed)
-        block_sets = [rotated_blocks(n, unit_setting(a)) for a in axes]
-        stack = stack_block_sets(block_sets)
+        settings = [unit_setting(a) for a in axes]
+        block_sets = [rotated_blocks(n, s) for s in settings]
+        stack = stacked_blocks(n, settings)
         state = random_pi_state(sector_layout(n), mode, seed=rng)
         w = rng.normal(size=(len(axes), n + 1))
         np.testing.assert_allclose(
@@ -193,13 +210,62 @@ class TestRankOneContractions:
                 rtol=0, atol=1e-12,
             )
 
-    def test_stack_rejects_empty_and_mixed_sizes(self):
-        with pytest.raises(ValueError, match="qubit number"):
-            stack_block_sets([])
-        with pytest.raises(ValueError, match="qubit number"):
-            stack_block_sets([standard_blocks(2), standard_blocks(3)])
+    def test_stacked_rejects_empty_settings(self):
+        with pytest.raises(ValueError, match="at least one setting"):
+            stacked_blocks(2, [])
         with pytest.raises(ValueError, match="expected"):
-            stack_block_sets([standard_blocks(2)] * 2).weighted_sum(np.ones(3))
+            stacked_blocks(2, [E3, E3]).weighted_sum(np.ones(3))
+
+
+class TestRotationBuild:
+    """U_j = [R_z(phi) d^j(theta) R_z(-phi)][:, ::-1], built for a batch of
+    settings at once, against its defining properties and the
+    eigendecomposition oracle exp(-i theta n.S_j)."""
+
+    @PROPERTY
+    @given(n=st.integers(1, 8), axes=st.lists(ROTATION_AXES, min_size=1, max_size=4))
+    def test_rotation_properties(self, n, axes):
+        settings = [unit_setting(a) for a in axes]
+        singles = [rotated_blocks(n, s) for s in settings]
+        stack = stacked_blocks(n, settings)
+        for two_j in sector_layout(n).two_j_values:
+            ops = spin_operators(two_j)
+            dim = two_j + 1
+            # the batched build equals the one-at-a-time builds
+            np.testing.assert_allclose(
+                stack.rotations[two_j],
+                np.hstack([bs.rotations[two_j] for bs in singles]),
+                rtol=0, atol=1e-12,
+            )
+            for s, bs in zip(settings, singles):
+                U = bs.rotations[two_j]
+                np.testing.assert_allclose(
+                    U.conj().T @ U, np.eye(dim), rtol=0, atol=1e-12
+                )
+                # column r is the eigenvector of a.S_j with eigenvalue r - j
+                a_s = s.axis[0] * ops.s_x + s.axis[1] * ops.s_y + s.axis[2] * ops.s_z
+                np.testing.assert_allclose(
+                    a_s @ U, U * (np.arange(dim) - two_j / 2.0), rtol=0, atol=1e-12
+                )
+                rot_axis, theta = rotation_params(s)
+                gen = rot_axis[0] * ops.s_x + rot_axis[1] * ops.s_y + rot_axis[2] * ops.s_z
+                np.testing.assert_allclose(
+                    U, hermitian_expm(gen, theta)[:, ::-1], rtol=0, atol=1e-12
+                )
+
+    @PROPERTY
+    @given(n=st.integers(1, 8), axis=ROTATION_AXES)
+    def test_antipodal_outcomes_swap(self, n, axis):
+        # outcome k along -a is outcome N - k along a
+        s = unit_setting(axis)
+        along = rotated_blocks(n, s)
+        against = rotated_blocks(n, Setting(axis=-s.axis))
+        for two_j in sector_layout(n).two_j_values:
+            for k in range(n + 1):
+                blk, ref = against.block(k, two_j), along.block(n - k, two_j)
+                assert (blk is None) == (ref is None)
+                if blk is not None:
+                    np.testing.assert_allclose(blk, ref, rtol=0, atol=1e-12)
 
 
 class TestRotatedBlocks:

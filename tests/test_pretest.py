@@ -16,7 +16,7 @@ from pitomo.pretest import (
     witness_expectation,
 )
 from pitomo.reconstruct import NonConvergenceError
-from pitomo.sim import exact_dataset, random_pi_state, sample_dataset
+from pitomo.sim import Dataset, DatasetRecord, exact_dataset, random_pi_state, sample_dataset
 from pitomo.spin_blocks import (
     SpinEnsemble,
     compress_full,
@@ -232,6 +232,10 @@ class TestFidelityBound:
         doubled = exact_dataset(state, [E1, E2, E3, E3])
         with pytest.raises(ValueError, match="exactly one record"):
             fidelity_bound(w, doubled)
+        # a record along -a also serves a, so a and -a together are two
+        both_signs = exact_dataset(state, [E1, E2, E3, Setting(axis=-E3.axis)])
+        with pytest.raises(ValueError, match="exactly one record"):
+            fidelity_bound(w, both_signs)
 
     def test_size_mismatches_rejected(self):
         w = optimize_witness(dicke_ensemble(2, 0))
@@ -339,6 +343,29 @@ class TestStatisticalBound:
         from_ds = statistical_bound(w, ds, epsilon=0.1)
         from_table = statistical_bound(w, table, repetitions=400, epsilon=0.1)
         assert from_ds == from_table
+
+    def test_antipodal_records_serve_the_witness(self):
+        # outcome k along -a is outcome N - k along a: a dataset measured
+        # along every antipode gives the same bound as the original one
+        target = dicke_ensemble(3, 1)
+        w = optimize_witness(
+            target, (E1, E2, E3, Setting(axis=np.array([2.0, -1.0, 2.0]) / 3.0))
+        )
+        ds = sample_dataset(target, list(w.settings), repetitions=400, seed=4)
+        flipped = Dataset(n_qubits=3, records=[
+            DatasetRecord(Setting(axis=-rec.setting.axis), rec.counts[::-1], rec.repetitions)
+            for rec in ds.records
+        ])
+        assert statistical_bound(w, flipped, epsilon=0.1) == statistical_bound(
+            w, ds, epsilon=0.1
+        )
+        # and the reversal is the physical one: exact data along the
+        # antipodes reproduce the state's expectation
+        state = random_pi_state(sector_layout(3), "hs-mixed", seed=2)
+        antipodes = exact_dataset(state, [Setting(axis=-s.axis) for s in w.settings])
+        assert witness_expectation(w, antipodes) == pytest.approx(
+            witness_expectation(w, state), abs=1e-12
+        )
 
     def test_input_validation(self):
         w = self.unit_range_witness()
