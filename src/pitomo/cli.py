@@ -132,10 +132,6 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _ensemble_payload(state: SpinEnsemble) -> dict:
-    return state.to_json_dict()
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -220,7 +216,7 @@ def cmd_reconstruct(config: JobConfig) -> int:
             "iterations": result.iterations,
             "fit_value": float(result.fit_trace[-1]),
             "likelihood_residual": residual,
-            "estimate": _ensemble_payload(result.estimate),
+            "estimate": result.estimate.to_json_dict(),
         }
         header = ["iteration", "fit_value"]
         rows = [[i, repr(float(v))] for i, v in enumerate(result.fit_trace)]
@@ -247,20 +243,22 @@ def cmd_reconstruct(config: JobConfig) -> int:
             "gap_bound": result.gap_bound,
             "converged": result.converged,
             "total_iterations": result.total_iterations,
-            "estimate": _ensemble_payload(result.estimate),
+            "estimate": result.estimate.to_json_dict(),
             "trace": [
                 {
                     "t": stage.t,
                     "iterations": stage.iterations,
                     "fit_value": stage.fit_value,
                     "grad_norm": stage.grad_norm,
+                    # NaN (no Newton direction formed) is not JSON
+                    "decrement": None if math.isnan(stage.decrement) else stage.decrement,
                 }
                 for stage in result.trace
             ],
         }
-        header = ["t", "iterations", "fit_value", "grad_norm"]
+        header = ["t", "iterations", "fit_value", "grad_norm", "decrement"]
         rows = [
-            [f"{s.t!r}", s.iterations, f"{s.fit_value!r}", f"{s.grad_norm!r}"]
+            [f"{s.t!r}", s.iterations, f"{s.fit_value!r}", f"{s.grad_norm!r}", f"{s.decrement!r}"]
             for s in result.trace
         ]
         if truth is not None:

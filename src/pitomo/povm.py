@@ -88,6 +88,7 @@ __all__ = [
 ]
 
 UNIT_NORM_TOL = 1e-12
+PROBABILITY_ROUNDOFF = 1e-12
 LOAD_NORM_WARN = 1e-6
 
 
@@ -306,7 +307,8 @@ def probabilities(state: SpinEnsemble, blocks) -> np.ndarray:
     ``MeasurementBlockSet``, setting-major over all settings for a
     ``StackedBlockSets``.
 
-    Tiny negative values from roundoff are clamped to zero.
+    Values in [-PROBABILITY_ROUNDOFF, 0) are roundoff, clamped to zero;
+    a lower one raises ValueError: the state is not PSD.
     """
     if state.layout.n_qubits != blocks.n_qubits:
         raise ValueError(
@@ -317,6 +319,8 @@ def probabilities(state: SpinEnsemble, blocks) -> np.ndarray:
         U = blocks.rotations[two_j]
         vals = ((state.blocks[two_j] @ U) * U.conj()).sum(axis=0).real
         p[blocks.outcome_slots(two_j)] += vals
+    if np.any(p < -PROBABILITY_ROUNDOFF):
+        raise ValueError(f"probability {p.min():.3e}: state not positive semidefinite")
     return np.where(p < 0.0, 0.0, p)
 
 

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .povm import E1, E2, E3, MeasurementBlockSet, Setting, probabilities, rotated_blocks
-from .reconstruct import AffineBlockMap, LinearFit, NonConvergenceError, SolverConfig, newton_stage, t_schedule
+from .reconstruct import EXACT_STAGES, AffineBlockMap, LinearFit, NonConvergenceError, SolverConfig, newton_stage, t_schedule
 from .sim import Dataset
 from .spin_blocks import SpinEnsemble, sector_layout
 
@@ -131,8 +131,10 @@ def optimize_witness(
 
     Runs the interior-point loop on the slack-block barrier starting from
     the strictly feasible z = -1 (slack 1 + |T| on the top sector, |T|
-    elsewhere).  On solver failure the raised ``NonConvergenceError``
-    carries the last strictly feasible coefficients as ``last_z``.
+    elsewhere); stages before the last two are centred approximately, as
+    in ``reconstruct``.  On solver failure the raised
+    ``NonConvergenceError`` carries the last strictly feasible
+    coefficients as ``last_z``.
     """
     if settings is None:
         settings = (E1, E2, E3)
@@ -175,9 +177,10 @@ def optimize_witness(
     fit = LinearFit(-expectations)
 
     x = np.full(dim, -1.0)
-    for t in t_schedule(cfg):
+    schedule = t_schedule(cfg)
+    for i, t in enumerate(schedule):
         try:
-            stage = newton_stage(fit, affine, t, x, cfg)
+            stage = newton_stage(fit, affine, t, x, cfg, exact=i >= len(schedule) - EXACT_STAGES)
         except NonConvergenceError as err:
             err.last_z = x.copy()
             raise

@@ -33,8 +33,12 @@ F(x) - t sum_j log det rho_j(x) by damped Newton (Cholesky feasibility +
 Armijo backtracking), warm-starting while t shrinks from t0 to t_min.
 Standard barrier duality gives F(x_t) - F(x*) <= t * compressed_dim with
 certificate Lambda = t rho(x_t)^{-1}, which is what ``gap_bound``
-reports.  The same engine runs the pretest's linear-objective LMI by
-swapping in a different affine block map, so it is written generically.
+reports.  Only the last stage's point is returned, so the stages before
+the last two stop in Newton's quadratic region, once the squared Newton
+decrement lambda^2 <= CENTERING * t.  The last two keep lambda^2 <=
+grad_tol^2: the final stage lands wherever its start sends it, and an
+exactly centred start keeps estimate and certificate as on an all-exact
+path.  The pretest's linear-objective LMI runs on the same engine.
 
 ``fixed_point_reconstruct`` provides the non-convex iteration
 rho_j <- R_j rho_j R_j / norm with R_j = sum (f/p) M_{k,j}, mainly as a
@@ -86,6 +90,11 @@ __all__ = [
 ]
 
 PRINCIPLES = ("ml", "ls", "freels", "hedged")
+
+# Stages before the last EXACT_STAGES stop at lambda^2 <= CENTERING * t, where
+# fit/t + barrier has decrement 0.32 < (3 - sqrt 5)/2: Newton's quadratic region
+CENTERING = 0.1
+EXACT_STAGES = 2
 
 
 class NonConvergenceError(RuntimeError):
@@ -641,6 +650,7 @@ class StageResult:
     converged: bool
     objective: float
     fit_value: float
+    decrement: float  # lambda^2 = -g^T delta at x; NaN if no direction was formed there
 
 
 def _newton_direction(H, g):
@@ -665,12 +675,15 @@ def _newton_direction(H, g):
 
 
 def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
-                 config: SolverConfig | None = None) -> StageResult:
+                 config: SolverConfig | None = None, *,
+                 exact: bool = True) -> StageResult:
     """Minimize fit(x) - t sum log det over the interior from x_start.
 
     Backtracking first restores feasibility (every block must pass
     Cholesky), then enforces Armijo sufficient decrease.  Starting at an
-    optimum costs zero iterations.
+    optimum costs zero iterations.  It stops once lambda^2 = -g^T delta
+    <= grad_tol^2 (or |g| <= grad_tol); with ``exact=False`` also once
+    lambda^2 <= CENTERING * t, in Newton's quadratic region of fit/t + barrier.
     """
     cfg = config or SolverConfig()
     affine = getattr(parametrization, "affine", parametrization)
@@ -683,6 +696,7 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
 
     iterations = 0
     grad_norm = math.inf
+    decrement = math.nan
     converged = False
     eps = float(np.finfo(float).eps)
     for _ in range(cfg.max_newton_iters):
@@ -697,13 +711,14 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
         bH *= t
         bH += H_fit
         delta, slope = _newton_direction(bH, g)
+        decrement = -slope
         # Affine-invariant centrality: the squared Newton decrement
         # g^T H^-1 g is what self-concordance bounds the remaining
         # decrease by.  In badly scaled geometry (barrier curvature
         # ~1/lambda^2 near the cone boundary) the plain gradient norm
         # can sit far above grad_tol while the iterate is already
         # central to machine precision; the decrement is not fooled.
-        if -slope <= cfg.grad_tol**2:
+        if decrement <= cfg.grad_tol**2 or (not exact and decrement <= CENTERING * t):
             converged = True
             break
 
@@ -749,6 +764,7 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
             fit_new = fit.value(x_new)
             obj_new = fit_new + t * affine.barrier_value(chols_new)
         x, chols, obj, fit_v = x_new, chols_new, obj_new, fit_new
+        decrement = math.nan
         iterations += 1
     else:
         # iteration budget exhausted; check the final gradient once more
@@ -763,6 +779,7 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
         converged=converged,
         objective=obj,
         fit_value=fit_v,
+        decrement=decrement,
     )
 
 
@@ -790,6 +807,7 @@ class StageTrace:
     iterations: int
     fit_value: float
     grad_norm: float
+    decrement: float
     estimate: SpinEnsemble
 
 
@@ -804,29 +822,6 @@ class ReconstructionResult:
     @property
     def total_iterations(self) -> int:
         return sum(s.iterations for s in self.trace)
-
-
-def _dataset_frequencies(dataset):
-    """Validate counts against repetitions and return per-record frequencies."""
-    freqs = []
-    for rec in dataset.records:
-        counts = np.asarray(rec.counts, dtype=float)
-        if counts.size != dataset.n_qubits + 1:
-            raise ValueError(
-                f"record has {counts.size} counts, expected {dataset.n_qubits + 1}"
-            )
-        if np.any(counts < 0):
-            raise ValueError("negative counts in dataset")
-        reps = float(rec.repetitions)
-        if reps <= 0:
-            raise ValueError("repetitions must be positive")
-        total = float(counts.sum())
-        if abs(total - reps) > 1e-6 * max(1.0, reps):
-            raise ValueError(
-                f"counts sum to {total}, inconsistent with repetitions {reps}"
-            )
-        freqs.append(counts / reps)
-    return freqs
 
 
 def _resolve_spec(spec: FitSpec, dataset, freqs) -> FitSpec:
@@ -844,7 +839,7 @@ def _resolve_spec(spec: FitSpec, dataset, freqs) -> FitSpec:
 def build_fit_model(dataset, spec: FitSpec,
                     parametrization: Parametrization | None = None) -> FitModel:
     """Assemble the FitModel (overlap table, frequencies) for a dataset."""
-    freqs = _dataset_frequencies(dataset)
+    freqs = [rec.frequencies for rec in dataset.records]
     layout = sector_layout(dataset.n_qubits)
     param = parametrization or Parametrization(layout)
     measurement = stacked_blocks(dataset.n_qubits, [rec.setting for rec in dataset.records])
@@ -870,8 +865,8 @@ def reconstruct(dataset, spec: FitSpec,
     x = np.zeros(param.dimension)
     trace = []
     all_converged = True
-    for t in schedule:
-        stage = newton_stage(model, param, t, x, cfg)
+    for i, t in enumerate(schedule):
+        stage = newton_stage(model, param, t, x, cfg, exact=i >= len(schedule) - EXACT_STAGES)
         x = stage.x
         if not stage.converged:
             all_converged = False
@@ -885,6 +880,7 @@ def reconstruct(dataset, spec: FitSpec,
                 iterations=stage.iterations,
                 fit_value=stage.fit_value,
                 grad_norm=stage.grad_norm,
+                decrement=stage.decrement,
                 estimate=param.ensemble(x),
             )
         )
@@ -926,12 +922,12 @@ def likelihood_residual(dataset, ensemble: SpinEnsemble) -> float:
     state (on its support), for boundary and interior optima alike, so
     it compares solver accuracy without needing interior iterates.
     """
-    freqs = _dataset_frequencies(dataset)
     n = dataset.n_qubits
     if ensemble.layout.n_qubits != n:
         raise ValueError("ensemble does not match dataset qubit number")
     stack = stacked_blocks(n, [rec.setting for rec in dataset.records])
-    R = _ratio_operators(stack, np.concatenate(freqs), probabilities(ensemble, stack))
+    f = np.concatenate([rec.frequencies for rec in dataset.records])
+    R = _ratio_operators(stack, f, probabilities(ensemble, stack))
     n_settings = len(dataset.records)
     total = 0.0
     for two_j, rho in ensemble.blocks.items():
@@ -948,7 +944,6 @@ def fixed_point_reconstruct(dataset, iterations: int = 3000,
     fit value at every iterate.  Exact block data f = p(start) is a
     fixed point because R_j collapses to (number of settings) * identity.
     """
-    freqs = _dataset_frequencies(dataset)
     n = dataset.n_qubits
     layout = sector_layout(n)
     state = start or maximally_mixed_ensemble(layout)
@@ -957,7 +952,7 @@ def fixed_point_reconstruct(dataset, iterations: int = 3000,
             f"start state has N={state.layout.n_qubits}, dataset has N={n}"
         )
     stack = stacked_blocks(n, [rec.setting for rec in dataset.records])
-    f = np.concatenate(freqs)
+    f = np.concatenate([rec.frequencies for rec in dataset.records])
 
     ml_spec = FitSpec.max_lik()
     values = np.empty(iterations + 1)

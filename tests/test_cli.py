@@ -141,7 +141,7 @@ class TestReconstruct:
         with open(trace, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(payload["trace"])
-        assert {"t", "iterations", "fit_value", "grad_norm", "trace_distance"} \
+        assert {"t", "iterations", "fit_value", "grad_norm", "decrement", "trace_distance"} \
             <= set(rows[0])
         distances = [float(r["trace_distance"]) for r in rows]
         assert distances[-1] <= 1e-4

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pitomo.povm import (
     E1,
     E2,
     E3,
+    PROBABILITY_ROUNDOFF,
     Setting,
     load_settings,
     moment_coefficients,
@@ -381,6 +383,43 @@ class TestProbabilities:
     def test_layout_mismatch(self):
         with pytest.raises(ValueError):
             probabilities(ghz_ensemble(2), standard_blocks(3))
+
+    @PROPERTY
+    @given(n=st.integers(1, 8), axes=st.lists(AXES, min_size=1, max_size=4),
+           mode=st.sampled_from(PURITY_MODES), seed=st.integers(0, 2**32 - 1))
+    def test_psd_states_never_raise(self, n, axes, mode, seed):
+        state = random_pi_state(sector_layout(n), mode, seed=seed)
+        stack = stacked_blocks(n, [unit_setting(a) for a in axes])
+        p = probabilities(state, stack).reshape(len(axes), n + 1)
+        assert np.all(p >= 0.0)
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def top_sector_ensemble(n, setting, diagonal):
+        """Duck-typed ensemble (no PSD check) whose top block has the given
+        outcome distribution along ``setting``; lower blocks are zero."""
+        layout = sector_layout(n)
+        U = rotated_blocks(n, setting).rotations[n]
+        blocks = {t: np.zeros((t + 1, t + 1), complex) for t in layout.two_j_values}
+        blocks[n] = (U * diagonal) @ U.conj().T
+        return SimpleNamespace(layout=layout, blocks=blocks)
+
+    @PROPERTY
+    @given(n=st.integers(1, 8), axis=AXES, depth=st.floats(1e-11, 1.0))
+    def test_non_psd_ensemble_raises(self, n, axis, depth):
+        setting = unit_setting(axis)
+        diagonal = np.zeros(n + 1)
+        diagonal[:2] = 1.0 + depth, -depth
+        state = self.top_sector_ensemble(n, setting, diagonal)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            probabilities(state, rotated_blocks(n, setting))
+
+    def test_roundoff_negatives_clamped(self):
+        diagonal = np.array([0.5, -0.1 * PROBABILITY_ROUNDOFF, 0.5 + 0.1 * PROBABILITY_ROUNDOFF])
+        state = self.top_sector_ensemble(2, E3, diagonal)
+        p = probabilities(state, rotated_blocks(2, E3))
+        assert p.min() == 0.0
+        assert np.count_nonzero(p) == 2
 
 
 class TestMomentCoefficients:

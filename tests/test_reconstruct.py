@@ -1,5 +1,4 @@
 import math
-from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pitomo.povm import Setting, probabilities, rotated_blocks
 from pitomo.reconstruct import (
+    CENTERING,
     AffineBlockMap,
     FitSpec,
     NonConvergenceError,
@@ -22,6 +22,7 @@ from pitomo.reconstruct import (
     resolve_least_squares_weights,
     t_schedule,
 )
+from pitomo.sim import Dataset, DatasetRecord as Record
 from pitomo.spin_blocks import (
     SpinEnsemble,
     maximally_mixed_ensemble,
@@ -30,9 +31,6 @@ from pitomo.spin_blocks import (
 )
 
 import oracles
-
-Record = namedtuple("Record", "setting counts repetitions")
-Dataset = namedtuple("Dataset", "n_qubits records")
 
 
 def random_settings(rng, count):
@@ -615,6 +613,51 @@ class TestReconstructExactData:
         assert oracles.full_trace_distance(full_est, full_truth) < 1e-5
 
 
+def exact_path(dataset, spec, config=SolverConfig()):
+    """Reference barrier path with every stage centred exactly, built
+    from the public schedule and stage: (estimate, total Newton steps)."""
+    model = build_fit_model(dataset, spec)
+    param = model.parametrization
+    x = np.zeros(param.dimension)
+    steps = 0
+    for t in t_schedule(config, spec.beta):
+        stage = newton_stage(model, param, t, x, config, exact=True)
+        x, steps = stage.x, steps + stage.iterations
+    return param.ensemble(x), steps
+
+
+class TestApproximateCentring:
+    """Intermediate stages centred to lambda^2 <= CENTERING * t reach the
+    exact path's estimate in fewer Newton steps."""
+
+    @pytest.mark.parametrize("data", ["sampled", "exact"])
+    @pytest.mark.parametrize("truth", ["pure", "mixed"])
+    @pytest.mark.parametrize("principle", ["ml", "ls", "freels", "hedged"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_same_estimate_in_fewer_steps(self, n, principle, truth, data):
+        rng = np.random.default_rng([n, len(truth), len(data)])
+        state = (pure_block_ensemble if truth == "pure" else interior_ensemble)(n, rng)
+        settings = random_settings(rng, (n + 1) * (n + 2) // 2 + 2)
+        ds = (sampled_dataset(state, settings, 1000, rng) if data == "sampled"
+              else exact_dataset(state, settings))
+        spec = FitSpec.hedged(0.01) if principle == "hedged" else FitSpec(principle)
+        reference, reference_steps = exact_path(ds, spec)
+        result = reconstruct(ds, spec)
+        assert result.converged
+        for two_j, block in reference.blocks.items():
+            np.testing.assert_allclose(result.estimate.blocks[two_j], block, rtol=0, atol=1e-8)
+        assert result.total_iterations <= reference_steps
+        if n == 6 and principle == "ml":
+            assert result.total_iterations <= 0.8 * reference_steps
+        # an intermediate stage ends inside the quadratic region, or on
+        # the gradient-norm test, which forms no direction (NaN decrement)
+        for stage in result.trace[:-2]:
+            assert (stage.decrement <= CENTERING * stage.t
+                    or stage.grad_norm <= SolverConfig().grad_tol)
+        for stage in result.trace[-2:]:
+            assert not stage.decrement > SolverConfig().grad_tol ** 2
+
+
 class TestReconstructSampledData:
     def test_noisy_counts_land_near_truth(self):
         rng = np.random.default_rng(21)
@@ -638,32 +681,28 @@ class TestReconstructSampledData:
 
 
 class TestDatasetValidation:
-    def good_record(self, rng):
-        return Record(random_settings(rng, 1)[0], np.array([0.2, 0.5, 0.3]), 1.0)
-
+    # the dataset constructors check what a fit reads, so no invalid
+    # dataset reaches build_fit_model
     def test_wrong_outcome_count(self):
         rng = np.random.default_rng(0)
         rec = Record(random_settings(rng, 1)[0], np.array([0.5, 0.5]), 1.0)
         with pytest.raises(ValueError, match="counts"):
-            build_fit_model(Dataset(2, [rec]), FitSpec.max_lik())
+            Dataset(2, [rec])
 
     def test_negative_counts(self):
         rng = np.random.default_rng(0)
-        rec = Record(random_settings(rng, 1)[0], np.array([-0.1, 0.6, 0.5]), 1.0)
         with pytest.raises(ValueError, match="negative"):
-            build_fit_model(Dataset(2, [rec]), FitSpec.max_lik())
+            Record(random_settings(rng, 1)[0], np.array([-0.1, 0.6, 0.5]), 1.0)
 
     def test_sum_mismatch(self):
         rng = np.random.default_rng(0)
-        rec = Record(random_settings(rng, 1)[0], np.array([0.2, 0.5, 0.3]), 2.0)
         with pytest.raises(ValueError, match="inconsistent"):
-            build_fit_model(Dataset(2, [rec]), FitSpec.max_lik())
+            Record(random_settings(rng, 1)[0], np.array([0.2, 0.5, 0.3]), 2.0)
 
     def test_nonpositive_repetitions(self):
         rng = np.random.default_rng(0)
-        rec = Record(random_settings(rng, 1)[0], np.array([0.0, 0.0, 0.0]), 0.0)
         with pytest.raises(ValueError, match="repetitions"):
-            build_fit_model(Dataset(2, [rec]), FitSpec.max_lik())
+            Record(random_settings(rng, 1)[0], np.array([0.0, 0.0, 0.0]), 0.0)
 
     def test_counted_data_accepted(self):
         rng = np.random.default_rng(0)
