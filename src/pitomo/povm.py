@@ -62,6 +62,7 @@ from functools import lru_cache
 import numpy as np
 
 from .spin_blocks import (
+    PSD_TOL,
     SpinEnsemble,
     SpinSectorLayout,
     _as_readonly,
@@ -88,7 +89,8 @@ __all__ = [
 ]
 
 UNIT_NORM_TOL = 1e-12
-PROBABILITY_ROUNDOFF = 1e-12
+# an accepted SpinEnsemble has p_k >= -PSD_TOL up to roundoff
+PROBABILITY_ROUNDOFF = 2 * PSD_TOL
 LOAD_NORM_WARN = 1e-6
 
 

@@ -38,7 +38,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .povm import E1, E2, E3, MeasurementBlockSet, Setting, probabilities, rotated_blocks
-from .reconstruct import EXACT_STAGES, AffineBlockMap, LinearFit, NonConvergenceError, SolverConfig, newton_stage, t_schedule
+from .reconstruct import (
+    AffineBlockMap,
+    LinearFit,
+    NonConvergenceError,
+    SolverConfig,
+    _barrier_path,
+    newton_stage,
+    t_schedule,
+)
 from .sim import Dataset
 from .spin_blocks import SpinEnsemble, sector_layout
 
@@ -177,14 +185,14 @@ def optimize_witness(
     fit = LinearFit(-expectations)
 
     x = np.full(dim, -1.0)
-    schedule = t_schedule(cfg)
-    for i, t in enumerate(schedule):
-        try:
-            stage = newton_stage(fit, affine, t, x, cfg, exact=i >= len(schedule) - EXACT_STAGES)
-        except NonConvergenceError as err:
-            err.last_z = x.copy()
-            raise
-        x = stage.x
+    # newton_stage as looked up in this module, so instrumentation of
+    # this module's name tells the witness's stages from reconstruction's
+    try:
+        for _, stage in _barrier_path(fit, affine, t_schedule(cfg), x, cfg, newton_stage):
+            x = stage.x
+    except NonConvergenceError as err:
+        err.last_z = x.copy()
+        raise
     objective = float(expectations @ x)
     if objective > 1.0 + FEASIBILITY_TOL:
         raise NonConvergenceError(

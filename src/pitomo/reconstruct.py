@@ -10,12 +10,14 @@ orthonormal (Frobenius) basis of traceless directions: per-sector
 generalized Gell-Mann matrices plus ``num_sectors - 1`` diagonal
 inter-sector trace shifts.  Outcome probabilities are affine in x,
 p = p0 + G x, with the overlap table G[row, i] = tr(B_i M_k^a) assembled
-once per (layout, settings).  Each block of G is read off the entries of
-M_{k,j}^a at its Gell-Mann index pairs, O(n^2) per outcome and sector,
-not contracted against the dense basis stack (O(n^4)).  Every fit
-Hessian is G^T diag(c) G with c >= 0, formed as the symmetric rank-k
-(BLAS syrk) product of sqrt(c) G; the Newton system t H_barrier + H_fit
-is then assembled in place in the barrier Hessian's buffer.
+once per (layout, settings).  Each block of G is read off the entries
+u_a conj(u_b) of the rank-one M_{k,j}^a = u u^dagger at its Gell-Mann
+index pairs, O(n^2) per outcome and sector, for all settings of a
+sector at once; neither M nor the dense basis stack (O(n^4)) is
+formed.  Every fit Hessian is G^T diag(c) G with c >= 0, formed as the
+symmetric rank-k (BLAS syrk) product of sqrt(c) G; the Newton system
+t H_barrier + H_fit is then assembled in a per-step buffer that LAPACK
+factors in place.
 
 Three convex fit principles are supported, plus a hedged variant:
 
@@ -29,8 +31,15 @@ phi' = 1 - f^2/p^2 and phi'' = 2 f^2/p^3 >= 0, so the exact Hessian
 G^T diag(2 f^2/p^3) G is PSD on the interior - no approximation needed.
 
 The optimum is found by an interior-point outer loop: minimize
-F(x) - t sum_j log det rho_j(x) by damped Newton (Cholesky feasibility +
-Armijo backtracking), warm-starting while t shrinks from t0 to t_min.
+F(x) - t sum_j log det rho_j(x) by damped Newton, warm-starting while t
+shrinks from t0 to t_min.  Each step length comes from the Newton ray:
+one eigendecomposition per block gives the eigenvalues mu of the step
+relative to the block, so the barrier along the ray is exactly
+-sum log(1 + a mu) plus a constant and the step to the boundary is
+1 / max(-mu).  A safeguarded 1-D Newton search on the derivatives of
+fit + barrier along the ray picks the step, and Cholesky feasibility +
+Armijo backtracking start from it.  The fit and barrier derivatives do
+not depend on t, so the ones that end a stage start the next.
 Standard barrier duality gives F(x_t) - F(x*) <= t * compressed_dim with
 certificate Lambda = t rho(x_t)^{-1}, which is what ``gap_bound``
 reports.  Only the last stage's point is returned, so the stages before
@@ -95,6 +104,10 @@ PRINCIPLES = ("ml", "ls", "freels", "hedged")
 # fit/t + barrier has decrement 0.32 < (3 - sqrt 5)/2: Newton's quadratic region
 CENTERING = 0.1
 EXACT_STAGES = 2
+# The step length along a Newton ray stops once |h'(a)| <= RAY_CURVATURE
+# |h'(0)| (the strong-Wolfe curvature test), after at most RAY_ITERATIONS
+RAY_CURVATURE = 0.1
+RAY_ITERATIONS = 50
 
 
 class NonConvergenceError(RuntimeError):
@@ -234,11 +247,33 @@ class AffineBlockMap:
             raise ValueError("a block's direction indices must be distinct")
         self.dim = int(dim)
 
-    def blocks(self, x: np.ndarray) -> list[np.ndarray]:
+    def _linear_parts(self, v: np.ndarray) -> list[np.ndarray]:
+        """[sum_i v[idx_b[i]] D_b[i]]_b, each as one flat matmul."""
         return [
-            C + (x[idx] @ D if C.ndim == 1 else np.tensordot(x[idx], D, axes=(0, 0)))
+            (v[idx] @ D.reshape(D.shape[0], C.size)).reshape(C.shape)
             for C, D, idx in zip(self.constants, self.dir_stacks, self.dir_indices)
         ]
+
+    def blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        return [C + part for C, part in zip(self.constants, self._linear_parts(x))]
+
+    def ray_eigenvalues(self, chols, delta: np.ndarray) -> np.ndarray:
+        """Eigenvalues mu of the step delta relative to each block, from
+        the factors at x: eig(L^-1 Delta L^-dagger) for a Hermitian block
+        with factor L and step Delta = sum_i delta_i D_i, Delta s / s for
+        a diagonal block.  Along the ray the barrier is then exact,
+        -log det(x + a delta) = -log det(x) - sum log(1 + a mu), and
+        feasible iff a < 1 / max(-mu)."""
+        mus = []
+        for F, step in zip(chols, self._linear_parts(delta)):
+            if F.ndim == 1:
+                mus.append(step / F)
+            else:
+                half = solve_triangular(F, step, lower=True, check_finite=False)
+                mus.append(np.linalg.eigvalsh(
+                    solve_triangular(F, half.conj().T, lower=True, check_finite=False)
+                ))
+        return np.concatenate(mus)
 
     def cholesky_list(self, blocks) -> list[np.ndarray] | None:
         """Factors of the blocks (lower Cholesky factor of a Hermitian
@@ -348,28 +383,26 @@ def _gell_mann_stack(n: int) -> np.ndarray:
     return np.zeros((0, n, n), dtype=complex)
 
 
-def _gell_mann_coordinates(stack: np.ndarray, shift_coeff: np.ndarray) -> np.ndarray:
-    """Re tr(D_q M) for every slab M of an (R, n, n) stack, in O(n^2) each.
+def _gell_mann_coordinates(upper: np.ndarray, diag: np.ndarray,
+                           shift_coeff: np.ndarray) -> np.ndarray:
+    """Re tr(D_q M) for R Hermitian n x n matrices M, in O(n^2) each.
 
-    D_q runs over one sector's directions in ``Parametrization`` order:
-    the ``_gell_mann_stack(n)`` matrices, then the trace shifts
-    ``shift_coeff[s] * I``.  The coordinates are read off the entries
-    (sqrt2 Re M_rc and -sqrt2 Im M_rc for r < c when M is Hermitian,
-    diag(M) against the diagonal table, and tr M for the shifts) instead
-    of contracting against the dense (q, n, n) direction stack.
+    Each M is given by its entries: ``upper`` (pairs, R) holds M_ab for
+    the pairs a < b of ``np.triu_indices(n, 1)``, ``diag`` (n, R) the
+    diagonal.  D_q runs over one sector's directions in
+    ``Parametrization`` order: the ``_gell_mann_stack(n)`` matrices, then
+    the trace shifts ``shift_coeff[s] * I``.  The coordinates are sqrt2
+    Re M_ab and -sqrt2 Im M_ab for a < b, diag(M) against the diagonal
+    table, and tr M for the shifts; the dense (q, n, n) direction stack
+    is never contracted.
     """
-    R, n, _ = stack.shape
-    upper_r, upper_c = np.triu_indices(n, 1)
-    pairs = upper_r.size
-    upper = stack[:, upper_r, upper_c]
-    lower = stack[:, upper_c, upper_r]
-    diag = np.diagonal(stack, axis1=1, axis2=2).real
+    pairs, R = upper.shape
+    n = diag.shape[0]
     out = np.empty((R, n * n - 1 + shift_coeff.size))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    out[:, 0 : 2 * pairs : 2] = (upper.real + lower.real) * inv_sqrt2
-    out[:, 1 : 2 * pairs : 2] = (lower.imag - upper.imag) * inv_sqrt2
-    out[:, 2 * pairs : n * n - 1] = diag @ _diagonal_table(n)
-    out[:, n * n - 1 :] = np.outer(diag.sum(axis=1), shift_coeff)
+    out[:, 0 : 2 * pairs : 2] = math.sqrt(2.0) * upper.real.T
+    out[:, 1 : 2 * pairs : 2] = -math.sqrt(2.0) * upper.imag.T
+    out[:, 2 * pairs : n * n - 1] = diag.T @ _diagonal_table(n)
+    out[:, n * n - 1 :] = np.outer(diag.sum(axis=0), shift_coeff)
     return out
 
 
@@ -433,7 +466,10 @@ class Parametrization:
             self.affine.dir_indices,
         ):
             delta = ensemble.blocks[two_j] - C
-            x[idx] += _gell_mann_coordinates(delta[None], coeff)[0]
+            rows, cols = np.triu_indices(two_j + 1, 1)
+            x[idx] += _gell_mann_coordinates(
+                delta[rows, cols][:, None], delta.diagonal().real[:, None], coeff
+            )[0]
         return x
 
     def basis_element(self, i: int) -> dict[int, np.ndarray]:
@@ -498,13 +534,14 @@ class FitModel:
     Precomputes p0 (the outcome probabilities of the maximally mixed
     state) and the overlap table G with p(x) = p0 + G x; rows run over
     (setting, outcome) in dataset order, as the outcomes of the
-    ``StackedBlockSets`` it is built from.  Each (setting, sector) block
-    of G is read off the dense POVM blocks by ``_gell_mann_coordinates``
-    in O(n^2) per outcome.  Every fit Hessian has the form G^T diag(c) G
-    with c >= 0 and is formed as the symmetric rank-k product Gs^T Gs of
+    ``StackedBlockSets`` it is built from.  Each sector's columns of G
+    are read off its rotation U_j for all settings at once by
+    ``_gell_mann_coordinates``, O(n^2) per outcome, and written with one
+    scatter.  Every fit Hessian has the form G^T diag(c) G with c >= 0
+    and is formed as the symmetric rank-k product Gs^T Gs of
     Gs = sqrt(c) G, which numpy hands to BLAS syrk (half the flops of a
-    general product) and which is exactly symmetric.  The constant LS Hessian is built once and stored
-    read-only.
+    general product) and which is exactly symmetric.  The constant LS
+    Hessian is built once and stored read-only.
     """
 
     def __init__(self, spec: FitSpec, parametrization: Parametrization,
@@ -528,18 +565,15 @@ class FitModel:
         indices = parametrization.affine.dir_indices
         shift_coeff = parametrization.shift_coeff
         G = np.zeros((rows, parametrization.dimension))
-        # one setting at a time: the dense (n, n, n) outcome blocks of all
-        # settings at once would raise peak memory for nothing
+        # one scatter per sector; rows repeat across sectors and the
+        # trace-shift columns are shared, so sectors add up.  Column r of
+        # U is the u of outcome r's block u u^dagger
         for b, two_j in enumerate(layout.two_j_values):
-            d = two_j + 1
-            U_all = measurement.rotations[two_j]
-            slots = measurement.outcome_slots(two_j)
-            for start in range(0, U_all.shape[1], d):
-                U = U_all[:, start : start + d]
-                off = slots[start]
-                G[off : off + d, indices[b]] += _gell_mann_coordinates(
-                    np.einsum("mr,nr->rmn", U, U.conj()), shift_coeff[b]
-                )
+            U = measurement.rotations[two_j]
+            rows, cols = np.triu_indices(two_j + 1, 1)
+            G[np.ix_(measurement.outcome_slots(two_j), indices[b])] += _gell_mann_coordinates(
+                U[rows] * U[cols].conj(), U.real**2 + U.imag**2, shift_coeff[b]
+            )
         self.G = G
         base = maximally_mixed_ensemble(layout)
         self.p0 = probabilities(base, measurement)
@@ -606,6 +640,38 @@ class FitModel:
         # curvature 2 f^2 / p^3 with f >= 0
         return grad, self._gram(math.sqrt(2.0) * f / (p * np.sqrt(p)))
 
+    def ray(self, x: np.ndarray, delta: np.ndarray):
+        """Derivatives of a -> F(x + a delta): a function of a returning
+        (F', F'') from p = p(x) and q = G delta, each formed once."""
+        p = self.probabilities(x)
+        q = self.G @ delta
+        f = self.frequencies
+        kind = self.spec.principle
+        if kind in ("ml", "hedged"):
+            mask = self._mask
+            f, p, q = f[mask], p[mask], q[mask]
+
+            def derivatives(a):
+                r = q / (p + a * q)
+                return -float(f @ r), float(f @ (r * r))
+
+        elif kind == "ls":
+            wq = 2.0 * self.spec.weights * q
+            slope, curvature = float(wq @ (p - f)), float(wq @ q)
+
+            def derivatives(a):
+                return slope + a * curvature, curvature
+
+        else:
+            f2, total = f * f, float(q.sum())
+
+            def derivatives(a):
+                s = p + a * q
+                r = q / s
+                return total - float(f2 @ (r / s)), 2.0 * float(f2 @ (r * r / s))
+
+        return derivatives
+
 
 class LinearFit:
     """Linear objective c^T x (used by the pretest LMI)."""
@@ -621,6 +687,10 @@ class LinearFit:
 
     def gradient_hessian(self, x):
         return self.c.copy(), np.zeros((self.c.size, self.c.size))
+
+    def ray(self, x, delta):
+        slope = float(self.c @ delta)
+        return lambda a: (slope, 0.0)
 
 
 def barrier_value_grad_hess(parametrization, x, t: float):
@@ -653,16 +723,25 @@ class StageResult:
     decrement: float  # lambda^2 = -g^T delta at x; NaN if no direction was formed there
 
 
-def _newton_direction(H, g):
-    """Solve H delta = -g by Cholesky, adding an escalating ridge on
-    factorization failure or loss of descent (lambda = 1e-12 (1 + max
-    diag), then x10, at most three escalations)."""
-    max_diag = float(np.max(H.diagonal())) if H.size else 0.0
+def _newton_direction(H_fit, H_bar, t, g):
+    """Solve (t H_bar + H_fit) delta = -g by Cholesky, adding an
+    escalating ridge on factorization failure or loss of descent
+    (lambda = 1e-12 (1 + max diag), then x10, at most three escalations).
+
+    The system is assembled in a fresh buffer and factored in place,
+    rebuilt on each retry: H_fit may be shared, and both Hessians stay
+    intact for the next stage."""
+    max_diag = float(np.max(t * H_bar.diagonal() + H_fit.diagonal())) if g.size else 0.0
     ridge = 0.0
     for _ in range(4):
-        Hw = H + ridge * np.eye(H.shape[0]) if ridge else H
+        H = t * H_bar
+        H += H_fit
+        if ridge:
+            H[np.diag_indices_from(H)] += ridge
         try:
-            factor = cho_factor(Hw, lower=True, check_finite=False)
+            # H is exactly symmetric: its transpose is the Fortran-ordered
+            # view that LAPACK factors without a copy
+            factor = cho_factor(H.T, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
             ridge = 1e-12 * (1.0 + max_diag) if ridge == 0.0 else ridge * 10.0
             continue
@@ -674,16 +753,54 @@ def _newton_direction(H, g):
     raise NonConvergenceError("Newton system unsolvable even with ridge repair")
 
 
+def _ray_step(fit_derivatives, mu: np.ndarray, t: float, slope: float) -> float:
+    """Step length a in (0, a_max) near the minimum of the stage objective
+    along the Newton ray, h(a) = F(x + a delta) - t sum log(1 + a mu)
+    + const, with a_max = 1 / max(-mu) its feasibility limit.
+
+    Safeguarded 1-D Newton on the increasing h' inside a bracket, from
+    min(1, a_max / 2), until the strong-Wolfe curvature test
+    |h'(a)| <= RAY_CURVATURE |h'(0)|; h'(0) is the Newton ``slope``.
+    """
+    shrink = float(-mu.min(initial=0.0))
+    lo, hi = 0.0, 1.0 / shrink if shrink > 0.0 else math.inf
+    a = min(1.0, 0.5 * hi)
+    for _ in range(RAY_ITERATIONS):
+        fit_d1, fit_d2 = fit_derivatives(a)
+        r = mu / (1.0 + a * mu)
+        h1 = fit_d1 - t * float(r.sum())
+        if abs(h1) <= -RAY_CURVATURE * slope:
+            break
+        if h1 < 0.0:
+            lo = a
+        else:
+            hi = a
+        h2 = fit_d2 + t * float(r @ r)
+        a = a - h1 / h2 if h2 > 0.0 else math.nan
+        if not lo < a < hi:
+            a = 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
+    return a
+
+
 def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
                  config: SolverConfig | None = None, *,
-                 exact: bool = True) -> StageResult:
+                 exact: bool = True, carry: list | None = None) -> StageResult:
     """Minimize fit(x) - t sum log det over the interior from x_start.
 
-    Backtracking first restores feasibility (every block must pass
-    Cholesky), then enforces Armijo sufficient decrease.  Starting at an
-    optimum costs zero iterations.  It stops once lambda^2 = -g^T delta
-    <= grad_tol^2 (or |g| <= grad_tol); with ``exact=False`` also once
-    lambda^2 <= CENTERING * t, in Newton's quadratic region of fit/t + barrier.
+    Each step length starts at the minimum of the exact barrier along
+    the Newton ray (``_ray_step``), so trials almost never leave the
+    feasible set; the backtracking behind it still restores feasibility
+    (every block must pass Cholesky) and enforces Armijo sufficient
+    decrease.  Starting at an optimum costs zero iterations.  It stops
+    once lambda^2 = -g^T delta <= grad_tol^2 (or |g| <= grad_tol); with
+    ``exact=False`` also once lambda^2 <= CENTERING * t, in Newton's
+    quadratic region of fit/t + barrier.
+
+    ``carry`` hands derivatives from stage to stage; they do not depend
+    on t.  If it holds (fit gradient, fit Hessian, barrier gradient,
+    barrier Hessian) taken at x_start, they replace the first evaluation
+    and are removed from it; on return it holds those at the returned
+    point, if the stage evaluated them there.
     """
     cfg = config or SolverConfig()
     affine = getattr(parametrization, "affine", parametrization)
@@ -700,17 +817,17 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
     converged = False
     eps = float(np.finfo(float).eps)
     for _ in range(cfg.max_newton_iters):
-        g_fit, H_fit = fit.gradient_hessian(x)
-        _, bg, bH = affine.barrier_grad_hess(chols)
+        if carry:
+            g_fit, H_fit, bg, bH = carry.pop()
+        else:
+            g_fit, H_fit = fit.gradient_hessian(x)
+            _, bg, bH = affine.barrier_grad_hess(chols)
         g = g_fit + t * bg
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= cfg.grad_tol:
             converged = True
             break
-        # assembled in place: bH is fresh each step, H_fit may be shared
-        bH *= t
-        bH += H_fit
-        delta, slope = _newton_direction(bH, g)
+        delta, slope = _newton_direction(H_fit, bH, t, g)
         decrement = -slope
         # Affine-invariant centrality: the squared Newton decrement
         # g^T H^-1 g is what self-concordance bounds the remaining
@@ -723,8 +840,9 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
             break
 
         if -slope > 64.0 * eps * abs(obj):
-            # ordinary phase: feasibility, then Armijo sufficient decrease
-            step = 1.0
+            # ordinary phase: from the ray's step, feasibility, then
+            # Armijo sufficient decrease
+            step = _ray_step(fit.ray(x, delta), affine.ray_eigenvalues(chols, delta), t, slope)
             accepted = False
             while step >= 1e-16:
                 x_new = x + step * delta
@@ -771,7 +889,10 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
         _, bg = affine.barrier_grad(chols)
         grad_norm = float(np.linalg.norm(fit.gradient(x) + t * bg))
         converged = grad_norm <= cfg.grad_tol
+        H_fit = None  # the loop's derivatives predate the last step
 
+    if carry is not None and H_fit is not None:
+        carry.append((g_fit, H_fit, bg, bH))
     return StageResult(
         x=x,
         iterations=iterations,
@@ -794,6 +915,25 @@ def t_schedule(config: SolverConfig, floor: float | None = None) -> list[float]:
     ts = [config.t0 / config.t_reduce**i for i in range(count)]
     ts.append(stop)
     return ts
+
+
+def _barrier_path(fit, affine, schedule, x, config, stage=None):
+    """Run one ``newton_stage`` per t of ``schedule``, each warm-started
+    at the last one's point, and yield (t, StageResult) after each.
+
+    Stages before the last EXACT_STAGES are centred approximately.  The
+    derivatives that end one stage seed the next through ``carry``, which
+    the stage empties on use, so no Hessian outlives its step.  ``stage``
+    replaces ``newton_stage`` for a caller that passes it as looked up
+    in its own module.
+    """
+    stage = stage or newton_stage
+    carry = []
+    for i, t in enumerate(schedule):
+        result = stage(fit, affine, t, x, config,
+                       exact=i >= len(schedule) - EXACT_STAGES, carry=carry)
+        x = result.x
+        yield t, result
 
 
 # ---------------------------------------------------------------------------
@@ -862,11 +1002,9 @@ def reconstruct(dataset, spec: FitSpec,
     hedged = spec.principle == "hedged"
     schedule = t_schedule(cfg, spec.beta if hedged else None)
 
-    x = np.zeros(param.dimension)
     trace = []
     all_converged = True
-    for i, t in enumerate(schedule):
-        stage = newton_stage(model, param, t, x, cfg, exact=i >= len(schedule) - EXACT_STAGES)
+    for t, stage in _barrier_path(model, param, schedule, np.zeros(param.dimension), cfg):
         x = stage.x
         if not stage.converged:
             all_converged = False

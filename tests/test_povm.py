@@ -23,6 +23,8 @@ from pitomo.povm import (
 )
 from pitomo.sim import PURITY_MODES, random_pi_state
 from pitomo.spin_blocks import (
+    PSD_TOL,
+    SpinEnsemble,
     dicke_ensemble,
     expand_full,
     ghz_ensemble,
@@ -413,6 +415,35 @@ class TestProbabilities:
         state = self.top_sector_ensemble(n, setting, diagonal)
         with pytest.raises(ValueError, match="not positive semidefinite"):
             probabilities(state, rotated_blocks(n, setting))
+
+    @staticmethod
+    def tolerance_ensemble(n, setting, shares, negativity):
+        """Blocks diagonal in ``setting``'s outcome basis whose negative
+        eigenvalues sum to -negativity, split over the sectors by
+        ``shares``, all on the middle outcome: that probability is then
+        exactly -negativity, the worst an accepted state can give."""
+        layout = sector_layout(n)
+        shares = np.array(shares[: layout.num_sectors]) / sum(shares[: layout.num_sectors])
+        rotations = rotated_blocks(n, setting).rotations
+        positive = (1.0 + negativity) / sum(layout.two_j_values)  # unit trace
+        blocks = {}
+        for share, two_j in zip(shares, layout.two_j_values):
+            eigs = np.full(two_j + 1, positive)
+            eigs[n // 2 - (n - two_j) // 2] = -negativity * share
+            U = rotations[two_j]
+            blocks[two_j] = (U * eigs) @ U.conj().T
+        return SpinEnsemble(layout=layout, blocks=blocks)
+
+    @PROPERTY
+    @given(n=st.integers(1, 8), axis=AXES,
+           shares=st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5))
+    def test_states_at_the_psd_tolerance_never_raise(self, n, axis, shares):
+        setting = unit_setting(axis)
+        state = self.tolerance_ensemble(n, setting, shares, 0.99 * PSD_TOL)
+        p = probabilities(state, rotated_blocks(n, setting))
+        assert np.all(p >= 0.0)
+        with pytest.raises(ValueError, match="not PSD"):
+            self.tolerance_ensemble(n, setting, shares, 1.01 * PSD_TOL)
 
     def test_roundoff_negatives_clamped(self):
         diagonal = np.array([0.5, -0.1 * PROBABILITY_ROUNDOFF, 0.5 + 0.1 * PROBABILITY_ROUNDOFF])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,13 @@ from pitomo.povm import Setting, probabilities, rotated_blocks
 from pitomo.reconstruct import (
     CENTERING,
     AffineBlockMap,
+    FitModel,
     FitSpec,
+    LinearFit,
     NonConvergenceError,
     Parametrization,
     SolverConfig,
+    StageResult,
     barrier_value_grad_hess,
     build_fit_model,
     fit_value,
@@ -394,6 +398,38 @@ class TestDerivatives:
         assert value_only == pytest.approx(value_full, rel=1e-13)
         np.testing.assert_allclose(grad_only, grad_full, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [FitSpec.max_lik(), FitSpec.least_squares(), FitSpec.free_least_squares(),
+         FitSpec.hedged(0.01), None],
+        ids=lambda spec: spec.principle if spec else "linear",
+    )
+    def test_ray_derivatives(self, problem, spec):
+        # (F', F'') along x + a delta against the gradient's directional
+        # derivative and a central difference of it
+        ds, param, x = problem
+        rng = np.random.default_rng(6)
+        if spec is None:
+            fit = LinearFit(rng.normal(size=param.dimension))
+        else:
+            fit = build_fit_model(ds, spec, param)
+        delta = rng.normal(size=param.dimension)
+        mu = param.affine.ray_eigenvalues(param.affine.cholesky_list(param.affine.blocks(x)),
+                                          delta)
+        assert mu.min() < 0.0  # traceless: some eigenvalue falls
+        delta *= 0.5 / -mu.min()  # the ray stays interior up to a = 2
+        ray = fit.ray(x, delta)
+        h = 1e-5
+
+        def directional(a):
+            return float(fit.gradient(x + a * delta) @ delta)
+
+        for a in (0.0, 0.4, 1.3):
+            d1, d2 = ray(a)
+            assert d1 == pytest.approx(directional(a), rel=1e-10, abs=1e-12)
+            fd = (directional(a + h) - directional(a - h)) / (2 * h)
+            assert d2 == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
     def test_fit_convexity(self, problem):
         ds, param, _ = problem
         rng = np.random.default_rng(5)
@@ -485,6 +521,46 @@ class TestNewtonStage:
         cfg = SolverConfig(max_newton_iters=1)
         stage = newton_stage(model, param, 1.0, np.zeros(param.dimension), cfg)
         assert stage.iterations == 1
+
+    @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_carried_derivatives_seed_exactly(self, principle, exact):
+        # the derivatives that end one stage do not depend on t, so
+        # seeding the next stage with them changes nothing, bit for bit
+        rng = np.random.default_rng(4)
+        ds = sampled_dataset(interior_ensemble(3, rng), random_settings(rng, 12), 500, rng)
+        model = build_fit_model(ds, FitSpec(principle=principle))
+        param = model.parametrization
+        carry = []
+        first = newton_stage(model, param, 0.1, np.zeros(param.dimension), carry=carry)
+        assert len(carry) == 1
+        seeded_carry, fresh_carry = carry, []
+        seeded = newton_stage(model, param, 0.01, first.x, exact=exact, carry=seeded_carry)
+        fresh = newton_stage(model, param, 0.01, first.x, exact=exact, carry=fresh_carry)
+        assert seeded.iterations > 0
+        for field in dataclasses.fields(StageResult):
+            assert np.array_equal(getattr(seeded, field.name), getattr(fresh, field.name),
+                                  equal_nan=True), field.name
+        for a, b in zip(seeded_carry.pop(), fresh_carry.pop()):
+            assert np.array_equal(a, b)
+        assert seeded_carry == fresh_carry == []
+
+    @pytest.mark.parametrize("principle", ["ml", "ls", "freels", "hedged"])
+    def test_one_derivative_evaluation_per_step_plus_one(self, principle, monkeypatch):
+        calls = []
+        original = FitModel.gradient_hessian
+
+        def counted(self, x):
+            calls.append(None)
+            return original(self, x)
+
+        monkeypatch.setattr(FitModel, "gradient_hessian", counted)
+        rng = np.random.default_rng(9)
+        ds = sampled_dataset(interior_ensemble(3, rng), random_settings(rng, 12), 500, rng)
+        spec = FitSpec.hedged(0.01) if principle == "hedged" else FitSpec(principle)
+        result = reconstruct(ds, spec)
+        assert result.converged
+        assert len(calls) == result.total_iterations + 1
 
 
 class TestTSchedule:
@@ -930,6 +1006,38 @@ class TestBarrierProperties:
 
         feasible = all([positive(blk) for blk in blocks])
         assert (amap.cholesky_list(blocks) is None) == (not feasible)
+
+    @BARRIER_PROPERTY
+    @given(**MAP_SHAPES, fraction=st.floats(1e-3, 0.99), length=st.floats(0.01, 100.0))
+    def test_ray_barrier_is_exact(self, sizes, m, dim, seed, fraction, length):
+        # -log det(x + a delta) = -log det(x) - sum log(1 + a mu), a < a_max
+        rng = np.random.default_rng(seed)
+        amap = random_block_map(rng, sizes, m, dim)
+        x = rng.uniform(-1.0, 1.0, dim)
+        x *= 0.04 / np.abs(x).sum()
+        chols = amap.cholesky_list(amap.blocks(x))
+        delta = rng.normal(size=dim)
+        mu = amap.ray_eigenvalues(chols, delta)
+        alpha = fraction * (1.0 / -mu.min() if mu.min() < 0.0 else length)
+        moved = amap.cholesky_list(amap.blocks(x + alpha * delta))
+        assert moved is not None
+        assert_close(amap.barrier_value(chols) - np.sum(np.log1p(alpha * mu)),
+                     amap.barrier_value(moved), 1e-10)
+
+    @BARRIER_PROPERTY
+    @given(**MAP_SHAPES)
+    def test_ray_limit_is_the_feasibility_limit(self, sizes, m, dim, seed):
+        rng = np.random.default_rng(seed)
+        amap = random_block_map(rng, sizes, m, dim)
+        x = rng.uniform(-1.0, 1.0, dim)
+        x *= 0.04 / np.abs(x).sum()
+        chols = amap.cholesky_list(amap.blocks(x))
+        delta = rng.normal(size=dim)
+        mu = amap.ray_eigenvalues(chols, delta)
+        assume(mu.min() < 0.0)
+        alpha_max = 1.0 / -mu.min()
+        assert amap.cholesky_list(amap.blocks(x + 0.999 * alpha_max * delta)) is not None
+        assert amap.cholesky_list(amap.blocks(x + 1.001 * alpha_max * delta)) is None
 
     def test_diagonal_block_equals_scalar_blocks(self):
         rng = np.random.default_rng(11)
