@@ -5,11 +5,11 @@ products [sigma_x^k sigma_y^l sigma_z^m 1^n]_PI.  Each measured axis a
 gives access to the symmetrized powers [(a.sigma)^(x)w (x) 1]_PI, which
 expand over the weight-w products with coefficients
 multinomial(w; k,l,m) a_x^k a_y^l a_z^m.  Inverting that expansion
-(minimum-norm least squares) yields per-element estimators whose
-variances, propagated with squared coefficients and weighted by the
-multinomial element count, form the total-error figure of merit that
-the random-walk optimizer minimizes (Toth et al., PRL 105, 250403
-(2010)).
+(the minimum-norm solution, from one Householder QR per weight) yields
+per-element estimators whose variances, propagated with squared
+coefficients and weighted by the multinomial element count, form the
+total-error figure of merit that the random-walk optimizer minimizes
+(Toth et al., PRL 105, 250403 (2010)).
 
 The figure of merit is evaluated for every proposal, so it works on
 whole tables: one power table a_c^p per settings list feeds the
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .povm import Setting, moment_coefficients, probabilities, rotated_blocks, stacked_blocks
 from .spin_blocks import SpinEnsemble
@@ -161,16 +162,31 @@ def _expansion_matrix(powers: np.ndarray, weight: int) -> np.ndarray:
     )
 
 
+def _min_norm_solve(mat: np.ndarray, rhs: np.ndarray, weight: int) -> np.ndarray:
+    """The least-norm X with mat^T X = rhs: X = Q R^-T rhs from the
+    Householder QR mat = Q R of the (settings, monomials) expansion
+    matrix.  Raises ``RankDeficientSettings`` (residual inf) when there
+    are fewer settings than monomials or R has a zero pivot (below
+    eps * max(shape) * the largest, the cutoff of an SVD least-squares
+    solve), and with the residual when it exceeds RANK_RESIDUAL_TOL."""
+    if mat.shape[0] < mat.shape[1]:
+        raise RankDeficientSettings(weight, math.inf)
+    q, r = np.linalg.qr(mat)
+    pivots = np.abs(r.diagonal())
+    if not pivots.min() > np.finfo(float).eps * max(mat.shape) * pivots.max():
+        raise RankDeficientSettings(weight, math.inf)
+    coeff = q @ solve_triangular(r, rhs, trans="T", check_finite=False)
+    residual = float(np.abs(mat.T @ coeff - rhs).max())
+    if residual > RANK_RESIDUAL_TOL:
+        raise RankDeficientSettings(weight, residual)
+    return coeff
+
+
 def _solve_weight(powers: np.ndarray, weight: int) -> np.ndarray:
     """Min-norm coefficients for every weight-w monomial: column j of the
     result combines the settings into monomial j.  Raises on deficiency."""
     mat = _expansion_matrix(powers, weight)
-    n_mono = mat.shape[1]
-    coeff, *_ = np.linalg.lstsq(mat.T, np.eye(n_mono), rcond=None)
-    residual = np.abs(mat.T @ coeff - np.eye(n_mono)).max()
-    if residual > RANK_RESIDUAL_TOL:
-        raise RankDeficientSettings(weight, float(residual))
-    return coeff
+    return _min_norm_solve(mat, np.eye(mat.shape[1]), weight)
 
 
 def bloch_coefficients(settings, bloch_index: BlochIndex) -> np.ndarray:
@@ -180,7 +196,8 @@ def bloch_coefficients(settings, bloch_index: BlochIndex) -> np.ndarray:
 
     Only the requested monomial has to be reachable, so a deliberately
     small setting list (even a single aligned axis) is fine here even
-    though it could not support every element of the same weight.
+    though it could not support every element of the same weight; that
+    needs the SVD least-squares solve, not ``_min_norm_solve``.
     """
     monos = _weight_monomials(bloch_index.weight)
     rhs = np.zeros(len(monos))

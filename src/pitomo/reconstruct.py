@@ -17,7 +17,12 @@ sector at once; neither M nor the dense basis stack (O(n^4)) is
 formed.  Every fit Hessian is G^T diag(c) G with c >= 0, formed as the
 symmetric rank-k (BLAS syrk) product of sqrt(c) G; the Newton system
 t H_barrier + H_fit is then assembled in a per-step buffer that LAPACK
-factors in place.
+factors in place.  The barrier derivatives come in closed form from
+A = rho^-1: every block is padded with the identity to the largest size
+and all are factored by one batched Cholesky, and since
+tr(A E_ab A E_cd) = A_bc A_da for matrix units, the gradient and
+Hessian over the Gell-Mann directions are products of entries of A,
+O(n^4) per block, gathered and written through flat index tables.
 
 Three convex fit principles are supported, plus a hedged variant:
 
@@ -64,7 +69,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import ztrtri
 
 from .povm import probabilities, stacked_blocks
 from .povm import rotated_blocks  # unused here; kept so the benchmark tracer's hook resolves
@@ -208,17 +214,158 @@ def _hermitian_coordinates(n: int) -> tuple[np.ndarray, np.ndarray]:
     return columns, weights
 
 
-def _log_det(factor: np.ndarray) -> float:
-    """log det of a block from its factor: the slack vector of a diagonal
-    block, the lower Cholesky factor of a Hermitian one."""
-    if factor.ndim == 1:
-        return float(np.sum(np.log(factor)))
-    return 2.0 * float(np.sum(np.log(np.diag(factor).real)))
+class BlockFactors:
+    """The factors of every block of an ``AffineBlockMap`` at one point.
+
+    ``chol`` (B, m, m) holds the lower Cholesky factors of the B
+    Hermitian blocks, each padded with the identity to the largest size
+    m and factored by one batched call; ``slacks`` holds the slack
+    vectors of the diagonal blocks end to end.  Padding is exact: the
+    factor of diag(rho, I) is diag(L, I), its inverse diag(L^-1, I) and
+    diag(rho^-1, I) the inverse of the block, so log det, feasibility and
+    the barrier along a ray are those of the blocks alone.  The
+    triangular inverse ``inv_l`` and A = rho^-1 (``inverse``, one
+    batched product) are formed on first use and shared by the
+    barrier's derivatives and the ray eigenvalues.
+    """
+
+    def __init__(self, chol: np.ndarray, slacks: np.ndarray, log_det: float):
+        self.chol = chol
+        self.slacks = slacks
+        self.log_det = log_det
+
+    @functools.cached_property
+    def inv_l(self) -> np.ndarray:
+        """L^-1 by LAPACK's triangular inverse, one call per block: the
+        batched LU inverse pivots rows and loses the componentwise
+        accuracy that blocks near the boundary need."""
+        out = np.empty_like(self.chol)
+        for k, L in enumerate(self.chol):
+            out[k] = ztrtri(L, lower=1)[0]
+        return out
+
+    @functools.cached_property
+    def inverse(self) -> np.ndarray:
+        """A = L^-dagger L^-1, made exactly Hermitian (real diagonal)."""
+        A = np.swapaxes(self.inv_l.conj(), 1, 2) @ self.inv_l
+        return 0.5 * (A + np.swapaxes(A.conj(), 1, 2))
 
 
-def _triangular_inverse(L: np.ndarray) -> np.ndarray:
-    n = L.shape[0]
-    return solve_triangular(L, np.eye(n, dtype=complex), lower=True, check_finite=False)
+class _GellMannTables:
+    """Flat index tables that read the barrier gradient and Hessian of
+    ``Parametrization``'s blocks off A = rho^-1 in O(n^4) per block.
+
+    Block b (size n, Gell-Mann coordinates from ``offset``) has pair
+    directions S_p = (E_rc + E_cr)/sqrt2 and Y_p = i(E_cr - E_rc)/sqrt2
+    for the pairs p = (r, c) of ``np.triu_indices(n, 1)``, then diagonal
+    directions diag(q) with q a column of its Q = [diagonal table,
+    shift coefficients] (the ``Parametrization`` order).  With
+    tr(A E_ab A E_cd) = A_bc A_da for matrix units (Fujisawa, Kojima &
+    Nakata, Math. Program. 79, 235 (1997)):
+
+        gradient   -sqrt2 Re A_rc, sqrt2 Im A_rc; -Q^T diag(A)
+        pair-pair  t1 = A_{c r'} A_{c' r}, t2 = A_{c c'} conj(A_{r r'}):
+                   SS = Re(t1 + t2), SY = Im(t1 - t2),
+                   YS = Im(t1 + t2), YY = Re(t2 - t1)
+        pair-diag  Z = Y Q, Y_pk = A_ck conj(A_rk): sqrt2 Re Z, sqrt2 Im Z
+        diag-diag  Q^T |A|^2 Q
+
+    A is the identity-padded (B, m, m) stack of ``BlockFactors``; every
+    table indexes it, or the global gradient and Hessian, flat, so one
+    evaluation makes a fixed number of numpy calls for any number of
+    sectors.  Pair-pair terms are computed for p <= p' and written to
+    both mirror positions, and the diagonal Gram matrix is symmetrized,
+    so the Hessian is exactly symmetric.  Pair slots run over
+    ``np.triu_indices(m, 1)`` for every block: a slot outside block b
+    reads only padding, where A is the identity, and gives zero.
+    """
+
+    def __init__(self, sizes, offsets, shift_coeff: np.ndarray, dim: int):
+        B, m = len(sizes), max(sizes)
+        S = shift_coeff.shape[1]
+        K = m - 1 + S  # diagonal-type columns: m - 1 Gell-Mann, then S shifts
+        self.shift0 = dim - S
+        self.slot_rows, self.slot_cols = np.triu_indices(m, 1)
+        table = _diagonal_table(m)  # block n reads its [:n, :n - 1] corner
+        Q = np.zeros((B, m, K))
+        pair_entry, pair_coord, grad_src, grad_dst = [], [], [], []
+        pp_src, pp_dst, pd_src, pd_dst, dd_src, dd_dst = [], [], [], [], [], []
+        for b, (n, offset) in enumerate(zip(sizes, offsets)):
+            Q[b, :n, : n - 1] = table[:n, : n - 1]
+            Q[b, :n, m - 1 :] = shift_coeff[b]
+            r, c = np.triu_indices(n, 1)
+            P = r.size
+
+            def entry(i, j, b=b):
+                return (b * m + i) * m + j
+
+            sym = offset + 2 * np.arange(P)  # Y_p is sym + 1
+            pair_entry.append(entry(r, c))
+            pair_coord.append(sym)
+            # the valid diagonal-type columns of Q and their coordinates
+            kcols = np.concatenate([np.arange(n - 1), m - 1 + np.arange(S)])
+            coords = np.concatenate([offset + 2 * P + np.arange(n - 1),
+                                     self.shift0 + np.arange(S)])
+            grad_src.append(b * K + kcols[: n - 1])
+            grad_dst.append(coords[: n - 1])
+
+            i, j = np.triu_indices(P)
+            pp_src.append(np.stack([entry(c[i], r[j]), entry(c[j], r[i]),
+                                    entry(c[i], c[j]), entry(r[i], r[j])]))
+            rows = sym[i] + np.array([[0], [0], [1], [1]])
+            cols = sym[j] + np.array([[0], [1], [0], [1]])
+            pp_dst.append(np.stack([rows * dim + cols, cols * dim + rows]))
+
+            slot = r * m - r * (r + 1) // 2 + c - r - 1  # (r, c) in triu(m, 1)
+            p, k = np.repeat(np.arange(P), kcols.size), np.tile(np.arange(kcols.size), P)
+            pd_src.append((b * self.slot_rows.size + slot[p]) * K + kcols[k])
+            rows = sym[p] + np.array([[0], [1]])
+            pd_dst.append(np.stack([rows * dim + coords[k], coords[k] * dim + rows]))
+
+            k1, k2 = np.meshgrid(np.arange(kcols.size), np.arange(kcols.size), indexing="ij")
+            keep = (k1 < n - 1) | (k2 < n - 1)  # shift x shift is summed apart
+            dd_src.append((b * K + kcols[k1[keep]]) * K + kcols[k2[keep]])
+            dd_dst.append(coords[k1[keep]] * dim + coords[k2[keep]])
+        self.Q = Q
+        self.Qc = Q.astype(complex)
+        self.diag_cols = m - 1  # first shift column of Q
+
+        def flat(parts, axis=-1):
+            out = np.concatenate(parts, axis=axis).astype(np.intp)
+            out.setflags(write=False)
+            return out
+
+        self.pair_entry = flat(pair_entry)
+        self.pair_coord = flat([np.stack([s, s + 1]) for s in pair_coord])
+        self.grad_src, self.grad_dst = flat(grad_src), flat(grad_dst)
+        self.pp_src, self.pp_dst = flat(pp_src), flat(pp_dst)
+        self.pd_src, self.pd_dst = flat(pd_src), flat(pd_dst)
+        self.dd_src, self.dd_dst = flat(dd_src), flat(dd_dst)
+
+    def gradient(self, A: np.ndarray, grad: np.ndarray) -> None:
+        """Add -tr(A D_i) over every block's directions into ``grad``."""
+        a = A.reshape(-1)[self.pair_entry]
+        grad[self.pair_coord] -= math.sqrt(2.0) * np.stack([a.real, -a.imag])
+        diag = np.einsum("bkk,bkK->bK", A, self.Q).real
+        grad[self.grad_dst] -= diag.reshape(-1)[self.grad_src]
+        grad[self.shift0 :] -= diag[:, self.diag_cols :].sum(axis=0)
+
+    def hessian(self, A: np.ndarray, hess: np.ndarray) -> None:
+        """Write tr(A D_i A D_l) over every block's directions into the
+        zero ``hess``; the shift coordinates sum over blocks."""
+        flat = hess.reshape(-1)
+        g = A.reshape(-1)[self.pp_src]
+        t1 = g[0] * g[1]
+        t2 = g[2] * g[3].conj()
+        flat[self.pp_dst] = np.stack([t1.real + t2.real, t1.imag - t2.imag,
+                                      t1.imag + t2.imag, t2.real - t1.real])
+        Y = A[:, self.slot_cols, :] * A[:, self.slot_rows, :].conj()
+        z = (Y @ self.Qc).reshape(-1)[self.pd_src]
+        flat[self.pd_dst] = math.sqrt(2.0) * np.stack([z.real, z.imag])
+        W = np.swapaxes(self.Q, 1, 2) @ (A.real**2 + A.imag**2) @ self.Q
+        W = 0.5 * (W + np.swapaxes(W, 1, 2))
+        flat[self.dd_dst] = W.reshape(-1)[self.dd_src]
+        hess[self.shift0 :, self.shift0 :] = W[:, self.diag_cols :, self.diag_cols :].sum(axis=0)
 
 
 class AffineBlockMap:
@@ -233,9 +380,14 @@ class AffineBlockMap:
     (a linear-programming block beside the semidefinite ones).
     ``dir_indices[b]`` maps the local direction axis into the global
     coordinate vector; an index may repeat across blocks, not within one.
+
+    ``gell_mann`` (built by ``Parametrization``) states that the
+    Hermitian blocks carry its Gell-Mann and trace-shift directions;
+    their barrier derivatives are then read off rho^-1 in closed form
+    instead of contracting the dense directions.
     """
 
-    def __init__(self, constants, dir_stacks, dir_indices, dim):
+    def __init__(self, constants, dir_stacks, dir_indices, dim, gell_mann=None):
         self.constants = []
         self.dir_stacks = []
         for c, d in zip(constants, dir_stacks):
@@ -246,6 +398,23 @@ class AffineBlockMap:
         if any(np.unique(i).size != i.size for i in self.dir_indices):
             raise ValueError("a block's direction indices must be distinct")
         self.dim = int(dim)
+        self.gell_mann = gell_mann
+        self._hermitian = [b for b, c in enumerate(self.constants) if c.ndim == 2]
+        self._diagonal = [b for b, c in enumerate(self.constants) if c.ndim == 1]
+        m = max((self.constants[b].shape[0] for b in self._hermitian), default=0)
+        self._identity = np.tile(np.eye(m, dtype=complex), (len(self._hermitian), 1, 1))
+        ends = np.cumsum([self.constants[b].size for b in self._diagonal], dtype=int)
+        self._slack_ranges = [slice(e - self.constants[b].size, e)
+                              for b, e in zip(self._diagonal, ends)]
+
+    def _padded(self, mats, identity: bool = True) -> np.ndarray:
+        """The Hermitian blocks' matrices as one stack, padded with the
+        identity (or with zeros)."""
+        stack = self._identity.copy() if identity else np.zeros_like(self._identity)
+        for k, b in enumerate(self._hermitian):
+            n = self.constants[b].shape[0]
+            stack[k, :n, :n] = mats[b]
+        return stack
 
     def _linear_parts(self, v: np.ndarray) -> list[np.ndarray]:
         """[sum_i v[idx_b[i]] D_b[i]]_b, each as one flat matmul."""
@@ -257,71 +426,90 @@ class AffineBlockMap:
     def blocks(self, x: np.ndarray) -> list[np.ndarray]:
         return [C + part for C, part in zip(self.constants, self._linear_parts(x))]
 
-    def ray_eigenvalues(self, chols, delta: np.ndarray) -> np.ndarray:
+    def ray_eigenvalues(self, chols: BlockFactors, delta: np.ndarray) -> np.ndarray:
         """Eigenvalues mu of the step delta relative to each block, from
         the factors at x: eig(L^-1 Delta L^-dagger) for a Hermitian block
         with factor L and step Delta = sum_i delta_i D_i, Delta s / s for
         a diagonal block.  Along the ray the barrier is then exact,
         -log det(x + a delta) = -log det(x) - sum log(1 + a mu), and
-        feasible iff a < 1 / max(-mu)."""
-        mus = []
-        for F, step in zip(chols, self._linear_parts(delta)):
-            if F.ndim == 1:
-                mus.append(step / F)
-            else:
-                half = solve_triangular(F, step, lower=True, check_finite=False)
-                mus.append(np.linalg.eigvalsh(
-                    solve_triangular(F, half.conj().T, lower=True, check_finite=False)
-                ))
-        return np.concatenate(mus)
+        feasible iff a < 1 / max(-mu).  The Hermitian blocks come first,
+        m per block from one batched eigvalsh of the padded stack; each
+        padding row adds an exact mu = 0, which changes neither."""
+        steps = self._linear_parts(delta)
+        pad = self._padded(steps, identity=False)
+        inv_l = chols.inv_l
+        relative = inv_l @ pad @ np.swapaxes(inv_l.conj(), 1, 2)
+        diagonal = [steps[b] for b in self._diagonal]
+        return np.concatenate(
+            [np.linalg.eigvalsh(relative).ravel(),
+             np.concatenate(diagonal) / chols.slacks if diagonal else []]
+        )
 
-    def cholesky_list(self, blocks) -> list[np.ndarray] | None:
-        """Factors of the blocks (lower Cholesky factor of a Hermitian
-        block, the slack vector itself for a diagonal one), or None if any
-        block is not positive definite or has a NaN or infinite pivot."""
-        chols = []
-        for blk in blocks:
-            if blk.ndim == 2:
-                try:
-                    blk = np.linalg.cholesky(blk)
-                except np.linalg.LinAlgError:
-                    return None
-            pivots = blk if blk.ndim == 1 else np.diag(blk).real
-            # LAPACK passes NaN through; NaN fails both comparisons
-            if not np.all((pivots > 0.0) & (pivots < np.inf)):
-                return None
-            chols.append(blk)
-        return chols
+    def cholesky_list(self, blocks) -> BlockFactors | None:
+        """The ``BlockFactors`` of the blocks, or None if any block is not
+        positive definite or has a NaN or infinite pivot.  The padding's
+        unit pivots never hide a failing block."""
+        try:
+            chol = np.linalg.cholesky(self._padded(blocks))
+        except np.linalg.LinAlgError:
+            return None
+        slacks = np.concatenate([blocks[b] for b in self._diagonal] or [np.zeros(0)])
+        diag = chol.diagonal(0, 1, 2).real
+        pivots = np.concatenate([diag.ravel(), slacks])
+        # LAPACK passes NaN through; NaN fails both comparisons
+        if not np.all((pivots > 0.0) & (pivots < np.inf)):
+            return None
+        log_det = 2.0 * float(np.log(diag).sum()) + float(np.log(slacks).sum())
+        return BlockFactors(chol, slacks, log_det)
 
     @staticmethod
-    def barrier_value(chols) -> float:
+    def barrier_value(chols: BlockFactors) -> float:
         """-sum_b log det(block_b) from the factors."""
-        return -sum(_log_det(F) for F in chols)
+        return -chols.log_det
 
-    def barrier_grad_hess(self, chols):
+    def _slack_rows(self, chols: BlockFactors):
+        """(indices, D / s) of each diagonal block with slacks s."""
+        for b, part in zip(self._diagonal, self._slack_ranges):
+            yield self.dir_indices[b], self.dir_stacks[b] / chols.slacks[part]
+
+    def _gradient(self, chols: BlockFactors) -> np.ndarray:
+        """grad_i = -sum_b tr(block^-1 D_i), from A = rho^-1 for a
+        Hermitian block and D / s for a diagonal one."""
+        grad = np.zeros(self.dim)
+        if self.gell_mann is not None:
+            self.gell_mann.gradient(chols.inverse, grad)
+        else:
+            for k, b in enumerate(self._hermitian):
+                n = self.constants[b].shape[0]
+                grad[self.dir_indices[b]] -= np.einsum(
+                    "mn,qnm->q", chols.inverse[k, :n, :n], self.dir_stacks[b]).real
+        for idx, C in self._slack_rows(chols):
+            grad[idx] -= C.sum(axis=1)
+        return grad
+
+    def barrier_grad_hess(self, chols: BlockFactors):
         """(value, gradient, Hessian) of -sum_b log det(block_b).
 
         grad_i = -sum_b tr(block^-1 D_i), hess_il = sum_b tr(block^-1 D_i
-        block^-1 D_l).  A Hermitian block with factor L contributes through
-        T_i = L^-1 D_i L^-dagger, formed from one triangular inverse and
-        two flat products with no solve per direction.  The n^2 real
-        coordinates of each T_i (sqrt2 Re and sqrt2 Im of the strict upper
-        triangle, then the diagonal) are the rows of a real matrix C: the
-        block Hessian is the real syrk C C^T, exactly symmetric, and the
-        gradient is minus the diagonal sums.  A diagonal block with slacks
-        s has C = D / s, gradient -D (1/s) and Hessian (D/s)(D/s)^T.
+        block^-1 D_l).  ``Parametrization``'s blocks read both off
+        A = rho^-1 in closed form (``_GellMannTables``).  Any other
+        Hermitian block with factor L contributes through
+        T_i = L^-1 D_i L^-dagger, from the triangular inverse and two flat
+        products: the n^2 real coordinates of each T_i (sqrt2 Re
+        and sqrt2 Im of the strict upper triangle, then the diagonal) are
+        the rows of a real matrix C, and the block Hessian is the real
+        syrk C C^T, exactly symmetric.  A diagonal block with slacks s has
+        C = D / s and Hessian (D/s)(D/s)^T.
         """
-        value = 0.0
-        grad = np.zeros(self.dim)
+        grad = self._gradient(chols)
         hess = np.zeros((self.dim, self.dim))
-        for F, D, idx in zip(chols, self.dir_stacks, self.dir_indices):
-            value -= _log_det(F)
-            if F.ndim == 1:
-                C = D / F
-                grad[idx] -= C.sum(axis=1)
-            else:
+        if self.gell_mann is not None:
+            self.gell_mann.hessian(chols.inverse, hess)
+        else:
+            for k, b in enumerate(self._hermitian):
+                D, idx = self.dir_stacks[b], self.dir_indices[b]
                 q, n, _ = D.shape
-                inv_l = _triangular_inverse(F)
+                inv_l = chols.inv_l[k, :n, :n]
                 # slabs of P are D_i L^-dagger; P_i^T L^-T = conj(T_i) for
                 # Hermitian D_i, which has the same real coordinates up to
                 # the sign of every Im entry, so the same Gram matrix
@@ -330,27 +518,15 @@ class AffineBlockMap:
                 columns, weights = _hermitian_coordinates(n)
                 C = T_conj.reshape(q, n * n).view(float)[:, columns]
                 C *= weights
-                grad[idx] -= C[:, n * n - n :].sum(axis=1)
+                hess[np.ix_(idx, idx)] += C @ C.T
+        for idx, C in self._slack_rows(chols):
             hess[np.ix_(idx, idx)] += C @ C.T
-        return value, grad, hess
+        return -chols.log_det, grad, hess
 
-    def barrier_grad(self, chols):
-        """(value, gradient) of the barrier without the Hessian.
-
-        Uses tr(block^-1 D_i) = <L^-T L^-1 conj(), D_i> so the inverse is
-        formed once per block instead of solving per direction.
-        """
-        value = 0.0
-        grad = np.zeros(self.dim)
-        for F, D, idx in zip(chols, self.dir_stacks, self.dir_indices):
-            value -= _log_det(F)
-            if F.ndim == 1:
-                grad[idx] -= (D / F).sum(axis=1)
-            else:
-                inv_l = _triangular_inverse(F)
-                inv = inv_l.conj().T @ inv_l
-                grad[idx] -= np.einsum("mn,qnm->q", inv, D).real
-        return value, grad
+    def barrier_grad(self, chols: BlockFactors):
+        """(value, gradient) of the barrier without the Hessian; both are
+        those of ``barrier_grad_hess``, bit for bit."""
+        return -chols.log_det, self._gradient(chols)
 
 
 def _diagonal_table(n: int) -> np.ndarray:
@@ -445,7 +621,9 @@ class Parametrization:
                 ).astype(np.intp)
             )
             constants.append(base.blocks[two_j])
-        self.affine = AffineBlockMap(constants, stacks, indices, self.dimension)
+        tables = _GellMannTables(dims, gg_offsets[:-1], shift_coeff, self.dimension)
+        self.affine = AffineBlockMap(constants, stacks, indices, self.dimension,
+                                     gell_mann=tables)
 
     def blocks(self, x: np.ndarray) -> dict[int, np.ndarray]:
         mats = self.affine.blocks(x)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from pitomo.povm import Setting, probabilities, rotated_blocks
@@ -1060,3 +1061,70 @@ class TestBarrierProperties:
     def test_repeated_index_within_block_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             AffineBlockMap([np.eye(2)], [np.zeros((2, 2, 2))], [[0, 0]], 1)
+
+
+class TestGellMannClosedForm:
+    """Parametrization's barrier derivatives, read off rho^-1 in closed
+    form, against the dense-inverse oracle."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           fraction=st.floats(0.0, 1.0))
+    def test_matches_dense_oracle(self, n, seed, fraction):
+        # N=1 is one 2x2 block without shift coordinates; even N ends in
+        # a 1x1 block without pairs
+        param = Parametrization(sector_layout(n))
+        amap = param.affine
+        x = fraction * param.coordinates(interior_ensemble(n, np.random.default_rng(seed)))
+        chols = amap.cholesky_list(amap.blocks(x))
+        value, grad, hess = amap.barrier_grad_hess(chols)
+        ref_value, ref_grad, ref_hess = barrier_oracle(amap, x)
+        assert_close(value, ref_value, 1e-12)
+        assert_close(grad, ref_grad, 1e-12)
+        assert_close(hess, ref_hess, 1e-12)
+        assert np.array_equal(hess, hess.T)
+        value_only, grad_only = amap.barrier_grad(chols)
+        assert amap.barrier_value(chols) == value == value_only
+        assert np.array_equal(grad_only, grad)
+
+
+class TestPaddedFactors:
+    """Every Hermitian block is factored in one identity-padded stack."""
+
+    @pytest.mark.parametrize("entry", [0.0, -1e-300, -0.5, np.nan])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_failing_smallest_block_is_never_hidden(self, entry, reverse):
+        # N=4 has blocks of sizes 1, 3 and 5 (in either order); only the
+        # 1x1 one fails, and the padding around it has unit pivots
+        param = Parametrization(sector_layout(4))
+        affine = param.affine
+        x = param.coordinates(interior_ensemble(4, np.random.default_rng(3)))
+        order = slice(None, None, -1 if reverse else 1)
+        amap = AffineBlockMap(affine.constants[order], affine.dir_stacks[order],
+                              affine.dir_indices[order], param.dimension)
+        blocks = amap.blocks(x)
+        assert amap.cholesky_list(blocks) is not None
+        smallest = [b.shape for b in blocks].index((1, 1))
+        blocks[smallest] = np.array([[entry]], dtype=complex)
+        assert amap.cholesky_list(blocks) is None
+
+    @BARRIER_PROPERTY
+    @given(**MAP_SHAPES)
+    def test_ray_eigenvalues_are_each_blocks_own(self, sizes, m, dim, seed):
+        # block b fills entries [b*pad, (b+1)*pad) with its own generalized
+        # eigenvalues eig(Delta_b, rho_b) and pad - n_b zeros; the slacks follow
+        rng = np.random.default_rng(seed)
+        amap = random_block_map(rng, sizes, m, dim)
+        x = rng.uniform(-1.0, 1.0, dim)
+        x *= 0.04 / np.abs(x).sum()
+        delta = rng.normal(size=dim)
+        mu = amap.ray_eigenvalues(amap.cholesky_list(amap.blocks(x)), delta)
+        blocks = amap.blocks(x)
+        steps = [b - c for b, c in zip(amap.blocks(delta), amap.constants)]
+        pad = max(sizes)
+        assert mu.size == len(sizes) * pad + m
+        for b, n in enumerate(sizes):
+            own = scipy.linalg.eigh(steps[b], blocks[b], eigvals_only=True)
+            expected = np.sort(np.concatenate([own, np.zeros(pad - n)]))
+            assert_close(np.sort(mu[b * pad : (b + 1) * pad]), expected, 1e-10)
+        assert_close(mu[len(sizes) * pad :], steps[-1] / blocks[-1], 1e-12)
