@@ -139,10 +139,15 @@ def optimize_witness(
 
     Runs the interior-point loop on the slack-block barrier starting from
     the strictly feasible z = -1 (slack 1 + |T| on the top sector, |T|
-    elsewhere); stages before the last two are centred approximately, as
-    in ``reconstruct``.  On solver failure the raised
-    ``NonConvergenceError`` carries the last strictly feasible
-    coefficients as ``last_z``.
+    elsewhere) on ``reconstruct``'s path: stages before the last two are
+    centred approximately, every stage but the first and the last starts
+    with a central-path tangent step from the factor the one before
+    ended with, and the final stage takes plain Newton steps.  For this
+    linear objective the tangent at a centre points along the next
+    stage's Newton direction, so the tangent saves no steps here.  On
+    solver failure, or with ``config.strict`` on a stage that stops
+    unconverged, the raised ``NonConvergenceError`` carries the last
+    strictly feasible coefficients as ``last_z``.
     """
     if settings is None:
         settings = (E1, E2, E3)
@@ -188,8 +193,12 @@ def optimize_witness(
     # newton_stage as looked up in this module, so instrumentation of
     # this module's name tells the witness's stages from reconstruction's
     try:
-        for _, stage in _barrier_path(fit, affine, t_schedule(cfg), x, cfg, newton_stage):
+        for t, stage in _barrier_path(fit, affine, t_schedule(cfg), x, cfg, newton_stage):
             x = stage.x
+            if cfg.strict and not stage.converged:
+                raise NonConvergenceError(
+                    f"witness stage t={t:g} stopped at gradient norm {stage.grad_norm:.3e}"
+                )
     except NonConvergenceError as err:
         err.last_z = x.copy()
         raise

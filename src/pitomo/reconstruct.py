@@ -44,15 +44,29 @@ relative to the block, so the barrier along the ray is exactly
 1 / max(-mu).  A safeguarded 1-D Newton search on the derivatives of
 fit + barrier along the ray picks the step, and Cholesky feasibility +
 Armijo backtracking start from it.  The fit and barrier derivatives do
-not depend on t, so the ones that end a stage start the next.
-Standard barrier duality gives F(x_t) - F(x*) <= t * compressed_dim with
-certificate Lambda = t rho(x_t)^{-1}, which is what ``gap_bound``
-reports.  Only the last stage's point is returned, so the stages before
-the last two stop in Newton's quadratic region, once the squared Newton
-decrement lambda^2 <= CENTERING * t.  The last two keep lambda^2 <=
-grad_tol^2: the final stage lands wherever its start sends it, and an
-exactly centred start keeps estimate and certificate as on an all-exact
-path.  The pretest's linear-objective LMI runs on the same engine.
+not depend on t, so the ones that end a stage start the next, and so
+does the Cholesky factor of the Newton system M_t = t H_bar + H_fit
+whose decrement ended it.  The next stage, at t', takes its first
+direction from that factor with its own gradient,
+-M_t^-1 (grad F + t' grad B); at a t-centre grad F = -t grad B, so this
+is (t' - t) x'(t), the first-order predictor along the central path
+with tangent x' = -M_t^-1 grad B (Boyd & Vandenberghe, Convex
+Optimization, 11.3), at the cost of one triangular solve.  The ray
+search picks its length; if it is not a descent direction or no trial
+point is accepted, the stage takes the Newton direction at the same
+point, so the predictor never ends a stage.  A factor is dropped once
+its direction is formed, so none is held while derivatives are
+evaluated.  Standard barrier duality gives F(x_t) - F(x*) <=
+t * compressed_dim with certificate Lambda = t rho(x_t)^{-1}, which is
+what ``gap_bound`` reports.  Only the last stage's point is returned,
+so the stages before the last two stop in Newton's quadratic region,
+once the squared Newton decrement lambda^2 <= CENTERING * t.  The last
+two keep lambda^2 <= grad_tol^2: the final stage lands wherever its
+start sends it, so it gets no factor and starts from the exact centre
+of the one before with plain Newton steps, which keeps estimate and
+certificate as on an all-exact path.  The pretest's linear-objective
+LMI runs on the same engine.  ``build_fit_model`` shares one read-only
+``Parametrization`` per layout across fits.
 
 ``fixed_point_reconstruct`` provides the non-convex iteration
 rho_j <- R_j rho_j R_j / norm with R_j = sum (f/p) M_{k,j}, mainly as a
@@ -586,7 +600,8 @@ class Parametrization:
     """Orthonormal affine coordinates on unit-trace PI states.
 
     d = sum_j (2j+1)^2 - 1 real coordinates; x = 0 is the compressed
-    maximally mixed state.
+    maximally mixed state.  Every array it holds is read-only, so one
+    instance can serve every fit on its layout (``_shared_parametrization``).
     """
 
     def __init__(self, layout: SpinSectorLayout):
@@ -624,6 +639,11 @@ class Parametrization:
         tables = _GellMannTables(dims, gg_offsets[:-1], shift_coeff, self.dimension)
         self.affine = AffineBlockMap(constants, stacks, indices, self.dimension,
                                      gell_mann=tables)
+        # read-only: ``build_fit_model`` shares one instance per layout
+        for array in (shift_coeff, tables.Q, tables.Qc, tables.slot_rows,
+                      tables.slot_cols, *self.affine.constants,
+                      *self.affine.dir_stacks, *self.affine.dir_indices):
+            array.setflags(write=False)
 
     def blocks(self, x: np.ndarray) -> dict[int, np.ndarray]:
         mats = self.affine.blocks(x)
@@ -662,6 +682,13 @@ class Parametrization:
             pos = np.flatnonzero(idx == i)
             out[two_j] = D[pos[0]].copy() if pos.size else np.zeros((n, n), complex)
         return out
+
+
+@functools.lru_cache(maxsize=4)
+def _shared_parametrization(layout: SpinSectorLayout) -> Parametrization:
+    """The ``Parametrization`` of a layout, built once: it depends on
+    nothing else, and its arrays are read-only."""
+    return Parametrization(layout)
 
 
 # ---------------------------------------------------------------------------
@@ -905,6 +932,7 @@ def _newton_direction(H_fit, H_bar, t, g):
     """Solve (t H_bar + H_fit) delta = -g by Cholesky, adding an
     escalating ridge on factorization failure or loss of descent
     (lambda = 1e-12 (1 + max diag), then x10, at most three escalations).
+    Returns (delta, slope g^T delta, factor).
 
     The system is assembled in a fresh buffer and factored in place,
     rebuilt on each retry: H_fit may be shared, and both Hessians stay
@@ -926,9 +954,19 @@ def _newton_direction(H_fit, H_bar, t, g):
         delta = cho_solve(factor, -g, check_finite=False)
         slope = float(g @ delta)
         if slope < 0.0 and np.all(np.isfinite(delta)):
-            return delta, slope
+            return delta, slope, factor
         ridge = 1e-12 * (1.0 + max_diag) if ridge == 0.0 else ridge * 10.0
     raise NonConvergenceError("Newton system unsolvable even with ridge repair")
+
+
+def _tangent_direction(factor, g):
+    """(delta, slope) of delta = -M^-1 g, from the factor of the last
+    stage's Newton system M = t H_bar + H_fit and this stage's gradient
+    g = grad F + t' grad B at the same point.  At a t-centre grad F =
+    -t grad B, so delta = (t' - t) x'(t): the step along the central
+    path's tangent x' = -M^-1 grad B.  No factorization is made."""
+    delta = cho_solve(factor, -g, check_finite=False)
+    return delta, float(g @ delta)
 
 
 def _ray_step(fit_derivatives, mu: np.ndarray, t: float, slope: float) -> float:
@@ -960,6 +998,24 @@ def _ray_step(fit_derivatives, mu: np.ndarray, t: float, slope: float) -> float:
     return a
 
 
+def _line_search(fit, affine, chols, x, obj, t, delta, slope, cfg):
+    """From the ray's step, backtrack to a feasible trial point (every
+    block passes Cholesky) with Armijo sufficient decrease; returns its
+    (x, factors, objective, fit value), or None if no step >= 1e-16 is
+    accepted."""
+    step = _ray_step(fit.ray(x, delta), affine.ray_eigenvalues(chols, delta), t, slope)
+    while step >= 1e-16:
+        x_new = x + step * delta
+        chols_new = affine.cholesky_list(affine.blocks(x_new))
+        if chols_new is not None:
+            fit_new = fit.value(x_new)
+            obj_new = fit_new + t * affine.barrier_value(chols_new)
+            if obj_new <= obj + cfg.ls_alpha * step * slope:
+                return x_new, chols_new, obj_new, fit_new
+        step *= cfg.ls_shrink
+    return None
+
+
 def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
                  config: SolverConfig | None = None, *,
                  exact: bool = True, carry: list | None = None) -> StageResult:
@@ -974,11 +1030,22 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
     ``exact=False`` also once lambda^2 <= CENTERING * t, in Newton's
     quadratic region of fit/t + barrier.
 
-    ``carry`` hands derivatives from stage to stage; they do not depend
-    on t.  If it holds (fit gradient, fit Hessian, barrier gradient,
-    barrier Hessian) taken at x_start, they replace the first evaluation
-    and are removed from it; on return it holds those at the returned
-    point, if the stage evaluated them there.
+    ``carry`` hands work from stage to stage.  If it holds (fit
+    gradient, fit Hessian, barrier gradient, barrier Hessian, factor)
+    taken at x_start, the four derivatives, which do not depend on t,
+    replace the first evaluation, and the tuple is removed from it.  The
+    factor, if not None, is the Cholesky factor of the last stage's
+    Newton system at x_start: the first direction is then the
+    central-path tangent step -M^-1 (grad F + t grad B) of
+    ``_tangent_direction``, which costs no factorization, and its step
+    length comes from the same ray search.  If it is not a descent
+    direction or no trial point is accepted, the stage takes the Newton
+    direction at the same point instead, so the tangent never ends a
+    stage.  On return ``carry`` holds the tuple at the returned point if
+    the stage evaluated the derivatives there, with the factor of the
+    direction whose decrement ended the stage, or None.  A factor is
+    dropped as soon as its direction is formed, so none is held while
+    derivatives are evaluated.
     """
     cfg = config or SolverConfig()
     affine = getattr(parametrization, "affine", parametrization)
@@ -993,10 +1060,11 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
     grad_norm = math.inf
     decrement = math.nan
     converged = False
+    factor = tangent = None
     eps = float(np.finfo(float).eps)
     for _ in range(cfg.max_newton_iters):
         if carry:
-            g_fit, H_fit, bg, bH = carry.pop()
+            g_fit, H_fit, bg, bH, tangent = carry.pop()
         else:
             g_fit, H_fit = fit.gradient_hessian(x)
             _, bg, bH = affine.barrier_grad_hess(chols)
@@ -1005,7 +1073,16 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
         if grad_norm <= cfg.grad_tol:
             converged = True
             break
-        delta, slope = _newton_direction(H_fit, bH, t, g)
+        if tangent is not None:
+            delta, slope = _tangent_direction(tangent, g)
+            tangent = None
+            if -slope > 64.0 * eps * abs(obj) and np.all(np.isfinite(delta)):
+                trial = _line_search(fit, affine, chols, x, obj, t, delta, slope, cfg)
+                if trial is not None:
+                    x, chols, obj, fit_v = trial
+                    iterations += 1
+                    continue
+        delta, slope, factor = _newton_direction(H_fit, bH, t, g)
         decrement = -slope
         # Affine-invariant centrality: the squared Newton decrement
         # g^T H^-1 g is what self-concordance bounds the remaining
@@ -1016,25 +1093,16 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
         if decrement <= cfg.grad_tol**2 or (not exact and decrement <= CENTERING * t):
             converged = True
             break
+        factor = None
 
         if -slope > 64.0 * eps * abs(obj):
             # ordinary phase: from the ray's step, feasibility, then
             # Armijo sufficient decrease
-            step = _ray_step(fit.ray(x, delta), affine.ray_eigenvalues(chols, delta), t, slope)
-            accepted = False
-            while step >= 1e-16:
-                x_new = x + step * delta
-                chols_new = affine.cholesky_list(affine.blocks(x_new))
-                if chols_new is not None:
-                    fit_new = fit.value(x_new)
-                    obj_new = fit_new + t * affine.barrier_value(chols_new)
-                    if obj_new <= obj + cfg.ls_alpha * step * slope:
-                        accepted = True
-                        break
-                step *= cfg.ls_shrink
-            if not accepted:
+            trial = _line_search(fit, affine, chols, x, obj, t, delta, slope, cfg)
+            if trial is None:
                 converged = grad_norm <= cfg.grad_tol * (1.0 + abs(obj))
                 break
+            x_new, chols_new, obj_new, fit_new = trial
         else:
             # endgame: the predicted decrease is beneath the objective's
             # roundoff, so Armijo cannot certify progress.  Take the full
@@ -1070,7 +1138,7 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
         H_fit = None  # the loop's derivatives predate the last step
 
     if carry is not None and H_fit is not None:
-        carry.append((g_fit, H_fit, bg, bH))
+        carry.append((g_fit, H_fit, bg, bH, factor))
     return StageResult(
         x=x,
         iterations=iterations,
@@ -1100,14 +1168,22 @@ def _barrier_path(fit, affine, schedule, x, config, stage=None):
     at the last one's point, and yield (t, StageResult) after each.
 
     Stages before the last EXACT_STAGES are centred approximately.  The
-    derivatives that end one stage seed the next through ``carry``, which
-    the stage empties on use, so no Hessian outlives its step.  ``stage``
+    derivatives that end one stage, and the factor of the Newton system
+    whose decrement ended it, seed the next through ``carry``, which the
+    stage empties on use, so no Hessian or factor outlives the stage
+    after the one that made it.  Every stage but the first and the last
+    thus starts with a central-path tangent step.  The final stage gets
+    the derivatives without the factor: it starts from the exact centre
+    of the one before with plain Newton steps, so its point, and the
+    certificate t * dim, are those of an all-exact path.  ``stage``
     replaces ``newton_stage`` for a caller that passes it as looked up
     in its own module.
     """
     stage = stage or newton_stage
     carry = []
     for i, t in enumerate(schedule):
+        if carry and i == len(schedule) - 1:
+            carry.append(carry.pop()[:4] + (None,))
         result = stage(fit, affine, t, x, config,
                        exact=i >= len(schedule) - EXACT_STAGES, carry=carry)
         x = result.x
@@ -1156,10 +1232,11 @@ def _resolve_spec(spec: FitSpec, dataset, freqs) -> FitSpec:
 
 def build_fit_model(dataset, spec: FitSpec,
                     parametrization: Parametrization | None = None) -> FitModel:
-    """Assemble the FitModel (overlap table, frequencies) for a dataset."""
+    """Assemble the FitModel (overlap table, frequencies) for a dataset.
+
+    Without ``parametrization`` the layout's shared instance is used."""
     freqs = [rec.frequencies for rec in dataset.records]
-    layout = sector_layout(dataset.n_qubits)
-    param = parametrization or Parametrization(layout)
+    param = parametrization or _shared_parametrization(sector_layout(dataset.n_qubits))
     measurement = stacked_blocks(dataset.n_qubits, [rec.setting for rec in dataset.records])
     resolved = _resolve_spec(spec, dataset, freqs)
     return FitModel(resolved, param, measurement, freqs)

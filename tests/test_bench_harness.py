@@ -10,9 +10,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pitomo.povm import Setting
 from pitomo.pretest import optimize_witness
+from pitomo.sim import sample_dataset
 from pitomo.spin_blocks import dicke_ensemble
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -82,6 +85,41 @@ def test_tracer_sees_witness_barrier_work(tracing):
     assert metrics["pretest.newton_steps"] > 0
     assert metrics["reconstruct.barrier_derivs_calls"] == metrics["pretest.newton_steps"] + 1
     assert metrics["reconstruct.line_search_calls"] > 0
+
+
+def test_tracer_sees_tangent_solves(tracing, monkeypatch):
+    # every Newton direction is one cho_factor and one cho_solve; the
+    # central-path tangent that starts a stage solves with the factor
+    # the stage before ended with, one cho_solve alone.  A solve moved
+    # off the hooked module-level cho_solve would vanish from the
+    # factor layer
+    api = tracing.pitomo_modules()
+    recon = api["reconstruct"]
+    tangents = []
+    original = recon._tangent_direction
+
+    def counted(factor, g):
+        tangents.append(None)
+        return original(factor, g)
+
+    monkeypatch.setattr(recon, "_tangent_direction", counted)
+    rng = np.random.default_rng(4)
+    axes = rng.normal(size=(12, 3))
+    settings = [Setting(axis=a / np.linalg.norm(a)) for a in axes]
+    dataset = sample_dataset(dicke_ensemble(3, 1), settings, 500, seed=5)
+    tracer = tracing.Tracer()
+    tracer.install(api)
+    try:
+        tracer.active = True
+        result = recon.reconstruct(dataset, recon.FitSpec.max_lik())
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert result.converged
+    names = [span[0] for span in tracer.spans]
+    assert tangents
+    assert names.count("reconstruct.cho_solve") == (
+        names.count("reconstruct.cho_factor") + len(tangents))
 
 
 def test_tiny_passes_pass_their_checks(tracing, workloads):

@@ -218,6 +218,20 @@ class TestOptimizeWitness:
         np.testing.assert_allclose(err.value.last_z, -np.ones(9))
 
 
+    def test_strict_raises_on_an_unconverged_stage(self):
+        # one Newton step per stage centres none of them: the witness is
+        # still returned, unless the config is strict
+        target = dicke_ensemble(3, 1)
+        assert optimize_witness(target, config=SolverConfig(max_newton_iters=1)).objective <= 1.0
+        with pytest.raises(NonConvergenceError, match="witness stage") as err:
+            optimize_witness(target, config=SolverConfig(max_newton_iters=1, strict=True))
+        # the first stage's point: one step from z = -1, inside the box
+        last_z = err.value.last_z
+        assert "t=1 " in str(err.value) and last_z.shape == (12,)
+        assert not np.allclose(last_z, -1.0)
+        assert np.all(np.abs(last_z) < DEFAULT_COEFFICIENT_BOUND)
+
+
 class TestFullSpaceFeasibility:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_witness_below_symmetric_projector(self, n):

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +38,8 @@ from pitomo.spin_blocks import (
 )
 
 import oracles
+
+reconstruct_module = importlib.import_module("pitomo.reconstruct")
 
 
 def random_settings(rng, count):
@@ -207,6 +211,18 @@ class TestParametrization:
         other = maximally_mixed_ensemble(sector_layout(4))
         with pytest.raises(ValueError):
             param.coordinates(other)
+
+    def test_fits_share_one_read_only_instance(self):
+        rng = np.random.default_rng(3)
+        ds = exact_dataset(interior_ensemble(3, rng), random_settings(rng, 12))
+        shared = build_fit_model(ds, FitSpec.max_lik()).parametrization
+        assert build_fit_model(ds, FitSpec.free_least_squares()).parametrization is shared
+        affine, tables = shared.affine, shared.affine.gell_mann
+        for array in (shared.shift_coeff, tables.Q, tables.Qc, *affine.constants,
+                      *affine.dir_stacks, *affine.dir_indices):
+            assert not array.flags.writeable
+        own = Parametrization(shared.layout)
+        assert build_fit_model(ds, FitSpec.max_lik(), own).parametrization is own
 
     def test_single_sector_has_no_shifts(self):
         # N = 1 has one sector; all directions are Gell-Mann matrices.
@@ -479,6 +495,43 @@ class TestMLStationarityAtUniformData:
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
+def stage_end(principle, exact=True):
+    """A sampled N=3 fit and its stage at t = 0.1 from x = 0, with the
+    carry that stage leaves: (model, parametrization, stage, carry)."""
+    rng = np.random.default_rng(4)
+    ds = sampled_dataset(interior_ensemble(3, rng), random_settings(rng, 12), 500, rng)
+    model = build_fit_model(ds, FitSpec(principle=principle))
+    param = model.parametrization
+    carry = []
+    first = newton_stage(model, param, 0.1, np.zeros(param.dimension), exact=exact,
+                         carry=carry)
+    assert first.converged and len(carry) == 1
+    return model, param, first, carry
+
+
+def assert_same_stage(a, b):
+    for field in dataclasses.fields(StageResult):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name),
+                              equal_nan=True), field.name
+
+
+def assert_same_carry(a, b):
+    """Equal carried derivatives and equal factors (or both None)."""
+    for u, v in zip(a[:4], b[:4]):
+        assert np.array_equal(u, v)
+    assert (a[4] is None) == (b[4] is None)
+    if a[4] is not None:
+        assert np.array_equal(a[4][0], b[4][0]) and a[4][1] == b[4][1]
+
+
+def newton_decrement(model, param, t, x):
+    """lambda^2 = g^T (t H_bar + H_fit)^-1 g at x, from fresh derivatives."""
+    g_fit, H_fit = model.gradient_hessian(x)
+    _, bg, bH = barrier_value_grad_hess(param, x, 1.0)
+    g = g_fit + t * bg
+    return float(g @ np.linalg.solve(t * bH + H_fit, g))
+
+
 class TestNewtonStage:
     def make_model(self, seed=2):
         rng = np.random.default_rng(seed)
@@ -527,23 +580,15 @@ class TestNewtonStage:
     @pytest.mark.parametrize("exact", [True, False])
     def test_carried_derivatives_seed_exactly(self, principle, exact):
         # the derivatives that end one stage do not depend on t, so
-        # seeding the next stage with them changes nothing, bit for bit
-        rng = np.random.default_rng(4)
-        ds = sampled_dataset(interior_ensemble(3, rng), random_settings(rng, 12), 500, rng)
-        model = build_fit_model(ds, FitSpec(principle=principle))
-        param = model.parametrization
-        carry = []
-        first = newton_stage(model, param, 0.1, np.zeros(param.dimension), carry=carry)
-        assert len(carry) == 1
-        seeded_carry, fresh_carry = carry, []
+        # seeding the next stage with them, its factor slot empty,
+        # changes nothing, bit for bit
+        model, param, first, carry = stage_end(principle)
+        seeded_carry, fresh_carry = [carry.pop()[:4] + (None,)], []
         seeded = newton_stage(model, param, 0.01, first.x, exact=exact, carry=seeded_carry)
         fresh = newton_stage(model, param, 0.01, first.x, exact=exact, carry=fresh_carry)
         assert seeded.iterations > 0
-        for field in dataclasses.fields(StageResult):
-            assert np.array_equal(getattr(seeded, field.name), getattr(fresh, field.name),
-                                  equal_nan=True), field.name
-        for a, b in zip(seeded_carry.pop(), fresh_carry.pop()):
-            assert np.array_equal(a, b)
+        assert_same_stage(seeded, fresh)
+        assert_same_carry(seeded_carry.pop(), fresh_carry.pop())
         assert seeded_carry == fresh_carry == []
 
     @pytest.mark.parametrize("principle", ["ml", "ls", "freels", "hedged"])
@@ -562,6 +607,136 @@ class TestNewtonStage:
         result = reconstruct(ds, spec)
         assert result.converged
         assert len(calls) == result.total_iterations + 1
+
+
+class TestTangentStart:
+    """A stage handed the factor that ended the last one starts with the
+    central-path tangent step, then continues with Newton steps."""
+
+    def test_first_direction_is_the_tangent_step(self, monkeypatch):
+        # at a t-centre grad F = -t grad B, so the first direction
+        # -M_t^-1 (grad F + t' grad B) is (t' - t) x'(t) with the tangent
+        # x' = -M_t^-1 grad B; the centre must be exact to the 1e-10
+        # compared here, so this stage is centred to a tighter tolerance
+        rng = np.random.default_rng(4)
+        ds = sampled_dataset(interior_ensemble(4, rng), random_settings(rng, 17), 500, rng)
+        model = build_fit_model(ds, FitSpec.least_squares())
+        param = model.parametrization
+        carry = []
+        centre = newton_stage(model, param, 1.0, np.zeros(param.dimension),
+                              SolverConfig(grad_tol=1e-11), carry=carry)
+        g_fit, H_fit, bg, bH, factor = carry[0]
+        assert centre.decrement <= 1e-22 and factor is not None
+        expected = (0.1 - 1.0) * -np.linalg.solve(1.0 * bH + H_fit, bg)
+        directions = []
+        original = reconstruct_module._tangent_direction
+
+        def recorded(factor, g):
+            delta, slope = original(factor, g)
+            directions.append(delta)
+            return delta, slope
+
+        monkeypatch.setattr(reconstruct_module, "_tangent_direction", recorded)
+        newton_stage(model, param, 0.1, centre.x, carry=carry)
+        assert len(directions) == 1
+        error = np.linalg.norm(directions[0] - expected)
+        assert error <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
+    @pytest.mark.parametrize("max_iters", [1, 200])
+    def test_stage_steps_and_reports_its_own_decrement(self, principle, max_iters):
+        # the tangent's slope is formed with the last stage's system and
+        # is never reported: a stage whose last direction was the
+        # tangent reports NaN
+        model, param, first, carry = stage_end(principle, exact=False)
+        assert carry[0][4] is not None
+        cfg = SolverConfig(max_newton_iters=max_iters)
+        stage = newton_stage(model, param, 0.01, first.x, cfg, exact=False, carry=carry)
+        assert stage.iterations >= 1
+        if max_iters == 1:
+            assert math.isnan(stage.decrement)
+        else:
+            assert stage.decrement == pytest.approx(
+                newton_decrement(model, param, 0.01, stage.x), rel=1e-8)
+            assert stage.decrement <= CENTERING * 0.01
+
+    @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
+    def test_failed_tangent_falls_back_to_newton(self, principle, monkeypatch):
+        # with a non-descent tangent the stage takes the Newton direction
+        # at the same point: exactly the stage started without a factor
+        model, param, first, carry = stage_end(principle, exact=False)
+        assert carry[0][4] is not None
+        original = reconstruct_module._tangent_direction
+
+        def uphill(factor, g):
+            delta, slope = original(factor, g)
+            return -delta, -slope
+
+        monkeypatch.setattr(reconstruct_module, "_tangent_direction", uphill)
+        plain_carry = [carry[0][:4] + (None,)]
+        fallback = newton_stage(model, param, 0.01, first.x, carry=carry)
+        plain = newton_stage(model, param, 0.01, first.x, carry=plain_carry)
+        assert fallback.converged and fallback.iterations > 0
+        assert_same_stage(fallback, plain)
+        assert_same_carry(carry.pop(), plain_carry.pop())
+
+    def test_no_factor_is_alive_during_derivative_evaluation(self, monkeypatch):
+        # a factor is dropped once its direction is formed, or once the
+        # next stage's tangent is: the Newton system's memory is not
+        # held beside the fit Hessian being built
+        factors, alive = [], []
+        original_factor = reconstruct_module.cho_factor
+        original_derivatives = FitModel.gradient_hessian
+
+        def tracked(*args, **kwargs):
+            factor = original_factor(*args, **kwargs)
+            factors.append(weakref.ref(factor[0]))
+            return factor
+
+        def checked(self, x):
+            alive.append(sum(ref() is not None for ref in factors))
+            return original_derivatives(self, x)
+
+        monkeypatch.setattr(reconstruct_module, "cho_factor", tracked)
+        monkeypatch.setattr(FitModel, "gradient_hessian", checked)
+        rng = np.random.default_rng([4, 0])
+        state = interior_ensemble(4, rng)
+        ds = sampled_dataset(state, random_settings(rng, 17), 500, rng)
+        assert reconstruct(ds, FitSpec.max_lik()).converged
+        assert len(factors) > 0 and len(alive) > 0
+        assert max(alive) == 0
+
+    @pytest.mark.parametrize("n, spec", [
+        (4, FitSpec.max_lik()),
+        (4, FitSpec.least_squares()),
+        (4, FitSpec.free_least_squares()),
+        (3, FitSpec.hedged(0.01)),
+    ])
+    def test_final_stage_gets_no_factor(self, n, spec, monkeypatch):
+        rng = np.random.default_rng([n, 0 if spec.beta is None else 1])
+        state = interior_ensemble(n, rng)
+        settings = random_settings(rng, (n + 1) * (n + 2) // 2 + 2)
+        ds = sampled_dataset(state, settings, 500, rng)
+        received = []
+        original = reconstruct_module.newton_stage
+
+        def recording(*args, carry, **kwargs):
+            received.append(carry[0][4] if carry else "empty")
+            return original(*args, carry=carry, **kwargs)
+
+        monkeypatch.setattr(reconstruct_module, "newton_stage", recording)
+        result = reconstruct(ds, spec)
+        assert result.converged
+        assert len(received) == len(result.trace) >= 3
+        assert received[0] == "empty"
+        # a stage that ended on the decrement test hands on its factor;
+        # one that ended on the gradient-norm test formed none
+        for before, factor in zip(result.trace[:-2], received[1:-1]):
+            assert isinstance(factor, tuple) == (not math.isnan(before.decrement))
+        # the stage before the last ended on the decrement test, with a
+        # factor; the last stage gets only the derivatives
+        assert not math.isnan(result.trace[-2].decrement)
+        assert received[-1] is None
 
 
 class TestTSchedule:
