@@ -20,7 +20,6 @@ from .povm import (
     probabilities,
     rotated_blocks,
     save_settings,
-    standard_blocks,
 )
 from .pretest import (
     PretestWitness,

@@ -22,7 +22,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +66,7 @@ from .spin_blocks import (
     trace_distance,
 )
 
-__all__ = ["JobConfig", "main", "EXIT_OK", "EXIT_SOLVER", "EXIT_INPUT"]
+__all__ = ["main", "EXIT_OK", "EXIT_SOLVER", "EXIT_INPUT"]
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -80,30 +79,8 @@ class CliInputError(ValueError):
     """Invalid command parameters or malformed input files."""
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    """One validated job: the subcommand plus its parameter record."""
-
-    command: str
-    params: dict
-    seed: int | None = None
-    output: str | None = None
-    verbose: bool = False
-
-    @classmethod
-    def from_namespace(cls, namespace) -> "JobConfig":
-        params = dict(vars(namespace))
-        return cls(
-            command=params.pop("command"),
-            seed=params.pop("seed", None),
-            output=params.pop("output", None),
-            verbose=params.pop("verbose", False),
-            params=params,
-        )
-
-
-def _say(config: JobConfig, message: str) -> None:
-    if config.verbose:
+def _say(args: argparse.Namespace, message: str) -> None:
+    if args.verbose:
         print(message)
 
 
@@ -137,31 +114,30 @@ def _write_csv(path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(config: JobConfig) -> int:
-    p = config.params
-    n = p["n"]
+def cmd_simulate(args: argparse.Namespace) -> int:
+    n = args.n
     if n is None:
         raise CliInputError("--n is required")
-    if p["settings"] is None:
+    if args.settings is None:
         raise CliInputError("--settings is required")
-    if config.output is None:
+    if args.output is None:
         raise CliInputError("--output is required")
-    settings = load_settings(p["settings"])
-    state = _build_state(p["state"], n, p["excitations"], config.seed)
-    if p["exact"]:
+    settings = load_settings(args.settings)
+    state = _build_state(args.state, n, args.excitations, args.seed)
+    if args.exact:
         dataset = exact_dataset(state, settings)
     else:
-        if p["shots"] is None:
+        if args.shots is None:
             raise CliInputError("--shots is required unless --exact is given")
         dataset = sample_dataset(
-            state, settings, repetitions=p["shots"], seed=config.seed
+            state, settings, repetitions=args.shots, seed=args.seed
         )
-    save_dataset(dataset, config.output)
-    detail = "exact" if dataset.exact else f"{p['shots']} shots"
+    save_dataset(dataset, args.output)
+    detail = "exact" if dataset.exact else f"{args.shots} shots"
     _say(
-        config,
+        args,
         f"wrote {len(dataset.records)} records for N={n} ({detail}) "
-        f"to {config.output}",
+        f"to {args.output}",
     )
     return EXIT_OK
 
@@ -171,44 +147,43 @@ def cmd_simulate(config: JobConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solver_config(p: dict) -> SolverConfig:
+def _solver_config(args: argparse.Namespace) -> SolverConfig:
     base = SolverConfig()
     return SolverConfig(
-        t0=base.t0 if p["t0"] is None else p["t0"],
-        t_min=base.t_min if p["t_min"] is None else p["t_min"],
-        grad_tol=base.grad_tol if p["grad_tol"] is None else p["grad_tol"],
+        t0=base.t0 if args.t0 is None else args.t0,
+        t_min=base.t_min if args.t_min is None else args.t_min,
+        grad_tol=base.grad_tol if args.grad_tol is None else args.grad_tol,
         max_newton_iters=(
             base.max_newton_iters
-            if p["max_newton_iters"] is None
-            else p["max_newton_iters"]
+            if args.max_newton_iters is None
+            else args.max_newton_iters
         ),
-        strict=p["strict"],
+        strict=args.strict,
     )
 
 
-def _fit_spec(p: dict) -> FitSpec:
-    principle = p["principle"]
+def _fit_spec(args: argparse.Namespace) -> FitSpec:
+    principle = args.principle
     if principle == "hedged":
-        if p["beta"] is None:
+        if args.beta is None:
             raise CliInputError("--principle hedged requires --beta")
-        return FitSpec.hedged(p["beta"])
-    if p["beta"] is not None:
+        return FitSpec.hedged(args.beta)
+    if args.beta is not None:
         raise CliInputError("--beta only applies to the hedged principle")
     return FitSpec(principle=principle)
 
 
-def cmd_reconstruct(config: JobConfig) -> int:
-    p = config.params
-    dataset = load_dataset(p["dataset"])
-    truth = SpinEnsemble.load(p["truth"]) if p["truth"] else None
+def cmd_reconstruct(args: argparse.Namespace) -> int:
+    dataset = load_dataset(args.dataset)
+    truth = SpinEnsemble.load(args.truth) if args.truth else None
     if truth is not None and truth.layout.n_qubits != dataset.n_qubits:
         raise CliInputError(
             f"truth is for N={truth.layout.n_qubits}, dataset for "
             f"N={dataset.n_qubits}"
         )
 
-    if p["algorithm"] == "fixed-point":
-        result = fixed_point_reconstruct(dataset, iterations=p["iters"])
+    if args.algorithm == "fixed-point":
+        result = fixed_point_reconstruct(dataset, iterations=args.iters)
         residual = likelihood_residual(dataset, result.estimate)
         payload = {
             "algorithm": "fixed-point",
@@ -229,9 +204,9 @@ def cmd_reconstruct(config: JobConfig) -> int:
             payload["truth_distance"] = distance
             summary += f", distance to truth {distance:.3e}"
     else:
-        spec = _fit_spec(p)
+        spec = _fit_spec(args)
         try:
-            result = reconstruct(dataset, spec, _solver_config(p))
+            result = reconstruct(dataset, spec, _solver_config(args))
         except NonConvergenceError as err:
             print(f"error: solver did not converge: {err}", file=sys.stderr)
             return EXIT_SOLVER
@@ -278,12 +253,12 @@ def cmd_reconstruct(config: JobConfig) -> int:
         if not result.converged:
             summary += " (NOT fully converged)"
 
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
-    if p["trace"]:
-        _write_csv(p["trace"], header, rows)
+    if args.trace:
+        _write_csv(args.trace, header, rows)
     print(summary)
     return EXIT_OK
 
@@ -293,11 +268,10 @@ def cmd_reconstruct(config: JobConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_pretest(config: JobConfig) -> int:
-    p = config.params
-    target = SpinEnsemble.load(p["target"])
+def cmd_pretest(args: argparse.Namespace) -> int:
+    target = SpinEnsemble.load(args.target)
     settings = (
-        tuple(load_settings(p["settings"])) if p["settings"] else (E1, E2, E3)
+        tuple(load_settings(args.settings)) if args.settings else (E1, E2, E3)
     )
     witness = optimize_witness(target, settings)
     print(f"witness objective at target: {witness.objective:.9f}")
@@ -314,8 +288,8 @@ def cmd_pretest(config: JobConfig) -> int:
         "setting_maxima": witness.setting_maxima.tolist(),
         "setting_minima": witness.setting_minima.tolist(),
     }
-    if p["dataset"]:
-        dataset = load_dataset(p["dataset"])
+    if args.dataset:
+        dataset = load_dataset(args.dataset)
         expectation = witness_expectation(witness, dataset)
         bound = fidelity_bound(witness, dataset)
         payload["expectation"] = expectation
@@ -323,18 +297,18 @@ def cmd_pretest(config: JobConfig) -> int:
         print(f"measured expectation: {expectation:.6f}")
         print(f"fidelity bound: {bound:.6f}")
         if not dataset.exact:
-            stat = statistical_bound(witness, dataset, epsilon=p["epsilon"])
+            stat = statistical_bound(witness, dataset, epsilon=args.epsilon)
             payload["statistical_bound"] = stat.bound
             payload["confidence"] = stat.confidence
             print(
-                f"statistical bound at epsilon={p['epsilon']}: "
+                f"statistical bound at epsilon={args.epsilon}: "
                 f"{stat.bound:.6f} (confidence {stat.confidence:.6f})"
             )
-    if p["witness_out"]:
-        save_witness(witness, p["witness_out"])
-        _say(config, f"witness saved to {p['witness_out']}")
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.witness_out:
+        save_witness(witness, args.witness_out)
+        _say(args, f"witness saved to {args.witness_out}")
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
     return EXIT_OK
@@ -345,27 +319,26 @@ def cmd_pretest(config: JobConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_optimize_settings(config: JobConfig) -> int:
-    p = config.params
-    n = p["n"]
+def cmd_optimize_settings(args: argparse.Namespace) -> int:
+    n = args.n
     if n is None:
         raise CliInputError("--n is required")
-    if config.output is None:
+    if args.output is None:
         raise CliInputError("--output is required")
     layout = sector_layout(n)
-    target = SpinEnsemble.load(p["target"]) if p["target"] else (
+    target = SpinEnsemble.load(args.target) if args.target else (
         maximally_mixed_ensemble(layout)
     )
-    if p["initial"]:
-        initial = load_settings(p["initial"])
+    if args.initial:
+        initial = load_settings(args.initial)
     else:
-        count = p["count"] or determined_setting_count(n)
-        initial = random_settings(count, seed=config.seed)
+        count = args.count or determined_setting_count(n)
+        initial = random_settings(count, seed=args.seed)
     problem = DesignProblem(
         n_qubits=n,
         target=target,
         settings=tuple(initial),
-        noise_constant=p["noise_constant"],
+        noise_constant=args.noise_constant,
     )
     if math.isinf(total_error(problem, problem.settings)):
         weight = first_deficient_weight(problem.settings, n)
@@ -374,12 +347,12 @@ def cmd_optimize_settings(config: JobConfig) -> int:
             f"weight-{weight} coefficient system is rank deficient"
         )
     result = optimize_settings(
-        problem, seed=config.seed, p_mix=p["p_mix"], max_stall=p["max_stall"]
+        problem, seed=args.seed, p_mix=args.p_mix, max_stall=args.max_stall
     )
-    save_settings(list(result.settings), config.output)
-    if p["trace"]:
+    save_settings(list(result.settings), args.output)
+    if args.trace:
         _write_csv(
-            p["trace"],
+            args.trace,
             ["iteration", "total_error"],
             [[i, repr(float(e))] for i, e in enumerate(result.error_trace)],
         )
@@ -396,29 +369,28 @@ def cmd_optimize_settings(config: JobConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_benchmark(config: JobConfig) -> int:
-    p = config.params
-    sizes = [int(tok) for tok in p["sizes"].split(",") if tok]
-    principles = [tok.strip() for tok in p["principles"].split(",") if tok]
+def cmd_benchmark(args: argparse.Namespace) -> int:
+    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    principles = [tok.strip() for tok in args.principles.split(",") if tok]
     if not sizes:
         raise CliInputError("--sizes must name at least one qubit number")
     for principle in principles:
         if principle not in ("ml", "ls", "freels"):
             raise CliInputError(f"unsupported benchmark principle {principle!r}")
-    seed = 0 if config.seed is None else config.seed
+    seed = 0 if args.seed is None else args.seed
 
     rows = []
     for n in sizes:
         layout = sector_layout(n)
         truth = random_pi_state(layout, "haar-pure", seed=seed)
-        count = p["settings_count"] or determined_setting_count(n)
+        count = args.settings_count or determined_setting_count(n)
         settings = random_settings(count, seed=seed + 1)
         datasets = [
             ("exact", exact_dataset(truth, settings)),
             (
                 "sampled",
                 sample_dataset(
-                    truth, settings, repetitions=p["shots"], seed=seed + 2
+                    truth, settings, repetitions=args.shots, seed=seed + 2
                 ),
             ),
         ]
@@ -440,7 +412,7 @@ def cmd_benchmark(config: JobConfig) -> int:
                     ]
                 )
                 _say(
-                    config,
+                    args,
                     f"N={n} {principle} {mode}: {seconds:.2f}s, "
                     f"{result.total_iterations} iterations, "
                     f"distance {distance:.2e}",
@@ -455,8 +427,8 @@ def cmd_benchmark(config: JobConfig) -> int:
         "fit_value",
         "trace_distance",
     ]
-    if config.output:
-        _write_csv(config.output, header, rows)
+    if args.output:
+        _write_csv(args.output, header, rows)
     else:
         print(",".join(header))
         for row in rows:
@@ -568,9 +540,8 @@ def main(argv=None) -> int:
         namespace = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
-    config = JobConfig.from_namespace(namespace)
     try:
-        return _HANDLERS[config.command](config)
+        return _HANDLERS[namespace.command](namespace)
     except NonConvergenceError as err:
         print(f"error: solver did not converge: {err}", file=sys.stderr)
         return EXIT_SOLVER

@@ -65,7 +65,6 @@ from .spin_blocks import (
     PSD_TOL,
     SpinEnsemble,
     SpinSectorLayout,
-    _as_readonly,
     hermitian_expm,  # unused here; kept so the benchmark tracer's hook resolves
     sector_layout,
     spin_operators,
@@ -80,7 +79,6 @@ __all__ = [
     "StackedBlockSets",
     "stacked_blocks",
     "rotation_params",
-    "standard_blocks",
     "rotated_blocks",
     "probabilities",
     "moment_coefficients",
@@ -234,20 +232,6 @@ class StackedBlockSets(_RankOnePOVM):
 
     def outcome_slots(self, two_j: int) -> np.ndarray:
         return self.slots[two_j]
-
-
-def standard_blocks(n_qubits: int) -> MeasurementBlockSet:
-    """Block POVM for the z axis: projectors onto m = k - N/2.
-
-    Outcome k = k_offset + r sits at m = k - N/2, basis index two_j - r
-    (the basis is ordered m descending), so U_j is the exact anti-identity.
-    """
-    layout = sector_layout(n_qubits)
-    rotations = {
-        two_j: _as_readonly(np.eye(two_j + 1)[:, ::-1])
-        for two_j in layout.two_j_values
-    }
-    return MeasurementBlockSet(n_qubits=n_qubits, setting=E3, rotations=rotations)
 
 
 @lru_cache(maxsize=128)

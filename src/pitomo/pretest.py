@@ -14,9 +14,10 @@ into one LMI per sector:
 
 ``optimize_witness`` maximizes tr(rho_tar Z) over z subject to those
 LMIs plus a box |z| <= coefficient_bound, reusing the reconstruction
-module's log-det barrier Newton engine on the slack blocks (the
-2 S (N+1) box slacks B -/+ z enter as one diagonal block, whose barrier
-is -sum log of the slacks).  The box costs nothing at the optimum -
+module's log-det barrier Newton engine on the slack blocks (z_k^a
+enters each sector as the rank-one direction -M_{k,j}^a = -u u^dagger,
+and the 2 S (N+1) box slacks B -/+ z enter as one diagonal block, whose
+barrier is -sum log of the slacks).  The box costs nothing at the optimum -
 solutions sit at coefficients of order one - while making the feasible
 set compact: without it, outcomes the target never produces (common for
 Dicke targets) would let coefficients drift to -infinity along the
@@ -37,11 +38,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .povm import E1, E2, E3, MeasurementBlockSet, Setting, probabilities, rotated_blocks
+from .povm import E1, E2, E3, Setting, probabilities, rotated_blocks, stacked_blocks
 from .reconstruct import (
     AffineBlockMap,
     LinearFit,
     NonConvergenceError,
+    RankOneBlocks,
     SolverConfig,
     _barrier_path,
     newton_stage,
@@ -160,33 +162,23 @@ def optimize_witness(
     n = target.layout.n_qubits
     n_out = n + 1
     dim = len(settings) * n_out
-    block_sets = [rotated_blocks(n, s) for s in settings]
-
-    constants = []
-    dir_stacks = []
-    dir_indices = []
-    stacks = [bs.sector_stacks for bs in block_sets]
-    for two_j in target.layout.two_j_values:
-        d = two_j + 1
-        if two_j == n:
-            constants.append(np.eye(d, dtype=complex))
-        else:
-            constants.append(np.zeros((d, d), dtype=complex))
-        # direction of z[a, k] is -M_{k,j}^a, setting-major like z
-        dir_stacks.append(-np.concatenate([st[two_j] for st in stacks]))
-        dir_indices.append(np.concatenate([
-            a * n_out + bs.k_offset(two_j) + np.arange(d)
-            for a, bs in enumerate(block_sets)
-        ]))
-    # box slacks B - z_i >= 0, then B + z_i >= 0, as one diagonal block
-    constants.append(np.full(2 * dim, float(coefficient_bound)))
-    dir_stacks.append(np.hstack([-np.eye(dim), np.eye(dim)]))
-    dir_indices.append(np.arange(dim))
-    affine = AffineBlockMap(constants, dir_stacks, dir_indices, dim)
-
-    expectations = np.concatenate(
-        [probabilities(target, bs) for bs in block_sets]
+    stack = stacked_blocks(n, settings)
+    two_js = target.layout.two_j_values
+    # direction of z[a, k] is -M_{k,j}^a = -u u^dagger, u the column of U_j
+    # at the setting-major outcome slot a (N+1) + k, as z is laid out
+    directions = RankOneBlocks(
+        [stack.rotations[two_j] for two_j in two_js],
+        [-np.ones(stack.outcome_slots(two_j).size) for two_j in two_js],
+        [stack.outcome_slots(two_j) for two_j in two_js],
+        dim,
     )
+    constants = [np.eye(two_j + 1) * (two_j == n) for two_j in two_js]
+    # box slacks B - z_i >= 0, then B + z_i >= 0, as one diagonal block
+    box = (np.full(2 * dim, float(coefficient_bound)), np.hstack([-np.eye(dim), np.eye(dim)]),
+           np.arange(dim))
+    affine = AffineBlockMap(constants, directions, [box], dim)
+
+    expectations = probabilities(target, stack)
     fit = LinearFit(-expectations)
 
     x = np.full(dim, -1.0)

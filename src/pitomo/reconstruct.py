@@ -17,12 +17,19 @@ sector at once; neither M nor the dense basis stack (O(n^4)) is
 formed.  Every fit Hessian is G^T diag(c) G with c >= 0, formed as the
 symmetric rank-k (BLAS syrk) product of sqrt(c) G; the Newton system
 t H_barrier + H_fit is then assembled in a per-step buffer that LAPACK
-factors in place.  The barrier derivatives come in closed form from
-A = rho^-1: every block is padded with the identity to the largest size
-and all are factored by one batched Cholesky, and since
-tr(A E_ab A E_cd) = A_bc A_da for matrix units, the gradient and
-Hessian over the Gell-Mann directions are products of entries of A,
-O(n^4) per block, gathered and written through flat index tables.
+factors in place.
+
+The barrier engine (``AffineBlockMap``) knows three block kinds, each
+with one representation.  Gell-Mann blocks (``_GellMannTables``) carry
+the parametrization's directions as index tables; rank-one blocks
+(``RankOneBlocks``) carry directions w v v^dagger as columns and weights,
+which is how the pretest witness's POVM directions -M = -u u^dagger
+enter; diagonal blocks are scalar slacks.  Both Hermitian kinds write
+their blocks straight into one identity-padded stack (O(n^2) per block
+for Gell-Mann), which one batched Cholesky factors, and read the
+barrier derivatives in closed form off A = rho^-1: products of entries
+of A for Gell-Mann directions (tr(A E_ab A E_cd) = A_bc A_da for matrix
+units, O(n^4) per block), and v^dagger A v' for rank-one ones.
 
 Three convex fit principles are supported, plus a hedged variant:
 
@@ -100,6 +107,7 @@ __all__ = [
     "SolverConfig",
     "Parametrization",
     "AffineBlockMap",
+    "RankOneBlocks",
     "FitModel",
     "LinearFit",
     "StageResult",
@@ -210,24 +218,6 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _hermitian_coordinates(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns and weights that read the n^2 real coordinates of a
-    Hermitian n x n matrix off its flat complex entries viewed as
-    (re, im) float pairs: sqrt2 Re and sqrt2 Im of the strict upper
-    triangle, then the diagonal.  The dot product of two coordinate rows
-    is the Frobenius inner product tr(A B) of the matrices."""
-    rows, cols = np.triu_indices(n, 1)
-    upper = 2 * (rows * n + cols)
-    columns = np.concatenate([upper, upper + 1, 2 * (n + 1) * np.arange(n)])
-    weights = np.ones(n * n)
-    weights[: 2 * upper.size] = math.sqrt(2.0)
-    # read-only: the cache hands the same arrays to every caller
-    columns.setflags(write=False)
-    weights.setflags(write=False)
-    return columns, weights
-
-
 class BlockFactors:
     """The factors of every block of an ``AffineBlockMap`` at one point.
 
@@ -266,8 +256,10 @@ class BlockFactors:
 
 
 class _GellMannTables:
-    """Flat index tables that read the barrier gradient and Hessian of
-    ``Parametrization``'s blocks off A = rho^-1 in O(n^4) per block.
+    """Flat index tables for ``Parametrization``'s blocks: they write the
+    linear part sum_i x_i D_i of every block into the padded stack in
+    O(n^2), and read the barrier gradient and Hessian off A = rho^-1 in
+    O(n^4) per block.
 
     Block b (size n, Gell-Mann coordinates from ``offset``) has pair
     directions S_p = (E_rc + E_cr)/sqrt2 and Y_p = i(E_cr - E_rc)/sqrt2
@@ -277,21 +269,25 @@ class _GellMannTables:
     tr(A E_ab A E_cd) = A_bc A_da for matrix units (Fujisawa, Kojima &
     Nakata, Math. Program. 79, 235 (1997)):
 
-        gradient   -sqrt2 Re A_rc, sqrt2 Im A_rc; -Q^T diag(A)
-        pair-pair  t1 = A_{c r'} A_{c' r}, t2 = A_{c c'} conj(A_{r r'}):
-                   SS = Re(t1 + t2), SY = Im(t1 - t2),
-                   YS = Im(t1 + t2), YY = Re(t2 - t1)
-        pair-diag  Z = Y Q, Y_pk = A_ck conj(A_rk): sqrt2 Re Z, sqrt2 Im Z
-        diag-diag  Q^T |A|^2 Q
+        linear part  (x_S - i x_Y)/sqrt2 at (r, c), its conjugate at
+                     (c, r); Q (x_diag, x_shift) on the diagonal
+        gradient     -sqrt2 Re A_rc, sqrt2 Im A_rc; -Q^T diag(A)
+        pair-pair    t1 = A_{c r'} A_{c' r}, t2 = A_{c c'} conj(A_{r r'}):
+                     SS = Re(t1 + t2), SY = Im(t1 - t2),
+                     YS = Im(t1 + t2), YY = Re(t2 - t1)
+        pair-diag    Z = Y Q, Y_pk = A_ck conj(A_rk): sqrt2 Re Z, sqrt2 Im Z
+        diag-diag    Q^T |A|^2 Q
 
-    A is the identity-padded (B, m, m) stack of ``BlockFactors``; every
-    table indexes it, or the global gradient and Hessian, flat, so one
+    The stack and A are identity-padded (B, m, m) stacks; every table
+    indexes them, or the global gradient and Hessian, flat, so one
     evaluation makes a fixed number of numpy calls for any number of
     sectors.  Pair-pair terms are computed for p <= p' and written to
     both mirror positions, and the diagonal Gram matrix is symmetrized,
     so the Hessian is exactly symmetric.  Pair slots run over
     ``np.triu_indices(m, 1)`` for every block: a slot outside block b
     reads only padding, where A is the identity, and gives zero.
+    ``diag_coord`` reads block b's (x_diag, x_shift) out of x with a
+    zero appended: a column of Q that block b lacks reads that zero.
     """
 
     def __init__(self, sizes, offsets, shift_coeff: np.ndarray, dim: int):
@@ -302,7 +298,8 @@ class _GellMannTables:
         self.slot_rows, self.slot_cols = np.triu_indices(m, 1)
         table = _diagonal_table(m)  # block n reads its [:n, :n - 1] corner
         Q = np.zeros((B, m, K))
-        pair_entry, pair_coord, grad_src, grad_dst = [], [], [], []
+        diag_coord = np.full((B, K), dim, dtype=np.intp)
+        pair_entry, pair_mirror, pair_coord, grad_src, grad_dst = [], [], [], [], []
         pp_src, pp_dst, pd_src, pd_dst, dd_src, dd_dst = [], [], [], [], [], []
         for b, (n, offset) in enumerate(zip(sizes, offsets)):
             Q[b, :n, : n - 1] = table[:n, : n - 1]
@@ -315,11 +312,13 @@ class _GellMannTables:
 
             sym = offset + 2 * np.arange(P)  # Y_p is sym + 1
             pair_entry.append(entry(r, c))
+            pair_mirror.append(entry(c, r))
             pair_coord.append(sym)
             # the valid diagonal-type columns of Q and their coordinates
             kcols = np.concatenate([np.arange(n - 1), m - 1 + np.arange(S)])
             coords = np.concatenate([offset + 2 * P + np.arange(n - 1),
                                      self.shift0 + np.arange(S)])
+            diag_coord[b, kcols] = coords
             grad_src.append(b * K + kcols[: n - 1])
             grad_dst.append(coords[: n - 1])
 
@@ -342,6 +341,7 @@ class _GellMannTables:
             dd_dst.append(coords[k1[keep]] * dim + coords[k2[keep]])
         self.Q = Q
         self.Qc = Q.astype(complex)
+        self.diag_coord = diag_coord
         self.diag_cols = m - 1  # first shift column of Q
 
         def flat(parts, axis=-1):
@@ -349,12 +349,23 @@ class _GellMannTables:
             out.setflags(write=False)
             return out
 
-        self.pair_entry = flat(pair_entry)
+        self.pair_entry, self.pair_mirror = flat(pair_entry), flat(pair_mirror)
         self.pair_coord = flat([np.stack([s, s + 1]) for s in pair_coord])
         self.grad_src, self.grad_dst = flat(grad_src), flat(grad_dst)
         self.pp_src, self.pp_dst = flat(pp_src), flat(pp_dst)
         self.pd_src, self.pd_dst = flat(pd_src), flat(pd_dst)
         self.dd_src, self.dd_dst = flat(dd_src), flat(dd_dst)
+
+    def write(self, x: np.ndarray, stack: np.ndarray) -> None:
+        """Add sum_i x_i D_i of every block into the C-contiguous stack."""
+        s, y = x[self.pair_coord] * (1.0 / math.sqrt(2.0))
+        upper = s - 1j * y
+        flat = stack.reshape(-1)
+        flat[self.pair_entry] += upper
+        flat[self.pair_mirror] += upper.conj()
+        diag = np.einsum("bmk,bk->bm", self.Q, np.append(x, 0.0)[self.diag_coord])
+        B, m, _ = stack.shape
+        stack.reshape(B, m * m)[:, :: m + 1] += diag
 
     def gradient(self, A: np.ndarray, grad: np.ndarray) -> None:
         """Add -tr(A D_i) over every block's directions into ``grad``."""
@@ -382,63 +393,120 @@ class _GellMannTables:
         hess[self.shift0 :, self.shift0 :] = W[:, self.diag_cols :, self.diag_cols :].sum(axis=0)
 
 
-class AffineBlockMap:
-    """x -> [C_b + sum_i x[idx_b[i]] * D_b[i]]_b over Hermitian and
-    diagonal blocks.
+def _distinct(indices) -> None:
+    if any(np.unique(i).size != i.size for i in indices):
+        raise ValueError("a block's direction indices must be distinct")
 
-    A Hermitian block has ``constants[b]`` of shape (n, n) and
-    ``dir_stacks[b]`` of shape (q, n, n) of Hermitian directions.  A
-    diagonal block has a real constant c of shape (m,) and real
-    directions D of shape (q, m): it stands for m scalar slacks
-    s = c + D^T x[idx], feasible iff every s > 0, with barrier -sum log s
-    (a linear-programming block beside the semidefinite ones).
-    ``dir_indices[b]`` maps the local direction axis into the global
-    coordinate vector; an index may repeat across blocks, not within one.
 
-    ``gell_mann`` (built by ``Parametrization``) states that the
-    Hermitian blocks carry its Gell-Mann and trace-shift directions;
-    their barrier derivatives are then read off rho^-1 in closed form
-    instead of contracting the dense directions.
+class RankOneBlocks:
+    """Hermitian blocks whose every direction is rank one: coordinate
+    ``indices[b][i]`` enters block b as w_i v_i v_i^dagger, with v_i
+    column i of ``columns[b]`` (n_b, q_b) and real w_i = ``weights[b][i]``.
+
+    Since tr(A v v^dagger) = v^dagger A v, the linear part is
+    V diag(w x) V^dagger, the barrier gradient -w_i Re(v_i^dagger A v_i)
+    and the Hessian w_i w_l |v_i^dagger A v_l|^2, all from V^dagger A V
+    (the rank-one constraint handling of DSDP: Benson, Ye & Zhang, SIAM
+    J. Optim. 10, 443 (2000)).  The columns are stored zero-padded as one
+    (B, m, q) stack beside the identity-padded blocks; a padding column
+    has weight 0 and the index ``dim``, which reads a zero appended to x
+    and adds to a gradient entry cut off the result.  The Hessian is
+    formed block by block on the unpadded columns, since padding would
+    multiply its O(q_b^2 n_b) work by up to (q/q_b)^2 (m/n_b); each
+    block's term is symmetrized and added in block order, so the Hessian
+    is exactly symmetric.
     """
 
-    def __init__(self, constants, dir_stacks, dir_indices, dim, gell_mann=None):
-        self.constants = []
-        self.dir_stacks = []
-        for c, d in zip(constants, dir_stacks):
-            dtype = float if np.ndim(c) == 1 else complex
-            self.constants.append(np.ascontiguousarray(c, dtype=dtype))
-            self.dir_stacks.append(np.ascontiguousarray(d, dtype=dtype))
-        self.dir_indices = [np.asarray(i, dtype=np.intp) for i in dir_indices]
-        if any(np.unique(i).size != i.size for i in self.dir_indices):
-            raise ValueError("a block's direction indices must be distinct")
+    def __init__(self, columns, weights, indices, dim: int):
+        indices = [np.asarray(i, dtype=np.intp) for i in indices]
+        _distinct(indices)
         self.dim = int(dim)
-        self.gell_mann = gell_mann
-        self._hermitian = [b for b, c in enumerate(self.constants) if c.ndim == 2]
-        self._diagonal = [b for b, c in enumerate(self.constants) if c.ndim == 1]
-        m = max((self.constants[b].shape[0] for b in self._hermitian), default=0)
-        self._identity = np.tile(np.eye(m, dtype=complex), (len(self._hermitian), 1, 1))
-        ends = np.cumsum([self.constants[b].size for b in self._diagonal], dtype=int)
-        self._slack_ranges = [slice(e - self.constants[b].size, e)
-                              for b, e in zip(self._diagonal, ends)]
+        self._shapes = [(np.shape(V)[0], i.size) for V, i in zip(columns, indices)]
+        B = len(indices)
+        m = max((n for n, _ in self._shapes), default=0)
+        q = max((k for _, k in self._shapes), default=0)
+        self.columns = np.zeros((B, m, q), dtype=complex)
+        self.weights = np.zeros((B, q))
+        self.indices = np.full((B, q), self.dim, dtype=np.intp)
+        for b, (V, w, idx) in enumerate(zip(columns, weights, indices)):
+            n, k = self._shapes[b]
+            self.columns[b, :n, :k] = V
+            self.weights[b, :k] = w
+            self.indices[b, :k] = idx
+        self._pairs = [(i[:, None] * self.dim + i).ravel() for i in indices]
 
-    def _padded(self, mats, identity: bool = True) -> np.ndarray:
-        """The Hermitian blocks' matrices as one stack, padded with the
-        identity (or with zeros)."""
-        stack = self._identity.copy() if identity else np.zeros_like(self._identity)
-        for k, b in enumerate(self._hermitian):
-            n = self.constants[b].shape[0]
-            stack[k, :n, :n] = mats[b]
+    def write(self, x: np.ndarray, stack: np.ndarray) -> None:
+        """Add sum_i x_i w_i v_i v_i^dagger of every block into the stack."""
+        wx = self.weights * np.append(x, 0.0)[self.indices]
+        stack += (self.columns * wx[:, None, :]) @ np.swapaxes(self.columns.conj(), 1, 2)
+
+    def gradient(self, A: np.ndarray, grad: np.ndarray) -> None:
+        """Add -w_i Re(v_i^dagger A v_i) over every block into ``grad``."""
+        quad = np.einsum("bmq,bmq->bq", self.columns.conj(), A @ self.columns).real
+        grad -= np.bincount(self.indices.ravel(), (self.weights * quad).ravel(),
+                            minlength=self.dim + 1)[: self.dim]
+
+    def hessian(self, A: np.ndarray, hess: np.ndarray) -> None:
+        """Add w_i w_l |v_i^dagger A v_l|^2 over every block into ``hess``."""
+        flat = hess.reshape(-1)
+        for b, ((n, k), pairs) in enumerate(zip(self._shapes, self._pairs)):
+            V, w = self.columns[b, :n, :k], self.weights[b, :k]
+            M = V.conj().T @ (A[b, :n, :n] @ V)
+            W = (M.real**2 + M.imag**2) * np.outer(w, w)
+            flat[pairs] += (0.5 * (W + W.T)).ravel()
+
+
+class AffineBlockMap:
+    """x -> the Hermitian blocks C_b + sum_i x_i D_i, then the diagonal
+    blocks, over three block kinds.
+
+    The Hermitian blocks have constants ``constants[b]`` (n_b, n_b) and
+    directions of one kind, ``directions``: Gell-Mann blocks
+    (``_GellMannTables``, built by ``Parametrization``) or rank-one
+    blocks (``RankOneBlocks``).  Either kind writes its linear part into
+    the identity-padded (B, m, m) stack that ``cholesky_list`` factors,
+    and reads the barrier gradient and Hessian off the padded
+    A = rho^-1 of ``BlockFactors``.  The third kind is the diagonal
+    block (c, D, idx) of ``diagonal``: a real constant c (s,) and real
+    directions D (q, s) on the coordinates idx.  It stands for s scalar
+    slacks c + D^T x[idx], feasible iff every one is > 0, with barrier
+    -sum log (a linear-programming block beside the semidefinite ones).
+    A coordinate may enter several blocks, but at most once per block.
+    """
+
+    def __init__(self, constants, directions, diagonal, dim):
+        self.dim = int(dim)
+        self.directions = directions
+        self._sizes = [np.shape(c)[0] for c in constants]
+        m = max(self._sizes, default=0)
+        # the constants padded with the identity, the stack every point starts from
+        self._base = np.tile(np.eye(m, dtype=complex), (len(self._sizes), 1, 1))
+        for k, (c, n) in enumerate(zip(constants, self._sizes)):
+            self._base[k, :n, :n] = c
+        self._base.setflags(write=False)
+        self.constants = [self._base[k, :n, :n] for k, n in enumerate(self._sizes)]
+        self.diagonal = [
+            (np.ascontiguousarray(c, dtype=float), np.ascontiguousarray(D, dtype=float),
+             np.asarray(idx, dtype=np.intp))
+            for c, D, idx in diagonal
+        ]
+        _distinct([idx for _, _, idx in self.diagonal])
+        ends = np.cumsum([c.size for c, _, _ in self.diagonal], dtype=int)
+        self._slack_ranges = [slice(e - c.size, e) for (c, _, _), e in zip(self.diagonal, ends)]
+
+    def _linear_stack(self, v: np.ndarray) -> np.ndarray:
+        """sum_i v_i D_i of the Hermitian blocks as one zero-padded stack."""
+        stack = np.zeros_like(self._base)
+        self.directions.write(v, stack)
         return stack
 
-    def _linear_parts(self, v: np.ndarray) -> list[np.ndarray]:
-        """[sum_i v[idx_b[i]] D_b[i]]_b, each as one flat matmul."""
-        return [
-            (v[idx] @ D.reshape(D.shape[0], C.size)).reshape(C.shape)
-            for C, D, idx in zip(self.constants, self.dir_stacks, self.dir_indices)
-        ]
-
     def blocks(self, x: np.ndarray) -> list[np.ndarray]:
-        return [C + part for C, part in zip(self.constants, self._linear_parts(x))]
+        """The Hermitian blocks at x, then the diagonal blocks' slacks."""
+        stack = self._base.copy()
+        self.directions.write(x, stack)
+        return [stack[k, :n, :n] for k, n in enumerate(self._sizes)] + [
+            c + x[idx] @ D for c, D, idx in self.diagonal
+        ]
 
     def ray_eigenvalues(self, chols: BlockFactors, delta: np.ndarray) -> np.ndarray:
         """Eigenvalues mu of the step delta relative to each block, from
@@ -449,25 +517,27 @@ class AffineBlockMap:
         feasible iff a < 1 / max(-mu).  The Hermitian blocks come first,
         m per block from one batched eigvalsh of the padded stack; each
         padding row adds an exact mu = 0, which changes neither."""
-        steps = self._linear_parts(delta)
-        pad = self._padded(steps, identity=False)
         inv_l = chols.inv_l
-        relative = inv_l @ pad @ np.swapaxes(inv_l.conj(), 1, 2)
-        diagonal = [steps[b] for b in self._diagonal]
+        relative = inv_l @ self._linear_stack(delta) @ np.swapaxes(inv_l.conj(), 1, 2)
+        diagonal = [delta[idx] @ D for _, D, idx in self.diagonal]
         return np.concatenate(
             [np.linalg.eigvalsh(relative).ravel(),
              np.concatenate(diagonal) / chols.slacks if diagonal else []]
         )
 
     def cholesky_list(self, blocks) -> BlockFactors | None:
-        """The ``BlockFactors`` of the blocks, or None if any block is not
-        positive definite or has a NaN or infinite pivot.  The padding's
-        unit pivots never hide a failing block."""
+        """The ``BlockFactors`` of the blocks (as ``blocks`` orders them),
+        or None if any block is not positive definite or has a NaN or
+        infinite pivot.  The padding's unit pivots never hide a failing
+        block."""
+        stack = self._base.copy()  # identity padding; every block is overwritten
+        for k, n in enumerate(self._sizes):
+            stack[k, :n, :n] = blocks[k]
         try:
-            chol = np.linalg.cholesky(self._padded(blocks))
+            chol = np.linalg.cholesky(stack)
         except np.linalg.LinAlgError:
             return None
-        slacks = np.concatenate([blocks[b] for b in self._diagonal] or [np.zeros(0)])
+        slacks = np.concatenate(blocks[len(self._sizes) :] or [np.zeros(0)])
         diag = chol.diagonal(0, 1, 2).real
         pivots = np.concatenate([diag.ravel(), slacks])
         # LAPACK passes NaN through; NaN fails both comparisons
@@ -483,20 +553,14 @@ class AffineBlockMap:
 
     def _slack_rows(self, chols: BlockFactors):
         """(indices, D / s) of each diagonal block with slacks s."""
-        for b, part in zip(self._diagonal, self._slack_ranges):
-            yield self.dir_indices[b], self.dir_stacks[b] / chols.slacks[part]
+        for (_, D, idx), part in zip(self.diagonal, self._slack_ranges):
+            yield idx, D / chols.slacks[part]
 
     def _gradient(self, chols: BlockFactors) -> np.ndarray:
-        """grad_i = -sum_b tr(block^-1 D_i), from A = rho^-1 for a
-        Hermitian block and D / s for a diagonal one."""
+        """grad_i = -sum_b tr(block^-1 D_i), from A = rho^-1 for the
+        Hermitian blocks and D / s for a diagonal one."""
         grad = np.zeros(self.dim)
-        if self.gell_mann is not None:
-            self.gell_mann.gradient(chols.inverse, grad)
-        else:
-            for k, b in enumerate(self._hermitian):
-                n = self.constants[b].shape[0]
-                grad[self.dir_indices[b]] -= np.einsum(
-                    "mn,qnm->q", chols.inverse[k, :n, :n], self.dir_stacks[b]).real
+        self.directions.gradient(chols.inverse, grad)
         for idx, C in self._slack_rows(chols):
             grad[idx] -= C.sum(axis=1)
         return grad
@@ -505,34 +569,13 @@ class AffineBlockMap:
         """(value, gradient, Hessian) of -sum_b log det(block_b).
 
         grad_i = -sum_b tr(block^-1 D_i), hess_il = sum_b tr(block^-1 D_i
-        block^-1 D_l).  ``Parametrization``'s blocks read both off
-        A = rho^-1 in closed form (``_GellMannTables``).  Any other
-        Hermitian block with factor L contributes through
-        T_i = L^-1 D_i L^-dagger, from the triangular inverse and two flat
-        products: the n^2 real coordinates of each T_i (sqrt2 Re
-        and sqrt2 Im of the strict upper triangle, then the diagonal) are
-        the rows of a real matrix C, and the block Hessian is the real
-        syrk C C^T, exactly symmetric.  A diagonal block with slacks s has
-        C = D / s and Hessian (D/s)(D/s)^T.
+        block^-1 D_l): the Hermitian blocks' kind reads both off
+        A = rho^-1, and a diagonal block with slacks s adds C = D / s and
+        the Hessian C C^T.
         """
         grad = self._gradient(chols)
         hess = np.zeros((self.dim, self.dim))
-        if self.gell_mann is not None:
-            self.gell_mann.hessian(chols.inverse, hess)
-        else:
-            for k, b in enumerate(self._hermitian):
-                D, idx = self.dir_stacks[b], self.dir_indices[b]
-                q, n, _ = D.shape
-                inv_l = chols.inv_l[k, :n, :n]
-                # slabs of P are D_i L^-dagger; P_i^T L^-T = conj(T_i) for
-                # Hermitian D_i, which has the same real coordinates up to
-                # the sign of every Im entry, so the same Gram matrix
-                P = (D.reshape(q * n, n) @ inv_l.conj().T).reshape(q, n, n)
-                T_conj = P.transpose(0, 2, 1).reshape(q * n, n) @ inv_l.T
-                columns, weights = _hermitian_coordinates(n)
-                C = T_conj.reshape(q, n * n).view(float)[:, columns]
-                C *= weights
-                hess[np.ix_(idx, idx)] += C @ C.T
+        self.directions.hessian(chols.inverse, hess)
         for idx, C in self._slack_rows(chols):
             hess[np.ix_(idx, idx)] += C @ C.T
         return -chols.log_det, grad, hess
@@ -553,26 +596,6 @@ def _diagonal_table(n: int) -> np.ndarray:
     return table
 
 
-def _gell_mann_stack(n: int) -> np.ndarray:
-    """Orthonormal traceless Hermitian basis of an n x n block."""
-    mats = []
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for r in range(n):
-        for c in range(r + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[r, c] = m[c, r] = inv_sqrt2
-            mats.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[r, c] = -1j * inv_sqrt2
-            m[c, r] = 1j * inv_sqrt2
-            mats.append(m)
-    for diag in _diagonal_table(n).T:
-        mats.append(np.diag(diag).astype(complex))
-    if mats:
-        return np.array(mats)
-    return np.zeros((0, n, n), dtype=complex)
-
-
 def _gell_mann_coordinates(upper: np.ndarray, diag: np.ndarray,
                            shift_coeff: np.ndarray) -> np.ndarray:
     """Re tr(D_q M) for R Hermitian n x n matrices M, in O(n^2) each.
@@ -580,11 +603,11 @@ def _gell_mann_coordinates(upper: np.ndarray, diag: np.ndarray,
     Each M is given by its entries: ``upper`` (pairs, R) holds M_ab for
     the pairs a < b of ``np.triu_indices(n, 1)``, ``diag`` (n, R) the
     diagonal.  D_q runs over one sector's directions in
-    ``Parametrization`` order: the ``_gell_mann_stack(n)`` matrices, then
-    the trace shifts ``shift_coeff[s] * I``.  The coordinates are sqrt2
-    Re M_ab and -sqrt2 Im M_ab for a < b, diag(M) against the diagonal
-    table, and tr M for the shifts; the dense (q, n, n) direction stack
-    is never contracted.
+    ``Parametrization`` order: the generalized Gell-Mann matrices (pairs
+    S_ab, Y_ab, then the diagonal table), then the trace shifts
+    ``shift_coeff[s] * I``.  The coordinates are sqrt2 Re M_ab and
+    -sqrt2 Im M_ab for a < b, diag(M) against the diagonal table, and
+    tr M for the shifts.
     """
     pairs, R = upper.shape
     n = diag.shape[0]
@@ -600,8 +623,10 @@ class Parametrization:
     """Orthonormal affine coordinates on unit-trace PI states.
 
     d = sum_j (2j+1)^2 - 1 real coordinates; x = 0 is the compressed
-    maximally mixed state.  Every array it holds is read-only, so one
-    instance can serve every fit on its layout (``_shared_parametrization``).
+    maximally mixed state.  Sector b reads the coordinates
+    ``indices[b]``: its own n^2 - 1 Gell-Mann ones, then every trace
+    shift.  Every array it holds is read-only, so one instance can serve
+    every fit on its layout (``_shared_parametrization``).
     """
 
     def __init__(self, layout: SpinSectorLayout):
@@ -623,26 +648,17 @@ class Parametrization:
         else:
             shift_coeff = np.zeros((1, 0))
         self.shift_coeff = shift_coeff
-
+        self.indices = [
+            np.concatenate([np.arange(gg_offsets[b], gg_offsets[b + 1]), shift_ids]).astype(np.intp)
+            for b in range(n_sectors)
+        ]
         base = maximally_mixed_ensemble(layout)
-        constants, stacks, indices = [], [], []
-        for b, (two_j, n) in enumerate(zip(layout.two_j_values, dims)):
-            gg = _gell_mann_stack(n)
-            shifts = shift_coeff[b][:, None, None] * np.eye(n)[None, :, :]
-            stacks.append(np.concatenate([gg, shifts.astype(complex)], axis=0))
-            indices.append(
-                np.concatenate(
-                    [np.arange(gg_offsets[b], gg_offsets[b + 1]), shift_ids]
-                ).astype(np.intp)
-            )
-            constants.append(base.blocks[two_j])
         tables = _GellMannTables(dims, gg_offsets[:-1], shift_coeff, self.dimension)
-        self.affine = AffineBlockMap(constants, stacks, indices, self.dimension,
-                                     gell_mann=tables)
+        self.affine = AffineBlockMap([base.blocks[t] for t in layout.two_j_values],
+                                     tables, [], self.dimension)
         # read-only: ``build_fit_model`` shares one instance per layout
         for array in (shift_coeff, tables.Q, tables.Qc, tables.slot_rows,
-                      tables.slot_cols, *self.affine.constants,
-                      *self.affine.dir_stacks, *self.affine.dir_indices):
+                      tables.slot_cols, tables.diag_coord, *self.indices):
             array.setflags(write=False)
 
     def blocks(self, x: np.ndarray) -> dict[int, np.ndarray]:
@@ -661,7 +677,7 @@ class Parametrization:
             self.layout.two_j_values,
             self.affine.constants,
             self.shift_coeff,
-            self.affine.dir_indices,
+            self.indices,
         ):
             delta = ensemble.blocks[two_j] - C
             rows, cols = np.triu_indices(two_j + 1, 1)
@@ -674,14 +690,11 @@ class Parametrization:
         """Materialize basis direction B_i as a block dictionary."""
         if not 0 <= i < self.dimension:
             raise IndexError(f"basis index {i} outside 0..{self.dimension - 1}")
-        out = {}
-        for two_j, D, idx in zip(
-            self.layout.two_j_values, self.affine.dir_stacks, self.affine.dir_indices
-        ):
-            n = two_j + 1
-            pos = np.flatnonzero(idx == i)
-            out[two_j] = D[pos[0]].copy() if pos.size else np.zeros((n, n), complex)
-        return out
+        unit = np.zeros(self.dimension)
+        unit[i] = 1.0
+        stack = self.affine._linear_stack(unit)
+        return {two_j: stack[k, : two_j + 1, : two_j + 1].copy()
+                for k, two_j in enumerate(self.layout.two_j_values)}
 
 
 @functools.lru_cache(maxsize=4)
@@ -767,7 +780,7 @@ class FitModel:
             raise ValueError(
                 f"{self.frequencies.size} frequencies for {rows} outcome rows"
             )
-        indices = parametrization.affine.dir_indices
+        indices = parametrization.indices
         shift_coeff = parametrization.shift_coeff
         G = np.zeros((rows, parametrization.dimension))
         # one scatter per sector; rows repeat across sectors and the

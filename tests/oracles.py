@@ -165,6 +165,38 @@ def collective_spin_squared(n):
     return sum(J @ J for J in Js)
 
 
+def gell_mann_stack(n):
+    """Orthonormal traceless Hermitian basis of an n x n block as dense
+    matrices: for each pair r < c, (E_rc + E_cr)/sqrt2 and
+    i(E_cr - E_rc)/sqrt2; then for l = 1..n-1 the diagonal matrix with
+    1 on the first l entries and -l on entry l, over sqrt(l (l + 1))."""
+    mats = []
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for r in range(n):
+        for c in range(r + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[r, c] = m[c, r] = inv_sqrt2
+            mats.append(m)
+            m = np.zeros((n, n), dtype=complex)
+            m[r, c] = -1j * inv_sqrt2
+            m[c, r] = 1j * inv_sqrt2
+            mats.append(m)
+    for l in range(1, n):
+        scale = 1.0 / math.sqrt(l * (l + 1))
+        diag = np.zeros(n)
+        diag[:l] = scale
+        diag[l] = -l * scale
+        mats.append(np.diag(diag).astype(complex))
+    return np.array(mats).reshape(len(mats), n, n)
+
+
+def sector_directions(n, shift_coeff):
+    """Dense directions of one n x n sector in the package's coordinate
+    order: ``gell_mann_stack(n)``, then the trace shifts c_s * I."""
+    shifts = np.asarray(shift_coeff, dtype=float)[:, None, None] * np.eye(n)
+    return np.concatenate([gell_mann_stack(n), shifts.astype(complex)])
+
+
 def full_trace_distance(a, b):
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 

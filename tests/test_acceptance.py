@@ -176,10 +176,10 @@ def test_a05_kkt_certificate():
         x = param.coordinates(res.estimate)
         grad = model.gradient(x)
         t = res.trace[-1].t
-        affine = param.affine
         rhs = np.zeros(param.dimension)
-        for D, idx, block in zip(affine.dir_stacks, affine.dir_indices,
-                                 affine.blocks(x)):
+        for block, coeff, idx in zip(param.affine.blocks(x), param.shift_coeff,
+                                     param.indices):
+            D = oracles.sector_directions(block.shape[0], coeff)
             lam = t * np.linalg.inv(0.5 * (block + block.conj().T))
             np.add.at(rhs, idx, np.einsum("qmn,nm->q", D, lam).real)
         resid = float(np.max(np.abs(grad - rhs)))

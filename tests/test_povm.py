@@ -19,7 +19,6 @@ from pitomo.povm import (
     rotation_params,
     save_settings,
     stacked_blocks,
-    standard_blocks,
 )
 from pitomo.sim import PURITY_MODES, random_pi_state
 from pitomo.spin_blocks import (
@@ -119,33 +118,35 @@ class TestRotationParams:
 
 
 class TestStandardBlocks:
+    """The z-axis POVM, rotated_blocks(n, E3): projectors onto m = k - N/2."""
+
     def test_structure_n2(self):
-        bs = standard_blocks(2)
+        bs = rotated_blocks(2, E3)
         # j=1 sector: outcome k projects onto m = k - 1
         for k, idx in [(0, 2), (1, 1), (2, 0)]:
             blk = bs.block(k, 2)
             expected = np.zeros((3, 3))
             expected[idx, idx] = 1.0
-            np.testing.assert_array_equal(blk, expected)
+            np.testing.assert_allclose(blk, expected, rtol=0, atol=1e-12)
         # j=0 sector: only the middle outcome has support
         assert bs.block(0, 0) is None
         assert bs.block(2, 0) is None
-        np.testing.assert_array_equal(bs.block(1, 0), [[1.0]])
+        np.testing.assert_allclose(bs.block(1, 0), [[1.0]], rtol=0, atol=1e-12)
 
     def test_outcome_range_n3(self):
-        bs = standard_blocks(3)
+        bs = rotated_blocks(3, E3)
         assert list(bs.outcome_range(1)) == [1, 2]
         assert list(bs.outcome_range(3)) == [0, 1, 2, 3]
         assert bs.block(0, 1) is None
 
     def test_outcome_bounds(self):
-        bs = standard_blocks(2)
+        bs = rotated_blocks(2, E3)
         with pytest.raises(KeyError):
             bs.block(3, 2)
 
     def test_block_completeness(self):
         for n in (2, 3, 5, 8):
-            bs = standard_blocks(n)
+            bs = rotated_blocks(n, E3)
             for two_j, stack in bs.sector_stacks.items():
                 total = stack.sum(axis=0)
                 np.testing.assert_allclose(total, np.eye(two_j + 1), atol=1e-12)
@@ -187,7 +188,7 @@ class TestRankOneContractions:
 
     def test_weights_must_cover_every_outcome(self):
         with pytest.raises(ValueError, match="expected"):
-            standard_blocks(3).weighted_sum(np.ones(3))
+            rotated_blocks(3, E3).weighted_sum(np.ones(3))
 
     @PROPERTY
     @given(n=st.integers(1, 6), axes=st.lists(AXES, min_size=1, max_size=4),
@@ -274,13 +275,13 @@ class TestRotationBuild:
 
 class TestRotatedBlocks:
     def test_z_matches_standard(self):
-        for n in (1, 2, 4):
+        # along z, outcome k = k_offset + r projects onto basis state
+        # two_j - r (m = k - N/2, basis ordered m descending): U_j is the
+        # anti-identity
+        for n in (1, 2, 4, 17, 30):
             rot = rotated_blocks(n, E3)
-            std = standard_blocks(n)
-            for two_j in rot.sector_stacks:
-                np.testing.assert_allclose(
-                    rot.sector_stacks[two_j], std.sector_stacks[two_j], atol=1e-12
-                )
+            for two_j, U in rot.rotations.items():
+                np.testing.assert_allclose(U, np.eye(two_j + 1)[:, ::-1], rtol=0, atol=1e-12)
 
     def test_single_qubit_x(self):
         bs = rotated_blocks(1, E1)
@@ -355,20 +356,20 @@ class TestProbabilities:
     def test_maximally_mixed_binomial(self):
         for n in (2, 3, 5):
             mm = maximally_mixed_ensemble(sector_layout(n))
-            p = probabilities(mm, standard_blocks(n))
+            p = probabilities(mm, rotated_blocks(n, E3))
             expected = np.array([math.comb(n, k) / 2**n for k in range(n + 1)])
             np.testing.assert_allclose(p, expected, atol=1e-12)
 
     def test_ghz_extremes(self):
         for n in (2, 4, 5):
-            p = probabilities(ghz_ensemble(n), standard_blocks(n))
+            p = probabilities(ghz_ensemble(n), rotated_blocks(n, E3))
             expected = np.zeros(n + 1)
             expected[0] = expected[-1] = 0.5
             np.testing.assert_allclose(p, expected, atol=1e-12)
 
     def test_dicke_deterministic(self):
         for n, k in [(2, 1), (4, 2), (5, 3)]:
-            p = probabilities(dicke_ensemble(n, k), standard_blocks(n))
+            p = probabilities(dicke_ensemble(n, k), rotated_blocks(n, E3))
             expected = np.zeros(n + 1)
             expected[n - k] = 1.0  # k excitations leave N-k up-spins
             np.testing.assert_allclose(p, expected, atol=1e-12)
@@ -384,7 +385,7 @@ class TestProbabilities:
 
     def test_layout_mismatch(self):
         with pytest.raises(ValueError):
-            probabilities(ghz_ensemble(2), standard_blocks(3))
+            probabilities(ghz_ensemble(2), rotated_blocks(3, E3))
 
     @PROPERTY
     @given(n=st.integers(1, 8), axes=st.lists(AXES, min_size=1, max_size=4),

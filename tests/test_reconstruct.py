@@ -17,6 +17,7 @@ from pitomo.reconstruct import (
     LinearFit,
     NonConvergenceError,
     Parametrization,
+    RankOneBlocks,
     SolverConfig,
     StageResult,
     barrier_value_grad_hess,
@@ -206,6 +207,20 @@ class TestParametrization:
         with pytest.raises(IndexError):
             param.basis_element(-1)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_basis_element_matches_dense_oracle(self, n):
+        # B_i is the oracle's Gell-Mann matrix or trace shift in every
+        # sector that reads coordinate i, and zero in the others
+        param = Parametrization(sector_layout(n))
+        dense = [oracles.sector_directions(two_j + 1, coeff)
+                 for two_j, coeff in zip(param.layout.two_j_values, param.shift_coeff)]
+        for i in range(param.dimension):
+            element = param.basis_element(i)
+            for D, idx, two_j in zip(dense, param.indices, param.layout.two_j_values):
+                pos = np.flatnonzero(idx == i)
+                expected = D[pos[0]] if pos.size else np.zeros((two_j + 1,) * 2)
+                np.testing.assert_allclose(element[two_j], expected, rtol=0, atol=1e-15)
+
     def test_layout_mismatch(self):
         param = Parametrization(sector_layout(2))
         other = maximally_mixed_ensemble(sector_layout(4))
@@ -217,9 +232,9 @@ class TestParametrization:
         ds = exact_dataset(interior_ensemble(3, rng), random_settings(rng, 12))
         shared = build_fit_model(ds, FitSpec.max_lik()).parametrization
         assert build_fit_model(ds, FitSpec.free_least_squares()).parametrization is shared
-        affine, tables = shared.affine, shared.affine.gell_mann
-        for array in (shared.shift_coeff, tables.Q, tables.Qc, *affine.constants,
-                      *affine.dir_stacks, *affine.dir_indices):
+        affine, tables = shared.affine, shared.affine.directions
+        for array in (shared.shift_coeff, tables.Q, tables.Qc, tables.diag_coord,
+                      *affine.constants, *shared.indices):
             assert not array.flags.writeable
         own = Parametrization(shared.layout)
         assert build_fit_model(ds, FitSpec.max_lik(), own).parametrization is own
@@ -1057,62 +1072,87 @@ class TestLikelihoodResidual:
 class TestAffineBlockMapDirect:
     def test_constant_only_map(self):
         # A map with no directions reproduces its constants and a scalar
-        # barrier; used by the pretest optimizer with slack terms.
-        const = [np.eye(2, dtype=complex) * 0.5]
-        amap = AffineBlockMap(
-            [const[0]], [np.zeros((0, 2, 2), complex)], [np.array([], dtype=np.intp)], 0
-        )
+        # barrier.
+        const = np.eye(2, dtype=complex) * 0.5
+        none = RankOneBlocks([np.zeros((2, 0))], [np.zeros(0)], [np.zeros(0, np.intp)], 0)
+        amap = AffineBlockMap([const], none, [], 0)
         blocks = amap.blocks(np.zeros(0))
-        np.testing.assert_allclose(blocks[0], const[0])
+        np.testing.assert_allclose(blocks[0], const)
         chols = amap.cholesky_list(blocks)
         assert amap.barrier_value(chols) == pytest.approx(-math.log(0.25))
 
 
-def random_hermitian(rng, n):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (a + a.conj().T) / 2
-
-
 def random_block_map(rng, sizes, m, dim, floor=0.05):
-    """Hermitian blocks of the given sizes plus one diagonal block of m
-    slacks; each block reads a random subset of the dim coordinates, so
-    coordinates are shared between blocks.  Every constant has smallest
-    eigenvalue (or slack) ``floor`` and every direction unit spectral
-    norm, so x with |x|_1 < floor stays interior."""
-    constants, stacks, indices = [], [], []
+    """Rank-one Hermitian blocks of the given sizes plus one diagonal
+    block of m slacks; each block reads a random subset of the dim
+    coordinates, so coordinates are shared between blocks.  A Hermitian
+    direction is w v v^dagger with v a random complex unit column and w
+    a signed weight in (-1, 1); every constant has smallest eigenvalue
+    (or slack) ``floor`` and every direction spectral norm below 1, so x
+    with |x|_1 < floor stays interior."""
+    constants, columns, weights, indices = [], [], [], []
     for n in sizes:
         q = int(rng.integers(0, dim + 1))
-        dirs = np.array([random_hermitian(rng, n) for _ in range(q)]).reshape(q, n, n)
-        dirs /= np.maximum(np.abs(np.linalg.eigvalsh(dirs)).max(axis=-1), 1e-12)[:, None, None]
+        V = rng.normal(size=(n, q)) + 1j * rng.normal(size=(n, q))
+        columns.append(V / np.linalg.norm(V, axis=0))
+        weights.append(rng.uniform(-1.0, 1.0, q))
+        indices.append(rng.choice(dim, size=q, replace=False))
         vecs = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
         eigs = np.concatenate([[floor], rng.uniform(floor, 2.0, n - 1)])
         constants.append((vecs * eigs) @ vecs.conj().T)
-        stacks.append(dirs)
-        indices.append(rng.choice(dim, size=q, replace=False))
     q = int(rng.integers(0, dim + 1))
-    diag_dirs = rng.uniform(-1.0, 1.0, size=(q, m))
-    constants.append(floor + rng.uniform(0.0, 2.0, m))
-    stacks.append(diag_dirs)
-    indices.append(rng.choice(dim, size=q, replace=False))
-    return AffineBlockMap(constants, stacks, indices, dim)
+    diagonal = (floor + rng.uniform(0.0, 2.0, m), rng.uniform(-1.0, 1.0, size=(q, m)),
+                rng.choice(dim, size=q, replace=False))
+    return AffineBlockMap(constants, RankOneBlocks(columns, weights, indices, dim),
+                          [diagonal], dim)
 
 
-def barrier_oracle(amap, x):
+def rank_one_parts(amap):
+    """(V, w, idx) of each rank-one block of a map, padding removed."""
+    kind = amap.directions
+    for C, V, w, idx in zip(amap.constants, kind.columns, kind.weights, kind.indices):
+        keep = idx < amap.dim
+        yield V[: C.shape[0], keep], w[keep], idx[keep]
+
+
+def dense_terms(amap, param=None):
+    """(constant, dense direction stack, indices) of every block of a
+    map: the oracle's Gell-Mann basis and trace shifts for the map of
+    ``param``, w v v^dagger from the map's columns for a rank-one map,
+    and diagonal blocks as diagonal matrices."""
+    if param is not None:
+        hermitian = [(oracles.sector_directions(C.shape[0], coeff), idx) for C, coeff, idx
+                     in zip(amap.constants, param.shift_coeff, param.indices)]
+    else:
+        hermitian = [(w[:, None, None] * np.einsum("mq,nq->qmn", V, V.conj()), idx)
+                     for V, w, idx in rank_one_parts(amap)]
+    terms = [(C, D, idx) for C, (D, idx) in zip(amap.constants, hermitian)]
+    for c, D, idx in amap.diagonal:
+        terms.append((np.diag(c), np.einsum("qm,mn->qmn", D, np.eye(c.size)), idx))
+    return terms
+
+
+def barrier_oracle(terms, x):
     """-sum log det B_b(x), its gradient -tr(B^-1 D_i) and Hessian
-    tr(B^-1 D_i B^-1 D_l) from dense inverses, diagonal blocks as
-    diagonal matrices."""
-    value, grad = 0.0, np.zeros(amap.dim)
-    hess = np.zeros((amap.dim, amap.dim))
-    for C, D, idx in zip(amap.constants, amap.dir_stacks, amap.dir_indices):
-        if C.ndim == 1:
-            C = np.diag(C)
-            D = np.array([np.diag(d) for d in D]).reshape(len(D), *C.shape)
+    tr(B^-1 D_i B^-1 D_l) from dense inverses, over ``dense_terms``."""
+    value, grad = 0.0, np.zeros(x.size)
+    hess = np.zeros((x.size, x.size))
+    for C, D, idx in terms:
         B = C + np.einsum("q,qmn->mn", x[idx], D)
         BD = np.linalg.inv(B) @ D
         value -= np.linalg.slogdet(B)[1]
         grad[idx] -= np.einsum("qmm->q", BD).real
         hess[np.ix_(idx, idx)] += np.einsum("imn,lnm->il", BD, BD).real
     return value, grad, hess
+
+
+def ray_limit(mu):
+    """1 / max(-mu) over the eigenvalues that fall by more than
+    roundoff, inf if none.  A step of rank below its block's size leaves
+    eigenvalues that are zero up to roundoff (about 1e-16 |mu|), and a
+    limit of order 1e16 drawn from one of them is not a boundary."""
+    falling = -mu[mu < -1e-12 * np.abs(mu).max(initial=1.0)]
+    return 1.0 / falling.max() if falling.size else math.inf
 
 
 def assert_close(actual, expected, rel):
@@ -1142,7 +1182,7 @@ class TestBarrierProperties:
         chols = amap.cholesky_list(amap.blocks(x))
         assert chols is not None
         value, grad, hess = amap.barrier_grad_hess(chols)
-        ref_value, ref_grad, ref_hess = barrier_oracle(amap, x)
+        ref_value, ref_grad, ref_hess = barrier_oracle(dense_terms(amap), x)
         assert_close(value, ref_value, 1e-10)
         assert_close(grad, ref_grad, 1e-10)
         assert_close(hess, ref_hess, 1e-10)
@@ -1162,8 +1202,9 @@ class TestBarrierProperties:
         # coordinate poisons every block that reads it
         rng = np.random.default_rng(seed)
         amap = random_block_map(rng, sizes, m, dim)
-        amap.constants[-1][0] = pinned
-        amap.dir_stacks[-1][:, 0] = 0.0
+        slacks, D, _ = amap.diagonal[0]
+        slacks[0] = pinned
+        D[:, 0] = 0.0
         x = rng.uniform(-1.0, 1.0, dim)
         x *= scale * 0.05 / np.abs(x).sum()
         if nan_at is not None:
@@ -1194,7 +1235,8 @@ class TestBarrierProperties:
         chols = amap.cholesky_list(amap.blocks(x))
         delta = rng.normal(size=dim)
         mu = amap.ray_eigenvalues(chols, delta)
-        alpha = fraction * (1.0 / -mu.min() if mu.min() < 0.0 else length)
+        limit = ray_limit(mu)
+        alpha = fraction * (limit if limit < math.inf else length)
         moved = amap.cholesky_list(amap.blocks(x + alpha * delta))
         assert moved is not None
         assert_close(amap.barrier_value(chols) - np.sum(np.log1p(alpha * mu)),
@@ -1210,8 +1252,8 @@ class TestBarrierProperties:
         chols = amap.cholesky_list(amap.blocks(x))
         delta = rng.normal(size=dim)
         mu = amap.ray_eigenvalues(chols, delta)
-        assume(mu.min() < 0.0)
-        alpha_max = 1.0 / -mu.min()
+        alpha_max = ray_limit(mu)
+        assume(alpha_max < math.inf)
         assert amap.cholesky_list(amap.blocks(x + 0.999 * alpha_max * delta)) is not None
         assert amap.cholesky_list(amap.blocks(x + 1.001 * alpha_max * delta)) is None
 
@@ -1219,11 +1261,14 @@ class TestBarrierProperties:
         rng = np.random.default_rng(11)
         dim, m = 5, 6
         herm = random_block_map(rng, [3], m, dim)
-        c, D, idx = herm.constants[-1], herm.dir_stacks[-1], herm.dir_indices[-1]
+        c, D, idx = herm.diagonal[0]
+        [(V, w, own)] = rank_one_parts(herm)
+        # slack k as a 1 x 1 rank-one block: column 1, weights D[:, k]
+        ones = np.ones((1, idx.size))
         scalars = AffineBlockMap(
-            herm.constants[:-1] + [np.array([[v]]) for v in c],
-            herm.dir_stacks[:-1] + [D[:, k, None, None] for k in range(m)],
-            herm.dir_indices[:-1] + [idx] * m,
+            herm.constants + [np.array([[v]]) for v in c],
+            RankOneBlocks([V] + [ones] * m, [w] + list(D.T), [own] + [idx] * m, dim),
+            [],
             dim,
         )
         x = rng.uniform(-1.0, 1.0, dim)
@@ -1235,7 +1280,10 @@ class TestBarrierProperties:
 
     def test_repeated_index_within_block_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            AffineBlockMap([np.eye(2)], [np.zeros((2, 2, 2))], [[0, 0]], 1)
+            RankOneBlocks([np.ones((2, 2))], [np.ones(2)], [[0, 0]], 1)
+        none = RankOneBlocks([], [], [], 1)
+        with pytest.raises(ValueError, match="distinct"):
+            AffineBlockMap([], none, [(np.ones(2), np.zeros((2, 2)), [0, 0])], 1)
 
 
 class TestGellMannClosedForm:
@@ -1253,7 +1301,7 @@ class TestGellMannClosedForm:
         x = fraction * param.coordinates(interior_ensemble(n, np.random.default_rng(seed)))
         chols = amap.cholesky_list(amap.blocks(x))
         value, grad, hess = amap.barrier_grad_hess(chols)
-        ref_value, ref_grad, ref_hess = barrier_oracle(amap, x)
+        ref_value, ref_grad, ref_hess = barrier_oracle(dense_terms(amap, param), x)
         assert_close(value, ref_value, 1e-12)
         assert_close(grad, ref_grad, 1e-12)
         assert_close(hess, ref_hess, 1e-12)
@@ -1269,14 +1317,13 @@ class TestPaddedFactors:
     @pytest.mark.parametrize("entry", [0.0, -1e-300, -0.5, np.nan])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_failing_smallest_block_is_never_hidden(self, entry, reverse):
-        # N=4 has blocks of sizes 1, 3 and 5 (in either order); only the
-        # 1x1 one fails, and the padding around it has unit pivots
-        param = Parametrization(sector_layout(4))
-        affine = param.affine
-        x = param.coordinates(interior_ensemble(4, np.random.default_rng(3)))
-        order = slice(None, None, -1 if reverse else 1)
-        amap = AffineBlockMap(affine.constants[order], affine.dir_stacks[order],
-                              affine.dir_indices[order], param.dimension)
+        # blocks of sizes 1, 3 and 5 (in either order) and the slacks;
+        # only the 1x1 one fails, and the padding around it has unit pivots
+        rng = np.random.default_rng(3)
+        sizes = [5, 3, 1] if reverse else [1, 3, 5]
+        amap = random_block_map(rng, sizes, 2, 6)
+        x = rng.uniform(-1.0, 1.0, 6)
+        x *= 0.04 / np.abs(x).sum()
         blocks = amap.blocks(x)
         assert amap.cholesky_list(blocks) is not None
         smallest = [b.shape for b in blocks].index((1, 1))
@@ -1295,7 +1342,8 @@ class TestPaddedFactors:
         delta = rng.normal(size=dim)
         mu = amap.ray_eigenvalues(amap.cholesky_list(amap.blocks(x)), delta)
         blocks = amap.blocks(x)
-        steps = [b - c for b, c in zip(amap.blocks(delta), amap.constants)]
+        constants = amap.constants + [c for c, _, _ in amap.diagonal]
+        steps = [b - c for b, c in zip(amap.blocks(delta), constants)]
         pad = max(sizes)
         assert mu.size == len(sizes) * pad + m
         for b, n in enumerate(sizes):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pitomo.povm import Setting, probabilities, rotated_blocks, standard_blocks
+from pitomo.povm import Setting, probabilities, rotated_blocks
 from pitomo.sim import (
     Dataset,
     DatasetRecord,
