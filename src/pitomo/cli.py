@@ -218,6 +218,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             "gap_bound": result.gap_bound,
             "converged": result.converged,
             "total_iterations": result.total_iterations,
+            "total_hessians": result.total_hessians,
             "estimate": result.estimate.to_json_dict(),
             "trace": [
                 {
@@ -227,13 +228,15 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                     "grad_norm": stage.grad_norm,
                     # NaN (no Newton direction formed) is not JSON
                     "decrement": None if math.isnan(stage.decrement) else stage.decrement,
+                    "hessians": stage.hessians,
                 }
                 for stage in result.trace
             ],
         }
-        header = ["t", "iterations", "fit_value", "grad_norm", "decrement"]
+        header = ["t", "iterations", "fit_value", "grad_norm", "decrement", "hessians"]
         rows = [
-            [f"{s.t!r}", s.iterations, f"{s.fit_value!r}", f"{s.grad_norm!r}", f"{s.decrement!r}"]
+            [f"{s.t!r}", s.iterations, f"{s.fit_value!r}", f"{s.grad_norm!r}", f"{s.decrement!r}",
+             s.hessians]
             for s in result.trace
         ]
         if truth is not None:
@@ -246,7 +249,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                 entry["trace_distance"] = float(row[-1])
         summary = (
             f"{spec.principle}: fit {result.fit_value:.9g}, gap bound "
-            f"{result.gap_bound:.3e}, {result.total_iterations} Newton steps"
+            f"{result.gap_bound:.3e}, {result.total_iterations} Newton steps, "
+            f"{result.total_hessians} fit Hessians"
         )
         if truth is not None:
             summary += f", distance to truth {payload['truth_distance']:.3e}"

@@ -75,6 +75,21 @@ certificate as on an all-exact path.  The pretest's linear-objective
 LMI runs on the same engine.  ``build_fit_model`` shares one read-only
 ``Parametrization`` per layout across fits.
 
+The approximately centred stages are chord Newton in the fit Hessian
+(Kelley, Iterative Methods for Linear and Nonlinear Equations, 5.4):
+the gradient is exact at every step, but G^T diag(c) G, the syrk that
+dominates a step from N = 16 up, is formed again only once the outcome
+probabilities have drifted, max |p/p_ref - 1| > LAG over the rows with
+f > 0, from the p_ref it was formed at.  The lagged system still gives
+descent directions, so the ray search and Armijo test hold as they are.
+Within LAG = 0.05 the curvatures c = f/p^2 (ML) and 2 f^2/p^3 (FreeLS)
+fall by at most a factor (1 + LAG)^3, so the approximate stop
+lambda^2 <= 0.1 t certifies a true lambda^2 <= 0.116 t, still inside
+the quadratic region 0.146 t.  The last two stages form the Hessian at
+every iterate whose Newton direction they take, so they converge
+quadratically and stop on the true decrement.  The held Hessian and
+p_ref are the engine's (``StageCarry``); ``FitModel`` keeps no state.
+
 ``fixed_point_reconstruct`` provides the non-convex iteration
 rho_j <- R_j rho_j R_j / norm with R_j = sum (f/p) M_{k,j}, mainly as a
 cross-check; it stalls near the boundary where the Newton path does not.
@@ -88,6 +103,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -111,6 +127,7 @@ __all__ = [
     "FitModel",
     "LinearFit",
     "StageResult",
+    "StageCarry",
     "StageTrace",
     "ReconstructionResult",
     "FixedPointResult",
@@ -132,6 +149,14 @@ PRINCIPLES = ("ml", "ls", "freels", "hedged")
 # fit/t + barrier has decrement 0.32 < (3 - sqrt 5)/2: Newton's quadratic region
 CENTERING = 0.1
 EXACT_STAGES = 2
+# Those stages also keep the fit Hessian G^T diag(c) G while the outcome
+# probabilities stay within max |p/p_ref - 1| <= LAG of the p_ref it was formed
+# at (chord Newton).  Then c = f/p^k (k = 2 for ML, 3 for FreeLS) has
+# c/c_ref >= (1 + LAG)^-k, so the lagged system is >= (1 + LAG)^-k times the
+# true one and lambda^2 <= (1 + LAG)^k * lambda_lagged^2 <= 0.116 t at the stop:
+# still inside the quadratic region lambda^2 < (3 - sqrt 5)^2 / 4 = 0.146 t,
+# which holds for LAG up to 0.13 (FreeLS) or 0.2 (ML)
+LAG = 0.05
 # The step length along a Newton ray stops once |h'(a)| <= RAY_CURVATURE
 # |h'(0)| (the strong-Wolfe curvature test), after at most RAY_ITERATIONS
 RAY_CURVATURE = 0.1
@@ -759,7 +784,10 @@ class FitModel:
     and is formed as the symmetric rank-k product Gs^T Gs of
     Gs = sqrt(c) G, which numpy hands to BLAS syrk (half the flops of a
     general product) and which is exactly symmetric.  The constant LS
-    Hessian is built once and stored read-only.
+    Hessian is built once and stored read-only; the others are formed
+    afresh by every ``gradient_hessian`` call.  The model holds no state
+    between calls: which Hessian a Newton step reuses is the engine's
+    choice, made from ``hessian_drift`` (see ``newton_stage``).
     """
 
     def __init__(self, spec: FitSpec, parametrization: Parametrization,
@@ -811,6 +839,21 @@ class FitModel:
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
         return self.p0 + self.G @ x
+
+    @property
+    def constant_hessian(self) -> bool:
+        """True for LS, whose Hessian 2 G^T diag(w) G does not depend on x."""
+        return self.spec.principle == "ls"
+
+    def hessian_drift(self, x: np.ndarray, reference: np.ndarray) -> float:
+        """max |p(x) / reference - 1| over the rows with f > 0, the only
+        rows the ML and FreeLS curvatures c = f/p^2 and 2 f^2/p^3 weigh:
+        how far p has moved from the probabilities ``reference`` that a
+        Hessian was formed at.  It is 0.0 only when those rows of p equal
+        ``reference`` bit for bit, and so give the same Hessian."""
+        mask = self._mask
+        drift = self.probabilities(x)[mask] / reference[mask] - 1.0
+        return float(np.max(np.abs(drift), initial=0.0))
 
     def value(self, x: np.ndarray) -> float:
         return fit_value(self.spec, self.frequencies, self.probabilities(x))
@@ -894,6 +937,8 @@ class FitModel:
 class LinearFit:
     """Linear objective c^T x (used by the pretest LMI)."""
 
+    constant_hessian = True
+
     def __init__(self, coefficients):
         self.c = np.asarray(coefficients, dtype=float).ravel()
 
@@ -938,7 +983,25 @@ class StageResult:
     converged: bool
     objective: float
     fit_value: float
-    decrement: float  # lambda^2 = -g^T delta at x; NaN if no direction was formed there
+    # lambda^2 = -g^T delta at x, with the held fit Hessian if it lags;
+    # NaN if no direction was formed there
+    decrement: float
+    hessians: int  # fit Hessians formed in the stage (gradient_hessian calls)
+
+
+class StageCarry(NamedTuple):
+    """What a ``newton_stage`` hands the next one, all at the point it
+    returned.  The fit Hessian may be lagged: it was formed where the
+    outcome probabilities were ``hessian_at`` (None for a constant
+    Hessian).  ``factor`` is the Cholesky factor of the Newton system whose
+    decrement ended the stage, or None."""
+
+    fit_gradient: np.ndarray
+    fit_hessian: np.ndarray
+    hessian_at: np.ndarray | None
+    barrier_gradient: np.ndarray
+    barrier_hessian: np.ndarray
+    factor: tuple | None
 
 
 def _newton_direction(H_fit, H_bar, t, g):
@@ -1029,6 +1092,21 @@ def _line_search(fit, affine, chols, x, obj, t, delta, slope, cfg):
     return None
 
 
+def _hessian_holds(fit, x, hessian_at, limit: float) -> bool:
+    """Whether the fit Hessian formed where the outcome probabilities were
+    ``hessian_at`` may stand for the one at x: always for a constant
+    Hessian, else while ``fit.hessian_drift`` stays within ``limit``."""
+    return hessian_at is None or fit.hessian_drift(x, hessian_at) <= limit
+
+
+def _fit_derivatives(fit, x):
+    """(gradient, Hessian, hessian_at) of the fit at x, by one
+    ``gradient_hessian`` call; ``hessian_at`` is p(x), or None for a
+    constant Hessian."""
+    g_fit, H_fit = fit.gradient_hessian(x)
+    return g_fit, H_fit, None if fit.constant_hessian else fit.probabilities(x)
+
+
 def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
                  config: SolverConfig | None = None, *,
                  exact: bool = True, carry: list | None = None) -> StageResult:
@@ -1043,22 +1121,35 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
     ``exact=False`` also once lambda^2 <= CENTERING * t, in Newton's
     quadratic region of fit/t + barrier.
 
-    ``carry`` hands work from stage to stage.  If it holds (fit
-    gradient, fit Hessian, barrier gradient, barrier Hessian, factor)
-    taken at x_start, the four derivatives, which do not depend on t,
-    replace the first evaluation, and the tuple is removed from it.  The
-    factor, if not None, is the Cholesky factor of the last stage's
-    Newton system at x_start: the first direction is then the
-    central-path tangent step -M^-1 (grad F + t grad B) of
-    ``_tangent_direction``, which costs no factorization, and its step
-    length comes from the same ray search.  If it is not a descent
-    direction or no trial point is accepted, the stage takes the Newton
-    direction at the same point instead, so the tangent never ends a
-    stage.  On return ``carry`` holds the tuple at the returned point if
-    the stage evaluated the derivatives there, with the factor of the
-    direction whose decrement ended the stage, or None.  A factor is
-    dropped as soon as its direction is formed, so none is held while
-    derivatives are evaluated.
+    The gradient is exact at every step.  With ``exact=False`` the fit
+    Hessian is a chord: it is formed again only once the outcome
+    probabilities have drifted by more than LAG from where it was formed
+    (``FitModel.hessian_drift``), so most steps skip the syrk; every step
+    is still a descent step, and the stop still certifies the quadratic
+    region (see LAG).  With ``exact=True`` every Newton direction uses the
+    Hessian formed at its own iterate, so the last steps converge
+    quadratically and the stopping decrement is the Newton decrement.  A
+    constant Hessian (LS, ``LinearFit``) is formed once.  ``hessians`` in
+    the result counts the Hessians formed.
+
+    ``carry`` hands work from stage to stage.  If it holds a
+    ``StageCarry`` taken at x_start, its derivatives, which do not depend
+    on t, replace the first evaluation, and it is removed from the list.
+    A carried fit Hessian that does not hold at x_start (with
+    ``exact=True``: one not formed there) is released, and formed again at
+    x_start when a Newton direction needs it.  The factor, if not None, is
+    the Cholesky factor of the last stage's Newton system at x_start: the
+    first direction is then the central-path tangent step
+    -M^-1 (grad F + t grad B) of ``_tangent_direction``, which costs no
+    factorization, and its step length comes from the same ray search.
+    If it is not a descent direction or no trial point is accepted, the
+    stage takes the Newton direction at the same point instead, so the
+    tangent never ends a stage.  On return ``carry`` holds the
+    ``StageCarry`` at the returned point if the stage evaluated the
+    derivatives there, with the factor of the direction whose decrement
+    ended the stage, or None.  A factor is dropped as soon as its direction
+    is formed, and a fit Hessian before the next is formed, so neither is
+    held while a fit Hessian is built.
     """
     cfg = config or SolverConfig()
     affine = getattr(parametrization, "affine", parametrization)
@@ -1069,17 +1160,25 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
     fit_v = fit.value(x)
     obj = fit_v + t * affine.barrier_value(chols)
 
-    iterations = 0
+    iterations = hessians = 0
     grad_norm = math.inf
     decrement = math.nan
     converged = False
-    factor = tangent = None
+    limit = 0.0 if exact else LAG
+    factor = tangent = H_fit = hessian_at = None
     eps = float(np.finfo(float).eps)
     for _ in range(cfg.max_newton_iters):
         if carry:
-            g_fit, H_fit, bg, bH, tangent = carry.pop()
+            g_fit, H_fit, hessian_at, bg, bH, tangent = carry.pop()
+            if not _hessian_holds(fit, x, hessian_at, limit):
+                H_fit = None
         else:
-            g_fit, H_fit = fit.gradient_hessian(x)
+            if H_fit is not None and _hessian_holds(fit, x, hessian_at, limit):
+                g_fit = fit.gradient(x)
+            else:
+                H_fit = None  # released before the next one is formed
+                g_fit, H_fit, hessian_at = _fit_derivatives(fit, x)
+                hessians += 1
             _, bg, bH = affine.barrier_grad_hess(chols)
         g = g_fit + t * bg
         grad_norm = float(np.linalg.norm(g))
@@ -1095,6 +1194,10 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
                     x, chols, obj, fit_v = trial
                     iterations += 1
                     continue
+        if H_fit is None:
+            # the carried Hessian did not hold here; the carried gradient is exact
+            _, H_fit, hessian_at = _fit_derivatives(fit, x)
+            hessians += 1
         delta, slope, factor = _newton_direction(H_fit, bH, t, g)
         decrement = -slope
         # Affine-invariant centrality: the squared Newton decrement
@@ -1151,7 +1254,7 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
         H_fit = None  # the loop's derivatives predate the last step
 
     if carry is not None and H_fit is not None:
-        carry.append((g_fit, H_fit, bg, bH, factor))
+        carry.append(StageCarry(g_fit, H_fit, hessian_at, bg, bH, factor))
     return StageResult(
         x=x,
         iterations=iterations,
@@ -1160,6 +1263,7 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
         objective=obj,
         fit_value=fit_v,
         decrement=decrement,
+        hessians=hessians,
     )
 
 
@@ -1180,23 +1284,28 @@ def _barrier_path(fit, affine, schedule, x, config, stage=None):
     """Run one ``newton_stage`` per t of ``schedule``, each warm-started
     at the last one's point, and yield (t, StageResult) after each.
 
-    Stages before the last EXACT_STAGES are centred approximately.  The
-    derivatives that end one stage, and the factor of the Newton system
-    whose decrement ended it, seed the next through ``carry``, which the
-    stage empties on use, so no Hessian or factor outlives the stage
-    after the one that made it.  Every stage but the first and the last
-    thus starts with a central-path tangent step.  The final stage gets
-    the derivatives without the factor: it starts from the exact centre
-    of the one before with plain Newton steps, so its point, and the
-    certificate t * dim, are those of an all-exact path.  ``stage``
-    replaces ``newton_stage`` for a caller that passes it as looked up
-    in its own module.
+    Stages before the last EXACT_STAGES are centred approximately and
+    reuse the fit Hessian while p stays within LAG of where it was formed;
+    the last EXACT_STAGES form it at every Newton iterate, so they stop
+    on the true Newton decrement.  The ``StageCarry`` that ends one stage
+    (derivatives, the point of its fit Hessian, and the factor of the
+    Newton system whose decrement ended it) seeds the next through
+    ``carry``, which the stage empties on use: between stages that one
+    carry is the only holder of a fit Hessian or factor.  A fit Hessian
+    that still holds is carried on, so it may serve several stages.
+    Every stage but the first and the last thus starts with a
+    central-path tangent step.  The final stage gets the derivatives
+    without the factor: it starts from the exact centre of the one
+    before with plain Newton steps, so its point, and the certificate
+    t * dim, are those of an all-exact path.  ``stage`` replaces
+    ``newton_stage`` for a caller that passes it as looked up in its own
+    module.
     """
     stage = stage or newton_stage
     carry = []
     for i, t in enumerate(schedule):
         if carry and i == len(schedule) - 1:
-            carry.append(carry.pop()[:4] + (None,))
+            carry.append(carry.pop()._replace(factor=None))
         result = stage(fit, affine, t, x, config,
                        exact=i >= len(schedule) - EXACT_STAGES, carry=carry)
         x = result.x
@@ -1216,6 +1325,7 @@ class StageTrace:
     grad_norm: float
     decrement: float
     estimate: SpinEnsemble
+    hessians: int  # fit Hessians formed in the stage
 
 
 @dataclass
@@ -1229,6 +1339,12 @@ class ReconstructionResult:
     @property
     def total_iterations(self) -> int:
         return sum(s.iterations for s in self.trace)
+
+    @property
+    def total_hessians(self) -> int:
+        """Fit Hessians formed over all stages; fewer than the Newton
+        steps when the stages reuse them (LAG)."""
+        return sum(s.hessians for s in self.trace)
 
 
 def _resolve_spec(spec: FitSpec, dataset, freqs) -> FitSpec:
@@ -1288,6 +1404,7 @@ def reconstruct(dataset, spec: FitSpec,
                 grad_norm=stage.grad_norm,
                 decrement=stage.decrement,
                 estimate=param.ensemble(x),
+                hessians=stage.hessians,
             )
         )
 

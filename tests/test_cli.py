@@ -141,10 +141,15 @@ class TestReconstruct:
         with open(trace, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(payload["trace"])
-        assert {"t", "iterations", "fit_value", "grad_norm", "decrement", "trace_distance"} \
-            <= set(rows[0])
+        assert {"t", "iterations", "fit_value", "grad_norm", "decrement", "hessians",
+                "trace_distance"} <= set(rows[0])
         distances = [float(r["trace_distance"]) for r in rows]
         assert distances[-1] <= 1e-4
+        # fit Hessians formed per stage, apart from the Newton steps
+        hessians = [int(r["hessians"]) for r in rows]
+        assert hessians == [entry["hessians"] for entry in payload["trace"]]
+        assert sum(hessians) == payload["total_hessians"] >= 1
+        assert payload["total_hessians"] <= payload["total_iterations"] + len(rows)
 
     def test_hedged_gap_is_beta_times_dimension(self, tmp_path):
         settings = write_settings(tmp_path / "s.json", 6)

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from pitomo.povm import Setting, probabilities, rotated_blocks
 from pitomo.reconstruct import (
     CENTERING,
+    LAG,
     AffineBlockMap,
     FitModel,
     FitSpec,
@@ -524,24 +526,31 @@ def stage_end(principle, exact=True):
     return model, param, first, carry
 
 
-def assert_same_stage(a, b):
+def assert_same_stage(a, b, skip=()):
     for field in dataclasses.fields(StageResult):
-        assert np.array_equal(getattr(a, field.name), getattr(b, field.name),
-                              equal_nan=True), field.name
+        if field.name not in skip:
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name),
+                                  equal_nan=True), field.name
 
 
 def assert_same_carry(a, b):
-    """Equal carried derivatives and equal factors (or both None)."""
-    for u, v in zip(a[:4], b[:4]):
-        assert np.array_equal(u, v)
-    assert (a[4] is None) == (b[4] is None)
-    if a[4] is not None:
-        assert np.array_equal(a[4][0], b[4][0]) and a[4][1] == b[4][1]
+    """Equal carried derivatives, equal points of the fit Hessian and
+    equal factors (or both None)."""
+    for name in ("fit_gradient", "fit_hessian", "barrier_gradient", "barrier_hessian"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.hessian_at is None) == (b.hessian_at is None)
+    if a.hessian_at is not None:
+        assert np.array_equal(a.hessian_at, b.hessian_at)
+    assert (a.factor is None) == (b.factor is None)
+    if a.factor is not None:
+        assert np.array_equal(a.factor[0], b.factor[0]) and a.factor[1] == b.factor[1]
 
 
-def newton_decrement(model, param, t, x):
-    """lambda^2 = g^T (t H_bar + H_fit)^-1 g at x, from fresh derivatives."""
+def newton_decrement(model, param, t, x, fit_hessian=None):
+    """lambda^2 = g^T (t H_bar + H_fit)^-1 g at x, from fresh derivatives,
+    or with the fit Hessian ``fit_hessian`` in place of the fresh one."""
     g_fit, H_fit = model.gradient_hessian(x)
+    H_fit = H_fit if fit_hessian is None else fit_hessian
     _, bg, bH = barrier_value_grad_hess(param, x, 1.0)
     g = g_fit + t * bg
     return float(g @ np.linalg.solve(t * bH + H_fit, g))
@@ -596,32 +605,41 @@ class TestNewtonStage:
     def test_carried_derivatives_seed_exactly(self, principle, exact):
         # the derivatives that end one stage do not depend on t, so
         # seeding the next stage with them, its factor slot empty,
-        # changes nothing, bit for bit
+        # changes nothing, bit for bit, but saves one fit Hessian
         model, param, first, carry = stage_end(principle)
-        seeded_carry, fresh_carry = [carry.pop()[:4] + (None,)], []
+        seeded_carry, fresh_carry = [carry.pop()._replace(factor=None)], []
         seeded = newton_stage(model, param, 0.01, first.x, exact=exact, carry=seeded_carry)
         fresh = newton_stage(model, param, 0.01, first.x, exact=exact, carry=fresh_carry)
         assert seeded.iterations > 0
-        assert_same_stage(seeded, fresh)
+        assert_same_stage(seeded, fresh, skip=("hessians",))
+        assert seeded.hessians == fresh.hessians - 1
         assert_same_carry(seeded_carry.pop(), fresh_carry.pop())
         assert seeded_carry == fresh_carry == []
 
     @pytest.mark.parametrize("principle", ["ml", "ls", "freels", "hedged"])
     def test_one_derivative_evaluation_per_step_plus_one(self, principle, monkeypatch):
+        # a derivative evaluation is a gradient_hessian call, or a gradient
+        # call beside a held (lagged or constant) fit Hessian.  The other
+        # gradient calls, the endgame's test of a full step and the check
+        # after an exhausted budget, each come with one barrier_grad call
         calls = []
-        original = FitModel.gradient_hessian
+        for owner, name in ((FitModel, "gradient_hessian"), (FitModel, "gradient"),
+                            (AffineBlockMap, "barrier_grad")):
+            original = getattr(owner, name)
 
-        def counted(self, x):
-            calls.append(None)
-            return original(self, x)
+            def counted(self, *args, original=original, name=name):
+                calls.append(name)
+                return original(self, *args)
 
-        monkeypatch.setattr(FitModel, "gradient_hessian", counted)
+            monkeypatch.setattr(owner, name, counted)
         rng = np.random.default_rng(9)
         ds = sampled_dataset(interior_ensemble(3, rng), random_settings(rng, 12), 500, rng)
         spec = FitSpec.hedged(0.01) if principle == "hedged" else FitSpec(principle)
         result = reconstruct(ds, spec)
         assert result.converged
-        assert len(calls) == result.total_iterations + 1
+        lagged = calls.count("gradient") - calls.count("barrier_grad")
+        assert calls.count("gradient_hessian") == result.total_hessians
+        assert result.total_hessians + lagged == result.total_iterations + 1
 
 
 class TestTangentStart:
@@ -640,7 +658,8 @@ class TestTangentStart:
         carry = []
         centre = newton_stage(model, param, 1.0, np.zeros(param.dimension),
                               SolverConfig(grad_tol=1e-11), carry=carry)
-        g_fit, H_fit, bg, bH, factor = carry[0]
+        H_fit, bg, bH, factor = (carry[0].fit_hessian, carry[0].barrier_gradient,
+                                 carry[0].barrier_hessian, carry[0].factor)
         assert centre.decrement <= 1e-22 and factor is not None
         expected = (0.1 - 1.0) * -np.linalg.solve(1.0 * bH + H_fit, bg)
         directions = []
@@ -664,23 +683,29 @@ class TestTangentStart:
         # is never reported: a stage whose last direction was the
         # tangent reports NaN
         model, param, first, carry = stage_end(principle, exact=False)
-        assert carry[0][4] is not None
+        assert carry[0].factor is not None
         cfg = SolverConfig(max_newton_iters=max_iters)
         stage = newton_stage(model, param, 0.01, first.x, cfg, exact=False, carry=carry)
         assert stage.iterations >= 1
         if max_iters == 1:
             assert math.isnan(stage.decrement)
         else:
+            # the decrement of the system the stage solved, whose fit
+            # Hessian may lag (LAG); the true Newton decrement is within
+            # the factor (1 + LAG)^3 that keeps it in the quadratic region
+            held = carry[0].fit_hessian
             assert stage.decrement == pytest.approx(
-                newton_decrement(model, param, 0.01, stage.x), rel=1e-8)
+                newton_decrement(model, param, 0.01, stage.x, held), rel=1e-8)
             assert stage.decrement <= CENTERING * 0.01
+            true = newton_decrement(model, param, 0.01, stage.x)
+            assert true <= (1.0 + LAG) ** 3 * stage.decrement * (1.0 + 1e-8)
 
     @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
     def test_failed_tangent_falls_back_to_newton(self, principle, monkeypatch):
         # with a non-descent tangent the stage takes the Newton direction
         # at the same point: exactly the stage started without a factor
         model, param, first, carry = stage_end(principle, exact=False)
-        assert carry[0][4] is not None
+        assert carry[0].factor is not None
         original = reconstruct_module._tangent_direction
 
         def uphill(factor, g):
@@ -688,7 +713,7 @@ class TestTangentStart:
             return -delta, -slope
 
         monkeypatch.setattr(reconstruct_module, "_tangent_direction", uphill)
-        plain_carry = [carry[0][:4] + (None,)]
+        plain_carry = [carry[0]._replace(factor=None)]
         fallback = newton_stage(model, param, 0.01, first.x, carry=carry)
         plain = newton_stage(model, param, 0.01, first.x, carry=plain_carry)
         assert fallback.converged and fallback.iterations > 0
@@ -736,7 +761,7 @@ class TestTangentStart:
         original = reconstruct_module.newton_stage
 
         def recording(*args, carry, **kwargs):
-            received.append(carry[0][4] if carry else "empty")
+            received.append(carry[0].factor if carry else "empty")
             return original(*args, carry=carry, **kwargs)
 
         monkeypatch.setattr(reconstruct_module, "newton_stage", recording)
@@ -923,6 +948,169 @@ class TestApproximateCentring:
                     or stage.grad_norm <= SolverConfig().grad_tol)
         for stage in result.trace[-2:]:
             assert not stage.decrement > SolverConfig().grad_tol ** 2
+
+
+def lag_case(n, principle, truth, data, seed):
+    """A dataset and fit spec of the lag tests: (N+1)(N+2)/2 + 2 random
+    settings, 1000 shots or exact data, a pure-block or mixed truth."""
+    rng = np.random.default_rng([n, seed, len(truth), len(data)])
+    state = (pure_block_ensemble if truth == "pure" else interior_ensemble)(n, rng)
+    settings = random_settings(rng, (n + 1) * (n + 2) // 2 + 2)
+    ds = (sampled_dataset(state, settings, 1000, rng) if data == "sampled"
+          else exact_dataset(state, settings))
+    return ds, FitSpec.hedged(0.01) if principle == "hedged" else FitSpec(principle)
+
+
+LAG_CASES = dict(
+    n=st.integers(1, 6),
+    principle=st.sampled_from(["ml", "hedged", "freels", "ls"]),
+    truth=st.sampled_from(["pure", "mixed"]),
+    data=st.sampled_from(["sampled", "exact"]),
+    seed=st.integers(0, 2**16),
+)
+LAG_PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
+
+
+class TestLaggedHessian:
+    """Stages centred approximately reuse the fit Hessian while p moves
+    by at most LAG; the exact stages form it at every iterate."""
+
+    @LAG_PROPERTY
+    @given(**LAG_CASES)
+    def test_same_estimate_as_fresh_path(self, n, principle, truth, data, seed):
+        # LAG = -1 forms the Hessian at every step: the all-fresh path.
+        # The default stop (|g| or lambda <= 1e-8) leaves either path up
+        # to a few 1e-9 from the centre where the curvature is small (N <=
+        # 3), so 1e-10 is compared with the centres pinned by grad_tol =
+        # 1e-10, and the default answers to their stopping tolerance 1e-8
+        ds, spec = lag_case(n, principle, truth, data, seed)
+        for config, atol in ((SolverConfig(grad_tol=1e-10), 1e-10), (SolverConfig(), 1e-8)):
+            lagged = reconstruct(ds, spec, config)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(reconstruct_module, "LAG", -1.0)
+                fresh = reconstruct(ds, spec, config)
+            assert lagged.converged and fresh.converged
+            for two_j, block in fresh.estimate.blocks.items():
+                np.testing.assert_allclose(lagged.estimate.blocks[two_j], block,
+                                           rtol=0, atol=atol)
+            if spec.principle != "ls":  # one Hessian per evaluation, steps + 1
+                assert fresh.total_hessians > fresh.total_iterations
+
+    @LAG_PROPERTY
+    @given(**LAG_CASES)
+    def test_exact_stages_use_the_hessian_of_their_iterate(self, n, principle, truth,
+                                                           data, seed):
+        # every derivative evaluation is at the current iterate, so in an
+        # exact stage each Newton direction's fit Hessian must be the one
+        # gradient_hessian forms at the point of the last evaluation
+        ds, spec = lag_case(n, principle, truth, data, seed)
+        state = {"exact": False, "at": None}
+        checked = []
+        original = FitModel.gradient_hessian
+        original_gradient = FitModel.gradient
+        original_stage = reconstruct_module.newton_stage
+        original_direction = reconstruct_module._newton_direction
+
+        def gradient_hessian(self, x):
+            state["at"] = (self, x.copy())
+            return original(self, x)
+
+        def gradient(self, x):
+            state["at"] = (self, x.copy())
+            return original_gradient(self, x)
+
+        def stage(*args, exact, **kwargs):
+            state["exact"] = exact
+            return original_stage(*args, exact=exact, **kwargs)
+
+        def direction(H_fit, H_bar, t, g):
+            if state["exact"]:
+                model, x = state["at"]
+                assert np.array_equal(H_fit, original(model, x)[1])
+                checked.append(t)
+            return original_direction(H_fit, H_bar, t, g)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FitModel, "gradient_hessian", gradient_hessian)
+            patch.setattr(FitModel, "gradient", gradient)
+            patch.setattr(reconstruct_module, "newton_stage", stage)
+            patch.setattr(reconstruct_module, "_newton_direction", direction)
+            result = reconstruct(ds, spec)
+        assert result.converged
+        # an exact stage that reports a decrement formed a direction
+        assert checked or all(math.isnan(s.decrement) for s in result.trace[-2:])
+
+    def test_fewer_hessians_than_steps(self, monkeypatch):
+        calls = []
+        original = FitModel.gradient_hessian
+
+        def counted(self, x):
+            calls.append(None)
+            return original(self, x)
+
+        monkeypatch.setattr(FitModel, "gradient_hessian", counted)
+        ds, spec = lag_case(6, "ml", "mixed", "sampled", 0)
+        result = reconstruct(ds, spec)
+        assert result.converged
+        assert len(calls) == result.total_hessians < result.total_iterations
+
+    def test_lag_costs_at_most_one_hessian_of_memory(self):
+        # tracemalloc sees numpy's buffers; a warm-up fit fills the caches
+        ds, spec = lag_case(8, "ml", "mixed", "sampled", 0)
+        dim = Parametrization(sector_layout(8)).dimension
+        reconstruct(ds, spec)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                assert reconstruct(ds, spec).converged
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        lagged = peak()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reconstruct_module, "LAG", -1.0)
+            fresh = peak()
+        assert lagged <= fresh + dim * dim * 8
+
+    def test_only_the_carry_holds_a_hessian_or_factor(self, monkeypatch):
+        # between stages, the one carried StageCarry is the only holder
+        # of a fit Hessian or a Newton factor: a popped carry kept alive
+        # would hold three more d x d arrays
+        hessians, factors, alive = [], [], []
+        original_factor = reconstruct_module.cho_factor
+        original_derivatives = FitModel.gradient_hessian
+        original_stage = reconstruct_module.newton_stage
+
+        def tracked_factor(*args, **kwargs):
+            factor = original_factor(*args, **kwargs)
+            factors.append(weakref.ref(factor[0]))
+            return factor
+
+        def tracked_derivatives(self, x):
+            g, H = original_derivatives(self, x)
+            hessians.append(weakref.ref(H))
+            return g, H
+
+        def stage(*args, carry, **kwargs):
+            result = original_stage(*args, carry=carry, **kwargs)
+            held = {id(carry[0].fit_hessian)} if carry else set()
+            if carry and carry[0].factor is not None:
+                held.add(id(carry[0].factor[0]))
+            for ref in hessians + factors:
+                if ref() is not None:
+                    alive.append(id(ref()) in held)
+            return result
+
+        monkeypatch.setattr(reconstruct_module, "cho_factor", tracked_factor)
+        monkeypatch.setattr(FitModel, "gradient_hessian", tracked_derivatives)
+        monkeypatch.setattr(reconstruct_module, "newton_stage", stage)
+        ds, spec = lag_case(8, "ml", "mixed", "sampled", 0)
+        result = reconstruct(ds, spec)
+        assert result.converged and result.total_hessians < result.total_iterations
+        assert alive and all(alive)
+        assert all(ref() is None for ref in hessians + factors)
 
 
 class TestReconstructSampledData:
