@@ -32,7 +32,8 @@ from pitomo.reconstruct import (
     resolve_least_squares_weights,
     t_schedule,
 )
-from pitomo.sim import Dataset, DatasetRecord as Record
+from pitomo.design import random_settings as design_random_settings
+from pitomo.sim import Dataset, DatasetRecord as Record, dicke_mixture_state, sample_dataset
 from pitomo.spin_blocks import (
     SpinEnsemble,
     maximally_mixed_ensemble,
@@ -235,8 +236,8 @@ class TestParametrization:
         shared = build_fit_model(ds, FitSpec.max_lik()).parametrization
         assert build_fit_model(ds, FitSpec.free_least_squares()).parametrization is shared
         affine, tables = shared.affine, shared.affine.directions
-        for array in (shared.shift_coeff, tables.Q, tables.Qc, tables.diag_coord,
-                      *affine.constants, *shared.indices):
+        for array in (shared.shift_coeff, shared.centre, tables.Q, tables.Qc,
+                      tables.diag_coord, *affine.constants, *shared.indices):
             assert not array.flags.writeable
         own = Parametrization(shared.layout)
         assert build_fit_model(ds, FitSpec.max_lik(), own).parametrization is own
@@ -733,9 +734,9 @@ class TestTangentStart:
             factors.append(weakref.ref(factor[0]))
             return factor
 
-        def checked(self, x):
+        def checked(self, x, *args):
             alive.append(sum(ref() is not None for ref in factors))
-            return original_derivatives(self, x)
+            return original_derivatives(self, x, *args)
 
         monkeypatch.setattr(reconstruct_module, "cho_factor", tracked)
         monkeypatch.setattr(FitModel, "gradient_hessian", checked)
@@ -1011,13 +1012,13 @@ class TestLaggedHessian:
         original_stage = reconstruct_module.newton_stage
         original_direction = reconstruct_module._newton_direction
 
-        def gradient_hessian(self, x):
+        def gradient_hessian(self, x, *args):
             state["at"] = (self, x.copy())
-            return original(self, x)
+            return original(self, x, *args)
 
-        def gradient(self, x):
+        def gradient(self, x, *args):
             state["at"] = (self, x.copy())
-            return original_gradient(self, x)
+            return original_gradient(self, x, *args)
 
         def stage(*args, exact, **kwargs):
             state["exact"] = exact
@@ -1044,9 +1045,9 @@ class TestLaggedHessian:
         calls = []
         original = FitModel.gradient_hessian
 
-        def counted(self, x):
+        def counted(self, x, *args):
             calls.append(None)
-            return original(self, x)
+            return original(self, x, *args)
 
         monkeypatch.setattr(FitModel, "gradient_hessian", counted)
         ds, spec = lag_case(6, "ml", "mixed", "sampled", 0)
@@ -1088,8 +1089,8 @@ class TestLaggedHessian:
             factors.append(weakref.ref(factor[0]))
             return factor
 
-        def tracked_derivatives(self, x):
-            g, H = original_derivatives(self, x)
+        def tracked_derivatives(self, x, *args):
+            g, H = original_derivatives(self, x, *args)
             hessians.append(weakref.ref(H))
             return g, H
 
@@ -1133,6 +1134,125 @@ class TestReconstructSampledData:
         for a in estimates:
             for b in estimates:
                 assert trace_distance(a, b) < 5e-3
+
+
+def path_estimate(ds, spec, x0):
+    """The estimate reconstruct's barrier path reaches from x0."""
+    model = build_fit_model(ds, spec)
+    cfg = SolverConfig()
+    x = x0
+    for _, stage in reconstruct_module._barrier_path(
+            model, model.parametrization, t_schedule(cfg, spec.beta), x0, cfg):
+        assert stage.converged
+        x = stage.x
+    return model.parametrization.ensemble(x)
+
+
+def fit_spec(principle):
+    return FitSpec.hedged(0.01) if principle == "hedged" else FitSpec(principle)
+
+
+def assert_same_estimate(a, b, atol):
+    for two_j, block in a.blocks.items():
+        np.testing.assert_allclose(b.blocks[two_j], block, rtol=0, atol=atol)
+
+
+class TestAnalyticCentre:
+    """reconstruct starts its barrier path at the analytic centre of
+    -sum_j log det rho_j on unit trace, the state with every block I/D."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           fraction=st.floats(0.0, 1.0))
+    def test_centre_minimizes_the_barrier(self, n, seed, fraction):
+        param = reconstruct_module._shared_parametrization(sector_layout(n))
+        D = param.layout.compressed_dim
+        centre = param.ensemble(param.centre)
+        for block in centre.blocks.values():
+            np.testing.assert_allclose(block, np.eye(len(block)) / D, rtol=0, atol=1e-15)
+        assert sum(np.trace(b).real for b in centre.blocks.values()) == pytest.approx(1.0, abs=1e-14)
+        value, grad, _ = barrier_value_grad_hess(param, param.centre, 1.0)
+        assert np.abs(grad).max() <= 1e-13 * D
+        if n <= 2:  # base is I/D already
+            assert np.array_equal(param.centre, np.zeros(param.dimension))
+        # any other unit-trace state, here on the segment from the centre
+        # to a random interior one, has a larger barrier value
+        other = interior_ensemble(n, np.random.default_rng(seed))
+        x = param.centre + fraction * (param.coordinates(other) - param.centre)
+        assert barrier_value_grad_hess(param, x, 1.0)[0] >= value - 1e-12 * abs(value)
+
+    @pytest.mark.parametrize("principle", ["ml", "ls", "freels", "hedged"])
+    @pytest.mark.parametrize("n, data", [(4, "sampled"), (4, "exact"), (8, "sampled")])
+    def test_same_estimate_as_from_maximally_mixed(self, n, data, principle):
+        # the start changes the path, not its end; exact data leave flat
+        # directions that the default stop resolves only to about 1e-5
+        rng = np.random.default_rng([n, len(principle), len(data)])
+        state = interior_ensemble(n, rng)
+        settings = random_settings(rng, (n + 1) * (n + 2) // 2 + 2)
+        ds = (sampled_dataset(state, settings, 1000, rng) if data == "sampled"
+              else exact_dataset(state, settings))
+        spec = fit_spec(principle)
+        param = reconstruct_module._shared_parametrization(sector_layout(n))
+        assert_same_estimate(path_estimate(ds, spec, np.zeros(param.dimension)),
+                             path_estimate(ds, spec, param.centre),
+                             1e-10 if data == "sampled" else 1e-6)
+
+    @pytest.mark.parametrize("principle", ["ml", "ls"])
+    def test_first_stage_is_short(self, principle):
+        # from the compressed maximally mixed state the first stage spends
+        # 6-7 Newton steps on re-centring the barrier alone
+        n = 12
+        truth = dicke_mixture_state(n, seed=5)
+        rng = np.random.default_rng(5)
+        ds = sample_dataset(truth, design_random_settings(91, seed=rng), 1000, seed=rng)
+        spec = fit_spec(principle)
+        cfg = SolverConfig(t_min=1e-2)  # t = 1, 0.1, 0.01: the first stage is approximate
+        result = reconstruct(ds, spec, cfg)
+        assert result.converged
+        assert result.trace[0].iterations <= 3
+        model = build_fit_model(ds, spec)
+        param = model.parametrization
+        from_zero = newton_stage(model, param, cfg.t0, np.zeros(param.dimension), cfg,
+                                 exact=False)
+        assert from_zero.iterations > 3
+
+
+def antipodal_case(n, seed, both):
+    """(along a, along -a): a sampled dataset, and the same counts with a
+    random subset of its records moved to -a with the outcomes reversed
+    (k -> N - k).  With ``both`` the subset is measured twice instead:
+    along a and again along a, or along a and along -a."""
+    rng = np.random.default_rng([n, seed])
+    state = interior_ensemble(n, rng)
+    ds = sampled_dataset(state, random_settings(rng, (n + 1) * (n + 2) // 2 + 2), 1000, rng)
+    flip = rng.random(len(ds.records)) < 0.5
+    flip[0] = True
+    moved = [Record(Setting(axis=-r.setting.axis), r.counts[::-1], r.repetitions)
+             for r in ds.records]
+    if both:
+        return (Dataset(n, ds.records + tuple(r for r, f in zip(ds.records, flip) if f)),
+                Dataset(n, ds.records + tuple(m for m, f in zip(moved, flip) if f)))
+    return ds, Dataset(n, [m if f else r for r, m, f in zip(ds.records, moved, flip)])
+
+
+class TestAntipodalSettings:
+    """sim and reconstruct accept antipodal settings (only DesignProblem
+    rejects them): a record along -a is the record along a with its
+    outcomes reversed, k -> N - k, so it gives the same estimate."""
+
+    @settings(derandomize=True, deadline=None, max_examples=16)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**16),
+           principle=st.sampled_from(["ml", "ls", "freels", "hedged"]), both=st.booleans())
+    def test_reversed_record_along_minus_a_gives_same_estimate(self, n, seed, principle,
+                                                               both):
+        along_a, along_minus_a = antipodal_case(n, seed, both)
+        if both:
+            axes = [rec.setting.axis for rec in along_minus_a.records]
+            assert any(np.array_equal(u, -v) for u in axes for v in axes)
+        spec = fit_spec(principle)
+        ours, theirs = reconstruct(along_a, spec), reconstruct(along_minus_a, spec)
+        assert ours.converged and theirs.converged
+        assert_same_estimate(ours.estimate, theirs.estimate, 1e-10)
 
 
 class TestDatasetValidation:
