@@ -82,22 +82,25 @@ certificate as on an all-exact path.  The pretest's linear-objective
 LMI runs on the same engine.  ``build_fit_model`` shares one read-only
 ``Parametrization`` per layout across fits.
 
-The approximately centred stages are chord Newton in the fit Hessian
-(Kelley, Iterative Methods for Linear and Nonlinear Equations, 5.4):
-the gradient is exact at every step, but G^T diag(c) G, the syrk that
-dominates a step from N = 16 up, is formed again only once the outcome
-probabilities have drifted, max |p/p_ref - 1| > LAG over the rows with
-f > 0, from the p_ref it was formed at.  The lagged system still gives
-descent directions, so the ray search and Armijo test hold as they are.
-Within LAG = 0.05 the curvatures c = f/p^2 (ML) and 2 f^2/p^3 (FreeLS)
-fall by at most a factor (1 + LAG)^3, so the approximate stop
-lambda^2 <= 0.1 t certifies a true lambda^2 <= 0.116 t, still inside
-the quadratic region 0.146 t.  The last two stages form the Hessian at
-every iterate whose Newton direction they take, so they converge
-quadratically and stop on the true decrement.  The held Hessian and
-p_ref are the engine's (``StageCarry``); ``FitModel`` keeps no state.
-The engine forms p = p0 + G x once per iterate and hands it to the drift
-test, the fit derivatives and the ray.
+Every stage is chord Newton in the fit Hessian (Kelley, Iterative
+Methods for Linear and Nonlinear Equations, 5.4): the gradient is exact
+at every step, but G^T diag(c) G, the syrk that dominates a step from
+N = 16 up, is formed again only once the outcome probabilities have
+drifted from the p_ref it was formed at, max |p/p_ref - 1| over the rows
+with f > 0.  The held system still gives descent directions, so the ray
+search and Armijo test hold as they are, and its decrement bounds the
+true one within a factor (1 + drift)^k (see LAG).  The approximately
+centred stages hold it within LAG = 0.05, which keeps their stop inside
+the quadratic region.  The last two hold it within LAG times the last
+Newton direction's lambda^2 / t, so the Hessian's error shrinks with the
+decrement and they keep Newton's quadratic rate; they stop once the
+bound (1 + drift)^k lambda^2 <= grad_tol^2, which certifies the true
+Newton decrement.  The held Hessian and p_ref are the engine's
+(``StageCarry``); ``FitModel`` keeps no state.  The engine forms
+p = p0 + G x once per point, at a stage's start or a trial point of the
+line search, and hands it to the fit value, the drift test, the fit
+derivatives and the ray; an accepted trial's p, and the p a stage ends
+at, go on to the next iterate.
 
 ``fixed_point_reconstruct`` provides the non-convex iteration
 rho_j <- R_j rho_j R_j / norm with R_j = sum (f/p) M_{k,j}, mainly as a
@@ -158,13 +161,21 @@ PRINCIPLES = ("ml", "ls", "freels", "hedged")
 # fit/t + barrier has decrement 0.32 < (3 - sqrt 5)/2: Newton's quadratic region
 CENTERING = 0.1
 EXACT_STAGES = 2
-# Those stages also keep the fit Hessian G^T diag(c) G while the outcome
-# probabilities stay within max |p/p_ref - 1| <= LAG of the p_ref it was formed
-# at (chord Newton).  Then c = f/p^k (k = 2 for ML, 3 for FreeLS) has
-# c/c_ref >= (1 + LAG)^-k, so the lagged system is >= (1 + LAG)^-k times the
-# true one and lambda^2 <= (1 + LAG)^k * lambda_lagged^2 <= 0.116 t at the stop:
-# still inside the quadratic region lambda^2 < (3 - sqrt 5)^2 / 4 = 0.146 t,
-# which holds for LAG up to 0.13 (FreeLS) or 0.2 (ML)
+# Every stage keeps the fit Hessian G^T diag(c) G while the outcome
+# probabilities stay near the p_ref it was formed at (chord Newton).  With
+# drift = max |p/p_ref - 1| over the rows with f > 0 and c = f/p^k (k = 2 for
+# ML, 3 for FreeLS), c/c_ref >= (1 + drift)^-k, so the held system is
+# >= (1 + drift)^-k times the true one and the true squared decrement is
+# lambda^2 <= (1 + drift)^k lambda_held^2 (Boyd & Vandenberghe, Convex
+# Optimization, 9.6).  Stages centred approximately hold it while drift <=
+# LAG: their stop lambda_held^2 <= 0.1 t certifies lambda^2 <= 0.116 t, still
+# inside the quadratic region lambda^2 < (3 - sqrt 5)^2 / 4 = 0.146 t, which
+# holds for LAG up to 0.13 (FreeLS) or 0.2 (ML).  The exact stages hold it
+# while drift <= LAG * min(1, lambda_last^2 / t), lambda_last^2 the decrement
+# of the last Newton direction: the Hessian's relative error k * drift then
+# shrinks with the decrement, so Newton's quadratic rate holds (Kelley,
+# Iterative Methods for Linear and Nonlinear Equations, 5.4), and their stop
+# (1 + drift)^k lambda_held^2 <= grad_tol^2 certifies lambda^2 <= grad_tol^2
 LAG = 0.05
 # The step length along a Newton ray stops once |h'(a)| <= RAY_CURVATURE
 # |h'(0)| (the strong-Wolfe curvature test), after at most RAY_ITERATIONS
@@ -821,9 +832,10 @@ class FitModel:
     Hessian is built once and stored read-only; the others are formed
     afresh by every ``gradient_hessian`` call.  The model holds no state
     between calls: which Hessian a Newton step reuses is the engine's
-    choice, made from ``hessian_drift`` (see ``newton_stage``).  The
+    choice, made from ``hessian_drift`` and bounded with
+    ``curvature_power`` (see ``newton_stage``).  ``value`` and the
     derivative methods take p = ``probabilities(x)`` if the caller has
-    it, so that one iterate pays one product G x, and form it otherwise.
+    it, so that one point pays one product G x, and form it otherwise.
     """
 
     def __init__(self, spec: FitSpec, parametrization: Parametrization,
@@ -891,8 +903,16 @@ class FitModel:
         drift = p[mask] / reference[mask] - 1.0
         return float(np.max(np.abs(drift), initial=0.0))
 
-    def value(self, x: np.ndarray) -> float:
-        return fit_value(self.spec, self.frequencies, self.probabilities(x))
+    @property
+    def curvature_power(self) -> int:
+        """k with the Hessian weights c proportional to p^-k on the rows
+        with f > 0: 2 for ML and hedged (f/p^2), 3 for FreeLS (2 f^2/p^3),
+        0 for LS, whose weights do not depend on p."""
+        return {"ml": 2, "hedged": 2, "freels": 3, "ls": 0}[self.spec.principle]
+
+    def value(self, x: np.ndarray, p: np.ndarray | None = None) -> float:
+        p = self.probabilities(x) if p is None else p
+        return fit_value(self.spec, self.frequencies, p)
 
     def gradient(self, x: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
         p = self.probabilities(x) if p is None else p
@@ -971,7 +991,8 @@ class FitModel:
 
 
 class LinearFit:
-    """Linear objective c^T x (used by the pretest LMI); its derivative
+    """Linear objective c^T x (used by the pretest LMI).  It reads no
+    outcome probabilities: ``probabilities`` gives None, and its other
     methods take and ignore ``FitModel``'s p argument."""
 
     constant_hessian = True
@@ -979,7 +1000,10 @@ class LinearFit:
     def __init__(self, coefficients):
         self.c = np.asarray(coefficients, dtype=float).ravel()
 
-    def value(self, x):
+    def probabilities(self, x):
+        return None
+
+    def value(self, x, p=None):
         return float(self.c @ x)
 
     def gradient(self, x, p=None):
@@ -1020,25 +1044,33 @@ class StageResult:
     converged: bool
     objective: float
     fit_value: float
-    # lambda^2 = -g^T delta at x, with the held fit Hessian if it lags;
-    # NaN if no direction was formed there
+    # lambda^2 = -g^T delta at x, with the held fit Hessian if it lags, in
+    # any stage; the true Newton decrement is within (1 + drift)^k of it
+    # (see LAG), and an exact stage that stopped on it kept the bound <=
+    # grad_tol^2.  NaN if no direction was formed there
     decrement: float
     hessians: int  # fit Hessians formed in the stage (gradient_hessian calls)
 
 
 class StageCarry(NamedTuple):
     """What a ``newton_stage`` hands the next one, all at the point it
-    returned.  The fit Hessian may be lagged: it was formed where the
+    returned: the outcome probabilities there (None for a fit without
+    them), so the next stage forms no p at its start, and the
+    derivatives.  The fit Hessian may be lagged: it was formed where the
     outcome probabilities were ``hessian_at`` (None for a constant
-    Hessian).  ``factor`` is the Cholesky factor of the Newton system whose
-    decrement ended the stage, or None."""
+    Hessian), and held at this point.  ``factor`` is the Cholesky factor
+    of the Newton system whose decrement ended the stage, or None;
+    ``ratio`` is lambda^2 / t of the last Newton direction (inf if none),
+    which sets the next point's hold limit in an exact stage."""
 
+    probabilities: np.ndarray | None
     fit_gradient: np.ndarray
     fit_hessian: np.ndarray
     hessian_at: np.ndarray | None
     barrier_gradient: np.ndarray
     barrier_hessian: np.ndarray
     factor: tuple | None
+    ratio: float
 
 
 def _newton_direction(H_fit, H_bar, t, g):
@@ -1114,27 +1146,21 @@ def _ray_step(fit_derivatives, mu: np.ndarray, t: float, slope: float) -> float:
 def _line_search(fit, affine, chols, x, p, obj, t, delta, slope, cfg):
     """From the ray's step, backtrack to a feasible trial point (every
     block passes Cholesky) with Armijo sufficient decrease; returns its
-    (x, factors, objective, fit value), or None if no step >= 1e-16 is
-    accepted.  p is the fit's p(x) or None."""
+    (x, p, factors, objective, fit value), or None if no step >= 1e-16
+    is accepted.  p is the fit's p(x); each feasible trial forms its own
+    once."""
     step = _ray_step(fit.ray(x, delta, p), affine.ray_eigenvalues(chols, delta), t, slope)
     while step >= 1e-16:
         x_new = x + step * delta
         chols_new = affine.cholesky_list(affine.blocks(x_new))
         if chols_new is not None:
-            fit_new = fit.value(x_new)
+            p_new = fit.probabilities(x_new)
+            fit_new = fit.value(x_new, p_new)
             obj_new = fit_new + t * affine.barrier_value(chols_new)
             if obj_new <= obj + cfg.ls_alpha * step * slope:
-                return x_new, chols_new, obj_new, fit_new
+                return x_new, p_new, chols_new, obj_new, fit_new
         step *= cfg.ls_shrink
     return None
-
-
-def _hessian_holds(fit, p, hessian_at, limit: float) -> bool:
-    """Whether the fit Hessian formed where the outcome probabilities were
-    ``hessian_at`` may stand for the one where they are p: always for a
-    constant Hessian, else while ``fit.hessian_drift`` stays within
-    ``limit``."""
-    return hessian_at is None or fit.hessian_drift(p, hessian_at) <= limit
 
 
 def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
@@ -1147,27 +1173,33 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
     feasible set; the backtracking behind it still restores feasibility
     (every block must pass Cholesky) and enforces Armijo sufficient
     decrease.  Starting at an optimum costs zero iterations.  It stops
-    once lambda^2 = -g^T delta <= grad_tol^2 (or |g| <= grad_tol); with
-    ``exact=False`` also once lambda^2 <= CENTERING * t, in Newton's
+    once (1 + drift)^k lambda^2 <= grad_tol^2, with lambda^2 = -g^T delta
+    formed with the held fit Hessian (below), or once |g| <= grad_tol;
+    with ``exact=False`` also once lambda^2 <= CENTERING * t, in Newton's
     quadratic region of fit/t + barrier.
 
-    The gradient is exact at every step.  With ``exact=False`` the fit
-    Hessian is a chord: it is formed again only once the outcome
-    probabilities have drifted by more than LAG from where it was formed
-    (``FitModel.hessian_drift``), so most steps skip the syrk; every step
-    is still a descent step, and the stop still certifies the quadratic
-    region (see LAG).  With ``exact=True`` every Newton direction uses the
-    Hessian formed at its own iterate, so the last steps converge
-    quadratically and the stopping decrement is the Newton decrement.  A
-    constant Hessian (LS, ``LinearFit``) is formed once.  ``hessians`` in
-    the result counts the Hessians formed.
+    The gradient is exact at every step, but the fit Hessian is a chord:
+    it is formed again only once the outcome probabilities have drifted
+    from where it was formed (``FitModel.hessian_drift``) by more than LAG,
+    or with ``exact=True`` by more than LAG * min(1, lambda^2 / t) of the
+    last Newton direction, so most steps skip the syrk.  Every step is
+    still a descent step, and (1 + drift)^k lambda^2 bounds the true
+    Newton decrement, k = ``FitModel.curvature_power`` (see LAG).  With
+    ``exact=False`` the stop still certifies the quadratic region; with
+    ``exact=True`` the held Hessian's error shrinks with the decrement,
+    so the last steps keep Newton's quadratic rate, and the stop certifies
+    a true Newton decrement <= grad_tol^2.  A constant Hessian (LS,
+    ``LinearFit``) is formed once.  ``hessians`` in the result counts the
+    Hessians formed.  p = ``fit.probabilities`` is formed once per point:
+    at the start (unless carried) and at each feasible trial point, whose
+    p the accepted one hands on.
 
     ``carry`` hands work from stage to stage.  If it holds a
-    ``StageCarry`` taken at x_start, its derivatives, which do not depend
-    on t, replace the first evaluation, and it is removed from the list.
-    A carried fit Hessian that does not hold at x_start (with
-    ``exact=True``: one not formed there) is released, and formed again at
-    x_start when a Newton direction needs it.  The factor, if not None, is
+    ``StageCarry`` taken at x_start, its p and derivatives, which do not
+    depend on t, replace the first evaluation, and it is removed from the
+    list.  Its fit Hessian was held at x_start by the stage that returned
+    it, and holds here too; until this stage forms a Newton direction,
+    its ``ratio`` sets the hold limit.  The factor, if not None, is
     the Cholesky factor of the last stage's Newton system at x_start: the
     first direction is then the central-path tangent step
     -M^-1 (grad F + t grad B) of ``_tangent_direction``, which costs no
@@ -1187,32 +1219,41 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
     chols = affine.cholesky_list(affine.blocks(x))
     if chols is None:
         raise ValueError("newton_stage requires a strictly feasible start")
-    fit_v = fit.value(x)
+    # p = p0 + G x, formed once per point: by the stage that ended at
+    # x_start, or here, then by each trial point the line search accepts
+    p = carry[-1].probabilities if carry else fit.probabilities(x)
+    fit_v = fit.value(x, p)
     obj = fit_v + t * affine.barrier_value(chols)
 
     iterations = hessians = 0
     grad_norm = math.inf
     decrement = math.nan
+    ratio = math.inf  # lambda^2 / t of the last Newton direction
     converged = False
-    limit = 0.0 if exact else LAG
     factor = tangent = H_fit = hessian_at = None
     eps = float(np.finfo(float).eps)
     for _ in range(cfg.max_newton_iters):
-        # p(x), formed once per iterate for the drift test, the fit
-        # derivatives and the ray, and the hessian_at of a Hessian formed
-        # here; a fit with a constant Hessian forms its own
-        p = None if fit.constant_hessian else fit.probabilities(x)
-        if carry:
-            g_fit, H_fit, hessian_at, bg, bH, tangent = carry.pop()
-            if not _hessian_holds(fit, p, hessian_at, limit):
-                H_fit = None
-        else:
-            if H_fit is not None and _hessian_holds(fit, p, hessian_at, limit):
-                g_fit = fit.gradient(x, p)
+        carried = bool(carry)
+        if carried:
+            _, g_fit, H_fit, hessian_at, bg, bH, tangent, ratio = carry.pop()
+        # a held fit Hessian stands for this point's while its drift stays
+        # within LAG, or in an exact stage within LAG * min(1, lambda^2/t)
+        # of the last Newton direction; a carried one was held or formed at
+        # x_start by the stage that returned it.  A decrement formed with
+        # it is within the factor (1 + drift)^k of the true one (see LAG)
+        inflation = 1.0
+        if H_fit is not None and hessian_at is not None:
+            drift = fit.hessian_drift(p, hessian_at)
+            if carried or drift <= LAG * (min(1.0, ratio) if exact else 1.0):
+                inflation = (1.0 + drift) ** fit.curvature_power
             else:
                 H_fit = None  # released before the next one is formed
+        if not carried:
+            if H_fit is not None:
+                g_fit = fit.gradient(x, p)
+            else:
                 g_fit, H_fit = fit.gradient_hessian(x, p)
-                hessian_at = p
+                hessian_at = None if fit.constant_hessian else p
                 hessians += 1
             _, bg, bH = affine.barrier_grad_hess(chols)
         g = g_fit + t * bg
@@ -1226,22 +1267,21 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
             if -slope > 64.0 * eps * abs(obj) and np.all(np.isfinite(delta)):
                 trial = _line_search(fit, affine, chols, x, p, obj, t, delta, slope, cfg)
                 if trial is not None:
-                    x, chols, obj, fit_v = trial
+                    x, p, chols, obj, fit_v = trial
                     iterations += 1
                     continue
-        if H_fit is None:
-            # the carried Hessian did not hold here; the carried gradient is exact
-            H_fit, hessian_at = fit.gradient_hessian(x, p)[1], p
-            hessians += 1
         delta, slope, factor = _newton_direction(H_fit, bH, t, g)
         decrement = -slope
+        ratio = decrement / t
         # Affine-invariant centrality: the squared Newton decrement
         # g^T H^-1 g is what self-concordance bounds the remaining
         # decrease by.  In badly scaled geometry (barrier curvature
         # ~1/lambda^2 near the cone boundary) the plain gradient norm
         # can sit far above grad_tol while the iterate is already
         # central to machine precision; the decrement is not fooled.
-        if decrement <= cfg.grad_tol**2 or (not exact and decrement <= CENTERING * t):
+        # inflation * decrement bounds the true one (see LAG)
+        if (decrement * inflation <= cfg.grad_tol**2
+                or (not exact and decrement <= CENTERING * t)):
             converged = True
             break
         factor = None
@@ -1253,7 +1293,7 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
             if trial is None:
                 converged = grad_norm <= cfg.grad_tol * (1.0 + abs(obj))
                 break
-            x_new, chols_new, obj_new, fit_new = trial
+            x_new, p_new, chols_new, obj_new, fit_new = trial
         else:
             # endgame: the predicted decrease is beneath the objective's
             # roundoff, so Armijo cannot certify progress.  Take the full
@@ -1272,24 +1312,25 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
                 converged = grad_norm <= cfg.grad_tol * (1.0 + abs(obj))
                 break
             _, bg_new = affine.barrier_grad(chols_new)
-            g_new = fit.gradient(x_new) + t * bg_new
+            p_new = fit.probabilities(x_new)
+            g_new = fit.gradient(x_new, p_new) + t * bg_new
             if float(np.linalg.norm(g_new)) >= grad_norm:
                 converged = grad_norm <= cfg.grad_tol * (1.0 + abs(obj))
                 break
-            fit_new = fit.value(x_new)
+            fit_new = fit.value(x_new, p_new)
             obj_new = fit_new + t * affine.barrier_value(chols_new)
-        x, chols, obj, fit_v = x_new, chols_new, obj_new, fit_new
+        x, p, chols, obj, fit_v = x_new, p_new, chols_new, obj_new, fit_new
         decrement = math.nan
         iterations += 1
     else:
         # iteration budget exhausted; check the final gradient once more
         _, bg = affine.barrier_grad(chols)
-        grad_norm = float(np.linalg.norm(fit.gradient(x) + t * bg))
+        grad_norm = float(np.linalg.norm(fit.gradient(x, p) + t * bg))
         converged = grad_norm <= cfg.grad_tol
         H_fit = None  # the loop's derivatives predate the last step
 
     if carry is not None and H_fit is not None:
-        carry.append(StageCarry(g_fit, H_fit, hessian_at, bg, bH, factor))
+        carry.append(StageCarry(p, g_fit, H_fit, hessian_at, bg, bH, factor, ratio))
     return StageResult(
         x=x,
         iterations=iterations,
@@ -1321,18 +1362,20 @@ def _barrier_path(fit, affine, schedule, x, config, stage=None):
 
     Stages before the last EXACT_STAGES are centred approximately and
     reuse the fit Hessian while p stays within LAG of where it was formed;
-    the last EXACT_STAGES form it at every Newton iterate, so they stop
-    on the true Newton decrement.  The ``StageCarry`` that ends one stage
-    (derivatives, the point of its fit Hessian, and the factor of the
-    Newton system whose decrement ended it) seeds the next through
-    ``carry``, which the stage empties on use: between stages that one
-    carry is the only holder of a fit Hessian or factor.  A fit Hessian
-    that still holds is carried on, so it may serve several stages.
-    Every stage but the first and the last thus starts with a
-    central-path tangent step.  The final stage gets the derivatives
-    without the factor: it starts from the exact centre of the one
-    before with plain Newton steps, so its point, and the certificate
-    t * dim, are those of an all-exact path.  ``stage`` replaces
+    the last EXACT_STAGES reuse it while the drift stays within LAG times
+    the last Newton direction's lambda^2 / t, and stop on a bound of the
+    true Newton decrement (see LAG).  The ``StageCarry`` that ends one
+    stage (p, derivatives, the point of its fit Hessian, the factor of the
+    Newton system whose decrement ended it and that decrement over t)
+    seeds the next through ``carry``, which the stage empties on use:
+    between stages that one carry is the only holder of a fit Hessian or
+    factor.  A fit Hessian that still holds is carried on, so it may
+    serve several stages.  Every stage but the first and the last thus
+    starts with a central-path tangent step.  The final stage gets the
+    derivatives without the factor: it starts from the exact centre of
+    the one before with plain Newton steps, so its point, and the
+    certificate t * dim, are those of an all-exact path to the stopping
+    tolerance.  ``stage`` replaces
     ``newton_stage`` for a caller that passes it as looked up in its own
     module.
     """

@@ -974,7 +974,9 @@ LAG_PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
 
 class TestLaggedHessian:
     """Stages centred approximately reuse the fit Hessian while p moves
-    by at most LAG; the exact stages form it at every iterate."""
+    by at most LAG; the exact stages while it moves by at most LAG times
+    the last Newton direction's lambda^2 / t, and stop on a certified
+    decrement."""
 
     @LAG_PROPERTY
     @given(**LAG_CASES)
@@ -999,47 +1001,93 @@ class TestLaggedHessian:
 
     @LAG_PROPERTY
     @given(**LAG_CASES)
-    def test_exact_stages_use_the_hessian_of_their_iterate(self, n, principle, truth,
-                                                           data, seed):
-        # every derivative evaluation is at the current iterate, so in an
-        # exact stage each Newton direction's fit Hessian must be the one
-        # gradient_hessian forms at the point of the last evaluation
+    def test_exact_stages_hold_within_the_bound_and_stop_certified(self, n, principle,
+                                                                   truth, data, seed):
+        # The path is recorded as it runs: every fit derivative evaluation
+        # (the point where the engine decides whether a held Hessian
+        # stands), every fit Hessian formed and every Newton direction.
+        # Each held Hessian an exact-stage direction uses must be within
+        # the hold limit of the stage that held it at that point: LAG, or
+        # in an exact stage LAG * min(1, lambda^2 / t) of the last Newton
+        # direction formed before it.  Each exact stage that stops on its
+        # decrement test, (1 + drift)^k lambda^2 <= grad_tol^2, must have
+        # a fresh-Hessian Newton decrement <= grad_tol^2 where it stops.
         ds, spec = lag_case(n, principle, truth, data, seed)
-        state = {"exact": False, "at": None}
-        checked = []
-        original = FitModel.gradient_hessian
+        config = SolverConfig()
+        events, formed, stops = [], {}, []
+        state = {"exact": False}
+        original_hessian = FitModel.gradient_hessian
         original_gradient = FitModel.gradient
         original_stage = reconstruct_module.newton_stage
         original_direction = reconstruct_module._newton_direction
 
         def gradient_hessian(self, x, *args):
-            state["at"] = (self, x.copy())
-            return original(self, x, *args)
+            events.append(("eval", x.copy(), state["exact"]))
+            g, H = original_hessian(self, x, *args)
+            formed[id(H)] = (H, x.copy())  # H is kept alive, so its id is not reused
+            return g, H
 
         def gradient(self, x, *args):
-            state["at"] = (self, x.copy())
+            events.append(("eval", x.copy(), state["exact"]))
             return original_gradient(self, x, *args)
 
-        def stage(*args, exact, **kwargs):
+        def stage(fit, param, t, x, *args, exact, **kwargs):
             state["exact"] = exact
-            return original_stage(*args, exact=exact, **kwargs)
+            result = original_stage(fit, param, t, x, *args, exact=exact, **kwargs)
+            stops.append((len(events), fit, param, t, exact, result))
+            return result
 
         def direction(H_fit, H_bar, t, g):
-            if state["exact"]:
-                model, x = state["at"]
-                assert np.array_equal(H_fit, original(model, x)[1])
-                checked.append(t)
-            return original_direction(H_fit, H_bar, t, g)
+            delta, slope, factor = original_direction(H_fit, H_bar, t, g)
+            x = next(e[1] for e in reversed(events) if e[0] == "eval")
+            events.append(("dir", x, state["exact"], t, -slope, id(H_fit)))
+            return delta, slope, factor
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(FitModel, "gradient_hessian", gradient_hessian)
             patch.setattr(FitModel, "gradient", gradient)
             patch.setattr(reconstruct_module, "newton_stage", stage)
             patch.setattr(reconstruct_module, "_newton_direction", direction)
-            result = reconstruct(ds, spec)
+            result = reconstruct(ds, spec, config)
         assert result.converged
-        # an exact stage that reports a decrement formed a direction
-        assert checked or all(math.isnan(s.decrement) for s in result.trace[-2:])
+        model = stops[0][1]
+        power = {"ml": 2, "hedged": 2, "freels": 3, "ls": 0}[principle]
+
+        def drift_of(i):
+            """The drift of direction i's Hessian from where it was formed."""
+            _, x, _, _, _, key = events[i]
+            _, at = formed[key]
+            return model.hessian_drift(model.probabilities(x), model.probabilities(at))
+
+        held = 0
+        for i, event in enumerate(events):
+            if event[0] != "dir" or not event[2] or principle == "ls":
+                continue
+            x, at = event[1], formed[event[5]][1]
+            if np.array_equal(x, at):
+                continue
+            held += 1
+            # the evaluation at x that decided the hold, and its limit
+            check = max(j for j in range(i) if events[j][0] == "eval"
+                        and np.array_equal(events[j][1], x))
+            limit = LAG
+            if events[check][2]:
+                last = [e for e in events[:check] if e[0] == "dir"]
+                limit = LAG * min(1.0, last[-1][4] / last[-1][3] if last else math.inf)
+            assert drift_of(i) <= limit
+        certified = 0
+        for end, fit, param, t, exact, stage_result in stops:
+            if not exact or math.isnan(stage_result.decrement):
+                continue
+            i = max(j for j in range(end) if events[j][0] == "dir")
+            assert events[i][4] == stage_result.decrement
+            if (1.0 + drift_of(i)) ** power * events[i][4] > config.grad_tol ** 2:
+                continue  # stopped by the line search, not on the decrement
+            certified += 1
+            true = newton_decrement(fit, param, t, stage_result.x)
+            assert true <= config.grad_tol ** 2 * (1.0 + 1e-6)
+        # an exact stage that reports no decrement stopped on |g| <= grad_tol
+        assert certified or all(math.isnan(s.decrement) for s in result.trace[-2:])
 
     def test_fewer_hessians_than_steps(self, monkeypatch):
         calls = []
@@ -1054,6 +1102,21 @@ class TestLaggedHessian:
         result = reconstruct(ds, spec)
         assert result.converged
         assert len(calls) == result.total_hessians < result.total_iterations
+
+    def test_exact_stages_of_an_n12_fit_hold_their_hessians(self):
+        # the two exact stages of an N=12 ML fit formed 7 fit Hessians when
+        # they formed one at every Newton iterate; held within the
+        # decrement-tied limit, they need at most 3, at no cost in steps
+        truth = dicke_mixture_state(12, seed=5)
+        ds = sample_dataset(truth, design_random_settings(91, seed=5), 1000, seed=5)
+        lagged = reconstruct(ds, FitSpec.max_lik())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reconstruct_module, "LAG", -1.0)
+            fresh = reconstruct(ds, FitSpec.max_lik())
+        assert lagged.converged and fresh.converged
+        assert sum(stage.hessians for stage in lagged.trace[-2:]) <= 3
+        assert ([stage.iterations for stage in lagged.trace]
+                == [stage.iterations for stage in fresh.trace])
 
     def test_lag_costs_at_most_one_hessian_of_memory(self):
         # tracemalloc sees numpy's buffers; a warm-up fit fills the caches
@@ -1112,6 +1175,49 @@ class TestLaggedHessian:
         assert result.converged and result.total_hessians < result.total_iterations
         assert alive and all(alive)
         assert all(ref() is None for ref in hessians + factors)
+
+
+class TestProbabilitiesHandOff:
+    """The engine forms p = p0 + G x once per point and hands it on."""
+
+    @pytest.mark.parametrize("principle", ["ml", "ls"])
+    def test_no_point_evaluates_p_twice(self, principle, monkeypatch):
+        # a stage's start and each feasible trial point form p once; the
+        # accepted trial's p serves the next iterate, and the p a stage
+        # ends at serves the next stage's start.  Every stage start and
+        # trial point (line search or endgame) factors the blocks once
+        points, factored = [], []
+        original_p = FitModel.probabilities
+        original_factor = AffineBlockMap.cholesky_list
+
+        def probabilities(self, x):
+            points.append(x.tobytes())
+            return original_p(self, x)
+
+        def cholesky_list(self, blocks):
+            factored.append(None)
+            return original_factor(self, blocks)
+
+        rng = np.random.default_rng([6, 1])
+        ds = sampled_dataset(interior_ensemble(6, rng), random_settings(rng, 30), 1000, rng)
+        monkeypatch.setattr(FitModel, "probabilities", probabilities)
+        monkeypatch.setattr(AffineBlockMap, "cholesky_list", cholesky_list)
+        result = reconstruct(ds, FitSpec(principle))
+        assert result.converged and result.total_iterations > len(result.trace)
+        assert len(points) == len(set(points))
+        assert len(points) <= len(factored)
+
+    @pytest.mark.parametrize("principle", ["ml", "ls", "freels", "hedged"])
+    def test_value_with_p_is_value(self, principle):
+        rng = np.random.default_rng([3, 2])
+        ds = sampled_dataset(interior_ensemble(3, rng), random_settings(rng, 12), 500, rng)
+        spec = FitSpec.hedged(0.01) if principle == "hedged" else FitSpec(principle)
+        model = build_fit_model(ds, spec)
+        x = 0.01 * rng.normal(size=model.parametrization.dimension)
+        assert model.value(x, model.probabilities(x)) == model.value(x)
+        linear = LinearFit(rng.normal(size=x.size))
+        assert linear.probabilities(x) is None
+        assert linear.value(x, None) == linear.value(x)
 
 
 class TestReconstructSampledData:
