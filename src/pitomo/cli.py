@@ -6,7 +6,6 @@ Subcommands wrap the library end to end:
     reconstruct        fit a state to a dataset (convex or fixed-point)
     pretest            optimize and evaluate the fidelity witness
     optimize-settings  random-walk measurement-design optimization
-    benchmark          wall-clock table over qubit numbers and principles
 
 Structured artifacts are JSON (schemas owned by the library modules);
 iteration traces are plain CSV so they can be plotted directly.  Every
@@ -21,7 +20,6 @@ import csv
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -42,6 +40,7 @@ from .pretest import (
     witness_expectation,
 )
 from .reconstruct import (
+    PRINCIPLES,
     FitSpec,
     NonConvergenceError,
     SolverConfig,
@@ -336,7 +335,7 @@ def cmd_optimize_settings(args: argparse.Namespace) -> int:
     if args.initial:
         initial = load_settings(args.initial)
     else:
-        count = args.count or determined_setting_count(n)
+        count = determined_setting_count(n) if args.count is None else args.count
         initial = random_settings(count, seed=args.seed)
     problem = DesignProblem(
         n_qubits=n,
@@ -365,78 +364,6 @@ def cmd_optimize_settings(args: argparse.Namespace) -> int:
         f"over {result.proposals} proposals ({len(result.error_trace) - 1} "
         f"accepted)"
     )
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# benchmark
-# ---------------------------------------------------------------------------
-
-
-def cmd_benchmark(args: argparse.Namespace) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    principles = [tok.strip() for tok in args.principles.split(",") if tok]
-    if not sizes:
-        raise CliInputError("--sizes must name at least one qubit number")
-    for principle in principles:
-        if principle not in ("ml", "ls", "freels"):
-            raise CliInputError(f"unsupported benchmark principle {principle!r}")
-    seed = 0 if args.seed is None else args.seed
-
-    rows = []
-    for n in sizes:
-        layout = sector_layout(n)
-        truth = random_pi_state(layout, "haar-pure", seed=seed)
-        count = args.settings_count or determined_setting_count(n)
-        settings = random_settings(count, seed=seed + 1)
-        datasets = [
-            ("exact", exact_dataset(truth, settings)),
-            (
-                "sampled",
-                sample_dataset(
-                    truth, settings, repetitions=args.shots, seed=seed + 2
-                ),
-            ),
-        ]
-        for principle in principles:
-            for mode, dataset in datasets:
-                start = time.perf_counter()
-                result = reconstruct(dataset, FitSpec(principle=principle))
-                seconds = time.perf_counter() - start
-                distance = trace_distance(result.estimate, truth)
-                rows.append(
-                    [
-                        n,
-                        principle,
-                        mode,
-                        f"{seconds:.3f}",
-                        result.total_iterations,
-                        f"{result.fit_value!r}",
-                        f"{distance:.3e}",
-                    ]
-                )
-                _say(
-                    args,
-                    f"N={n} {principle} {mode}: {seconds:.2f}s, "
-                    f"{result.total_iterations} iterations, "
-                    f"distance {distance:.2e}",
-                )
-
-    header = [
-        "n",
-        "principle",
-        "mode",
-        "seconds",
-        "iterations",
-        "fit_value",
-        "trace_distance",
-    ]
-    if args.output:
-        _write_csv(args.output, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(cell) for cell in row))
     return EXIT_OK
 
 
@@ -472,8 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reconstruct", help="fit a state to a dataset")
     sp.add_argument("--dataset", required=True)
-    sp.add_argument("--principle", choices=("ml", "ls", "freels", "hedged"),
-                    default="ml")
+    sp.add_argument("--principle", choices=PRINCIPLES, default="ml")
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--algorithm", choices=("convex", "fixed-point"),
                     default="convex")
@@ -517,15 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", "-o", default=None, help="settings JSON path")
     common(sp)
 
-    sp = sub.add_parser("benchmark", help="timing table over qubit numbers")
-    sp.add_argument("--sizes", default="8,12", help="comma-separated N list")
-    sp.add_argument("--principles", default="ml,ls")
-    sp.add_argument("--shots", type=int, default=1000)
-    sp.add_argument("--settings-count", dest="settings_count", type=int,
-                    default=None)
-    sp.add_argument("--output", "-o", default=None, help="CSV path")
-    common(sp)
-
     return parser
 
 
@@ -534,7 +451,6 @@ _HANDLERS = {
     "reconstruct": cmd_reconstruct,
     "pretest": cmd_pretest,
     "optimize-settings": cmd_optimize_settings,
-    "benchmark": cmd_benchmark,
 }
 
 

@@ -14,10 +14,10 @@ once per (layout, settings).  Each block of G is read off the entries
 u_a conj(u_b) of the rank-one M_{k,j}^a = u u^dagger at its Gell-Mann
 index pairs, O(n^2) per outcome and sector, for all settings of a
 sector at once; neither M nor the dense basis stack (O(n^4)) is
-formed.  Every fit Hessian is G^T diag(c) G with c >= 0, formed as the
-symmetric rank-k (BLAS syrk) product of sqrt(c) G; the Newton system
-t H_barrier + H_fit is then assembled in a per-step buffer that LAPACK
-factors in place.
+formed.  Every fit Hessian is G^T diag(c) G with c = phi''(p) >= 0
+(below), formed as the symmetric rank-k (BLAS syrk) product of
+sqrt(c) G; the Newton system t H_barrier + H_fit is then assembled in a
+per-step buffer that LAPACK factors in place.
 
 The barrier engine (``AffineBlockMap``) knows three block kinds, each
 with one representation.  Gell-Mann blocks (``_GellMannTables``) carry
@@ -31,76 +31,48 @@ barrier derivatives in closed form off A = rho^-1: products of entries
 of A for Gell-Mann directions (tr(A E_ab A E_cd) = A_bc A_da for matrix
 units, O(n^4) per block), and v^dagger A v' for rank-one ones.
 
-Three convex fit principles are supported, plus a hedged variant:
-
-    ml      F = -sum f log p           (maximum likelihood)
-    ls      F = sum w (f - p)^2        (weighted least squares)
-    freels  F = sum (f - p)^2 / p      (probability-weighted LS)
-    hedged  F = ml - beta log det rho  (barrier run stopped at t = beta)
-
-FreeLS derivatives, per outcome with phi(p) = (f-p)^2/p = f^2/p - 2f + p:
-phi' = 1 - f^2/p^2 and phi'' = 2 f^2/p^3 >= 0, so the exact Hessian
-G^T diag(2 f^2/p^3) G is PSD on the interior - no approximation needed.
+Every fit principle is a separable loss F = sum_r phi(p_r) over the
+outcome rows (``LOSSES``: maximum likelihood, weighted and free least
+squares, and hedged likelihood), so one ``FitModel`` serves them all:
+its gradient is G^T phi'(p) and its Hessian G^T diag(phi''(p)) G.
 
 The optimum is found by an interior-point outer loop: minimize
 F(x) - t sum_j log det rho_j(x) by damped Newton, warm-starting while t
-shrinks from t0 to t_min.  The path starts at the analytic centre of the
-barrier (``Parametrization.centre``, every block I/D with D the
-compressed dimension), not at x = 0: the compressed maximally mixed
-state has blocks multiplicity(j)/2^N I, which at N = 16 span a factor
-1430, so a first stage started there spends most of its steps
-re-centring the barrier instead of fitting the data (Boyd &
+shrinks from t0 to t_min (``_barrier_path``).  The path starts at the
+analytic centre of the barrier (``Parametrization.centre``, every block
+I/D with D the compressed dimension), not at x = 0: the compressed
+maximally mixed state has blocks multiplicity(j)/2^N I, which at N = 16
+span a factor 1430, so a first stage started there spends most of its
+steps re-centring the barrier instead of fitting the data (Boyd &
 Vandenberghe, Convex Optimization, 11.3).  Each step length comes from
-the Newton ray:
-one eigendecomposition per block gives the eigenvalues mu of the step
-relative to the block, so the barrier along the ray is exactly
--sum log(1 + a mu) plus a constant and the step to the boundary is
-1 / max(-mu).  A safeguarded 1-D Newton search on the derivatives of
+the Newton ray: one eigendecomposition per block gives the eigenvalues
+mu of the step relative to the block, so the barrier along the ray is
+exactly -sum log(1 + a mu) plus a constant and the step to the boundary
+is 1 / max(-mu).  A safeguarded 1-D Newton search on the derivatives of
 fit + barrier along the ray picks the step, and Cholesky feasibility +
 Armijo backtracking start from it.  The fit and barrier derivatives do
 not depend on t, so the ones that end a stage start the next, and so
-does the Cholesky factor of the Newton system M_t = t H_bar + H_fit
-whose decrement ended it.  The next stage, at t', takes its first
-direction from that factor with its own gradient,
--M_t^-1 (grad F + t' grad B); at a t-centre grad F = -t grad B, so this
-is (t' - t) x'(t), the first-order predictor along the central path
-with tangent x' = -M_t^-1 grad B (Boyd & Vandenberghe, Convex
-Optimization, 11.3), at the cost of one triangular solve.  The ray
-search picks its length; if it is not a descent direction or no trial
-point is accepted, the stage takes the Newton direction at the same
-point, so the predictor never ends a stage.  A factor is dropped once
-its direction is formed, so none is held while derivatives are
-evaluated.  Standard barrier duality gives F(x_t) - F(x*) <=
-t * compressed_dim with certificate Lambda = t rho(x_t)^{-1}, which is
-what ``gap_bound`` reports.  Only the last stage's point is returned,
-so the stages before the last two stop in Newton's quadratic region,
-once the squared Newton decrement lambda^2 <= CENTERING * t.  The last
-two keep lambda^2 <= grad_tol^2: the final stage lands wherever its
-start sends it, so it gets no factor and starts from the exact centre
-of the one before with plain Newton steps, which keeps estimate and
-certificate as on an all-exact path.  The pretest's linear-objective
-LMI runs on the same engine.  ``build_fit_model`` shares one read-only
-``Parametrization`` per layout across fits.
+does the Cholesky factor of the Newton system whose decrement ended it:
+the next stage's first direction is then the first-order predictor
+along the central path, for one triangular solve (``_tangent_direction``).
+Standard barrier duality gives F(x_t) - F(x*) <= t * compressed_dim
+with certificate Lambda = t rho(x_t)^{-1}, which is what ``gap_bound``
+reports.  Only the last stage's point is returned, so the stages before
+the last two stop in Newton's quadratic region, once the squared Newton
+decrement lambda^2 <= CENTERING * t; the last two keep lambda^2 <=
+grad_tol^2.  The pretest's linear-objective LMI runs on the same
+engine.  ``build_fit_model`` shares one read-only ``Parametrization``
+per layout across fits.
 
 Every stage is chord Newton in the fit Hessian (Kelley, Iterative
 Methods for Linear and Nonlinear Equations, 5.4): the gradient is exact
-at every step, but G^T diag(c) G, the syrk that dominates a step from
-N = 16 up, is formed again only once the outcome probabilities have
-drifted from the p_ref it was formed at, max |p/p_ref - 1| over the rows
-with f > 0.  The held system still gives descent directions, so the ray
-search and Armijo test hold as they are, and its decrement bounds the
-true one within a factor (1 + drift)^k (see LAG).  The approximately
-centred stages hold it within LAG = 0.05, which keeps their stop inside
-the quadratic region.  The last two hold it within LAG times the last
-Newton direction's lambda^2 / t, so the Hessian's error shrinks with the
-decrement and they keep Newton's quadratic rate; they stop once the
-bound (1 + drift)^k lambda^2 <= grad_tol^2, which certifies the true
-Newton decrement.  The held Hessian and p_ref are the engine's
-(``StageCarry``); ``FitModel`` keeps no state.  The engine forms
-p = p0 + G x once per point, at a stage's start or a trial point of the
-line search, and hands it to the fit value, the drift test, the fit
-derivatives and the ray; an accepted trial's p, and the p a stage ends
-at, go on to the next iterate.
+at every step, but the syrk that dominates a step from N = 16 up is
+formed again only once the outcome probabilities have drifted from
+where it was formed by more than a limit, which in the last two stages
+shrinks with the decrement (see LAG and ``newton_stage``).  The held
+Hessian and its p are the engine's (``StageCarry``); ``FitModel`` keeps
+no state.  The engine forms p = p0 + G x once per point and hands it to
+the fit value, the drift test, the fit derivatives and the ray.
 
 ``fixed_point_reconstruct`` provides the non-convex iteration
 rho_j <- R_j rho_j R_j / norm with R_j = sum (f/p) M_{k,j}, mainly as a
@@ -115,7 +87,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -155,7 +127,54 @@ __all__ = [
     "likelihood_residual",
 ]
 
-PRINCIPLES = ("ml", "ls", "freels", "hedged")
+
+class Loss(NamedTuple):
+    """A fit principle as a separable loss F = sum_r phi(p_r) over the
+    outcome rows r, with frequencies f and, for LS, weights w.
+
+    ``phi``, ``d1`` = phi' and ``d2`` = phi'' >= 0 act row by row on
+    arrays (f, p, w).  ``power`` is the k with phi'' proportional to
+    p^-k on the rows with f > 0, 0 for a Hessian that does not depend on
+    p.  An ``observed`` loss reads only the rows with f > 0; a
+    ``positive`` one takes log p or 1/p, so it needs p > 0 on every row
+    it reads.
+    """
+
+    phi: Callable
+    d1: Callable
+    d2: Callable
+    power: int
+    observed: bool
+    positive: bool
+
+    def rows(self, f: np.ndarray):
+        """The index of the rows the loss reads."""
+        return f > 0 if self.observed else slice(None)
+
+    def check_interior(self, p: np.ndarray) -> None:
+        """Raise unless p, given on the rows the loss reads, is in its domain."""
+        if self.positive and np.any(p <= 0):
+            raise ValueError("non-interior evaluation: p_k <= 0 on a row the fit reads")
+
+
+# ml: phi = -f log p over the rows with f > 0 (0 log p = 0 elsewhere).
+# ls: phi = w (f - p)^2, whose Hessian 2 G^T diag(w) G is constant.
+# freels: phi = (f - p)^2/p = f^2/p - 2f + p, so phi' = 1 - f^2/p^2 and
+# phi'' = 2 f^2/p^3 >= 0: the exact Hessian is PSD on the interior, with
+# no approximation needed.  hedged: the ml loss; its -beta log det rho is
+# the barrier itself, with the path stopped at t = beta
+_LIKELIHOOD = Loss(phi=lambda f, p, w: -f * np.log(p), d1=lambda f, p, w: -f / p,
+                   d2=lambda f, p, w: f / p**2, power=2, observed=True, positive=True)
+LOSSES = {
+    "ml": _LIKELIHOOD,
+    "ls": Loss(phi=lambda f, p, w: w * (f - p) ** 2, d1=lambda f, p, w: 2.0 * w * (p - f),
+               d2=lambda f, p, w: 2.0 * w, power=0, observed=False, positive=False),
+    "freels": Loss(phi=lambda f, p, w: (f - p) ** 2 / p, d1=lambda f, p, w: 1.0 - f**2 / p**2,
+                   d2=lambda f, p, w: 2.0 * f**2 / p**3, power=3, observed=False,
+                   positive=True),
+    "hedged": _LIKELIHOOD,
+}
+PRINCIPLES = tuple(LOSSES)
 
 # Stages before the last EXACT_STAGES stop at lambda^2 <= CENTERING * t, where
 # fit/t + barrier has decrement 0.32 < (3 - sqrt 5)/2: Newton's quadratic region
@@ -790,23 +809,21 @@ def fit_value(spec: FitSpec, frequencies, probabilities) -> float:
     p = np.asarray(probabilities, dtype=float).ravel()
     if f.shape != p.shape:
         raise ValueError("frequencies and probabilities differ in length")
-    kind = spec.principle
-    if kind in ("ml", "hedged"):
-        mask = f > 0
-        if np.any(p[mask] <= 0):
-            raise ValueError("non-interior evaluation: p_k <= 0 where f_k > 0")
-        return float(-np.sum(f[mask] * np.log(p[mask])))
-    if kind == "ls":
-        if spec.weights is None:
-            raise ValueError("least-squares weights unresolved; pass them explicitly")
-        w = spec.weights
-        if w.shape != f.shape:
-            raise ValueError("weights length does not match frequencies")
-        return float(np.sum(w * (f - p) ** 2))
-    # freels
-    if np.any(p <= 0):
-        raise ValueError("non-interior evaluation: p_k <= 0")
-    return float(np.sum((f - p) ** 2 / p))
+    w = _weights(spec, f)
+    loss = LOSSES[spec.principle]
+    rows = loss.rows(f)
+    loss.check_interior(p[rows])
+    return float(np.sum(loss.phi(f[rows], p[rows], None if w is None else w[rows])))
+
+
+def _weights(spec: FitSpec, f: np.ndarray) -> np.ndarray | None:
+    """The spec's LS weights, None for the other principles; raises if
+    they are unresolved or do not match the frequencies f."""
+    if spec.principle == "ls" and spec.weights is None:
+        raise ValueError("least-squares weights unresolved; pass them explicitly")
+    if spec.weights is not None and spec.weights.shape != f.shape:
+        raise ValueError("weights length does not match frequencies")
+    return spec.weights
 
 
 def resolve_least_squares_weights(frequencies, repetitions) -> np.ndarray:
@@ -825,24 +842,28 @@ class FitModel:
     ``StackedBlockSets`` it is built from.  Each sector's columns of G
     are read off its rotation U_j for all settings at once by
     ``_gell_mann_coordinates``, O(n^2) per outcome, and written with one
-    scatter.  Every fit Hessian has the form G^T diag(c) G with c >= 0
-    and is formed as the symmetric rank-k product Gs^T Gs of
-    Gs = sqrt(c) G, which numpy hands to BLAS syrk (half the flops of a
-    general product) and which is exactly symmetric.  The constant LS
-    Hessian is built once and stored read-only; the others are formed
-    afresh by every ``gradient_hessian`` call.  The model holds no state
-    between calls: which Hessian a Newton step reuses is the engine's
-    choice, made from ``hessian_drift`` and bounded with
-    ``curvature_power`` (see ``newton_stage``).  ``value`` and the
-    derivative methods take p = ``probabilities(x)`` if the caller has
-    it, so that one point pays one product G x, and form it otherwise.
+    scatter.
+
+    The principle enters only through its ``Loss`` phi, on the rows the
+    loss reads, and no method branches on it.  The gradient is
+    G^T phi'(p).  The Hessian G^T diag(phi''(p)) G is the symmetric
+    rank-k product Gs^T Gs of Gs = sqrt(phi'') G, which numpy hands to
+    BLAS syrk (half the flops of a general product) and which is exactly
+    symmetric; a constant one (LS) is built once and stored read-only,
+    the others are formed afresh by every ``gradient_hessian`` call.
+    The ray's derivatives are sums of phi' and phi'' along it.  The
+    model holds no state between calls: which Hessian a Newton step
+    reuses is the engine's choice, made from ``hessian_drift`` and
+    bounded with ``curvature_power`` (see ``newton_stage``).  ``value``
+    and the derivative methods take p = ``probabilities(x)`` if the
+    caller has it, so that one point pays one product G x, and form it
+    otherwise.
     """
 
     def __init__(self, spec: FitSpec, parametrization: Parametrization,
                  measurement, frequencies):
-        if spec.principle == "ls" and spec.weights is None:
-            raise ValueError("least-squares weights unresolved; pass them explicitly")
         self.spec = spec
+        self.loss = LOSSES[spec.principle]
         self.parametrization = parametrization
         layout = parametrization.layout
         n = layout.n_qubits
@@ -856,6 +877,7 @@ class FitModel:
             raise ValueError(
                 f"{self.frequencies.size} frequencies for {rows} outcome rows"
             )
+        w = _weights(spec, self.frequencies)
         indices = parametrization.indices
         shift_coeff = parametrization.shift_coeff
         G = np.zeros((rows, parametrization.dimension))
@@ -872,17 +894,29 @@ class FitModel:
         base = maximally_mixed_ensemble(layout)
         self.p0 = probabilities(base, measurement)
         self._mask = self.frequencies > 0
-        self._ls_hessian = None
-        if spec.principle == "ls":
-            w = spec.weights
-            if w.shape != self.frequencies.shape:
-                raise ValueError("weights length does not match dataset rows")
-            self._ls_hessian = self._gram(np.sqrt(2.0 * w))
-            self._ls_hessian.setflags(write=False)
+        # f and w on the rows the loss reads
+        self._rows = self.loss.rows(self.frequencies)
+        self._f = self.frequencies[self._rows]
+        self._w = None if w is None else w[self._rows]
+        self._constant_hessian = None
+        if self.constant_hessian:
+            self._constant_hessian = self._hessian(self.p0[self._rows])
+            self._constant_hessian.setflags(write=False)
 
-    def _gram(self, scale: np.ndarray) -> np.ndarray:
-        """G^T diag(scale^2) G as the syrk product of scale * G."""
-        Gs = self.G * scale[:, None]
+    def _scatter(self, v: np.ndarray) -> np.ndarray:
+        """v, given on the rows the loss reads, over every row (0 elsewhere)."""
+        out = np.zeros(self.frequencies.size)
+        out[self._rows] = v
+        return out
+
+    def _gradient(self, p: np.ndarray) -> np.ndarray:
+        """G^T phi'(p) from p on the rows the loss reads."""
+        self.loss.check_interior(p)
+        return self.G.T @ self._scatter(self.loss.d1(self._f, p, self._w))
+
+    def _hessian(self, p: np.ndarray) -> np.ndarray:
+        """G^T diag(phi''(p)) G as the syrk product of sqrt(phi''(p)) G."""
+        Gs = self.G * self._scatter(np.sqrt(self.loss.d2(self._f, p, self._w)))[:, None]
         return Gs.T @ Gs
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
@@ -891,13 +925,13 @@ class FitModel:
     @property
     def constant_hessian(self) -> bool:
         """True for LS, whose Hessian 2 G^T diag(w) G does not depend on x."""
-        return self.spec.principle == "ls"
+        return self.loss.power == 0
 
     def hessian_drift(self, p: np.ndarray, reference: np.ndarray) -> float:
         """max |p / reference - 1| over the rows with f > 0, the only rows
-        the ML and FreeLS curvatures c = f/p^2 and 2 f^2/p^3 weigh: how
-        far the probabilities p have moved from the ``reference`` that a
-        Hessian was formed at.  It is 0.0 only when those rows of p equal
+        where a curvature phi'' that depends on p is non-zero: how far the
+        probabilities p have moved from the ``reference`` that a Hessian
+        was formed at.  It is 0.0 only when those rows of p equal
         ``reference`` bit for bit, and so give the same Hessian."""
         mask = self._mask
         drift = p[mask] / reference[mask] - 1.0
@@ -905,10 +939,9 @@ class FitModel:
 
     @property
     def curvature_power(self) -> int:
-        """k with the Hessian weights c proportional to p^-k on the rows
-        with f > 0: 2 for ML and hedged (f/p^2), 3 for FreeLS (2 f^2/p^3),
-        0 for LS, whose weights do not depend on p."""
-        return {"ml": 2, "hedged": 2, "freels": 3, "ls": 0}[self.spec.principle]
+        """k with the Hessian weights phi'' proportional to p^-k on the
+        rows with f > 0 (``Loss.power``)."""
+        return self.loss.power
 
     def value(self, x: np.ndarray, p: np.ndarray | None = None) -> float:
         p = self.probabilities(x) if p is None else p
@@ -916,76 +949,30 @@ class FitModel:
 
     def gradient(self, x: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
         p = self.probabilities(x) if p is None else p
-        f = self.frequencies
-        kind = self.spec.principle
-        if kind in ("ml", "hedged"):
-            mask = self._mask
-            if np.any(p[mask] <= 0):
-                raise ValueError("non-interior evaluation: p_k <= 0 where f_k > 0")
-            ratio = np.zeros_like(p)
-            ratio[mask] = f[mask] / p[mask]
-            return -(self.G.T @ ratio)
-        if kind == "ls":
-            return 2.0 * (self.G.T @ (self.spec.weights * (p - f)))
-        if np.any(p <= 0):
-            raise ValueError("non-interior evaluation: p_k <= 0")
-        return self.G.T @ (1.0 - f**2 / p**2)
+        return self._gradient(p[self._rows])
 
     def gradient_hessian(self, x: np.ndarray, p: np.ndarray | None = None):
-        """(gradient, Hessian) at x; the LS Hessian is the shared read-only
-        array, the others are fresh and exactly symmetric."""
-        p = self.probabilities(x) if p is None else p
-        f = self.frequencies
-        kind = self.spec.principle
-        if kind in ("ml", "hedged"):
-            mask = self._mask
-            if np.any(p[mask] <= 0):
-                raise ValueError("non-interior evaluation: p_k <= 0 where f_k > 0")
-            ratio = np.zeros_like(p)
-            ratio[mask] = f[mask] / p[mask]
-            grad = -(self.G.T @ ratio)
-            # curvature f / p^2, so sqrt(curvature) = sqrt(f) / p
-            scale = np.zeros_like(p)
-            scale[mask] = np.sqrt(f[mask]) / p[mask]
-            return grad, self._gram(scale)
-        if kind == "ls":
-            w = self.spec.weights
-            return 2.0 * (self.G.T @ (w * (p - f))), self._ls_hessian
-        if np.any(p <= 0):
-            raise ValueError("non-interior evaluation: p_k <= 0")
-        grad = self.G.T @ (1.0 - f**2 / p**2)
-        # curvature 2 f^2 / p^3 with f >= 0
-        return grad, self._gram(math.sqrt(2.0) * f / (p * np.sqrt(p)))
+        """(gradient, Hessian) at x; a constant Hessian is the shared
+        read-only array, the others are fresh and exactly symmetric."""
+        p = (self.probabilities(x) if p is None else p)[self._rows]
+        grad = self._gradient(p)
+        if self._constant_hessian is not None:
+            return grad, self._constant_hessian
+        return grad, self._hessian(p)
 
     def ray(self, x: np.ndarray, delta: np.ndarray, p: np.ndarray | None = None):
         """Derivatives of a -> F(x + a delta): a function of a returning
-        (F', F'') from p = p(x) and q = G delta, each formed once."""
-        p = self.probabilities(x) if p is None else p
-        q = self.G @ delta
-        f = self.frequencies
-        kind = self.spec.principle
-        if kind in ("ml", "hedged"):
-            mask = self._mask
-            f, p, q = f[mask], p[mask], q[mask]
+        (F', F'') = (phi'(p + a q) . q, phi''(p + a q) . q^2) from p = p(x)
+        and q = G delta on the rows the loss reads, each formed once.  It
+        makes no interior check: the ray search keeps a below the step to
+        the boundary."""
+        p = (self.probabilities(x) if p is None else p)[self._rows]
+        q = (self.G @ delta)[self._rows]
+        f, w, q2, loss = self._f, self._w, q * q, self.loss
 
-            def derivatives(a):
-                r = q / (p + a * q)
-                return -float(f @ r), float(f @ (r * r))
-
-        elif kind == "ls":
-            wq = 2.0 * self.spec.weights * q
-            slope, curvature = float(wq @ (p - f)), float(wq @ q)
-
-            def derivatives(a):
-                return slope + a * curvature, curvature
-
-        else:
-            f2, total = f * f, float(q.sum())
-
-            def derivatives(a):
-                s = p + a * q
-                r = q / s
-                return total - float(f2 @ (r / s)), 2.0 * float(f2 @ (r * r / s))
+        def derivatives(a):
+            s = p + a * q
+            return float(loss.d1(f, s, w) @ q), float(loss.d2(f, s, w) @ q2)
 
         return derivatives
 
@@ -1551,6 +1538,8 @@ def fixed_point_reconstruct(dataset, iterations: int = 3000,
     fit value at every iterate.  Exact block data f = p(start) is a
     fixed point because R_j collapses to (number of settings) * identity.
     """
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     n = dataset.n_qubits
     layout = sector_layout(n)
     state = start or maximally_mixed_ensemble(layout)

@@ -193,6 +193,16 @@ class TestReconstruct:
         assert rows[0] == ["iteration", "fit_value"]
         assert len(rows) == 62  # header + initial value + 60 iterates
 
+    @pytest.mark.parametrize("iters", [-1, -5])
+    def test_fixed_point_rejects_negative_iters(self, tmp_path, capsys, iters):
+        settings = write_settings(tmp_path / "s.json", 6)
+        data = tmp_path / "d.json"
+        run("simulate", "--n", 2, "--settings", settings, "--shots", 100,
+            "--seed", 0, "-o", data)
+        assert run("reconstruct", "--dataset", data, "--algorithm", "fixed-point",
+                   "--iters", iters) == EXIT_INPUT
+        assert "iterations" in capsys.readouterr().err
+
     def test_rejects_malformed_dataset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n_qubits": 2}')
@@ -297,6 +307,22 @@ class TestOptimizeSettings:
         assert rc == EXIT_INPUT
         assert "weight-1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_rejects_non_positive_count(self, tmp_path, capsys, count):
+        out = tmp_path / "o.json"
+        assert run("optimize-settings", "--n", 2, "--count", count, "-o", out) == EXIT_INPUT
+        assert "count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_explicit_count(self, tmp_path):
+        out = tmp_path / "o.json"
+        rc = run("optimize-settings", "--n", 2, "--count", 11, "--seed", 3,
+                 "--max-stall", 10, "-o", out)
+        assert rc == EXIT_OK
+        from pitomo.povm import load_settings
+
+        assert len(load_settings(out)) == 11
+
     def test_requires_n_and_output(self, tmp_path):
         assert run("optimize-settings", "-o", tmp_path / "o.json") == EXIT_INPUT
         assert run("optimize-settings", "--n", 2) == EXIT_INPUT
@@ -308,36 +334,3 @@ class TestOptimizeSettings:
                      "--max-stall", 25, "-o", out)
             assert rc == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
-
-
-class TestBenchmark:
-    def test_table_layout(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rc = run("benchmark", "--sizes", "2,3", "--principles", "ml,ls",
-                 "--shots", 150, "--seed", 1, "-o", out)
-        assert rc == EXIT_OK
-        with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 8  # 2 sizes x 2 principles x 2 modes
-        assert {r["mode"] for r in rows} == {"exact", "sampled"}
-        assert {r["principle"] for r in rows} == {"ml", "ls"}
-        for row in rows:
-            assert float(row["seconds"]) >= 0.0
-            assert int(row["iterations"]) > 0
-            assert float(row["trace_distance"]) < 0.5
-
-    def test_stdout_table(self, capsys):
-        rc = run("benchmark", "--sizes", "2", "--principles", "ml",
-                 "--shots", 100, "--seed", 0)
-        assert rc == EXIT_OK
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].startswith("n,principle,mode,seconds")
-        assert len(lines) == 3
-
-    def test_rejects_unknown_principle(self, capsys):
-        assert run("benchmark", "--sizes", "2", "--principles",
-                   "hedged") == EXIT_INPUT
-        assert "principle" in capsys.readouterr().err
-
-    def test_rejects_empty_sizes(self):
-        assert run("benchmark", "--sizes", "", "--principles", "ml") == EXIT_INPUT

@@ -21,6 +21,7 @@ from pitomo.reconstruct import (
     Parametrization,
     RankOneBlocks,
     SolverConfig,
+    StageCarry,
     StageResult,
     barrier_value_grad_hess,
     build_fit_model,
@@ -347,13 +348,21 @@ def problem():
     return ds, param, x
 
 
+def fit_spec(principle):
+    """The FitSpec of a principle, with beta = 0.01 for the hedged one."""
+    return FitSpec.hedged(0.01) if principle == "hedged" else FitSpec(principle)
+
+
+every_principle = pytest.mark.parametrize("principle", reconstruct_module.PRINCIPLES)
+
+
 class TestDerivatives:
     """Finite-difference checks of every gradient and Hessian."""
 
-    @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
+    @every_principle
     def test_fit_gradient_matches_fd(self, problem, principle):
         ds, param, x = problem
-        model = build_fit_model(ds, FitSpec(principle=principle), param)
+        model = build_fit_model(ds, fit_spec(principle), param)
         g = model.gradient(x)
         g_fd = oracles.fd_gradient(model.value, x, h=1e-6)
         np.testing.assert_allclose(g, g_fd, rtol=0, atol=1e-6 * (1 + abs(g).max()))
@@ -379,12 +388,23 @@ class TestDerivatives:
                 H @ v, hv_fd, atol=1e-4 * (1 + np.abs(H @ v).max())
             )
 
-    @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
+    @every_principle
     def test_fit_hessian_psd(self, problem, principle):
         ds, param, x = problem
-        model = build_fit_model(ds, FitSpec(principle=principle), param)
+        model = build_fit_model(ds, fit_spec(principle), param)
         _, H = model.gradient_hessian(x)
         assert np.linalg.eigvalsh(H).min() > -1e-10
+
+    @every_principle
+    def test_curvature_power(self, problem, principle):
+        # phi'' scales as p^-k, which the held-Hessian bound (1 + drift)^k
+        # rests on: doubling p divides the Hessian by 2^k exactly
+        ds, param, x = problem
+        model = build_fit_model(ds, fit_spec(principle), param)
+        p = model.probabilities(x)
+        _, H = model.gradient_hessian(x, p)
+        _, H_doubled = model.gradient_hessian(x, 2.0 * p)
+        np.testing.assert_allclose(H_doubled * 2.0**model.curvature_power, H, rtol=1e-12)
 
     def test_ls_hessian_constant(self, problem):
         ds, param, x = problem
@@ -465,16 +485,16 @@ class TestDerivatives:
             fd = (directional(a + h) - directional(a - h)) / (2 * h)
             assert d2 == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
-    def test_fit_convexity(self, problem):
+    @every_principle
+    def test_fit_convexity(self, problem, principle):
         ds, param, _ = problem
         rng = np.random.default_rng(5)
         x1 = param.coordinates(interior_ensemble(3, rng))
         x2 = param.coordinates(interior_ensemble(3, rng))
         lam = 0.3
-        for principle in ("ml", "ls", "freels"):
-            model = build_fit_model(ds, FitSpec(principle=principle), param)
-            mixed = model.value(lam * x1 + (1 - lam) * x2)
-            assert mixed <= lam * model.value(x1) + (1 - lam) * model.value(x2) + 1e-10
+        model = build_fit_model(ds, fit_spec(principle), param)
+        mixed = model.value(lam * x1 + (1 - lam) * x2)
+        assert mixed <= lam * model.value(x1) + (1 - lam) * model.value(x2) + 1e-10
 
 
 class TestBarrierClosedForm:
@@ -635,7 +655,7 @@ class TestNewtonStage:
             monkeypatch.setattr(owner, name, counted)
         rng = np.random.default_rng(9)
         ds = sampled_dataset(interior_ensemble(3, rng), random_settings(rng, 12), 500, rng)
-        spec = FitSpec.hedged(0.01) if principle == "hedged" else FitSpec(principle)
+        spec = fit_spec(principle)
         result = reconstruct(ds, spec)
         assert result.converged
         lagged = calls.count("gradient") - calls.count("barrier_grad")
@@ -933,7 +953,7 @@ class TestApproximateCentring:
         settings = random_settings(rng, (n + 1) * (n + 2) // 2 + 2)
         ds = (sampled_dataset(state, settings, 1000, rng) if data == "sampled"
               else exact_dataset(state, settings))
-        spec = FitSpec.hedged(0.01) if principle == "hedged" else FitSpec(principle)
+        spec = fit_spec(principle)
         reference, reference_steps = exact_path(ds, spec)
         result = reconstruct(ds, spec)
         assert result.converged
@@ -959,7 +979,7 @@ def lag_case(n, principle, truth, data, seed):
     settings = random_settings(rng, (n + 1) * (n + 2) // 2 + 2)
     ds = (sampled_dataset(state, settings, 1000, rng) if data == "sampled"
           else exact_dataset(state, settings))
-    return ds, FitSpec.hedged(0.01) if principle == "hedged" else FitSpec(principle)
+    return ds, fit_spec(principle)
 
 
 LAG_CASES = dict(
@@ -1089,6 +1109,27 @@ class TestLaggedHessian:
         # an exact stage that reports no decrement stopped on |g| <= grad_tol
         assert certified or all(math.isnan(s.decrement) for s in result.trace[-2:])
 
+    @pytest.mark.parametrize("principle", ["ml", "freels"])
+    def test_exact_stop_inflates_a_held_decrement(self, principle):
+        # a carried Hessian is held whatever its drift; held with drift 0.1
+        # its decrement lambda^2 bounds the true one only within 1.1^k, so
+        # with lambda^2 <= grad_tol^2 < 1.1^k lambda^2 an exact stage must
+        # step rather than stop at once on the held decrement alone
+        model, param, first, _ = stage_end(principle)
+        x, t = first.x, 0.01
+        p = model.probabilities(x)
+        g_fit, H_fit = model.gradient_hessian(x, p)
+        _, bg, bH = param.affine.barrier_grad_hess(
+            param.affine.cholesky_list(param.affine.blocks(x)))
+        decrement = newton_decrement(model, param, t, x)
+        grad_tol = math.sqrt(1.1 * decrement)
+        assert np.linalg.norm(g_fit + t * bg) > grad_tol
+        carry = [StageCarry(p, g_fit, H_fit, p / 1.1, bg, bH, None, math.inf)]
+        assert model.hessian_drift(p, p / 1.1) == pytest.approx(0.1, rel=1e-12)
+        stage = newton_stage(model, param, t, x, SolverConfig(grad_tol=grad_tol),
+                             exact=True, carry=carry)
+        assert stage.iterations >= 1 and stage.converged
+
     def test_fewer_hessians_than_steps(self, monkeypatch):
         calls = []
         original = FitModel.gradient_hessian
@@ -1211,7 +1252,7 @@ class TestProbabilitiesHandOff:
     def test_value_with_p_is_value(self, principle):
         rng = np.random.default_rng([3, 2])
         ds = sampled_dataset(interior_ensemble(3, rng), random_settings(rng, 12), 500, rng)
-        spec = FitSpec.hedged(0.01) if principle == "hedged" else FitSpec(principle)
+        spec = fit_spec(principle)
         model = build_fit_model(ds, spec)
         x = 0.01 * rng.normal(size=model.parametrization.dimension)
         assert model.value(x, model.probabilities(x)) == model.value(x)
@@ -1252,10 +1293,6 @@ def path_estimate(ds, spec, x0):
         assert stage.converged
         x = stage.x
     return model.parametrization.ensemble(x)
-
-
-def fit_spec(principle):
-    return FitSpec.hedged(0.01) if principle == "hedged" else FitSpec(principle)
 
 
 def assert_same_estimate(a, b, atol):
@@ -1446,6 +1483,13 @@ class TestFixedPoint:
         rec = Record(setting, np.array([1.0, 0.0, 0.0]), 1.0)
         with pytest.raises(ValueError, match="degenerate"):
             fixed_point_reconstruct(Dataset(2, [rec]), iterations=5, start=start)
+
+    def test_rejects_negative_iterations(self):
+        rng = np.random.default_rng(5)
+        ds = exact_dataset(interior_ensemble(2, rng), random_settings(rng, 4))
+        with pytest.raises(ValueError, match="iterations"):
+            fixed_point_reconstruct(ds, iterations=-1)
+        assert fixed_point_reconstruct(ds, iterations=0).fit_trace.shape == (1,)
 
     @pytest.mark.parametrize("start_n", [3, 6])
     def test_rejects_start_of_other_size(self, start_n):
