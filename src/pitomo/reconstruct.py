@@ -71,8 +71,18 @@ formed again only once the outcome probabilities have drifted from
 where it was formed by more than a limit, which in the last two stages
 shrinks with the decrement (see LAG and ``newton_stage``).  The held
 Hessian and its p are the engine's (``StageCarry``); ``FitModel`` keeps
-no state.  The engine forms p = p0 + G x once per point and hands it to
-the fit value, the drift test, the fit derivatives and the ray.
+no state.  A fit reads a point only through p = ``fit.probabilities(x)``
+(x itself for ``LinearFit``): the engine forms p = p0 + G x once per
+point and hands it to the fit value, the drift test, the fit
+derivatives and the ray.
+
+``newton_stage`` is one loop: derivatives at the point, the stopping
+tests, then a direction (the central-path tangent or Newton) and one
+step call, ``_line_search`` or, once the predicted decrease is beneath
+the objective's roundoff, ``_endgame_step``.  A Newton step that finds
+no trial point is the stage's one failure exit; an exhausted iteration
+budget stops on derivatives already formed at the returned point, which
+the stage hands on like any other.
 
 ``fixed_point_reconstruct`` provides the non-convex iteration
 rho_j <- R_j rho_j R_j / norm with R_j = sum (f/p) M_{k,j}, mainly as a
@@ -118,7 +128,6 @@ __all__ = [
     "NonConvergenceError",
     "fit_value",
     "resolve_least_squares_weights",
-    "barrier_value_grad_hess",
     "newton_stage",
     "t_schedule",
     "build_fit_model",
@@ -200,6 +209,12 @@ LAG = 0.05
 # |h'(0)| (the strong-Wolfe curvature test), after at most RAY_ITERATIONS
 RAY_CURVATURE = 0.1
 RAY_ITERATIONS = 50
+# Backtracking from the ray's step multiplies it by LS_SHRINK until the trial
+# is feasible and meets Armijo's test with LS_ALPHA (Nocedal & Wright,
+# Numerical Optimization, 3.1); t falls by T_REDUCE from stage to stage
+LS_ALPHA = 0.01
+LS_SHRINK = 0.5
+T_REDUCE = 10.0
 
 
 class NonConvergenceError(RuntimeError):
@@ -256,23 +271,16 @@ class FitSpec:
 @dataclass(frozen=True)
 class SolverConfig:
     t0: float = 1.0
-    t_reduce: float = 10.0
     t_min: float = 1e-10
     grad_tol: float = 1e-8
-    ls_alpha: float = 0.01
-    ls_shrink: float = 0.5
     max_newton_iters: int = 200
     strict: bool = False
 
     def __post_init__(self):
-        if self.t0 <= 0 or self.t_min <= 0:
-            raise ValueError("t0 and t_min must be positive")
-        if self.t_reduce <= 1:
-            raise ValueError("t_reduce must exceed 1")
-        if not 0 < self.ls_alpha < 0.5:
-            raise ValueError("ls_alpha must lie in (0, 0.5)")
-        if not 0 < self.ls_shrink < 1:
-            raise ValueError("ls_shrink must lie in (0, 1)")
+        for name in ("t0", "t_min", "grad_tol"):
+            # the negated form also rejects NaN
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be >= 1")
 
@@ -855,9 +863,8 @@ class FitModel:
     model holds no state between calls: which Hessian a Newton step
     reuses is the engine's choice, made from ``hessian_drift`` and
     bounded with ``curvature_power`` (see ``newton_stage``).  ``value``
-    and the derivative methods take p = ``probabilities(x)`` if the
-    caller has it, so that one point pays one product G x, and form it
-    otherwise.
+    and the derivative methods read a point only through its
+    p = ``probabilities(x)``, so that one point pays one product G x.
     """
 
     def __init__(self, spec: FitSpec, parametrization: Parametrization,
@@ -943,30 +950,28 @@ class FitModel:
         rows with f > 0 (``Loss.power``)."""
         return self.loss.power
 
-    def value(self, x: np.ndarray, p: np.ndarray | None = None) -> float:
-        p = self.probabilities(x) if p is None else p
+    def value(self, p: np.ndarray) -> float:
         return fit_value(self.spec, self.frequencies, p)
 
-    def gradient(self, x: np.ndarray, p: np.ndarray | None = None) -> np.ndarray:
-        p = self.probabilities(x) if p is None else p
+    def gradient(self, p: np.ndarray) -> np.ndarray:
         return self._gradient(p[self._rows])
 
-    def gradient_hessian(self, x: np.ndarray, p: np.ndarray | None = None):
-        """(gradient, Hessian) at x; a constant Hessian is the shared
+    def gradient_hessian(self, p: np.ndarray):
+        """(gradient, Hessian) at p; a constant Hessian is the shared
         read-only array, the others are fresh and exactly symmetric."""
-        p = (self.probabilities(x) if p is None else p)[self._rows]
+        p = p[self._rows]
         grad = self._gradient(p)
         if self._constant_hessian is not None:
             return grad, self._constant_hessian
         return grad, self._hessian(p)
 
-    def ray(self, x: np.ndarray, delta: np.ndarray, p: np.ndarray | None = None):
-        """Derivatives of a -> F(x + a delta): a function of a returning
-        (F', F'') = (phi'(p + a q) . q, phi''(p + a q) . q^2) from p = p(x)
-        and q = G delta on the rows the loss reads, each formed once.  It
-        makes no interior check: the ray search keeps a below the step to
-        the boundary."""
-        p = (self.probabilities(x) if p is None else p)[self._rows]
+    def ray(self, p: np.ndarray, delta: np.ndarray):
+        """Derivatives of a -> F(x + a delta) at p = p(x): a function of a
+        returning (F', F'') = (phi'(p + a q) . q, phi''(p + a q) . q^2)
+        with q = G delta, both on the rows the loss reads and each formed
+        once.  It makes no interior check: the ray search keeps a below
+        the step to the boundary."""
+        p = p[self._rows]
         q = (self.G @ delta)[self._rows]
         f, w, q2, loss = self._f, self._w, q * q, self.loss
 
@@ -978,9 +983,9 @@ class FitModel:
 
 
 class LinearFit:
-    """Linear objective c^T x (used by the pretest LMI).  It reads no
-    outcome probabilities: ``probabilities`` gives None, and its other
-    methods take and ignore ``FitModel``'s p argument."""
+    """Linear objective c^T x (used by the pretest LMI).  Its
+    ``probabilities`` are the point x itself, so its methods read x as the
+    p of ``FitModel``'s protocol."""
 
     constant_hessian = True
 
@@ -988,34 +993,20 @@ class LinearFit:
         self.c = np.asarray(coefficients, dtype=float).ravel()
 
     def probabilities(self, x):
-        return None
+        return x
 
-    def value(self, x, p=None):
-        return float(self.c @ x)
+    def value(self, p):
+        return float(self.c @ p)
 
-    def gradient(self, x, p=None):
+    def gradient(self, p):
         return self.c.copy()
 
-    def gradient_hessian(self, x, p=None):
+    def gradient_hessian(self, p):
         return self.c.copy(), np.zeros((self.c.size, self.c.size))
 
-    def ray(self, x, delta, p=None):
+    def ray(self, p, delta):
         slope = float(self.c @ delta)
         return lambda a: (slope, 0.0)
-
-
-def barrier_value_grad_hess(parametrization, x, t: float):
-    """(value, grad, Hessian) of -t sum_j log det rho_j(x).
-
-    Accepts a Parametrization or a bare AffineBlockMap; raises on
-    non-interior x.
-    """
-    affine = getattr(parametrization, "affine", parametrization)
-    chols = affine.cholesky_list(affine.blocks(np.asarray(x, dtype=float)))
-    if chols is None:
-        raise ValueError("non-interior point: a block is not positive definite")
-    value, grad, hess = affine.barrier_grad_hess(chols)
-    return t * value, t * grad, t * hess
 
 
 # ---------------------------------------------------------------------------
@@ -1041,16 +1032,16 @@ class StageResult:
 
 class StageCarry(NamedTuple):
     """What a ``newton_stage`` hands the next one, all at the point it
-    returned: the outcome probabilities there (None for a fit without
-    them), so the next stage forms no p at its start, and the
-    derivatives.  The fit Hessian may be lagged: it was formed where the
-    outcome probabilities were ``hessian_at`` (None for a constant
-    Hessian), and held at this point.  ``factor`` is the Cholesky factor
+    returned, whichever exit ended the stage: the fit's p there, so the
+    next stage forms no p at its start, and the derivatives.  The fit
+    Hessian may be lagged: it was formed where the outcome probabilities
+    were ``hessian_at`` (None for a constant Hessian), and held at this
+    point.  ``factor`` is the Cholesky factor
     of the Newton system whose decrement ended the stage, or None;
     ``ratio`` is lambda^2 / t of the last Newton direction (inf if none),
     which sets the next point's hold limit in an exact stage."""
 
-    probabilities: np.ndarray | None
+    probabilities: np.ndarray
     fit_gradient: np.ndarray
     fit_hessian: np.ndarray
     hessian_at: np.ndarray | None
@@ -1130,40 +1121,71 @@ def _ray_step(fit_derivatives, mu: np.ndarray, t: float, slope: float) -> float:
     return a
 
 
-def _line_search(fit, affine, chols, x, p, obj, t, delta, slope, cfg):
+def _line_search(fit, affine, chols, x, p, obj, t, delta, slope):
     """From the ray's step, backtrack to a feasible trial point (every
     block passes Cholesky) with Armijo sufficient decrease; returns its
     (x, p, factors, objective, fit value), or None if no step >= 1e-16
     is accepted.  p is the fit's p(x); each feasible trial forms its own
     once."""
-    step = _ray_step(fit.ray(x, delta, p), affine.ray_eigenvalues(chols, delta), t, slope)
+    step = _ray_step(fit.ray(p, delta), affine.ray_eigenvalues(chols, delta), t, slope)
     while step >= 1e-16:
         x_new = x + step * delta
         chols_new = affine.cholesky_list(affine.blocks(x_new))
         if chols_new is not None:
             p_new = fit.probabilities(x_new)
-            fit_new = fit.value(x_new, p_new)
+            fit_new = fit.value(p_new)
             obj_new = fit_new + t * affine.barrier_value(chols_new)
-            if obj_new <= obj + cfg.ls_alpha * step * slope:
+            if obj_new <= obj + LS_ALPHA * step * slope:
                 return x_new, p_new, chols_new, obj_new, fit_new
-        step *= cfg.ls_shrink
+        step *= LS_SHRINK
     return None
 
 
-def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
+def _endgame_step(fit, affine, x, t, delta, grad_norm):
+    """The step of a Newton direction whose predicted decrease is beneath
+    the objective's roundoff, where Armijo cannot certify progress: the
+    full step, backtracked only to feasibility, is taken if it strictly
+    shrinks the gradient norm ``grad_norm`` at x, since quadratic
+    convergence still has several orders of gradient reduction left.
+    Returns the trial's (x, p, factors, objective, fit value), as
+    ``_line_search`` does, or None."""
+    step, chols = 1.0, None
+    while chols is None:
+        if step < 1e-16:
+            return None
+        x_new = x + step * delta
+        chols = affine.cholesky_list(affine.blocks(x_new))
+        step *= LS_SHRINK
+    _, bg = affine.barrier_grad(chols)
+    p = fit.probabilities(x_new)
+    if float(np.linalg.norm(fit.gradient(p) + t * bg)) >= grad_norm:
+        return None
+    fit_v = fit.value(p)
+    return x_new, p, chols, fit_v + t * affine.barrier_value(chols), fit_v
+
+
+def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
                  config: SolverConfig | None = None, *,
                  exact: bool = True, carry: list | None = None) -> StageResult:
-    """Minimize fit(x) - t sum log det over the interior from x_start.
+    """Minimize fit(x) - t sum log det over the interior of ``affine``'s
+    blocks from x_start, by damped Newton.
 
-    Each step length starts at the minimum of the exact barrier along
-    the Newton ray (``_ray_step``), so trials almost never leave the
-    feasible set; the backtracking behind it still restores feasibility
-    (every block must pass Cholesky) and enforces Armijo sufficient
-    decrease.  Starting at an optimum costs zero iterations.  It stops
-    once (1 + drift)^k lambda^2 <= grad_tol^2, with lambda^2 = -g^T delta
-    formed with the held fit Hessian (below), or once |g| <= grad_tol;
-    with ``exact=False`` also once lambda^2 <= CENTERING * t, in Newton's
-    quadratic region of fit/t + barrier.
+    Each pass forms the derivatives at the current point, then stops, or
+    forms a direction and takes one step.  It stops converged once
+    |g| <= grad_tol, or once (1 + drift)^k lambda^2 <= grad_tol^2, with
+    lambda^2 = -g^T delta formed with the held fit Hessian (below); with
+    ``exact=False`` also once lambda^2 <= CENTERING * t, in Newton's
+    quadratic region of fit/t + barrier.  Starting at an optimum costs
+    zero iterations.  After ``max_newton_iters`` steps it stops
+    unconverged on the derivatives it has just formed, so ``grad_norm``
+    is that of the returned point.  A step is one call: ``_line_search``
+    if the predicted decrease -slope exceeds the objective's roundoff,
+    else ``_endgame_step``.  The line search starts at the minimum of the
+    exact barrier along the Newton ray (``_ray_step``), so trials almost
+    never leave the feasible set, and backtracks to feasibility (every
+    block must pass Cholesky) and Armijo sufficient decrease.  A step
+    that finds no trial is the stage's one failure exit: it reports
+    converged iff |g| <= grad_tol (1 + |objective|).
 
     The gradient is exact at every step, but the fit Hessian is a chord:
     it is formed again only once the outcome probabilities have drifted
@@ -1177,9 +1199,10 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
     so the last steps keep Newton's quadratic rate, and the stop certifies
     a true Newton decrement <= grad_tol^2.  A constant Hessian (LS,
     ``LinearFit``) is formed once.  ``hessians`` in the result counts the
-    Hessians formed.  p = ``fit.probabilities`` is formed once per point:
-    at the start (unless carried) and at each feasible trial point, whose
-    p the accepted one hands on.
+    Hessians formed.  The fit reads a point only through
+    p = ``fit.probabilities``, formed once per point: at the start
+    (unless carried) and at each feasible trial point, whose p the
+    accepted one hands on.
 
     ``carry`` hands work from stage to stage.  If it holds a
     ``StageCarry`` taken at x_start, its p and derivatives, which do not
@@ -1191,35 +1214,34 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
     first direction is then the central-path tangent step
     -M^-1 (grad F + t grad B) of ``_tangent_direction``, which costs no
     factorization, and its step length comes from the same ray search.
-    If it is not a descent direction or no trial point is accepted, the
-    stage takes the Newton direction at the same point instead, so the
-    tangent never ends a stage.  On return ``carry`` holds the
-    ``StageCarry`` at the returned point if the stage evaluated the
-    derivatives there, with the factor of the direction whose decrement
-    ended the stage, or None.  A factor is dropped as soon as its direction
-    is formed, and a fit Hessian before the next is formed, so neither is
-    held while a fit Hessian is built.
+    If it is not a descent direction by more than roundoff, or no trial
+    point is accepted, the stage hands itself its derivatives back
+    without the factor and takes the Newton direction at the same point,
+    so the tangent never ends a stage.  On return ``carry`` holds the
+    ``StageCarry`` at the returned point, with the factor of the
+    direction whose decrement ended the stage, or None.  A factor is
+    dropped before the next derivatives are formed, and a fit Hessian
+    before the next is formed, so neither is held while a fit Hessian is
+    built.
     """
     cfg = config or SolverConfig()
-    affine = getattr(parametrization, "affine", parametrization)
     x = np.asarray(x_start, dtype=float).copy()
     chols = affine.cholesky_list(affine.blocks(x))
     if chols is None:
         raise ValueError("newton_stage requires a strictly feasible start")
     # p = p0 + G x, formed once per point: by the stage that ended at
-    # x_start, or here, then by each trial point the line search accepts
+    # x_start, or here, then by each trial point a step accepts
     p = carry[-1].probabilities if carry else fit.probabilities(x)
-    fit_v = fit.value(x, p)
+    fit_v = fit.value(p)
     obj = fit_v + t * affine.barrier_value(chols)
 
     iterations = hessians = 0
-    grad_norm = math.inf
     decrement = math.nan
     ratio = math.inf  # lambda^2 / t of the last Newton direction
     converged = False
     factor = tangent = H_fit = hessian_at = None
     eps = float(np.finfo(float).eps)
-    for _ in range(cfg.max_newton_iters):
+    while True:
         carried = bool(carry)
         if carried:
             _, g_fit, H_fit, hessian_at, bg, bH, tangent, ratio = carry.pop()
@@ -1237,9 +1259,9 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
                 H_fit = None  # released before the next one is formed
         if not carried:
             if H_fit is not None:
-                g_fit = fit.gradient(x, p)
+                g_fit = fit.gradient(p)
             else:
-                g_fit, H_fit = fit.gradient_hessian(x, p)
+                g_fit, H_fit = fit.gradient_hessian(p)
                 hessian_at = None if fit.constant_hessian else p
                 hessians += 1
             _, bg, bH = affine.barrier_grad_hess(chols)
@@ -1248,75 +1270,47 @@ def newton_stage(fit, parametrization, t: float, x_start: np.ndarray,
         if grad_norm <= cfg.grad_tol:
             converged = True
             break
-        if tangent is not None:
+        if iterations == cfg.max_newton_iters:
+            break
+        newton = tangent is None
+        if newton:
+            delta, slope, factor = _newton_direction(H_fit, bH, t, g)
+            decrement = -slope
+            ratio = decrement / t
+            # Affine-invariant centrality: the squared Newton decrement
+            # g^T H^-1 g is what self-concordance bounds the remaining
+            # decrease by.  In badly scaled geometry (barrier curvature
+            # ~1/lambda^2 near the cone boundary) the plain gradient norm
+            # can sit far above grad_tol while the iterate is already
+            # central to machine precision; the decrement is not fooled.
+            # inflation * decrement bounds the true one (see LAG)
+            if (decrement * inflation <= cfg.grad_tol**2
+                    or (not exact and decrement <= CENTERING * t)):
+                converged = True
+                break
+            factor = None
+        else:
             delta, slope = _tangent_direction(tangent, g)
             tangent = None
-            if -slope > 64.0 * eps * abs(obj) and np.all(np.isfinite(delta)):
-                trial = _line_search(fit, affine, chols, x, p, obj, t, delta, slope, cfg)
-                if trial is not None:
-                    x, p, chols, obj, fit_v = trial
-                    iterations += 1
-                    continue
-        delta, slope, factor = _newton_direction(H_fit, bH, t, g)
-        decrement = -slope
-        ratio = decrement / t
-        # Affine-invariant centrality: the squared Newton decrement
-        # g^T H^-1 g is what self-concordance bounds the remaining
-        # decrease by.  In badly scaled geometry (barrier curvature
-        # ~1/lambda^2 near the cone boundary) the plain gradient norm
-        # can sit far above grad_tol while the iterate is already
-        # central to machine precision; the decrement is not fooled.
-        # inflation * decrement bounds the true one (see LAG)
-        if (decrement * inflation <= cfg.grad_tol**2
-                or (not exact and decrement <= CENTERING * t)):
-            converged = True
-            break
-        factor = None
-
-        if -slope > 64.0 * eps * abs(obj):
-            # ordinary phase: from the ray's step, feasibility, then
-            # Armijo sufficient decrease
-            trial = _line_search(fit, affine, chols, x, p, obj, t, delta, slope, cfg)
-            if trial is None:
-                converged = grad_norm <= cfg.grad_tol * (1.0 + abs(obj))
-                break
-            x_new, p_new, chols_new, obj_new, fit_new = trial
+        # Armijo certifies only a predicted decrease above the objective's
+        # roundoff; beneath it, only a Newton direction takes the endgame
+        if -slope > 64.0 * eps * abs(obj) and np.all(np.isfinite(delta)):
+            trial = _line_search(fit, affine, chols, x, p, obj, t, delta, slope)
         else:
-            # endgame: the predicted decrease is beneath the objective's
-            # roundoff, so Armijo cannot certify progress.  Take the full
-            # (feasibility-damped) Newton step as long as it strictly
-            # shrinks the gradient norm; quadratic convergence still has
-            # several orders of gradient reduction left here.
-            step = 1.0
-            chols_new = None
-            while step >= 1e-16:
-                x_new = x + step * delta
-                chols_new = affine.cholesky_list(affine.blocks(x_new))
-                if chols_new is not None:
-                    break
-                step *= cfg.ls_shrink
-            if chols_new is None:
+            trial = _endgame_step(fit, affine, x, t, delta, grad_norm) if newton else None
+        if trial is None:
+            if newton:
                 converged = grad_norm <= cfg.grad_tol * (1.0 + abs(obj))
                 break
-            _, bg_new = affine.barrier_grad(chols_new)
-            p_new = fit.probabilities(x_new)
-            g_new = fit.gradient(x_new, p_new) + t * bg_new
-            if float(np.linalg.norm(g_new)) >= grad_norm:
-                converged = grad_norm <= cfg.grad_tol * (1.0 + abs(obj))
-                break
-            fit_new = fit.value(x_new, p_new)
-            obj_new = fit_new + t * affine.barrier_value(chols_new)
-        x, p, chols, obj, fit_v = x_new, p_new, chols_new, obj_new, fit_new
+            # a failed tangent hands the next pass this point's derivatives,
+            # without the factor: it takes the Newton direction here
+            carry.append(StageCarry(p, g_fit, H_fit, hessian_at, bg, bH, None, ratio))
+            continue
+        x, p, chols, obj, fit_v = trial
         decrement = math.nan
         iterations += 1
-    else:
-        # iteration budget exhausted; check the final gradient once more
-        _, bg = affine.barrier_grad(chols)
-        grad_norm = float(np.linalg.norm(fit.gradient(x, p) + t * bg))
-        converged = grad_norm <= cfg.grad_tol
-        H_fit = None  # the loop's derivatives predate the last step
 
-    if carry is not None and H_fit is not None:
+    if carry is not None:
         carry.append(StageCarry(p, g_fit, H_fit, hessian_at, bg, bH, factor, ratio))
     return StageResult(
         x=x,
@@ -1335,10 +1329,8 @@ def t_schedule(config: SolverConfig, floor: float | None = None) -> list[float]:
     stop = config.t_min if floor is None else floor
     if stop >= config.t0:
         return [stop]
-    count = math.ceil(
-        math.log(config.t0 / stop) / math.log(config.t_reduce) - 1e-9
-    )
-    ts = [config.t0 / config.t_reduce**i for i in range(count)]
+    count = math.ceil(math.log(config.t0 / stop) / math.log(T_REDUCE) - 1e-9)
+    ts = [config.t0 / T_REDUCE**i for i in range(count)]
     ts.append(stop)
     return ts
 
@@ -1459,7 +1451,7 @@ def reconstruct(dataset, spec: FitSpec,
 
     trace = []
     all_converged = True
-    for t, stage in _barrier_path(model, param, schedule, param.centre, cfg):
+    for t, stage in _barrier_path(model, param.affine, schedule, param.centre, cfg):
         x = stage.x
         if not stage.converged:
             all_converged = False

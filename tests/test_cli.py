@@ -203,6 +203,17 @@ class TestReconstruct:
                    "--iters", iters) == EXIT_INPUT
         assert "iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grad_tol", [-1, "inf"])
+    def test_rejects_bad_grad_tol(self, tmp_path, capsys, grad_tol):
+        # -1 squares to a decrement tolerance of 1 and inf passes any
+        # gradient, so either would report convergence without one
+        settings = write_settings(tmp_path / "s.json", 6)
+        data = tmp_path / "d.json"
+        run("simulate", "--n", 2, "--settings", settings, "--shots", 100,
+            "--seed", 0, "-o", data)
+        assert run("reconstruct", "--dataset", data, "--grad-tol", grad_tol) == EXIT_INPUT
+        assert "grad_tol" in capsys.readouterr().err
+
     def test_rejects_malformed_dataset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n_qubits": 2}')

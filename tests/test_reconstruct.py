@@ -23,7 +23,6 @@ from pitomo.reconstruct import (
     SolverConfig,
     StageCarry,
     StageResult,
-    barrier_value_grad_hess,
     build_fit_model,
     fit_value,
     fixed_point_reconstruct,
@@ -137,10 +136,14 @@ class TestSolverConfig:
         [
             {"t0": 0.0},
             {"t_min": -1.0},
-            {"t_reduce": 1.0},
-            {"ls_alpha": 0.5},
-            {"ls_shrink": 1.0},
             {"max_newton_iters": 0},
+            {"grad_tol": -1.0},
+            {"grad_tol": 0.0},
+            {"grad_tol": math.inf},
+            {"grad_tol": math.nan},
+            {"t0": math.nan},
+            {"t0": math.inf},
+            {"t_min": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -363,8 +366,8 @@ class TestDerivatives:
     def test_fit_gradient_matches_fd(self, problem, principle):
         ds, param, x = problem
         model = build_fit_model(ds, fit_spec(principle), param)
-        g = model.gradient(x)
-        g_fd = oracles.fd_gradient(model.value, x, h=1e-6)
+        g = model.gradient(model.probabilities(x))
+        g_fd = oracles.fd_gradient(lambda y: model.value(model.probabilities(y)), x, h=1e-6)
         np.testing.assert_allclose(g, g_fd, rtol=0, atol=1e-6 * (1 + abs(g).max()))
 
     @pytest.mark.parametrize(
@@ -376,14 +379,15 @@ class TestDerivatives:
     def test_fit_hessian_matches_fd(self, problem, spec):
         ds, param, x = problem
         model = build_fit_model(ds, spec, param)
-        g, H = model.gradient_hessian(x)
-        np.testing.assert_allclose(g, model.gradient(x), atol=1e-13)
+        g, H = model.gradient_hessian(model.probabilities(x))
+        np.testing.assert_allclose(g, model.gradient(model.probabilities(x)), atol=1e-13)
         assert np.array_equal(H, H.T)
         rng = np.random.default_rng(0)
         for _ in range(3):
             v = rng.normal(size=param.dimension)
             v /= np.linalg.norm(v)
-            hv_fd = finite_difference_hessian_action(model.gradient, x, v)
+            hv_fd = finite_difference_hessian_action(
+                lambda y: model.gradient(model.probabilities(y)), x, v)
             np.testing.assert_allclose(
                 H @ v, hv_fd, atol=1e-4 * (1 + np.abs(H @ v).max())
             )
@@ -392,7 +396,7 @@ class TestDerivatives:
     def test_fit_hessian_psd(self, problem, principle):
         ds, param, x = problem
         model = build_fit_model(ds, fit_spec(principle), param)
-        _, H = model.gradient_hessian(x)
+        _, H = model.gradient_hessian(model.probabilities(x))
         assert np.linalg.eigvalsh(H).min() > -1e-10
 
     @every_principle
@@ -402,33 +406,33 @@ class TestDerivatives:
         ds, param, x = problem
         model = build_fit_model(ds, fit_spec(principle), param)
         p = model.probabilities(x)
-        _, H = model.gradient_hessian(x, p)
-        _, H_doubled = model.gradient_hessian(x, 2.0 * p)
+        _, H = model.gradient_hessian(p)
+        _, H_doubled = model.gradient_hessian(2.0 * p)
         np.testing.assert_allclose(H_doubled * 2.0**model.curvature_power, H, rtol=1e-12)
 
     def test_ls_hessian_constant(self, problem):
         ds, param, x = problem
         model = build_fit_model(ds, FitSpec.least_squares(), param)
-        _, h1 = model.gradient_hessian(x)
-        _, h2 = model.gradient_hessian(0.5 * x)
+        _, h1 = model.gradient_hessian(model.probabilities(x))
+        _, h2 = model.gradient_hessian(model.probabilities(0.5 * x))
         np.testing.assert_array_equal(h1, h2)
 
     def test_ls_hessian_read_only_through_newton_stage(self, problem):
         ds, param, _ = problem
         model = build_fit_model(ds, FitSpec.least_squares(), param)
-        _, H = model.gradient_hessian(np.zeros(param.dimension))
+        _, H = model.gradient_hessian(model.probabilities(np.zeros(param.dimension)))
         assert not H.flags.writeable
         before = H.copy()
-        stage = newton_stage(model, param, 1e-3, np.zeros(param.dimension))
+        stage = newton_stage(model, param.affine, 1e-3, np.zeros(param.dimension))
         assert stage.iterations > 0
         np.testing.assert_array_equal(H, before)
 
     def test_barrier_matches_fd(self, problem):
         _, param, x = problem
         t = 0.7
-        value, grad, hess = barrier_value_grad_hess(param, x, t)
+        value, grad, hess = oracles.barrier_value_grad_hess(param.affine, x, t)
         g_fd = oracles.fd_gradient(
-            lambda y: barrier_value_grad_hess(param, y, t)[0], x, h=1e-6
+            lambda y: oracles.barrier_value_grad_hess(param.affine, y, t)[0], x, h=1e-6
         )
         np.testing.assert_allclose(grad, g_fd, atol=1e-5 * (1 + np.abs(grad).max()))
         np.testing.assert_allclose(hess, hess.T, atol=1e-10)
@@ -438,7 +442,7 @@ class TestDerivatives:
         v = rng.normal(size=param.dimension)
         v /= np.linalg.norm(v)
         hv_fd = finite_difference_hessian_action(
-            lambda y: barrier_value_grad_hess(param, y, t)[1], x, v
+            lambda y: oracles.barrier_value_grad_hess(param.affine, y, t)[1], x, v
         )
         np.testing.assert_allclose(
             hess @ v, hv_fd, atol=1e-4 * (1 + np.abs(hess @ v).max())
@@ -473,11 +477,11 @@ class TestDerivatives:
                                           delta)
         assert mu.min() < 0.0  # traceless: some eigenvalue falls
         delta *= 0.5 / -mu.min()  # the ray stays interior up to a = 2
-        ray = fit.ray(x, delta)
+        ray = fit.ray(fit.probabilities(x), delta)
         h = 1e-5
 
         def directional(a):
-            return float(fit.gradient(x + a * delta) @ delta)
+            return float(fit.gradient(fit.probabilities(x + a * delta)) @ delta)
 
         for a in (0.0, 0.4, 1.3):
             d1, d2 = ray(a)
@@ -493,8 +497,12 @@ class TestDerivatives:
         x2 = param.coordinates(interior_ensemble(3, rng))
         lam = 0.3
         model = build_fit_model(ds, fit_spec(principle), param)
-        mixed = model.value(lam * x1 + (1 - lam) * x2)
-        assert mixed <= lam * model.value(x1) + (1 - lam) * model.value(x2) + 1e-10
+
+        def value(x):
+            return model.value(model.probabilities(x))
+
+        mixed = value(lam * x1 + (1 - lam) * x2)
+        assert mixed <= lam * value(x1) + (1 - lam) * value(x2) + 1e-10
 
 
 class TestBarrierClosedForm:
@@ -507,9 +515,10 @@ class TestBarrierClosedForm:
             (t + 1) * math.log(layout.multiplicity(t) / 2.0**n)
             for t in layout.two_j_values
         )
-        value, _, _ = barrier_value_grad_hess(param, np.zeros(param.dimension), 1.0)
+        x = np.zeros(param.dimension)
+        value, _, _ = oracles.barrier_value_grad_hess(param.affine, x, 1.0)
         assert value == pytest.approx(expected, rel=1e-12)
-        value_t, _, _ = barrier_value_grad_hess(param, np.zeros(param.dimension), 2.5)
+        value_t, _, _ = oracles.barrier_value_grad_hess(param.affine, x, 2.5)
         assert value_t == pytest.approx(2.5 * expected, rel=1e-12)
 
     def test_non_interior_raises(self):
@@ -517,7 +526,7 @@ class TestBarrierClosedForm:
         x = np.zeros(param.dimension)
         x[0] = 10.0  # pushes a block eigenvalue far below zero
         with pytest.raises(ValueError):
-            barrier_value_grad_hess(param, x, 1.0)
+            oracles.barrier_value_grad_hess(param.affine, x, 1.0)
 
 
 class TestMLStationarityAtUniformData:
@@ -529,7 +538,7 @@ class TestMLStationarityAtUniformData:
         mm = maximally_mixed_ensemble(layout)
         ds = exact_dataset(mm, random_settings(rng, 5))
         model = build_fit_model(ds, FitSpec.max_lik())
-        g = model.gradient(np.zeros(model.parametrization.dimension))
+        g = model.gradient(model.probabilities(np.zeros(model.parametrization.dimension)))
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
@@ -541,7 +550,7 @@ def stage_end(principle, exact=True):
     model = build_fit_model(ds, FitSpec(principle=principle))
     param = model.parametrization
     carry = []
-    first = newton_stage(model, param, 0.1, np.zeros(param.dimension), exact=exact,
+    first = newton_stage(model, param.affine, 0.1, np.zeros(param.dimension), exact=exact,
                          carry=carry)
     assert first.converged and len(carry) == 1
     return model, param, first, carry
@@ -567,12 +576,12 @@ def assert_same_carry(a, b):
         assert np.array_equal(a.factor[0], b.factor[0]) and a.factor[1] == b.factor[1]
 
 
-def newton_decrement(model, param, t, x, fit_hessian=None):
+def newton_decrement(model, affine, t, x, fit_hessian=None):
     """lambda^2 = g^T (t H_bar + H_fit)^-1 g at x, from fresh derivatives,
     or with the fit Hessian ``fit_hessian`` in place of the fresh one."""
-    g_fit, H_fit = model.gradient_hessian(x)
+    g_fit, H_fit = model.gradient_hessian(model.probabilities(x))
     H_fit = H_fit if fit_hessian is None else fit_hessian
-    _, bg, bH = barrier_value_grad_hess(param, x, 1.0)
+    _, bg, bH = oracles.barrier_value_grad_hess(affine, x, 1.0)
     g = g_fit + t * bg
     return float(g @ np.linalg.solve(t * bH + H_fit, g))
 
@@ -587,15 +596,15 @@ class TestNewtonStage:
 
     def test_converges_quickly(self):
         model, param = self.make_model()
-        stage = newton_stage(model, param, 1.0, np.zeros(param.dimension))
+        stage = newton_stage(model, param.affine, 1.0, np.zeros(param.dimension))
         assert stage.converged
         assert stage.iterations <= 25
         assert stage.grad_norm <= 1e-8
 
     def test_restart_at_optimum_is_free(self):
         model, param = self.make_model()
-        stage = newton_stage(model, param, 1.0, np.zeros(param.dimension))
-        again = newton_stage(model, param, 1.0, stage.x)
+        stage = newton_stage(model, param.affine, 1.0, np.zeros(param.dimension))
+        again = newton_stage(model, param.affine, 1.0, stage.x)
         assert again.converged
         assert again.iterations == 0
         np.testing.assert_array_equal(again.x, stage.x)
@@ -604,8 +613,9 @@ class TestNewtonStage:
         model, param = self.make_model()
         x0 = np.zeros(param.dimension)
         chols = param.affine.cholesky_list(param.affine.blocks(x0))
-        start_obj = model.value(x0) + 1.0 * param.affine.barrier_value(chols)
-        stage = newton_stage(model, param, 1.0, x0)
+        start_obj = (model.value(model.probabilities(x0))
+                     + 1.0 * param.affine.barrier_value(chols))
+        stage = newton_stage(model, param.affine, 1.0, x0)
         assert stage.objective < start_obj
 
     def test_infeasible_start_rejected(self):
@@ -613,13 +623,60 @@ class TestNewtonStage:
         x = np.zeros(param.dimension)
         x[0] = 10.0
         with pytest.raises(ValueError):
-            newton_stage(model, param, 1.0, x)
+            newton_stage(model, param.affine, 1.0, x)
 
     def test_iteration_cap_respected(self):
         model, param = self.make_model()
         cfg = SolverConfig(max_newton_iters=1)
-        stage = newton_stage(model, param, 1.0, np.zeros(param.dimension), cfg)
+        stage = newton_stage(model, param.affine, 1.0, np.zeros(param.dimension), cfg)
         assert stage.iterations == 1
+
+    @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
+    def test_exhausted_budget_hands_on_a_valid_carry(self, principle):
+        # a stage cut by its budget stops on the derivatives it formed at
+        # the point it returns: grad_norm is that point's, and its carry
+        # seeds the next stage as a fresh evaluation there would
+        model, param, first, _ = stage_end(principle)
+        carry = []
+        cut = newton_stage(model, param.affine, 0.01, first.x,
+                           SolverConfig(max_newton_iters=1), carry=carry)
+        assert cut.iterations == 1 and not cut.converged
+        p = model.probabilities(cut.x)
+        _, bg, _ = oracles.barrier_value_grad_hess(param.affine, cut.x, 1.0)
+        assert cut.grad_norm == float(np.linalg.norm(model.gradient(p) + 0.01 * bg))
+        assert len(carry) == 1 and carry[0].factor is None
+        assert np.array_equal(carry[0].probabilities, p)
+        fresh_carry = []
+        seeded = newton_stage(model, param.affine, 0.001, cut.x, carry=carry)
+        fresh = newton_stage(model, param.affine, 0.001, cut.x, carry=fresh_carry)
+        assert seeded.iterations > 0
+        assert_same_stage(seeded, fresh, skip=("hessians",))
+        assert seeded.hessians == fresh.hessians - 1
+        assert_same_carry(carry.pop(), fresh_carry.pop())
+
+    @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
+    def test_endgame_step_needs_a_smaller_gradient(self, principle):
+        # the endgame takes the full step only if it strictly shrinks |g|:
+        # the Newton step from the centre of a nearby t does, while the
+        # zero step (|g| unchanged) and the reversed step do not
+        model, param, first, carry = stage_end(principle)
+        _, g_fit, H_fit, _, bg, bH, _, _ = carry.pop()
+        x, t = first.x, 0.09
+        g = g_fit + t * bg
+        grad_norm = float(np.linalg.norm(g))
+        delta, _, _ = reconstruct_module._newton_direction(H_fit, bH, t, g)
+        trial = reconstruct_module._endgame_step(model, param.affine, x, t, delta, grad_norm)
+        assert trial is not None
+        x_new, p_new, chols, obj, fit_v = trial
+        assert np.array_equal(x_new, x + delta)
+        assert np.array_equal(p_new, model.probabilities(x_new))
+        assert fit_v == model.value(p_new)
+        assert obj == fit_v + t * param.affine.barrier_value(chols)
+        _, bg_new, _ = oracles.barrier_value_grad_hess(param.affine, x_new, t)
+        assert np.linalg.norm(model.gradient(p_new) + bg_new) < grad_norm
+        for step in (0.0 * delta, -delta):
+            assert reconstruct_module._endgame_step(
+                model, param.affine, x, t, step, grad_norm) is None
 
     @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
     @pytest.mark.parametrize("exact", [True, False])
@@ -629,8 +686,10 @@ class TestNewtonStage:
         # changes nothing, bit for bit, but saves one fit Hessian
         model, param, first, carry = stage_end(principle)
         seeded_carry, fresh_carry = [carry.pop()._replace(factor=None)], []
-        seeded = newton_stage(model, param, 0.01, first.x, exact=exact, carry=seeded_carry)
-        fresh = newton_stage(model, param, 0.01, first.x, exact=exact, carry=fresh_carry)
+        seeded = newton_stage(model, param.affine, 0.01, first.x, exact=exact,
+                              carry=seeded_carry)
+        fresh = newton_stage(model, param.affine, 0.01, first.x, exact=exact,
+                             carry=fresh_carry)
         assert seeded.iterations > 0
         assert_same_stage(seeded, fresh, skip=("hessians",))
         assert seeded.hessians == fresh.hessians - 1
@@ -640,9 +699,9 @@ class TestNewtonStage:
     @pytest.mark.parametrize("principle", ["ml", "ls", "freels", "hedged"])
     def test_one_derivative_evaluation_per_step_plus_one(self, principle, monkeypatch):
         # a derivative evaluation is a gradient_hessian call, or a gradient
-        # call beside a held (lagged or constant) fit Hessian.  The other
-        # gradient calls, the endgame's test of a full step and the check
-        # after an exhausted budget, each come with one barrier_grad call
+        # call beside a held (lagged or constant) fit Hessian.  The only
+        # other gradient call, the endgame's test of a full step, comes
+        # with one barrier_grad call
         calls = []
         for owner, name in ((FitModel, "gradient_hessian"), (FitModel, "gradient"),
                             (AffineBlockMap, "barrier_grad")):
@@ -677,7 +736,7 @@ class TestTangentStart:
         model = build_fit_model(ds, FitSpec.least_squares())
         param = model.parametrization
         carry = []
-        centre = newton_stage(model, param, 1.0, np.zeros(param.dimension),
+        centre = newton_stage(model, param.affine, 1.0, np.zeros(param.dimension),
                               SolverConfig(grad_tol=1e-11), carry=carry)
         H_fit, bg, bH, factor = (carry[0].fit_hessian, carry[0].barrier_gradient,
                                  carry[0].barrier_hessian, carry[0].factor)
@@ -692,7 +751,7 @@ class TestTangentStart:
             return delta, slope
 
         monkeypatch.setattr(reconstruct_module, "_tangent_direction", recorded)
-        newton_stage(model, param, 0.1, centre.x, carry=carry)
+        newton_stage(model, param.affine, 0.1, centre.x, carry=carry)
         assert len(directions) == 1
         error = np.linalg.norm(directions[0] - expected)
         assert error <= 1e-10 * np.linalg.norm(expected)
@@ -706,7 +765,7 @@ class TestTangentStart:
         model, param, first, carry = stage_end(principle, exact=False)
         assert carry[0].factor is not None
         cfg = SolverConfig(max_newton_iters=max_iters)
-        stage = newton_stage(model, param, 0.01, first.x, cfg, exact=False, carry=carry)
+        stage = newton_stage(model, param.affine, 0.01, first.x, cfg, exact=False, carry=carry)
         assert stage.iterations >= 1
         if max_iters == 1:
             assert math.isnan(stage.decrement)
@@ -716,9 +775,9 @@ class TestTangentStart:
             # the factor (1 + LAG)^3 that keeps it in the quadratic region
             held = carry[0].fit_hessian
             assert stage.decrement == pytest.approx(
-                newton_decrement(model, param, 0.01, stage.x, held), rel=1e-8)
+                newton_decrement(model, param.affine, 0.01, stage.x, held), rel=1e-8)
             assert stage.decrement <= CENTERING * 0.01
-            true = newton_decrement(model, param, 0.01, stage.x)
+            true = newton_decrement(model, param.affine, 0.01, stage.x)
             assert true <= (1.0 + LAG) ** 3 * stage.decrement * (1.0 + 1e-8)
 
     @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
@@ -735,8 +794,8 @@ class TestTangentStart:
 
         monkeypatch.setattr(reconstruct_module, "_tangent_direction", uphill)
         plain_carry = [carry[0]._replace(factor=None)]
-        fallback = newton_stage(model, param, 0.01, first.x, carry=carry)
-        plain = newton_stage(model, param, 0.01, first.x, carry=plain_carry)
+        fallback = newton_stage(model, param.affine, 0.01, first.x, carry=carry)
+        plain = newton_stage(model, param.affine, 0.01, first.x, carry=plain_carry)
         assert fallback.converged and fallback.iterations > 0
         assert_same_stage(fallback, plain)
         assert_same_carry(carry.pop(), plain_carry.pop())
@@ -754,9 +813,9 @@ class TestTangentStart:
             factors.append(weakref.ref(factor[0]))
             return factor
 
-        def checked(self, x, *args):
+        def checked(self, p):
             alive.append(sum(ref() is not None for ref in factors))
-            return original_derivatives(self, x, *args)
+            return original_derivatives(self, p)
 
         monkeypatch.setattr(reconstruct_module, "cho_factor", tracked)
         monkeypatch.setattr(FitModel, "gradient_hessian", checked)
@@ -894,7 +953,7 @@ class TestReconstructExactData:
         # Reported value is likelihood plus the hedging penalty.
         param = Parametrization(layout)
         x = param.coordinates(result.estimate)
-        penalty, _, _ = barrier_value_grad_hess(param, x, beta)
+        penalty, _, _ = oracles.barrier_value_grad_hess(param.affine, x, beta)
         freqs = np.concatenate([np.asarray(r.counts, float) / r.repetitions
                                 for r in ds.records])
         probs = np.concatenate([
@@ -934,7 +993,7 @@ def exact_path(dataset, spec, config=SolverConfig()):
     x = np.zeros(param.dimension)
     steps = 0
     for t in t_schedule(config, spec.beta):
-        stage = newton_stage(model, param, t, x, config, exact=True)
+        stage = newton_stage(model, param.affine, t, x, config, exact=True)
         x, steps = stage.x, steps + stage.iterations
     return param.ensemble(x), steps
 
@@ -1025,7 +1084,8 @@ class TestLaggedHessian:
                                                                    truth, data, seed):
         # The path is recorded as it runs: every fit derivative evaluation
         # (the point where the engine decides whether a held Hessian
-        # stands), every fit Hessian formed and every Newton direction.
+        # stands), every fit Hessian formed and every Newton direction,
+        # each point by the p = p0 + G x the fit reads it through.
         # Each held Hessian an exact-stage direction uses must be within
         # the hold limit of the stage that held it at that point: LAG, or
         # in an exact stage LAG * min(1, lambda^2 / t) of the last Newton
@@ -1041,26 +1101,26 @@ class TestLaggedHessian:
         original_stage = reconstruct_module.newton_stage
         original_direction = reconstruct_module._newton_direction
 
-        def gradient_hessian(self, x, *args):
-            events.append(("eval", x.copy(), state["exact"]))
-            g, H = original_hessian(self, x, *args)
-            formed[id(H)] = (H, x.copy())  # H is kept alive, so its id is not reused
+        def gradient_hessian(self, p):
+            events.append(("eval", p.copy(), state["exact"]))
+            g, H = original_hessian(self, p)
+            formed[id(H)] = (H, p.copy())  # H is kept alive, so its id is not reused
             return g, H
 
-        def gradient(self, x, *args):
-            events.append(("eval", x.copy(), state["exact"]))
-            return original_gradient(self, x, *args)
+        def gradient(self, p):
+            events.append(("eval", p.copy(), state["exact"]))
+            return original_gradient(self, p)
 
-        def stage(fit, param, t, x, *args, exact, **kwargs):
+        def stage(fit, affine, t, x, *args, exact, **kwargs):
             state["exact"] = exact
-            result = original_stage(fit, param, t, x, *args, exact=exact, **kwargs)
-            stops.append((len(events), fit, param, t, exact, result))
+            result = original_stage(fit, affine, t, x, *args, exact=exact, **kwargs)
+            stops.append((len(events), fit, affine, t, exact, result))
             return result
 
         def direction(H_fit, H_bar, t, g):
             delta, slope, factor = original_direction(H_fit, H_bar, t, g)
-            x = next(e[1] for e in reversed(events) if e[0] == "eval")
-            events.append(("dir", x, state["exact"], t, -slope, id(H_fit)))
+            p = next(e[1] for e in reversed(events) if e[0] == "eval")
+            events.append(("dir", p, state["exact"], t, -slope, id(H_fit)))
             return delta, slope, factor
 
         with pytest.MonkeyPatch.context() as patch:
@@ -1075,28 +1135,28 @@ class TestLaggedHessian:
 
         def drift_of(i):
             """The drift of direction i's Hessian from where it was formed."""
-            _, x, _, _, _, key = events[i]
+            _, p, _, _, _, key = events[i]
             _, at = formed[key]
-            return model.hessian_drift(model.probabilities(x), model.probabilities(at))
+            return model.hessian_drift(p, at)
 
         held = 0
         for i, event in enumerate(events):
             if event[0] != "dir" or not event[2] or principle == "ls":
                 continue
-            x, at = event[1], formed[event[5]][1]
-            if np.array_equal(x, at):
+            p, at = event[1], formed[event[5]][1]
+            if np.array_equal(p, at):
                 continue
             held += 1
-            # the evaluation at x that decided the hold, and its limit
+            # the evaluation at p that decided the hold, and its limit
             check = max(j for j in range(i) if events[j][0] == "eval"
-                        and np.array_equal(events[j][1], x))
+                        and np.array_equal(events[j][1], p))
             limit = LAG
             if events[check][2]:
                 last = [e for e in events[:check] if e[0] == "dir"]
                 limit = LAG * min(1.0, last[-1][4] / last[-1][3] if last else math.inf)
             assert drift_of(i) <= limit
         certified = 0
-        for end, fit, param, t, exact, stage_result in stops:
+        for end, fit, affine, t, exact, stage_result in stops:
             if not exact or math.isnan(stage_result.decrement):
                 continue
             i = max(j for j in range(end) if events[j][0] == "dir")
@@ -1104,7 +1164,7 @@ class TestLaggedHessian:
             if (1.0 + drift_of(i)) ** power * events[i][4] > config.grad_tol ** 2:
                 continue  # stopped by the line search, not on the decrement
             certified += 1
-            true = newton_decrement(fit, param, t, stage_result.x)
+            true = newton_decrement(fit, affine, t, stage_result.x)
             assert true <= config.grad_tol ** 2 * (1.0 + 1e-6)
         # an exact stage that reports no decrement stopped on |g| <= grad_tol
         assert certified or all(math.isnan(s.decrement) for s in result.trace[-2:])
@@ -1118,15 +1178,15 @@ class TestLaggedHessian:
         model, param, first, _ = stage_end(principle)
         x, t = first.x, 0.01
         p = model.probabilities(x)
-        g_fit, H_fit = model.gradient_hessian(x, p)
+        g_fit, H_fit = model.gradient_hessian(p)
         _, bg, bH = param.affine.barrier_grad_hess(
             param.affine.cholesky_list(param.affine.blocks(x)))
-        decrement = newton_decrement(model, param, t, x)
+        decrement = newton_decrement(model, param.affine, t, x)
         grad_tol = math.sqrt(1.1 * decrement)
         assert np.linalg.norm(g_fit + t * bg) > grad_tol
         carry = [StageCarry(p, g_fit, H_fit, p / 1.1, bg, bH, None, math.inf)]
         assert model.hessian_drift(p, p / 1.1) == pytest.approx(0.1, rel=1e-12)
-        stage = newton_stage(model, param, t, x, SolverConfig(grad_tol=grad_tol),
+        stage = newton_stage(model, param.affine, t, x, SolverConfig(grad_tol=grad_tol),
                              exact=True, carry=carry)
         assert stage.iterations >= 1 and stage.converged
 
@@ -1134,9 +1194,9 @@ class TestLaggedHessian:
         calls = []
         original = FitModel.gradient_hessian
 
-        def counted(self, x, *args):
+        def counted(self, p):
             calls.append(None)
-            return original(self, x, *args)
+            return original(self, p)
 
         monkeypatch.setattr(FitModel, "gradient_hessian", counted)
         ds, spec = lag_case(6, "ml", "mixed", "sampled", 0)
@@ -1193,8 +1253,8 @@ class TestLaggedHessian:
             factors.append(weakref.ref(factor[0]))
             return factor
 
-        def tracked_derivatives(self, x, *args):
-            g, H = original_derivatives(self, x, *args)
+        def tracked_derivatives(self, p):
+            g, H = original_derivatives(self, p)
             hessians.append(weakref.ref(H))
             return g, H
 
@@ -1255,10 +1315,17 @@ class TestProbabilitiesHandOff:
         spec = fit_spec(principle)
         model = build_fit_model(ds, spec)
         x = 0.01 * rng.normal(size=model.parametrization.dimension)
-        assert model.value(x, model.probabilities(x)) == model.value(x)
+        # a fit reads a point only through p = probabilities(x): its value
+        # there is the principle's at the state's outcome distribution
+        state = model.parametrization.ensemble(x)
+        direct = np.concatenate([probabilities(state, rotated_blocks(3, r.setting))
+                                 for r in ds.records])
+        assert model.value(model.probabilities(x)) == pytest.approx(
+            fit_value(model.spec, model.frequencies, direct), rel=1e-12)
+        # a linear objective's p is the point itself
         linear = LinearFit(rng.normal(size=x.size))
-        assert linear.probabilities(x) is None
-        assert linear.value(x, None) == linear.value(x)
+        assert linear.probabilities(x) is x
+        assert linear.value(linear.probabilities(x)) == float(linear.c @ x)
 
 
 class TestReconstructSampledData:
@@ -1289,7 +1356,7 @@ def path_estimate(ds, spec, x0):
     cfg = SolverConfig()
     x = x0
     for _, stage in reconstruct_module._barrier_path(
-            model, model.parametrization, t_schedule(cfg, spec.beta), x0, cfg):
+            model, model.parametrization.affine, t_schedule(cfg, spec.beta), x0, cfg):
         assert stage.converged
         x = stage.x
     return model.parametrization.ensemble(x)
@@ -1314,7 +1381,7 @@ class TestAnalyticCentre:
         for block in centre.blocks.values():
             np.testing.assert_allclose(block, np.eye(len(block)) / D, rtol=0, atol=1e-15)
         assert sum(np.trace(b).real for b in centre.blocks.values()) == pytest.approx(1.0, abs=1e-14)
-        value, grad, _ = barrier_value_grad_hess(param, param.centre, 1.0)
+        value, grad, _ = oracles.barrier_value_grad_hess(param.affine, param.centre, 1.0)
         assert np.abs(grad).max() <= 1e-13 * D
         if n <= 2:  # base is I/D already
             assert np.array_equal(param.centre, np.zeros(param.dimension))
@@ -1322,7 +1389,8 @@ class TestAnalyticCentre:
         # to a random interior one, has a larger barrier value
         other = interior_ensemble(n, np.random.default_rng(seed))
         x = param.centre + fraction * (param.coordinates(other) - param.centre)
-        assert barrier_value_grad_hess(param, x, 1.0)[0] >= value - 1e-12 * abs(value)
+        other_value = oracles.barrier_value_grad_hess(param.affine, x, 1.0)[0]
+        assert other_value >= value - 1e-12 * abs(value)
 
     @pytest.mark.parametrize("principle", ["ml", "ls", "freels", "hedged"])
     @pytest.mark.parametrize("n, data", [(4, "sampled"), (4, "exact"), (8, "sampled")])
@@ -1355,7 +1423,7 @@ class TestAnalyticCentre:
         assert result.trace[0].iterations <= 3
         model = build_fit_model(ds, spec)
         param = model.parametrization
-        from_zero = newton_stage(model, param, cfg.t0, np.zeros(param.dimension), cfg,
+        from_zero = newton_stage(model, param.affine, cfg.t0, np.zeros(param.dimension), cfg,
                                  exact=False)
         assert from_zero.iterations > 3
 
