@@ -1180,11 +1180,12 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
     unconverged on the derivatives it has just formed, so ``grad_norm``
     is that of the returned point.  A step is one call: ``_line_search``
     if the predicted decrease -slope exceeds the objective's roundoff,
-    else ``_endgame_step``.  The line search starts at the minimum of the
-    exact barrier along the Newton ray (``_ray_step``), so trials almost
-    never leave the feasible set, and backtracks to feasibility (every
-    block must pass Cholesky) and Armijo sufficient decrease.  A step
-    that finds no trial is the stage's one failure exit: it reports
+    else, for a Newton direction, ``_endgame_step``.  The line search
+    starts at the minimum of the exact barrier along the Newton ray
+    (``_ray_step``), so trials almost never leave the feasible set, and
+    backtracks to feasibility (every block must pass Cholesky) and Armijo
+    sufficient decrease.  A Newton
+    step that finds no trial is the stage's one failure exit: it reports
     converged iff |g| <= grad_tol (1 + |objective|).
 
     The gradient is exact at every step, but the fit Hessian is a chord:
@@ -1270,7 +1271,7 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
         if grad_norm <= cfg.grad_tol:
             converged = True
             break
-        if iterations == cfg.max_newton_iters:
+        if iterations >= cfg.max_newton_iters:
             break
         newton = tangent is None
         if newton:
