@@ -16,8 +16,12 @@ index pairs, O(n^2) per outcome and sector, for all settings of a
 sector at once; neither M nor the dense basis stack (O(n^4)) is
 formed.  Every fit Hessian is G^T diag(c) G with c = phi''(p) >= 0
 (below), formed as the symmetric rank-k (BLAS syrk) product of
-sqrt(c) G; the Newton system t H_barrier + H_fit is then assembled in a
-per-step buffer that LAPACK factors in place.
+sqrt(c) G, summed over chunks of ROW_CHUNK rows of G; the Newton system
+t H_barrier + H_fit is then assembled in a per-step buffer that LAPACK
+factors in place.  A fit step thus holds G and three d x d arrays (fit
+Hessian, barrier Hessian, Newton factor), and no other array the size
+of G: neither the weighted copy sqrt(c) G nor, while G is assembled, a
+whole sector's temporaries, since both are formed one chunk at a time.
 
 The barrier engine (``AffineBlockMap``) knows three block kinds, each
 with one representation.  Gell-Mann blocks (``_GellMannTables``) carry
@@ -101,6 +105,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import ztrtri
 
 from .povm import probabilities, stacked_blocks
@@ -215,6 +220,14 @@ RAY_ITERATIONS = 50
 LS_ALPHA = 0.01
 LS_SHRINK = 0.5
 T_REDUCE = 10.0
+# G is read ROW_CHUNK rows (outcomes) at a time wherever a temporary would
+# otherwise have as many rows as G: the weighted rows sqrt(phi'') G of a
+# fit Hessian and the coordinate blocks that assemble G, so neither forms a
+# second copy of G (671 MB at N = 30).  A (ROW_CHUNK, d) chunk keeps syrk's
+# inner dimension long enough for full speed
+ROW_CHUNK = 512
+# the triangle mirror of a chunked fit Hessian copies blocks of this many rows
+MIRROR_ROWS = 64
 
 
 class NonConvergenceError(RuntimeError):
@@ -246,8 +259,9 @@ class FitSpec:
                 raise ValueError("least-squares weights must be positive")
             object.__setattr__(self, "weights", w)
         if self.principle == "hedged":
-            if self.beta is None or not self.beta > 0:
-                raise ValueError("hedged fit requires beta > 0")
+            # the negated form also rejects NaN
+            if self.beta is None or not 0.0 < self.beta < math.inf:
+                raise ValueError("hedged fit requires a finite beta > 0")
         elif self.beta is not None:
             raise ValueError("beta is only meaningful for the hedged principle")
 
@@ -281,6 +295,9 @@ class SolverConfig:
             # the negated form also rejects NaN
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if self.t_min > self.t0:
+            # t_schedule would start at t_min and drop t0 unannounced
+            raise ValueError("t_min must not exceed t0")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be >= 1")
 
@@ -841,6 +858,18 @@ def resolve_least_squares_weights(frequencies, repetitions) -> np.ndarray:
     return 1.0 / np.maximum(f, floor)
 
 
+def _mirror_lower(H: np.ndarray) -> np.ndarray:
+    """The square H with its lower triangle copied onto its upper one, in
+    place and MIRROR_ROWS rows at a time, so that no d x d temporary is
+    formed; H is then exactly symmetric."""
+    for start in range(0, H.shape[0], MIRROR_ROWS):
+        end = start + MIRROR_ROWS
+        corner = H[start:end, start:end]
+        corner[...] = np.tril(corner) + np.tril(corner, -1).T
+        H[start:end, end:] = H[end:, start:end].T
+    return H
+
+
 class FitModel:
     """A fit principle evaluated over parametrization coordinates.
 
@@ -848,16 +877,20 @@ class FitModel:
     state) and the overlap table G with p(x) = p0 + G x; rows run over
     (setting, outcome) in dataset order, as the outcomes of the
     ``StackedBlockSets`` it is built from.  Each sector's columns of G
-    are read off its rotation U_j for all settings at once by
-    ``_gell_mann_coordinates``, O(n^2) per outcome, and written with one
-    scatter.
+    are read off its rotation U_j by ``_gell_mann_coordinates``, O(n^2)
+    per outcome, and written with one scatter per chunk of ROW_CHUNK
+    outcomes, so the temporaries are a chunk's, not a sector's.
 
     The principle enters only through its ``Loss`` phi, on the rows the
     loss reads, and no method branches on it.  The gradient is
     G^T phi'(p).  The Hessian G^T diag(phi''(p)) G is the symmetric
-    rank-k product Gs^T Gs of Gs = sqrt(phi'') G, which numpy hands to
-    BLAS syrk (half the flops of a general product) and which is exactly
-    symmetric; a constant one (LS) is built once and stored read-only,
+    rank-k product Gs^T Gs of Gs = sqrt(phi'') G, by BLAS syrk (half the
+    flops of a general product).  Up to ROW_CHUNK rows it is one numpy
+    product; above, each chunk of ROW_CHUNK rows of Gs is formed in one
+    reused buffer and added to one triangle (syrk with beta = 1), which
+    is then mirrored, so a Hessian costs d^2 doubles and one chunk beside
+    G, never a second copy of G.  Either way it is exactly symmetric and
+    C-ordered.  A constant one (LS) is built once and stored read-only,
     the others are formed afresh by every ``gradient_hessian`` call.
     The ray's derivatives are sums of phi' and phi'' along it.  The
     model holds no state between calls: which Hessian a Newton step
@@ -888,15 +921,20 @@ class FitModel:
         indices = parametrization.indices
         shift_coeff = parametrization.shift_coeff
         G = np.zeros((rows, parametrization.dimension))
-        # one scatter per sector; rows repeat across sectors and the
-        # trace-shift columns are shared, so sectors add up.  Column r of
-        # U is the u of outcome r's block u u^dagger
+        # one scatter per sector and chunk of ROW_CHUNK outcomes; rows
+        # repeat across sectors and the trace-shift columns are shared, so
+        # sectors add up.  Column r of U is the u of outcome r's block
+        # u u^dagger
         for b, two_j in enumerate(layout.two_j_values):
             U = measurement.rotations[two_j]
-            rows, cols = np.triu_indices(two_j + 1, 1)
-            G[np.ix_(measurement.outcome_slots(two_j), indices[b])] += _gell_mann_coordinates(
-                U[rows] * U[cols].conj(), U.real**2 + U.imag**2, shift_coeff[b]
-            )
+            slots = measurement.outcome_slots(two_j)
+            upper, lower = np.triu_indices(two_j + 1, 1)
+            for start in range(0, U.shape[1], ROW_CHUNK):
+                part = slice(start, start + ROW_CHUNK)
+                u = U[:, part]
+                G[np.ix_(slots[part], indices[b])] += _gell_mann_coordinates(
+                    u[upper] * u[lower].conj(), u.real**2 + u.imag**2, shift_coeff[b]
+                )
         self.G = G
         base = maximally_mixed_ensemble(layout)
         self.p0 = probabilities(base, measurement)
@@ -922,9 +960,26 @@ class FitModel:
         return self.G.T @ self._scatter(self.loss.d1(self._f, p, self._w))
 
     def _hessian(self, p: np.ndarray) -> np.ndarray:
-        """G^T diag(phi''(p)) G as the syrk product of sqrt(phi''(p)) G."""
-        Gs = self.G * self._scatter(np.sqrt(self.loss.d2(self._f, p, self._w)))[:, None]
-        return Gs.T @ Gs
+        """G^T diag(phi''(p)) G, the syrk product Gs^T Gs of
+        Gs = sqrt(phi''(p)) G, summed over chunks of ROW_CHUNK rows of G."""
+        s = self._scatter(np.sqrt(self.loss.d2(self._f, p, self._w)))
+        G = self.G
+        if G.shape[0] <= ROW_CHUNK:
+            Gs = G * s[:, None]
+            return Gs.T @ Gs
+        # H is allocated before the chunk buffer, so that freeing the buffer
+        # leaves no hole beneath H in the heap (3 MB of peak RSS at N = 16)
+        H = np.zeros((G.shape[1],) * 2, order="F")
+        chunk = np.empty((ROW_CHUNK, G.shape[1]))
+        for start in range(0, G.shape[0], ROW_CHUNK):
+            rows = G[start : start + ROW_CHUNK]
+            # every chunk's Gs is written into one buffer, and Gs.T is the
+            # Fortran-ordered operand syrk reads in place; each adds to the
+            # upper triangle of the Fortran-ordered H, the lower one of H.T
+            Gs = np.multiply(rows, s[start : start + ROW_CHUNK, None], out=chunk[: len(rows)]).T
+            H = dsyrk(1.0, Gs, 1.0, H, overwrite_c=1)
+        del chunk, Gs  # the mirror's own small blocks need neither
+        return _mirror_lower(H.T)
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
         return self.p0 + self.G @ x
@@ -1221,9 +1276,11 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
     so the tangent never ends a stage.  On return ``carry`` holds the
     ``StageCarry`` at the returned point, with the factor of the
     direction whose decrement ended the stage, or None.  A factor is
-    dropped before the next derivatives are formed, and a fit Hessian
-    before the next is formed, so neither is held while a fit Hessian is
-    built.
+    dropped before the next derivatives are formed, a fit Hessian before
+    the next one is formed, and the barrier Hessian before either is
+    formed, so no factor and no second Hessian of either kind is held
+    while one is built: a step holds at most the fit and barrier Hessians
+    and the Newton factor.
     """
     cfg = config or SolverConfig()
     x = np.asarray(x_start, dtype=float).copy()
@@ -1259,6 +1316,7 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
             else:
                 H_fit = None  # released before the next one is formed
         if not carried:
+            bH = None  # released before the next fit or barrier Hessian is formed
             if H_fit is not None:
                 g_fit = fit.gradient(p)
             else:

@@ -214,6 +214,26 @@ class TestReconstruct:
         assert run("reconstruct", "--dataset", data, "--grad-tol", grad_tol) == EXIT_INPUT
         assert "grad_tol" in capsys.readouterr().err
 
+    def test_rejects_infinite_beta(self, tmp_path, capsys):
+        # beta = inf would run one stage at t = inf and fail inside Newton
+        settings = write_settings(tmp_path / "s.json", 6)
+        data = tmp_path / "d.json"
+        run("simulate", "--n", 2, "--settings", settings, "--shots", 100,
+            "--seed", 0, "-o", data)
+        assert run("reconstruct", "--dataset", data, "--principle", "hedged",
+                   "--beta", "inf") == EXIT_INPUT
+        assert "beta" in capsys.readouterr().err
+
+    def test_rejects_t_min_above_t0(self, tmp_path, capsys):
+        # t0 = 1e-12 is below the default t_min = 1e-10: the schedule would
+        # drop t0 and run one stage at t_min from the analytic centre
+        settings = write_settings(tmp_path / "s.json", 6)
+        data = tmp_path / "d.json"
+        run("simulate", "--n", 2, "--settings", settings, "--shots", 100,
+            "--seed", 0, "-o", data)
+        assert run("reconstruct", "--dataset", data, "--t0", 1e-12) == EXIT_INPUT
+        assert "t_min" in capsys.readouterr().err
+
     def test_rejects_malformed_dataset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n_qubits": 2}')

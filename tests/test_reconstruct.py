@@ -114,6 +114,10 @@ class TestFitSpec:
             FitSpec(principle="hedged")
         with pytest.raises(ValueError):
             FitSpec.hedged(0.0)
+        # an infinite beta would run one stage at t = inf
+        for beta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="beta"):
+                FitSpec.hedged(beta)
 
     def test_beta_only_for_hedged(self):
         with pytest.raises(ValueError):
@@ -144,11 +148,17 @@ class TestSolverConfig:
             {"t0": math.nan},
             {"t0": math.inf},
             {"t_min": math.nan},
+            {"t0": 1e-12},
+            {"t0": 1e-3, "t_min": 1e-2},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_t_min_may_equal_t0(self):
+        cfg = SolverConfig(t0=1e-3, t_min=1e-3)
+        assert t_schedule(cfg) == [1e-3]
 
 
 class TestParametrization:
@@ -1276,6 +1286,121 @@ class TestLaggedHessian:
         assert result.converged and result.total_hessians < result.total_iterations
         assert alive and all(alive)
         assert all(ref() is None for ref in hessians + factors)
+
+
+def chunk_case(principle):
+    """An N=4 fit with 13 settings of 10 shots, so that many rows have
+    zero counts, and 65 = 5 * 13 outcome rows."""
+    rng = np.random.default_rng(13)
+    state = interior_ensemble(4, rng)
+    ds = sampled_dataset(state, random_settings(rng, 13), 10, rng)
+    return ds, fit_spec(principle)
+
+
+def memory_case():
+    """An N=8 ML fit whose G spans four chunks of ``ROW_CHUNK`` rows."""
+    rng = np.random.default_rng(8)
+    state = interior_ensemble(8, rng)
+    settings = random_settings(rng, 3 * reconstruct_module.ROW_CHUNK // 9 + 1)
+    return sampled_dataset(state, settings, 1000, rng), FitSpec.max_lik()
+
+
+def traced_peak(call):
+    """(result, peak bytes allocated while ``call()`` ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowChunks:
+    """A fit reads G in chunks of ROW_CHUNK rows: it holds G plus the
+    engine's d x d arrays, and never a second array the size of G."""
+
+    # chunk sizes for the 65 rows of chunk_case: one chunk with rows to
+    # spare, exactly one chunk, one chunk and one row, two chunks less one
+    # row, five full chunks
+    CHUNKS = {"below": 130, "one": 65, "one+1": 64, "two-1": 33, "five": 13}
+
+    @every_principle
+    @pytest.mark.parametrize("chunk", CHUNKS.values(), ids=CHUNKS.keys())
+    def test_hessian_matches_one_product(self, principle, chunk, monkeypatch):
+        ds, spec = chunk_case(principle)
+        whole = build_fit_model(ds, spec)
+        monkeypatch.setattr(reconstruct_module, "ROW_CHUNK", chunk)
+        model = build_fit_model(ds, spec)
+        assert model.G.shape[0] == 65 and np.any(model.frequencies == 0)
+        np.testing.assert_allclose(model.G, whole.G, rtol=0, atol=1e-15)
+        x = 0.5 * model.parametrization.coordinates(interior_ensemble(4, np.random.default_rng(1)))
+        p = model.probabilities(x)
+        _, H = model.gradient_hessian(p)
+        c = np.zeros_like(p)
+        rows = model.loss.rows(model.frequencies)
+        w = None if model.spec.weights is None else model.spec.weights[rows]
+        c[rows] = model.loss.d2(model.frequencies[rows], p[rows], w)
+        reference = model.G.T @ (c[:, None] * model.G)
+        assert np.abs(H - reference).max() <= 1e-13 * np.abs(reference).max()
+        assert np.array_equal(H, H.T) and H.flags.c_contiguous
+        if model.constant_hessian:
+            assert not H.flags.writeable
+
+    def test_gradient_hessian_holds_no_copy_of_G(self):
+        # at most the Hessian, one chunk of weighted rows and a few
+        # vectors of one entry per row; the whole weighted copy
+        # sqrt(phi'') G would be G.nbytes more
+        ds, spec = memory_case()
+        model = build_fit_model(ds, spec)
+        rows, d = model.G.shape
+        assert rows > 3 * reconstruct_module.ROW_CHUNK
+        p = model.probabilities(model.parametrization.centre)
+        (_, H), peak = traced_peak(lambda: model.gradient_hessian(p))
+        assert H.shape == (d, d)
+        assert peak <= d * d * 8 + reconstruct_module.ROW_CHUNK * d * 8 + 16 * rows * 8
+
+    def test_fit_holds_G_and_three_hessians(self):
+        # a step holds G, the fit and barrier Hessians and the Newton
+        # factor.  The slack of three chunks of G's rows covers the
+        # assembly of G (the temporaries of one chunk of outcomes, and
+        # the measurement's rotations) and the vectors of one entry per
+        # row; a second copy of G, or a whole sector's temporaries, do not
+        # fit in it.  A warm-up fit fills the caches
+        ds, spec = memory_case()
+        model = build_fit_model(ds, spec)
+        rows, d = model.G.shape
+        reconstruct(ds, spec)
+        result, peak = traced_peak(lambda: reconstruct(ds, spec))
+        assert result.converged
+        slack = 3 * reconstruct_module.ROW_CHUNK * d * 8
+        assert peak <= model.G.nbytes + 3 * d * d * 8 + slack
+
+    def test_one_barrier_hessian_alive_at_a_time(self, monkeypatch):
+        # the stage drops its barrier Hessian before it forms the next
+        # fit or barrier Hessian
+        barrier, alive = [], []
+        original_barrier = reconstruct_module.AffineBlockMap.barrier_grad_hess
+        original_derivatives = FitModel.gradient_hessian
+
+        def count():
+            alive.append(sum(ref() is not None for ref in barrier))
+
+        def tracked_barrier(self, chols):
+            count()
+            value, grad, hess = original_barrier(self, chols)
+            barrier.append(weakref.ref(hess))
+            return value, grad, hess
+
+        def checked(self, p):
+            count()
+            return original_derivatives(self, p)
+
+        monkeypatch.setattr(reconstruct_module.AffineBlockMap, "barrier_grad_hess",
+                            tracked_barrier)
+        monkeypatch.setattr(FitModel, "gradient_hessian", checked)
+        ds, spec = lag_case(5, "ml", "mixed", "sampled", 0)
+        result = reconstruct(ds, spec)
+        assert result.converged and len(barrier) > result.total_hessians
+        assert max(alive) == 0
 
 
 class TestProbabilitiesHandOff:
