@@ -858,15 +858,15 @@ def resolve_least_squares_weights(frequencies, repetitions) -> np.ndarray:
     return 1.0 / np.maximum(f, floor)
 
 
-def _mirror_lower(H: np.ndarray) -> np.ndarray:
-    """The square H with its lower triangle copied onto its upper one, in
+def _mirror_upper(H: np.ndarray) -> np.ndarray:
+    """The square H with its upper triangle copied onto its lower one, in
     place and MIRROR_ROWS rows at a time, so that no d x d temporary is
     formed; H is then exactly symmetric."""
     for start in range(0, H.shape[0], MIRROR_ROWS):
         end = start + MIRROR_ROWS
         corner = H[start:end, start:end]
-        corner[...] = np.tril(corner) + np.tril(corner, -1).T
-        H[start:end, end:] = H[end:, start:end].T
+        corner[...] = np.triu(corner) + np.triu(corner, 1).T
+        H[end:, start:end] = H[start:end, end:].T
     return H
 
 
@@ -885,12 +885,13 @@ class FitModel:
     loss reads, and no method branches on it.  The gradient is
     G^T phi'(p).  The Hessian G^T diag(phi''(p)) G is the symmetric
     rank-k product Gs^T Gs of Gs = sqrt(phi'') G, by BLAS syrk (half the
-    flops of a general product).  Up to ROW_CHUNK rows it is one numpy
-    product; above, each chunk of ROW_CHUNK rows of Gs is formed in one
-    reused buffer and added to one triangle (syrk with beta = 1), which
-    is then mirrored, so a Hessian costs d^2 doubles and one chunk beside
-    G, never a second copy of G.  Either way it is exactly symmetric and
-    C-ordered.  A constant one (LS) is built once and stored read-only,
+    flops of a general product).  Each chunk of ROW_CHUNK rows of Gs is
+    formed in one reused buffer and added to one triangle (syrk with
+    beta = 1), which is then mirrored, so a Hessian costs d^2 doubles
+    and one chunk beside G, never a second copy of G; it is exactly
+    symmetric and C-ordered.  It fills the triangle numpy's own
+    Gs.T @ Gs fills, so that one chunk reproduces that product (bit for
+    bit with OpenBLAS).  A constant one (LS) is built once and stored read-only,
     the others are formed afresh by every ``gradient_hessian`` call.
     The ray's derivatives are sums of phi' and phi'' along it.  The
     model holds no state between calls: which Hessian a Newton step
@@ -964,22 +965,20 @@ class FitModel:
         Gs = sqrt(phi''(p)) G, summed over chunks of ROW_CHUNK rows of G."""
         s = self._scatter(np.sqrt(self.loss.d2(self._f, p, self._w)))
         G = self.G
-        if G.shape[0] <= ROW_CHUNK:
-            Gs = G * s[:, None]
-            return Gs.T @ Gs
+        rows, d = G.shape
         # H is allocated before the chunk buffer, so that freeing the buffer
         # leaves no hole beneath H in the heap (3 MB of peak RSS at N = 16)
-        H = np.zeros((G.shape[1],) * 2, order="F")
-        chunk = np.empty((ROW_CHUNK, G.shape[1]))
-        for start in range(0, G.shape[0], ROW_CHUNK):
-            rows = G[start : start + ROW_CHUNK]
+        H = np.zeros((d, d), order="F")
+        chunk = np.empty((min(rows, ROW_CHUNK), d))
+        for start in range(0, rows, ROW_CHUNK):
+            part = G[start : start + ROW_CHUNK]
             # every chunk's Gs is written into one buffer, and Gs.T is the
             # Fortran-ordered operand syrk reads in place; each adds to the
-            # upper triangle of the Fortran-ordered H, the lower one of H.T
-            Gs = np.multiply(rows, s[start : start + ROW_CHUNK, None], out=chunk[: len(rows)]).T
-            H = dsyrk(1.0, Gs, 1.0, H, overwrite_c=1)
+            # lower triangle of the Fortran-ordered H, the upper one of H.T
+            Gs = np.multiply(part, s[start : start + ROW_CHUNK, None], out=chunk[: len(part)]).T
+            H = dsyrk(1.0, Gs, 1.0, H, overwrite_c=1, lower=1)
         del chunk, Gs  # the mirror's own small blocks need neither
-        return _mirror_lower(H.T)
+        return _mirror_upper(H.T)
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
         return self.p0 + self.G @ x

@@ -1319,8 +1319,8 @@ class TestRowChunks:
     engine's d x d arrays, and never a second array the size of G."""
 
     # chunk sizes for the 65 rows of chunk_case: one chunk with rows to
-    # spare, exactly one chunk, one chunk and one row, two chunks less one
-    # row, five full chunks
+    # spare (the buffer then has G's 65 rows), exactly one chunk, one chunk
+    # and one row, two chunks less one row, five full chunks
     CHUNKS = {"below": 130, "one": 65, "one+1": 64, "two-1": 33, "five": 13}
 
     @every_principle
@@ -1329,6 +1329,9 @@ class TestRowChunks:
         ds, spec = chunk_case(principle)
         whole = build_fit_model(ds, spec)
         monkeypatch.setattr(reconstruct_module, "ROW_CHUNK", chunk)
+        # d = 34 mirrored in blocks of 13, 13 and 8 rows: the copies between
+        # blocks and a partial last block are all exercised
+        monkeypatch.setattr(reconstruct_module, "MIRROR_ROWS", 13)
         model = build_fit_model(ds, spec)
         assert model.G.shape[0] == 65 and np.any(model.frequencies == 0)
         np.testing.assert_allclose(model.G, whole.G, rtol=0, atol=1e-15)
