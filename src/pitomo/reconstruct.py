@@ -891,8 +891,9 @@ class FitModel:
     and one chunk beside G, never a second copy of G; it is exactly
     symmetric and C-ordered.  It fills the triangle numpy's own
     Gs.T @ Gs fills, so that one chunk reproduces that product (bit for
-    bit with OpenBLAS).  A constant one (LS) is built once and stored read-only,
-    the others are formed afresh by every ``gradient_hessian`` call.
+    bit with OpenBLAS).  A constant one (LS) is built once and stored
+    read-only, the others are formed afresh by every ``gradient_hessian``
+    call.
     The ray's derivatives are sums of phi' and phi'' along it.  The
     model holds no state between calls: which Hessian a Newton step
     reuses is the engine's choice, made from ``hessian_drift`` and
