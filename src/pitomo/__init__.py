@@ -7,7 +7,6 @@ from .design import (
     RankDeficientSettings,
     bloch_coefficients,
     determined_setting_count,
-    element_error,
     moment_variance,
     optimize_settings,
     random_settings,

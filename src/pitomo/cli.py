@@ -343,8 +343,12 @@ def cmd_optimize_settings(args: argparse.Namespace) -> int:
         settings=tuple(initial),
         noise_constant=args.noise_constant,
     )
-    if math.isinf(total_error(problem, problem.settings)):
+    if not math.isfinite(total_error(problem, problem.settings)):
         weight = first_deficient_weight(problem.settings, n)
+        if weight is None:
+            raise CliInputError(
+                "the initial total error is not finite: lower --noise-constant"
+            )
         raise CliInputError(
             f"initial settings cannot determine every element: the "
             f"weight-{weight} coefficient system is rank deficient"

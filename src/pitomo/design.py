@@ -12,19 +12,23 @@ total-error figure of merit that the random-walk optimizer minimizes
 (Toth et al., PRL 105, 250403 (2010)).
 
 The figure of merit is evaluated for every proposal, so it works on
-whole tables: one power table a_c^p per settings list feeds the
-expansion matrix of every weight (multinomial coefficients cached per
-weight), the outcome distributions of all settings come from one batched
-rotation build, and the moment means and variances of all weights are
-two (S, N+1) @ (N+1, N+1) products with the table of the cached
-moment coefficients.
+whole tables and builds no rotation: one power table a_c^p per settings
+list feeds the expansion matrix of every weight (multinomial
+coefficients cached per weight).  The outcome moments are polynomials
+in the axis whose coefficients are the target's Bloch elements, so the
+weight-w moment means of all settings are one product of that
+expansion matrix with the target's weight-w elements, and their second
+moments follow from the Krawtchouk product rule, one (S, N+1) @
+(N+1, N+1) product with a cached table.  The target's elements are
+read once per problem from one batched rotation build on a fixed
+reference design.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -39,7 +43,6 @@ __all__ = [
     "RankDeficientSettings",
     "bloch_coefficients",
     "determined_setting_count",
-    "element_error",
     "first_deficient_weight",
     "moment_variance",
     "optimize_settings",
@@ -182,11 +185,42 @@ def _min_norm_solve(mat: np.ndarray, rhs: np.ndarray, weight: int) -> np.ndarray
     return coeff
 
 
-def _solve_weight(powers: np.ndarray, weight: int) -> np.ndarray:
-    """Min-norm coefficients for every weight-w monomial: column j of the
-    result combines the settings into monomial j.  Raises on deficiency."""
-    mat = _expansion_matrix(powers, weight)
-    return _min_norm_solve(mat, np.eye(mat.shape[1]), weight)
+def _reference_settings(n_qubits: int) -> list[Setting]:
+    """determined_setting_count(N) axes on a golden spiral over the upper
+    hemisphere, equally spaced in z.  No two are antipodal, and for every
+    N = 1..30 they determine every weight (condition of the weight-N
+    expansion matrix 7e2 at N=12, 3.6e7 at N=30)."""
+    count = determined_setting_count(n_qubits)
+    turn = math.pi * (3.0 - math.sqrt(5.0))
+    out = []
+    for i in range(count):
+        z = 1.0 - (i + 0.5) / count
+        r, phi = math.sqrt(1.0 - z * z), turn * i
+        out.append(Setting(axis=np.array([r * math.cos(phi), r * math.sin(phi), z])))
+    return out
+
+
+@lru_cache(maxsize=64)
+def _krawtchouk_squares(n_qubits: int) -> np.ndarray:
+    """Read-only (N+1, N+1) table T with K(k,w,N)^2 = sum_v T[v, w] K(k,v,N).
+
+    K(k,w,N) averages the sign product over the w-subsets of the qubits.
+    Two w-subsets that share o qubits multiply to the sign product of
+    their symmetric difference, of size 2w - 2o, so
+
+        K(k,w)^2 = sum_o C(w,o) C(N-w,w-o) / C(N,w) K(k, 2w-2o)
+
+    over the o with w - o <= N - w (the Krawtchouk product identity,
+    MacWilliams & Sloane, ch. 5).
+    """
+    n = n_qubits
+    table = np.zeros((n + 1, n + 1))
+    for w in range(n + 1):
+        for o in range(max(0, 2 * w - n), w + 1):
+            pairs = math.comb(w, o) * math.comb(n - w, w - o)
+            table[2 * w - 2 * o, w] = pairs / math.comb(n, w)
+    table.setflags(write=False)
+    return table
 
 
 def bloch_coefficients(settings, bloch_index: BlochIndex) -> np.ndarray:
@@ -236,8 +270,8 @@ class DesignProblem:
     def __post_init__(self):
         if self.target.layout.n_qubits != self.n_qubits:
             raise ValueError("target state does not match n_qubits")
-        if not self.noise_constant > 0:
-            raise ValueError("noise_constant must be positive")
+        if not 0.0 < self.noise_constant < math.inf:
+            raise ValueError("noise_constant must be positive and finite")
         settings = tuple(self.settings)
         needed = determined_setting_count(self.n_qubits)
         if len(settings) < needed:
@@ -261,46 +295,62 @@ class DesignProblem:
             )
         object.__setattr__(self, "settings", settings)
 
+    @cached_property
+    def bloch_elements(self) -> tuple[np.ndarray, ...]:
+        """The target's Bloch elements <[x^k y^l z^m 1^n]_PI>, one read-only
+        array per weight w in ``_weight_monomials(w)`` order, computed on
+        first use and kept on the instance.
 
-def element_error(problem: DesignProblem, settings, bloch_index: BlochIndex) -> float:
-    """Squared estimation error of one Bloch element:
-    K * sum_i c_i^2 * variance_i (independent per-setting errors)."""
-    if bloch_index.n_qubits != problem.n_qubits:
-        raise ValueError(
-            f"index {bloch_index} is for N={bloch_index.n_qubits}, "
-            f"problem has N={problem.n_qubits}"
+        They solve, by least squares, the weight-w expansion system of the
+        reference design (``_reference_settings``) against the target's
+        weight-w moments sum_k K(k,w,N) p_k on that design, whose outcome
+        distributions come from one batched rotation build.
+        """
+        n = self.n_qubits
+        reference = _reference_settings(n)
+        probs = probabilities(self.target, stacked_blocks(n, reference)).reshape(
+            len(reference), n + 1
         )
-    c = bloch_coefficients(settings, bloch_index)
-    variances = np.array(
-        [moment_variance(problem.target, s, bloch_index.weight) for s in settings]
-    )
-    return float(problem.noise_constant * np.sum(c**2 * variances))
+        powers = _axis_powers(reference, n)
+        out = []
+        for weight in range(n + 1):
+            mat = _expansion_matrix(powers, weight)
+            elements, *_ = np.linalg.lstsq(
+                mat, probs @ moment_coefficients(n, weight), rcond=None
+            )
+            elements.setflags(write=False)
+            out.append(elements)
+        return tuple(out)
 
 
 def total_error(problem: DesignProblem, settings) -> float:
     """Multinomially weighted squared error summed over all Bloch
     elements; +inf when any weight is outside the settings' span.
 
-    The expansion matrices of all weights read one power table.  One
-    batched rotation build and one contraction give the (S, N+1) outcome
-    table P, so the estimator means and variances of every weight are
-    the columns of P @ K and P @ K^2 - (P @ K)^2, K being the moment
-    table.
+    No rotation is built.  The weight-w expansion matrix E_w, read off
+    one power table, gives both the min-norm coefficients and the moment
+    means E_w @ b_w of every setting, b_w being the target's weight-w
+    Bloch elements (``DesignProblem.bloch_elements``).  The second
+    moments sum_k K(k,w)^2 p_k follow from the product rule
+
+        K(k,w)^2 = sum_o C(w,o) C(N-w,w-o) / C(N,w) K(k, 2w-2o),
+
+    so the variances of all weights are means @ T - means^2, T being the
+    cached table of ``_krawtchouk_squares``.
     """
     n = problem.n_qubits
     settings = list(settings)
     powers = _axis_powers(settings, n)
+    means = np.empty((len(settings), n + 1))
+    coeffs = []
     try:
-        coeffs = [_solve_weight(powers, weight) for weight in range(n + 1)]
+        for weight, elements in enumerate(problem.bloch_elements):
+            mat = _expansion_matrix(powers, weight)
+            coeffs.append(_min_norm_solve(mat, np.eye(mat.shape[1]), weight))
+            means[:, weight] = mat @ elements
     except RankDeficientSettings:
         return math.inf
-    probs = probabilities(problem.target, stacked_blocks(n, settings)).reshape(
-        len(settings), n + 1
-    )
-    # column w of the moment table is K(., w, N)
-    kk = np.column_stack([moment_coefficients(n, w) for w in range(n + 1)])
-    means = probs @ kk
-    variances = probs @ kk**2 - means**2
+    variances = means @ _krawtchouk_squares(n) - means**2
     total = 0.0
     for weight, coeff in enumerate(coeffs):
         # element multiplicity = multinomial(N; k, l, m, N-w)
@@ -314,8 +364,9 @@ def first_deficient_weight(settings, n_qubits: int) -> int | None:
     or None when every coefficient system is solvable."""
     powers = _axis_powers(settings, n_qubits)
     for w in range(n_qubits + 1):
+        mat = _expansion_matrix(powers, w)
         try:
-            _solve_weight(powers, w)
+            _min_norm_solve(mat, np.eye(mat.shape[1]), w)
         except RankDeficientSettings as err:
             return err.weight
     return None

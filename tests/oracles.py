@@ -6,6 +6,10 @@ agreement between the two routes is a meaningful check.  Conventions
 shared with the package: qubit 0 is the most significant bit, |0> is the
 +1 eigenstate of sigma_z, and measurement outcome k counts the number of
 qubits found in the +1 eigenstate of the measured axis.
+
+The last section is the exception: routes of the package that it has
+replaced by faster ones, kept on the package's own primitives as
+references for their replacements.
 """
 
 from __future__ import annotations
@@ -14,6 +18,17 @@ import math
 from itertools import combinations, permutations
 
 import numpy as np
+
+from pitomo.design import (
+    RankDeficientSettings,
+    _axis_powers,
+    _expansion_matrix,
+    _min_norm_solve,
+    _monomial_table,
+    bloch_coefficients,
+    moment_variance,
+)
+from pitomo.povm import moment_coefficients, probabilities, stacked_blocks
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -234,13 +249,60 @@ def fd_gradient(fun, x, h=1e-6):
     return g
 
 
+# ---------------------------------------------------------------------------
+# Replaced package routes
+
+
 def barrier_value_grad_hess(affine, x, t):
     """(value, gradient, Hessian) of -t sum_b log det(block_b(x)) by the
-    package's own ``AffineBlockMap``, the one helper here that runs the
-    block machinery: it feeds the finite-difference checks of the
-    barrier.  Raises on a non-interior x."""
+    package's own ``AffineBlockMap``: it feeds the finite-difference
+    checks of the barrier.  Raises on a non-interior x."""
     chols = affine.cholesky_list(affine.blocks(np.asarray(x, dtype=float)))
     if chols is None:
         raise ValueError("non-interior point: a block is not positive definite")
     value, grad, hess = affine.barrier_grad_hess(chols)
     return t * value, t * grad, t * hess
+
+
+def element_error(problem, settings, bloch_index):
+    """Squared estimation error of one Bloch element,
+    K * sum_i c_i^2 * variance_i (independent per-setting errors), from
+    its SVD coefficients and one rotation build per setting."""
+    if bloch_index.n_qubits != problem.n_qubits:
+        raise ValueError(
+            f"index {bloch_index} is for N={bloch_index.n_qubits}, "
+            f"problem has N={problem.n_qubits}"
+        )
+    c = bloch_coefficients(settings, bloch_index)
+    variances = np.array(
+        [moment_variance(problem.target, s, bloch_index.weight) for s in settings]
+    )
+    return float(problem.noise_constant * np.sum(c**2 * variances))
+
+
+def rotation_total_error(problem, settings):
+    """``pitomo.design.total_error`` by the rotation route: one batched
+    rotation build gives the (S, N+1) outcome table P, and the moment
+    means and variances of every weight are the columns of P @ K and
+    P @ K^2 - (P @ K)^2, K being the moment table."""
+    n = problem.n_qubits
+    settings = list(settings)
+    powers = _axis_powers(settings, n)
+    coeffs = []
+    try:
+        for weight in range(n + 1):
+            mat = _expansion_matrix(powers, weight)
+            coeffs.append(_min_norm_solve(mat, np.eye(mat.shape[1]), weight))
+    except RankDeficientSettings:
+        return math.inf
+    probs = probabilities(problem.target, stacked_blocks(n, settings)).reshape(
+        len(settings), n + 1
+    )
+    kk = np.column_stack([moment_coefficients(n, w) for w in range(n + 1)])
+    means = probs @ kk
+    variances = probs @ kk**2 - means**2
+    total = 0.0
+    for weight, coeff in enumerate(coeffs):
+        mult = math.comb(n, weight) * _monomial_table(weight)[1]
+        total += float(variances[:, weight] @ coeff**2 @ mult)
+    return problem.noise_constant * total

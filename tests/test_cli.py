@@ -338,6 +338,16 @@ class TestOptimizeSettings:
         assert rc == EXIT_INPUT
         assert "weight-1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "1e308"])
+    def test_rejects_unbounded_noise_constant(self, tmp_path, capsys, value):
+        out = tmp_path / "o.json"
+        rc = run("optimize-settings", "--n", 2, "--noise-constant", value,
+                 "--seed", 0, "-o", out)
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "noise" in err and "weight-None" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_rejects_non_positive_count(self, tmp_path, capsys, count):
         out = tmp_path / "o.json"

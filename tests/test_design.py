@@ -10,14 +10,19 @@ from pitomo.design import (
     RankDeficientSettings,
     bloch_coefficients,
     determined_setting_count,
-    element_error,
     first_deficient_weight,
     moment_variance,
     optimize_settings,
     random_settings,
     total_error,
 )
-from pitomo.design import _axis_powers, _expansion_matrix
+import pitomo.design as design
+from pitomo.design import (
+    _axis_powers,
+    _expansion_matrix,
+    _krawtchouk_squares,
+    _reference_settings,
+)
 from pitomo.povm import E1, E2, E3, Setting, moment_coefficients, probabilities, rotated_blocks
 from pitomo.sim import PURITY_MODES, random_pi_state
 from pitomo.spin_blocks import (
@@ -177,8 +182,9 @@ class TestDesignProblem:
             )
 
     def test_rejects_bad_noise_constant(self):
-        with pytest.raises(ValueError, match="noise_constant"):
-            self.make(noise_constant=0.0)
+        for value in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="noise_constant"):
+                self.make(noise_constant=value)
 
     @pytest.mark.parametrize(
         "sign, offset, rejected",
@@ -219,13 +225,13 @@ class TestElementError:
     def test_deterministic_target_error_free(self):
         n = 4
         problem = self.problem(n, dicke_ensemble(n, 0))
-        err = element_error(problem, [E3], BlochIndex(0, 0, n, 0))
+        err = oracles.element_error(problem, [E3], BlochIndex(0, 0, n, 0))
         assert err == pytest.approx(0.0, abs=1e-12)
 
     def test_magnetization_error_on_mixed_state(self):
         n = 4
         problem = self.problem(n, maximally_mixed_ensemble(sector_layout(n)))
-        err = element_error(problem, [E3], BlochIndex(0, 0, 1, n - 1))
+        err = oracles.element_error(problem, [E3], BlochIndex(0, 0, 1, n - 1))
         assert err == pytest.approx(1.0 / n, abs=1e-12)
 
     def test_scales_linearly_in_noise_constant(self):
@@ -233,15 +239,15 @@ class TestElementError:
         target = random_pi_state(sector_layout(n), "hs-mixed", seed=4)
         settings = random_settings(6, seed=9)
         idx = BlochIndex(1, 1, 0, 0)
-        e1 = element_error(self.problem(n, target, k=1.0), settings, idx)
-        e2 = element_error(self.problem(n, target, k=2.0), settings, idx)
+        e1 = oracles.element_error(self.problem(n, target, k=1.0), settings, idx)
+        e2 = oracles.element_error(self.problem(n, target, k=2.0), settings, idx)
         assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
         assert e1 > 0
 
     def test_rejects_index_for_other_size(self):
         problem = self.problem(2, maximally_mixed_ensemble(sector_layout(2)))
         with pytest.raises(ValueError, match="N=3"):
-            element_error(problem, problem.settings, BlochIndex(1, 1, 1, 0))
+            oracles.element_error(problem, problem.settings, BlochIndex(1, 1, 1, 0))
 
 
 class TestTotalError:
@@ -260,7 +266,7 @@ class TestTotalError:
         settings = problem.settings
         total = total_error(problem, settings)
         brute = sum(
-            idx.multiplicity * element_error(problem, settings, idx)
+            idx.multiplicity * oracles.element_error(problem, settings, idx)
             for idx in all_indices(n)
         )
         assert total == pytest.approx(brute, abs=1e-8)
@@ -322,6 +328,84 @@ class TestTotalError:
         assert math.isfinite(total_error(problem, problem.settings))
 
 
+class TestBlochRoute:
+    """total_error's moments from the target's Bloch elements against
+    the rotation route."""
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_product_rule_matches_squared_coefficients(self, n):
+        table = _krawtchouk_squares(n)
+        moments = np.column_stack([moment_coefficients(n, w) for w in range(n + 1)])
+        np.testing.assert_allclose(moments @ table, moments**2, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_reference_design_is_determining(self, n):
+        reference = _reference_settings(n)
+        assert len(reference) == determined_setting_count(n)
+        assert first_deficient_weight(reference, n) is None
+
+    @pytest.mark.parametrize("mode", PURITY_MODES)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_variances_match_moment_variance(self, n, mode):
+        problem = DesignProblem(
+            n_qubits=n,
+            target=random_pi_state(sector_layout(n), mode, seed=20 + n),
+            settings=tuple(random_settings(determined_setting_count(n), seed=n)),
+        )
+        settings = [E1, E2, E3, Setting(axis=-E3.axis)] + list(problem.settings)
+        powers = _axis_powers(settings, n)
+        means = np.column_stack([
+            _expansion_matrix(powers, w) @ elements
+            for w, elements in enumerate(problem.bloch_elements)
+        ])
+        variances = means @ _krawtchouk_squares(n) - means**2
+        expected = np.array([
+            [moment_variance(problem.target, s, w) for w in range(n + 1)]
+            for s in settings
+        ])
+        np.testing.assert_allclose(variances, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_rotation_route(self, n):
+        problem = DesignProblem(
+            n_qubits=n,
+            target=random_pi_state(sector_layout(n), "haar-pure", seed=40 + n),
+            settings=tuple(random_settings(determined_setting_count(n) + 2, seed=n)),
+            noise_constant=2.5,
+        )
+        for seed in (n, 100 + n):
+            settings = random_settings(determined_setting_count(n) + seed % 3, seed=seed)
+            ours = total_error(problem, settings)
+            expected = oracles.rotation_total_error(problem, settings)
+            assert math.isfinite(expected)
+            assert ours == pytest.approx(expected, rel=1e-12, abs=0)
+        planar = [
+            Setting(axis=np.array([math.cos(phi), math.sin(phi), 0.0]))
+            for phi in 0.3 + np.arange(determined_setting_count(n))
+        ]
+        assert total_error(problem, planar) == math.inf
+        assert oracles.rotation_total_error(problem, planar) == math.inf
+
+    def test_one_rotation_build_per_problem(self, monkeypatch):
+        calls = []
+        real = design.stacked_blocks
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(design, "stacked_blocks", counted)
+        n = 6
+        problem = DesignProblem(
+            n_qubits=n,
+            target=random_pi_state(sector_layout(n), "hs-mixed", seed=2),
+            settings=tuple(random_settings(determined_setting_count(n), seed=2)),
+        )
+        for seed in range(20):
+            total_error(problem, random_settings(determined_setting_count(n), seed=seed))
+        assert len(calls) <= 1
+
+
 class TestOptimizeSettings:
     def problem(self, seed=0):
         n = 2
@@ -375,3 +459,19 @@ class TestOptimizeSettings:
             optimize_settings(problem, seed=0, p_mix=1.0)
         with pytest.raises(ValueError):
             optimize_settings(problem, seed=0, max_stall=0)
+
+    @pytest.mark.parametrize("n, seed", [(3, 11), (4, 12), (6, 13)])
+    def test_walk_matches_rotation_route(self, n, seed, monkeypatch):
+        problem = DesignProblem(
+            n_qubits=n,
+            target=random_pi_state(sector_layout(n), "hs-mixed", seed=seed),
+            settings=tuple(random_settings(determined_setting_count(n), seed=seed)),
+        )
+        ours = optimize_settings(problem, seed=seed, max_stall=30)
+        monkeypatch.setattr(design, "total_error", oracles.rotation_total_error)
+        ref = optimize_settings(problem, seed=seed, max_stall=30)
+        assert len(ours.error_trace) == len(ref.error_trace) > 1
+        assert ours.proposals == ref.proposals
+        for a, b in zip(ours.settings, ref.settings):
+            assert np.array_equal(a.axis, b.axis)
+        np.testing.assert_allclose(ours.error_trace, ref.error_trace, rtol=1e-12, atol=0)
