@@ -5,9 +5,7 @@ from .design import (
     DesignProblem,
     OptimizationResult,
     RankDeficientSettings,
-    bloch_coefficients,
     determined_setting_count,
-    moment_variance,
     optimize_settings,
     random_settings,
     total_error,

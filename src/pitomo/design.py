@@ -33,7 +33,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .povm import Setting, moment_coefficients, probabilities, rotated_blocks, stacked_blocks
+from .povm import Setting, moment_coefficients, probabilities, stacked_blocks
+from .povm import rotated_blocks  # unused here; kept so the benchmark tracer's hook resolves
 from .spin_blocks import SpinEnsemble
 
 __all__ = [
@@ -41,10 +42,8 @@ __all__ = [
     "DesignProblem",
     "OptimizationResult",
     "RankDeficientSettings",
-    "bloch_coefficients",
     "determined_setting_count",
     "first_deficient_weight",
-    "moment_variance",
     "optimize_settings",
     "random_settings",
     "total_error",
@@ -221,41 +220,6 @@ def _krawtchouk_squares(n_qubits: int) -> np.ndarray:
             table[2 * w - 2 * o, w] = pairs / math.comb(n, w)
     table.setflags(write=False)
     return table
-
-
-def bloch_coefficients(settings, bloch_index: BlochIndex) -> np.ndarray:
-    """Per-setting coefficients c_i with
-    sum_i c_i [(a_i.sigma)^(x)w (x) 1]_PI = [x^k y^l z^m 1^n]_PI,
-    the minimum-norm solution of the expansion system.
-
-    Only the requested monomial has to be reachable, so a deliberately
-    small setting list (even a single aligned axis) is fine here even
-    though it could not support every element of the same weight; that
-    needs the SVD least-squares solve, not ``_min_norm_solve``.
-    """
-    monos = _weight_monomials(bloch_index.weight)
-    rhs = np.zeros(len(monos))
-    rhs[monos.index((bloch_index.k, bloch_index.l, bloch_index.m))] = 1.0
-    mat = _expansion_matrix(_axis_powers(settings, bloch_index.weight), bloch_index.weight)
-    coeff, *_ = np.linalg.lstsq(mat.T, rhs, rcond=None)
-    residual = float(np.abs(mat.T @ coeff - rhs).max())
-    if residual > RANK_RESIDUAL_TOL:
-        raise RankDeficientSettings(bloch_index.weight, residual)
-    return coeff
-
-
-def moment_variance(state: SpinEnsemble, setting: Setting, weight: int) -> float:
-    """Outcome variance of the weight-w moment estimator on ``state``.
-
-    The symmetrized power is diagonal in the measured collective basis
-    with eigenvalue K(k, w, N) on outcome k, so its variance under the
-    outcome distribution is sum_k K^2 p_k - (sum_k K p_k)^2.
-    """
-    n = state.layout.n_qubits
-    p = probabilities(state, rotated_blocks(n, setting))
-    kk = moment_coefficients(n, weight)
-    mean = float(kk @ p)
-    return float(kk**2 @ p - mean**2)
 
 
 @dataclass(frozen=True)

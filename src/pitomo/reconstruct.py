@@ -16,12 +16,17 @@ index pairs, O(n^2) per outcome and sector, for all settings of a
 sector at once; neither M nor the dense basis stack (O(n^4)) is
 formed.  Every fit Hessian is G^T diag(c) G with c = phi''(p) >= 0
 (below), formed as the symmetric rank-k (BLAS syrk) product of
-sqrt(c) G, summed over chunks of ROW_CHUNK rows of G; the Newton system
-t H_barrier + H_fit is then assembled in a per-step buffer that LAPACK
-factors in place.  A fit step thus holds G and three d x d arrays (fit
-Hessian, barrier Hessian, Newton factor), and no other array the size
-of G: neither the weighted copy sqrt(c) G nor, while G is assembled, a
-whole sector's temporaries, since both are formed one chunk at a time.
+sqrt(c) G, summed over chunks of ROW_CHUNK rows of G, into the fit's one
+d x d Newton buffer W.  The barrier Hessian is small: each sector's
+Gell-Mann coordinates couple only with themselves and the trace shifts,
+so it is one block per sector plus the shift rows (``BlockHessian``).
+The Newton system t H_barrier + H_fit is assembled in W's upper
+triangle, which LAPACK factors in place, while W's strict lower
+triangle and one d-vector keep H_fit for the next step.  A fit step
+thus holds G, W and the sector blocks (1.5 MB beside G's 20 MB and W's
+7.5 MB at N = 16), and no other array the size of G: neither the
+weighted copy sqrt(c) G nor, while G is assembled, a whole sector's
+temporaries, since both are formed one chunk at a time.
 
 The barrier engine (``AffineBlockMap``) knows three block kinds, each
 with one representation.  Gell-Mann blocks (``_GellMannTables``) carry
@@ -255,8 +260,9 @@ class FitSpec:
             if self.principle != "ls":
                 raise ValueError("weights are only meaningful for least squares")
             w = np.asarray(self.weights, dtype=float)
-            if np.any(w <= 0):
-                raise ValueError("least-squares weights must be positive")
+            # the negated form also rejects NaN
+            if not np.all((0.0 < w) & (w < math.inf)):
+                raise ValueError("least-squares weights must be positive and finite")
             object.__setattr__(self, "weights", w)
         if self.principle == "hedged":
             # the negated form also rejects NaN
@@ -344,6 +350,67 @@ class BlockFactors:
         return 0.5 * (A + np.swapaxes(A.conj(), 1, 2))
 
 
+class HessianLayout:
+    """Where a barrier Hessian's entries may be non-zero: square blocks
+    on consecutive ranges of the leading coordinates, of sizes ``sizes``,
+    then ``border`` trailing coordinates whose rows (and so columns) may
+    be dense; every other entry is zero.  A ``BlockHessian`` stores each
+    block row-major, then the (border, dim) border rows, in one flat
+    array of ``size`` entries: the blocks start at ``block_starts``
+    there and the border at ``border_start``."""
+
+    def __init__(self, sizes, border: int, dim: int):
+        self.sizes = tuple(int(k) for k in sizes)
+        self.border = int(border)
+        self.dim = int(dim)
+        self.block_starts = np.cumsum([0, *(k * k for k in self.sizes)], dtype=np.intp)
+        self.block_starts.setflags(write=False)
+        self.border_start = int(self.block_starts[-1])
+        self.size = self.border_start + self.border * self.dim
+
+    @functools.cached_property
+    def upper(self) -> tuple[np.ndarray, np.ndarray]:
+        """(source, target): the flat positions of every entry (i, l),
+        i <= l, of the Hessian's upper triangle in its storage and in a
+        C-ordered (dim, dim) matrix.  A border row's entry left of the
+        border is the mirror of an upper entry; one inside the border's
+        own corner below the diagonal is skipped."""
+        d, first = self.dim, self.dim - self.border
+        source, target = [], []
+        start = 0
+        for k, at in zip(self.sizes, self.block_starts):
+            i, l = np.triu_indices(k)
+            source.append(at + i * k + l)
+            target.append((start + i) * d + start + l)
+            start += k
+        entry = np.arange(self.border * d)
+        row, col = first + entry // d, entry % d
+        right, left = col >= row, col < first
+        source += [self.border_start + entry[right], self.border_start + entry[left]]
+        target += [row[right] * d + col[right], col[left] * d + row[left]]
+        tables = tuple(np.concatenate(parts).astype(np.intp) for parts in (source, target))
+        for table in tables:
+            table.setflags(write=False)
+        return tables
+
+
+class BlockHessian:
+    """A barrier Hessian stored as its ``layout`` says, in the one zeroed
+    array ``data``: the flat row-major blocks, then ``border``, a view of
+    the (border, dim) border rows."""
+
+    def __init__(self, layout: HessianLayout):
+        self.layout = layout
+        self.data = np.zeros(layout.size)
+        self.border = self.data[layout.border_start :].reshape(layout.border, layout.dim)
+
+    def add_upper(self, W: np.ndarray, t: float) -> None:
+        """Add t H to the upper triangle and diagonal of the C-ordered
+        (dim, dim) W; its strict lower triangle is left as it is."""
+        source, target = self.layout.upper
+        W.reshape(-1)[target] += t * self.data[source]
+
+
 class _GellMannTables:
     """Flat index tables for ``Parametrization``'s blocks: they write the
     linear part sum_i x_i D_i of every block into the padded stack in
@@ -367,12 +434,16 @@ class _GellMannTables:
         pair-diag    Z = Y Q, Y_pk = A_ck conj(A_rk): sqrt2 Re Z, sqrt2 Im Z
         diag-diag    Q^T |A|^2 Q
 
+    A sector's Gell-Mann coordinates couple only with themselves and
+    with the trace shifts, so the Hessian is a ``BlockHessian``: one
+    block per sector, and the shift rows as its border (``layout``).
     The stack and A are identity-padded (B, m, m) stacks; every table
-    indexes them, or the global gradient and Hessian, flat, so one
-    evaluation makes a fixed number of numpy calls for any number of
+    indexes them, or the gradient and the Hessian's storage, flat, so
+    one evaluation makes a fixed number of numpy calls for any number of
     sectors.  Pair-pair terms are computed for p <= p' and written to
     both mirror positions, and the diagonal Gram matrix is symmetrized,
-    so the Hessian is exactly symmetric.  Pair slots run over
+    so each block is exactly symmetric; an entry of a shift column is
+    stored once, as the entry of its mirror shift row.  Pair slots run over
     ``np.triu_indices(m, 1)`` for every block: a slot outside block b
     reads only padding, where A is the identity, and gives zero.
     ``diag_coord`` reads block b's (x_diag, x_shift) out of x with a
@@ -384,12 +455,14 @@ class _GellMannTables:
         S = shift_coeff.shape[1]
         K = m - 1 + S  # diagonal-type columns: m - 1 Gell-Mann, then S shifts
         self.shift0 = dim - S
+        self.layout = HessianLayout([n * n - 1 for n in sizes], S, dim)
         self.slot_rows, self.slot_cols = np.triu_indices(m, 1)
         table = _diagonal_table(m)  # block n reads its [:n, :n - 1] corner
         Q = np.zeros((B, m, K))
         diag_coord = np.full((B, K), dim, dtype=np.intp)
         pair_entry, pair_mirror, pair_coord, grad_src, grad_dst = [], [], [], [], []
-        pp_src, pp_dst, pd_src, pd_dst, dd_src, dd_dst = [], [], [], [], [], []
+        pp_src, pp_dst, pd_src, pd_dst, pd_value, dd_src, dd_dst = [], [], [], [], [], [], []
+        pd_count = 0
         for b, (n, offset) in enumerate(zip(sizes, offsets)):
             Q[b, :n, : n - 1] = table[:n, : n - 1]
             Q[b, :n, m - 1 :] = shift_coeff[b]
@@ -398,6 +471,12 @@ class _GellMannTables:
 
             def entry(i, j, b=b):
                 return (b * m + i) * m + j
+
+            def stored(rows, cols, k=n * n - 1, offset=offset, at=self.layout.block_starts[b]):
+                """The storage positions of Hessian entries (rows, cols) of
+                this block's coordinates: a shift row is a border row."""
+                border = self.layout.border_start + (rows - self.shift0) * dim + cols
+                return np.where(rows >= self.shift0, border, at + (rows - offset) * k + cols - offset)
 
             sym = offset + 2 * np.arange(P)  # Y_p is sym + 1
             pair_entry.append(entry(r, c))
@@ -416,18 +495,29 @@ class _GellMannTables:
                                     entry(c[i], c[j]), entry(r[i], r[j])]))
             rows = sym[i] + np.array([[0], [0], [1], [1]])
             cols = sym[j] + np.array([[0], [1], [0], [1]])
-            pp_dst.append(np.stack([rows * dim + cols, cols * dim + rows]))
+            pp_dst.append(np.stack([stored(rows, cols), stored(cols, rows)]))
 
             slot = r * m - r * (r + 1) // 2 + c - r - 1  # (r, c) in triu(m, 1)
             p, k = np.repeat(np.arange(P), kcols.size), np.tile(np.arange(kcols.size), P)
             pd_src.append((b * self.slot_rows.size + slot[p]) * K + kcols[k])
+            # entry (p, k) holds the values 2 (pd_count + index) (S row) and
+            # that + 1 (Y row); a shift column's entry is stored only as
+            # its mirror in the border row
             rows = sym[p] + np.array([[0], [1]])
-            pd_dst.append(np.stack([rows * dim + coords[k], coords[k] * dim + rows]))
+            cols = np.broadcast_to(coords[k], rows.shape)
+            value = 2 * (pd_count + np.arange(p.size)) + np.array([[0], [1]])
+            pd_count += p.size
+            own = cols < self.shift0
+            pd_value.append(np.concatenate([value[own], value.ravel()]))
+            pd_dst.append(np.concatenate([stored(rows[own], cols[own]),
+                                          stored(cols, rows).ravel()]))
 
             k1, k2 = np.meshgrid(np.arange(kcols.size), np.arange(kcols.size), indexing="ij")
-            keep = (k1 < n - 1) | (k2 < n - 1)  # shift x shift is summed apart
+            # a Gell-Mann column: a shift row is stored in the border, and
+            # the shift column it mirrors is not; shift x shift is summed apart
+            keep = k2 < n - 1
             dd_src.append((b * K + kcols[k1[keep]]) * K + kcols[k2[keep]])
-            dd_dst.append(coords[k1[keep]] * dim + coords[k2[keep]])
+            dd_dst.append(stored(coords[k1[keep]], coords[k2[keep]]))
         self.Q = Q
         self.Qc = Q.astype(complex)
         self.diag_coord = diag_coord
@@ -442,7 +532,7 @@ class _GellMannTables:
         self.pair_coord = flat([np.stack([s, s + 1]) for s in pair_coord])
         self.grad_src, self.grad_dst = flat(grad_src), flat(grad_dst)
         self.pp_src, self.pp_dst = flat(pp_src), flat(pp_dst)
-        self.pd_src, self.pd_dst = flat(pd_src), flat(pd_dst)
+        self.pd_src, self.pd_dst, self.pd_value = flat(pd_src), flat(pd_dst), flat(pd_value)
         self.dd_src, self.dd_dst = flat(dd_src), flat(dd_dst)
 
     def write(self, x: np.ndarray, stack: np.ndarray) -> None:
@@ -464,15 +554,17 @@ class _GellMannTables:
         grad[self.grad_dst] -= diag.reshape(-1)[self.grad_src]
         grad[self.shift0 :] -= diag[:, self.diag_cols :].sum(axis=0)
 
-    def gradient_hessian(self, A: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> None:
-        """``gradient`` into ``grad``, then ``hessian`` into the zero ``hess``."""
+    def gradient_hessian(self, A: np.ndarray, grad: np.ndarray, hess: BlockHessian) -> None:
+        """``gradient`` into ``grad``, then ``hessian`` into ``hess``."""
         self.gradient(A, grad)
         self.hessian(A, hess)
 
-    def hessian(self, A: np.ndarray, hess: np.ndarray) -> None:
+    def hessian(self, A: np.ndarray, hess: BlockHessian) -> None:
         """Write tr(A D_i A D_l) over every block's directions into the
-        zero ``hess``; the shift coordinates sum over blocks."""
-        flat = hess.reshape(-1)
+        zero ``hess`` of ``layout``: each sector's Gell-Mann coordinates
+        are one block, the shift rows the border, and shift x shift sums
+        over sectors."""
+        flat = hess.data
         g = A.reshape(-1)[self.pp_src]
         t1 = g[0] * g[1]
         t2 = g[2] * g[3].conj()
@@ -480,11 +572,12 @@ class _GellMannTables:
                                       t1.imag + t2.imag, t2.real - t1.real])
         Y = A[:, self.slot_cols, :] * A[:, self.slot_rows, :].conj()
         z = (Y @ self.Qc).reshape(-1)[self.pd_src]
-        flat[self.pd_dst] = math.sqrt(2.0) * np.stack([z.real, z.imag])
+        flat[self.pd_dst] = (math.sqrt(2.0) * np.stack([z.real, z.imag], axis=-1)).reshape(-1)[
+            self.pd_value]
         W = np.swapaxes(self.Q, 1, 2) @ (A.real**2 + A.imag**2) @ self.Q
         W = 0.5 * (W + np.swapaxes(W, 1, 2))
         flat[self.dd_dst] = W.reshape(-1)[self.dd_src]
-        hess[self.shift0 :, self.shift0 :] = W[:, self.diag_cols :, self.diag_cols :].sum(axis=0)
+        hess.border[:, self.shift0 :] = W[:, self.diag_cols :, self.diag_cols :].sum(axis=0)
 
 
 def _distinct(indices) -> None:
@@ -509,7 +602,9 @@ class RankOneBlocks:
     and Hessian alike, since padding would multiply its O(q_b^2 n_b)
     work by up to (q/q_b)^2 (m/n_b); each block's term is symmetrized
     and added in block order, so the Hessian is exactly symmetric, and
-    the gradient is the same with or without it, bit for bit.
+    the gradient is the same with or without it, bit for bit.  Any two
+    coordinates may share a block, so the Hessian's ``layout`` is all
+    border.
     """
 
     def __init__(self, columns, weights, indices, dim: int):
@@ -529,6 +624,7 @@ class RankOneBlocks:
             self.weights[b, :k] = w
             self.indices[b, :k] = idx
         self._pairs = [(i[:, None] * self.dim + i).ravel() for i in indices]
+        self.layout = HessianLayout((), self.dim, self.dim)
 
     def write(self, x: np.ndarray, stack: np.ndarray) -> None:
         """Add sum_i x_i w_i v_i v_i^dagger of every block into the stack."""
@@ -547,10 +643,10 @@ class RankOneBlocks:
         for idx, w, M, _ in self._forms(A):
             grad[idx] -= w * M.diagonal().real
 
-    def gradient_hessian(self, A: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> None:
+    def gradient_hessian(self, A: np.ndarray, grad: np.ndarray, hess: BlockHessian) -> None:
         """``gradient`` into ``grad``, and w_i w_l |v_i^dagger A v_l|^2
         over every block into ``hess``, from the same M."""
-        flat = hess.reshape(-1)
+        flat = hess.data
         for idx, w, M, pairs in self._forms(A):
             grad[idx] -= w * M.diagonal().real
             W = (M.real**2 + M.imag**2) * np.outer(w, w)
@@ -573,6 +669,8 @@ class AffineBlockMap:
     slacks c + D^T x[idx], feasible iff every one is > 0, with barrier
     -sum log (a linear-programming block beside the semidefinite ones).
     A coordinate may enter several blocks, but at most once per block.
+    The barrier Hessian has the kind's ``layout``; every coordinate of a
+    diagonal block must be a border coordinate there.
     """
 
     def __init__(self, constants, directions, diagonal, dim):
@@ -592,6 +690,9 @@ class AffineBlockMap:
             for c, D, idx in diagonal
         ]
         _distinct([idx for _, _, idx in self.diagonal])
+        self._first_border = self.dim - directions.layout.border
+        if any(np.any(idx < self._first_border) for _, _, idx in self.diagonal):
+            raise ValueError("a diagonal block's coordinates must be border coordinates")
         ends = np.cumsum([c.size for c, _, _ in self.diagonal], dtype=int)
         self._slack_ranges = [slice(e - c.size, e) for (c, _, _), e in zip(self.diagonal, ends)]
 
@@ -667,19 +768,20 @@ class AffineBlockMap:
         return grad
 
     def barrier_grad_hess(self, chols: BlockFactors):
-        """(value, gradient, Hessian) of -sum_b log det(block_b).
+        """(value, gradient, Hessian) of -sum_b log det(block_b), the
+        Hessian a ``BlockHessian`` of the kind's layout.
 
         grad_i = -sum_b tr(block^-1 D_i), hess_il = sum_b tr(block^-1 D_i
         block^-1 D_l): the Hermitian blocks' kind reads both off
         A = rho^-1, and a diagonal block with slacks s adds C = D / s and
-        the Hessian C C^T.
+        the Hessian C C^T to the border rows.
         """
         grad = np.zeros(self.dim)
-        hess = np.zeros((self.dim, self.dim))
+        hess = BlockHessian(self.directions.layout)
         self.directions.gradient_hessian(chols.inverse, grad, hess)
         for idx, C in self._slack_rows(chols):
             grad[idx] -= C.sum(axis=1)
-            hess[np.ix_(idx, idx)] += C @ C.T
+            hess.border[np.ix_(idx - self._first_border, idx)] += C @ C.T
         return -chols.log_det, grad, hess
 
     def barrier_grad(self, chols: BlockFactors):
@@ -858,15 +960,24 @@ def resolve_least_squares_weights(frequencies, repetitions) -> np.ndarray:
     return 1.0 / np.maximum(f, floor)
 
 
-def _mirror_upper(H: np.ndarray) -> np.ndarray:
-    """The square H with its upper triangle copied onto its lower one, in
-    place and MIRROR_ROWS rows at a time, so that no d x d temporary is
-    formed; H is then exactly symmetric."""
+def _copy_triangle(H: np.ndarray, upper: bool) -> np.ndarray:
+    """The square H with its strict upper (``upper``) or strict lower
+    triangle copied onto the other one, in place and MIRROR_ROWS rows at
+    a time, so that no d x d temporary is formed.  The copied triangle
+    and the diagonal are left as they are, and H is then exactly
+    symmetric."""
+    # the strict triangle of a diagonal corner that receives the copy
+    receives = np.tri(MIRROR_ROWS, k=-1, dtype=bool)
+    if not upper:
+        receives = receives.T
     for start in range(0, H.shape[0], MIRROR_ROWS):
         end = start + MIRROR_ROWS
         corner = H[start:end, start:end]
-        corner[...] = np.triu(corner) + np.triu(corner, 1).T
-        H[end:, start:end] = H[start:end, end:].T
+        np.copyto(corner, corner.T, where=receives[: len(corner), : len(corner)])
+        if upper:
+            H[end:, start:end] = H[start:end, end:].T
+        else:
+            H[start:end, end:] = H[end:, start:end].T
     return H
 
 
@@ -891,9 +1002,10 @@ class FitModel:
     and one chunk beside G, never a second copy of G; it is exactly
     symmetric and C-ordered.  It fills the triangle numpy's own
     Gs.T @ Gs fills, so that one chunk reproduces that product (bit for
-    bit with OpenBLAS).  A constant one (LS) is built once and stored
-    read-only, the others are formed afresh by every ``gradient_hessian``
-    call.
+    bit with OpenBLAS).  Every ``gradient_hessian`` call forms it, in the
+    caller's d x d buffer if given one (the engine's Newton buffer) or
+    in a fresh array; a constant one (LS) too, which the engine forms
+    once per fit.
     The ray's derivatives are sums of phi' and phi'' along it.  The
     model holds no state between calls: which Hessian a Newton step
     reuses is the engine's choice, made from ``hessian_drift`` and
@@ -945,10 +1057,6 @@ class FitModel:
         self._rows = self.loss.rows(self.frequencies)
         self._f = self.frequencies[self._rows]
         self._w = None if w is None else w[self._rows]
-        self._constant_hessian = None
-        if self.constant_hessian:
-            self._constant_hessian = self._hessian(self.p0[self._rows])
-            self._constant_hessian.setflags(write=False)
 
     def _scatter(self, v: np.ndarray) -> np.ndarray:
         """v, given on the rows the loss reads, over every row (0 elsewhere)."""
@@ -961,25 +1069,31 @@ class FitModel:
         self.loss.check_interior(p)
         return self.G.T @ self._scatter(self.loss.d1(self._f, p, self._w))
 
-    def _hessian(self, p: np.ndarray) -> np.ndarray:
+    def _hessian(self, p: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """G^T diag(phi''(p)) G, the syrk product Gs^T Gs of
-        Gs = sqrt(phi''(p)) G, summed over chunks of ROW_CHUNK rows of G."""
+        Gs = sqrt(phi''(p)) G, summed over chunks of ROW_CHUNK rows of G,
+        into the C-ordered (d, d) ``out`` or a fresh array."""
         s = self._scatter(np.sqrt(self.loss.d2(self._f, p, self._w)))
         G = self.G
         rows, d = G.shape
         # H is allocated before the chunk buffer, so that freeing the buffer
         # leaves no hole beneath H in the heap (3 MB of peak RSS at N = 16)
-        H = np.zeros((d, d), order="F")
+        if out is None:
+            H = np.zeros((d, d))
+        else:
+            H = out
+            H.fill(0.0)
         chunk = np.empty((min(rows, ROW_CHUNK), d))
         for start in range(0, rows, ROW_CHUNK):
             part = G[start : start + ROW_CHUNK]
             # every chunk's Gs is written into one buffer, and Gs.T is the
-            # Fortran-ordered operand syrk reads in place; each adds to the
-            # lower triangle of the Fortran-ordered H, the upper one of H.T
+            # Fortran-ordered operand syrk reads in place; each adds, in
+            # place, to the lower triangle of the Fortran-ordered H.T, the
+            # upper one of H
             Gs = np.multiply(part, s[start : start + ROW_CHUNK, None], out=chunk[: len(part)]).T
-            H = dsyrk(1.0, Gs, 1.0, H, overwrite_c=1, lower=1)
+            dsyrk(1.0, Gs, 1.0, H.T, overwrite_c=1, lower=1)
         del chunk, Gs  # the mirror's own small blocks need neither
-        return _mirror_upper(H.T)
+        return _copy_triangle(H, upper=True)
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
         return self.p0 + self.G @ x
@@ -1011,14 +1125,12 @@ class FitModel:
     def gradient(self, p: np.ndarray) -> np.ndarray:
         return self._gradient(p[self._rows])
 
-    def gradient_hessian(self, p: np.ndarray):
-        """(gradient, Hessian) at p; a constant Hessian is the shared
-        read-only array, the others are fresh and exactly symmetric."""
+    def gradient_hessian(self, p: np.ndarray, out: np.ndarray | None = None):
+        """(gradient, Hessian) at p.  The Hessian is exactly symmetric,
+        written into the C-ordered (d, d) ``out`` and returned as it, or
+        into a fresh array without one."""
         p = p[self._rows]
-        grad = self._gradient(p)
-        if self._constant_hessian is not None:
-            return grad, self._constant_hessian
-        return grad, self._hessian(p)
+        return self._gradient(p), self._hessian(p, out)
 
     def ray(self, p: np.ndarray, delta: np.ndarray):
         """Derivatives of a -> F(x + a delta) at p = p(x): a function of a
@@ -1056,8 +1168,9 @@ class LinearFit:
     def gradient(self, p):
         return self.c.copy()
 
-    def gradient_hessian(self, p):
-        return self.c.copy(), np.zeros((self.c.size, self.c.size))
+    def gradient_hessian(self, p, out):
+        out.fill(0.0)
+        return self.c.copy(), out
 
     def ray(self, p, delta):
         slope = float(self.c @ delta)
@@ -1089,43 +1202,53 @@ class StageCarry(NamedTuple):
     """What a ``newton_stage`` hands the next one, all at the point it
     returned, whichever exit ended the stage: the fit's p there, so the
     next stage forms no p at its start, and the derivatives.  The fit
-    Hessian may be lagged: it was formed where the outcome probabilities
-    were ``hessian_at`` (None for a constant Hessian), and held at this
-    point.  ``factor`` is the Cholesky factor
-    of the Newton system whose decrement ended the stage, or None;
-    ``ratio`` is lambda^2 / t of the last Newton direction (inf if none),
-    which sets the next point's hold limit in an exact stage."""
+    Hessian is held in the fit's one Newton buffer ``workspace`` (d, d):
+    its strict lower triangle, with the diagonal ``fit_diagonal``.  It
+    may be lagged: it was formed where the outcome probabilities were
+    ``hessian_at`` (None for a constant Hessian), and held at this
+    point.  ``factor`` is the Cholesky factor of the Newton system whose
+    decrement ended the stage, in the workspace's upper triangle, or
+    None; ``ratio`` is lambda^2 / t of the last Newton direction (inf if
+    none), which sets the next point's hold limit in an exact stage."""
 
     probabilities: np.ndarray
     fit_gradient: np.ndarray
-    fit_hessian: np.ndarray
+    workspace: np.ndarray
+    fit_diagonal: np.ndarray
     hessian_at: np.ndarray | None
     barrier_gradient: np.ndarray
-    barrier_hessian: np.ndarray
+    barrier_hessian: BlockHessian
     factor: tuple | None
     ratio: float
 
 
-def _newton_direction(H_fit, H_bar, t, g):
+def _newton_direction(W, fit_diagonal, H_bar, t, g):
     """Solve (t H_bar + H_fit) delta = -g by Cholesky, adding an
     escalating ridge on factorization failure or loss of descent
     (lambda = 1e-12 (1 + max diag), then x10, at most three escalations).
     Returns (delta, slope g^T delta, factor).
 
-    The system is assembled in a fresh buffer and factored in place,
-    rebuilt on each retry: H_fit may be shared, and both Hessians stay
-    intact for the next stage."""
-    max_diag = float(np.max(t * H_bar.diagonal() + H_fit.diagonal())) if g.size else 0.0
+    H_fit is held in the C-ordered buffer W: its strict lower triangle,
+    with the diagonal ``fit_diagonal``.  Each attempt writes the system
+    into W's upper triangle and diagonal (the lower triangle copied up,
+    the diagonal restored, then t H_bar and the ridge added) and factors
+    it there in place: LAPACK's lower factor of the Fortran-ordered view
+    W.T reads and writes only that triangle, and so does the solve, so
+    H_fit outlives every attempt, and the factor is W's upper triangle.
+    The system's entries are those of t H_bar + H_fit, bit for bit."""
+    diagonal = W.reshape(-1)[:: W.shape[0] + 1]
+    max_diag = None
     ridge = 0.0
     for _ in range(4):
-        H = t * H_bar
-        H += H_fit
+        _copy_triangle(W, upper=False)
+        diagonal[...] = fit_diagonal
+        H_bar.add_upper(W, t)
+        if max_diag is None:
+            max_diag = float(np.max(diagonal)) if g.size else 0.0
         if ridge:
-            H[np.diag_indices_from(H)] += ridge
+            diagonal += ridge
         try:
-            # H is exactly symmetric: its transpose is the Fortran-ordered
-            # view that LAPACK factors without a copy
-            factor = cho_factor(H.T, lower=True, overwrite_a=True, check_finite=False)
+            factor = cho_factor(W.T, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
             ridge = 1e-12 * (1.0 + max_diag) if ridge == 0.0 else ridge * 10.0
             continue
@@ -1276,11 +1399,15 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
     so the tangent never ends a stage.  On return ``carry`` holds the
     ``StageCarry`` at the returned point, with the factor of the
     direction whose decrement ended the stage, or None.  A factor is
-    dropped before the next derivatives are formed, a fit Hessian before
-    the next one is formed, and the barrier Hessian before either is
-    formed, so no factor and no second Hessian of either kind is held
-    while one is built: a step holds at most the fit and barrier Hessians
-    and the Newton factor.
+    dropped before the next derivatives are formed, and the barrier
+    Hessian before the next fit or barrier Hessian is formed.  The fit
+    Hessian and the factor share one d x d buffer (``StageCarry``): a
+    fit Hessian is formed into it, over the one it replaces, and each
+    Newton direction writes its system into the buffer's upper triangle
+    and factors it there, leaving the fit Hessian in the lower one.  The
+    buffer is the carry's, or allocated by the stage's first fit
+    Hessian, so a step allocates no d x d array: it holds the buffer and
+    the barrier Hessian's sector blocks and border.
     """
     cfg = config or SolverConfig()
     x = np.asarray(x_start, dtype=float).copy()
@@ -1297,30 +1424,35 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
     decrement = math.nan
     ratio = math.inf  # lambda^2 / t of the last Newton direction
     converged = False
-    factor = tangent = H_fit = hessian_at = None
+    # W is the Newton buffer, a carried one or allocated at the first fit
+    # Hessian; fit_diag is None while W holds no fit Hessian
+    factor = tangent = W = fit_diag = hessian_at = None
     eps = float(np.finfo(float).eps)
     while True:
         carried = bool(carry)
         if carried:
-            _, g_fit, H_fit, hessian_at, bg, bH, tangent, ratio = carry.pop()
+            _, g_fit, W, fit_diag, hessian_at, bg, bH, tangent, ratio = carry.pop()
         # a held fit Hessian stands for this point's while its drift stays
         # within LAG, or in an exact stage within LAG * min(1, lambda^2/t)
         # of the last Newton direction; a carried one was held or formed at
         # x_start by the stage that returned it.  A decrement formed with
         # it is within the factor (1 + drift)^k of the true one (see LAG)
         inflation = 1.0
-        if H_fit is not None and hessian_at is not None:
+        if fit_diag is not None and hessian_at is not None:
             drift = fit.hessian_drift(p, hessian_at)
             if carried or drift <= LAG * (min(1.0, ratio) if exact else 1.0):
                 inflation = (1.0 + drift) ** fit.curvature_power
             else:
-                H_fit = None  # released before the next one is formed
+                fit_diag = None  # released: the next one is written over it
         if not carried:
             bH = None  # released before the next fit or barrier Hessian is formed
-            if H_fit is not None:
+            if fit_diag is not None:
                 g_fit = fit.gradient(p)
             else:
-                g_fit, H_fit = fit.gradient_hessian(p)
+                if W is None:
+                    W = np.empty((x.size, x.size))
+                g_fit, _ = fit.gradient_hessian(p, out=W)
+                fit_diag = W.diagonal().copy()
                 hessian_at = None if fit.constant_hessian else p
                 hessians += 1
             _, bg, bH = affine.barrier_grad_hess(chols)
@@ -1333,7 +1465,7 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
             break
         newton = tangent is None
         if newton:
-            delta, slope, factor = _newton_direction(H_fit, bH, t, g)
+            delta, slope, factor = _newton_direction(W, fit_diag, bH, t, g)
             decrement = -slope
             ratio = decrement / t
             # Affine-invariant centrality: the squared Newton decrement
@@ -1363,14 +1495,14 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
                 break
             # a failed tangent hands the next pass this point's derivatives,
             # without the factor: it takes the Newton direction here
-            carry.append(StageCarry(p, g_fit, H_fit, hessian_at, bg, bH, None, ratio))
+            carry.append(StageCarry(p, g_fit, W, fit_diag, hessian_at, bg, bH, None, ratio))
             continue
         x, p, chols, obj, fit_v = trial
         decrement = math.nan
         iterations += 1
 
     if carry is not None:
-        carry.append(StageCarry(p, g_fit, H_fit, hessian_at, bg, bH, factor, ratio))
+        carry.append(StageCarry(p, g_fit, W, fit_diag, hessian_at, bg, bH, factor, ratio))
     return StageResult(
         x=x,
         iterations=iterations,
@@ -1406,8 +1538,9 @@ def _barrier_path(fit, affine, schedule, x, config, stage=None):
     stage (p, derivatives, the point of its fit Hessian, the factor of the
     Newton system whose decrement ended it and that decrement over t)
     seeds the next through ``carry``, which the stage empties on use:
-    between stages that one carry is the only holder of a fit Hessian or
-    factor.  A fit Hessian that still holds is carried on, so it may
+    between stages that one carry is the only holder of the Newton buffer
+    and so of the fit Hessian and factor, and the first stage's buffer
+    serves every stage of the fit.  A fit Hessian that still holds is carried on, so it may
     serve several stages.  Every stage but the first and the last thus
     starts with a central-path tangent step.  The final stage gets the
     derivatives without the factor: it starts from the exact centre of

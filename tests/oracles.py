@@ -19,16 +19,19 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from scipy.linalg import cho_factor, cho_solve
+
 from pitomo.design import (
+    RANK_RESIDUAL_TOL,
     RankDeficientSettings,
     _axis_powers,
     _expansion_matrix,
     _min_norm_solve,
     _monomial_table,
-    bloch_coefficients,
-    moment_variance,
+    _weight_monomials,
 )
-from pitomo.povm import moment_coefficients, probabilities, stacked_blocks
+from pitomo.povm import moment_coefficients, probabilities, rotated_blocks, stacked_blocks
+from pitomo.reconstruct import NonConvergenceError
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -249,19 +252,179 @@ def fd_gradient(fun, x, h=1e-6):
     return g
 
 
+def dense_hessian(hess):
+    """A ``BlockHessian`` as the dense symmetric (dim, dim) matrix: its
+    blocks on the diagonal, its border rows and their mirror columns."""
+    layout = hess.layout
+    d, first = layout.dim, layout.dim - layout.border
+    out = np.zeros((d, d))
+    start = 0
+    for k, at in zip(layout.sizes, layout.block_starts):
+        out[start : start + k, start : start + k] = hess.data[at : at + k * k].reshape(k, k)
+        start += k
+    out[:, first:] = hess.border.T
+    out[first:, :] = hess.border
+    return out
+
+
+def held_fit_hessian(workspace, fit_diagonal):
+    """The fit Hessian a Newton buffer holds, as a dense symmetric
+    matrix: the buffer's strict lower triangle and ``fit_diagonal``."""
+    lower = np.tril(workspace, -1)
+    return lower + lower.T + np.diag(fit_diagonal)
+
+
 # ---------------------------------------------------------------------------
 # Replaced package routes
 
 
 def barrier_value_grad_hess(affine, x, t):
     """(value, gradient, Hessian) of -t sum_b log det(block_b(x)) by the
-    package's own ``AffineBlockMap``: it feeds the finite-difference
-    checks of the barrier.  Raises on a non-interior x."""
+    package's own ``AffineBlockMap``, the Hessian dense: it feeds the
+    finite-difference checks of the barrier.  Raises on a non-interior x."""
     chols = affine.cholesky_list(affine.blocks(np.asarray(x, dtype=float)))
     if chols is None:
         raise ValueError("non-interior point: a block is not positive definite")
     value, grad, hess = affine.barrier_grad_hess(chols)
-    return t * value, t * grad, t * hess
+    return t * value, t * grad, t * dense_hessian(hess)
+
+
+def _dense_gell_mann_tables(tables, sizes, offsets, dim):
+    """The Hessian tables of ``_GellMannTables`` with destinations in a
+    dense (dim, dim) Hessian, both mirror positions of every entry."""
+    m = max(sizes)
+    K = tables.Q.shape[2]
+    S = K - (m - 1)
+    shift0 = dim - S
+    pp_src, pp_dst, pd_src, pd_dst, dd_src, dd_dst = [], [], [], [], [], []
+    for b, (n, offset) in enumerate(zip(sizes, offsets)):
+        r, c = np.triu_indices(n, 1)
+        P = r.size
+
+        def entry(i, j, b=b):
+            return (b * m + i) * m + j
+
+        sym = offset + 2 * np.arange(P)
+        kcols = np.concatenate([np.arange(n - 1), m - 1 + np.arange(S)])
+        coords = np.concatenate([offset + 2 * P + np.arange(n - 1), shift0 + np.arange(S)])
+        i, j = np.triu_indices(P)
+        pp_src.append(np.stack([entry(c[i], r[j]), entry(c[j], r[i]),
+                                entry(c[i], c[j]), entry(r[i], r[j])]))
+        rows = sym[i] + np.array([[0], [0], [1], [1]])
+        cols = sym[j] + np.array([[0], [1], [0], [1]])
+        pp_dst.append(np.stack([rows * dim + cols, cols * dim + rows]))
+        slot = r * m - r * (r + 1) // 2 + c - r - 1
+        p, k = np.repeat(np.arange(P), kcols.size), np.tile(np.arange(kcols.size), P)
+        pd_src.append((b * tables.slot_rows.size + slot[p]) * K + kcols[k])
+        rows = sym[p] + np.array([[0], [1]])
+        pd_dst.append(np.stack([rows * dim + coords[k], coords[k] * dim + rows]))
+        k1, k2 = np.meshgrid(np.arange(kcols.size), np.arange(kcols.size), indexing="ij")
+        keep = (k1 < n - 1) | (k2 < n - 1)
+        dd_src.append((b * K + kcols[k1[keep]]) * K + kcols[k2[keep]])
+        dd_dst.append(coords[k1[keep]] * dim + coords[k2[keep]])
+    return [np.concatenate(part, axis=-1).astype(np.intp)
+            for part in (pp_src, pp_dst, pd_src, pd_dst, dd_src, dd_dst)]
+
+
+def reference_barrier_hessian(affine, chols, param=None):
+    """The barrier Hessian of ``affine`` at ``chols`` by the dense writers
+    it replaced: tr(A D_i A D_l) written into a zeroed (dim, dim) array
+    (Gell-Mann blocks of ``param``'s map, with the closed forms of
+    ``_GellMannTables``, or rank-one blocks, block by block), then each
+    diagonal block's C C^T added."""
+    dim = affine.dim
+    A = chols.inverse
+    hess = np.zeros((dim, dim))
+    flat = hess.reshape(-1)
+    kind = affine.directions
+    if param is not None:
+        sizes = [t + 1 for t in param.layout.two_j_values]
+        offsets = np.concatenate([[0], np.cumsum([n * n - 1 for n in sizes])])[:-1]
+        pp_src, pp_dst, pd_src, pd_dst, dd_src, dd_dst = _dense_gell_mann_tables(
+            kind, sizes, offsets, dim)
+        g = A.reshape(-1)[pp_src]
+        t1 = g[0] * g[1]
+        t2 = g[2] * g[3].conj()
+        flat[pp_dst] = np.stack([t1.real + t2.real, t1.imag - t2.imag,
+                                 t1.imag + t2.imag, t2.real - t1.real])
+        Y = A[:, kind.slot_cols, :] * A[:, kind.slot_rows, :].conj()
+        z = (Y @ kind.Qc).reshape(-1)[pd_src]
+        flat[pd_dst] = math.sqrt(2.0) * np.stack([z.real, z.imag])
+        W = np.swapaxes(kind.Q, 1, 2) @ (A.real**2 + A.imag**2) @ kind.Q
+        W = 0.5 * (W + np.swapaxes(W, 1, 2))
+        flat[dd_dst] = W.reshape(-1)[dd_src]
+        shift0 = kind.shift0
+        hess[shift0:, shift0:] = W[:, kind.diag_cols :, kind.diag_cols :].sum(axis=0)
+    else:
+        for b, C in enumerate(affine.constants):
+            n, q = C.shape[0], int(np.sum(kind.indices[b] < dim))
+            idx, w, V = kind.indices[b, :q], kind.weights[b, :q], kind.columns[b, :n, :q]
+            M = V.conj().T @ (A[b, :n, :n] @ V)
+            Wb = (M.real**2 + M.imag**2) * np.outer(w, w)
+            flat[(idx[:, None] * dim + idx).ravel()] += (0.5 * (Wb + Wb.T)).ravel()
+    for (_, D, idx), part in zip(affine.diagonal, affine._slack_ranges):
+        C = D / chols.slacks[part]
+        hess[np.ix_(idx, idx)] += C @ C.T
+    return hess
+
+
+def reference_newton_direction(H_fit, H_bar, t, g):
+    """(delta, slope, factor) of (t H_bar + H_fit) delta = -g by the
+    route the Newton buffer replaced: the system formed afresh, in full,
+    for every ridge attempt, from dense H_fit and H_bar."""
+    max_diag = float(np.max(t * H_bar.diagonal() + H_fit.diagonal())) if g.size else 0.0
+    ridge = 0.0
+    for _ in range(4):
+        H = t * H_bar
+        H += H_fit
+        if ridge:
+            H[np.diag_indices_from(H)] += ridge
+        try:
+            factor = cho_factor(H.T, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            ridge = 1e-12 * (1.0 + max_diag) if ridge == 0.0 else ridge * 10.0
+            continue
+        delta = cho_solve(factor, -g, check_finite=False)
+        slope = float(g @ delta)
+        if slope < 0.0 and np.all(np.isfinite(delta)):
+            return delta, slope, factor
+        ridge = 1e-12 * (1.0 + max_diag) if ridge == 0.0 else ridge * 10.0
+    raise NonConvergenceError("Newton system unsolvable even with ridge repair")
+
+
+def bloch_coefficients(settings, bloch_index):
+    """Per-setting coefficients c_i with
+    sum_i c_i [(a_i.sigma)^(x)w (x) 1]_PI = [x^k y^l z^m 1^n]_PI,
+    the minimum-norm solution of the expansion system.
+
+    Only the requested monomial has to be reachable, so a deliberately
+    small setting list (even a single aligned axis) is fine here even
+    though it could not support every element of the same weight; that
+    needs the SVD least-squares solve, not ``_min_norm_solve``.
+    """
+    monos = _weight_monomials(bloch_index.weight)
+    rhs = np.zeros(len(monos))
+    rhs[monos.index((bloch_index.k, bloch_index.l, bloch_index.m))] = 1.0
+    mat = _expansion_matrix(_axis_powers(settings, bloch_index.weight), bloch_index.weight)
+    coeff, *_ = np.linalg.lstsq(mat.T, rhs, rcond=None)
+    residual = float(np.abs(mat.T @ coeff - rhs).max())
+    if residual > RANK_RESIDUAL_TOL:
+        raise RankDeficientSettings(bloch_index.weight, residual)
+    return coeff
+
+
+def moment_variance(state, setting, weight):
+    """Outcome variance of the weight-w moment estimator on ``state``.
+
+    The symmetrized power is diagonal in the measured collective basis
+    with eigenvalue K(k, w, N) on outcome k, so its variance under the
+    outcome distribution is sum_k K^2 p_k - (sum_k K p_k)^2.
+    """
+    n = state.layout.n_qubits
+    p = probabilities(state, rotated_blocks(n, setting))
+    kk = moment_coefficients(n, weight)
+    mean = float(kk @ p)
+    return float(kk**2 @ p - mean**2)
 
 
 def element_error(problem, settings, bloch_index):

@@ -8,10 +8,8 @@ from pitomo.design import (
     BlochIndex,
     DesignProblem,
     RankDeficientSettings,
-    bloch_coefficients,
     determined_setting_count,
     first_deficient_weight,
-    moment_variance,
     optimize_settings,
     random_settings,
     total_error,
@@ -65,14 +63,14 @@ class TestBlochIndex:
 
 class TestBlochCoefficients:
     def test_single_pauli_read_off(self):
-        c = bloch_coefficients([E1, E2, E3], BlochIndex(0, 0, 1, 0))
+        c = oracles.bloch_coefficients([E1, E2, E3], BlochIndex(0, 0, 1, 0))
         np.testing.assert_allclose(c, [0.0, 0.0, 1.0], atol=1e-12)
-        c = bloch_coefficients([E1, E2, E3], BlochIndex(1, 0, 0, 0))
+        c = oracles.bloch_coefficients([E1, E2, E3], BlochIndex(1, 0, 0, 0))
         np.testing.assert_allclose(c, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_weight_zero_splits_evenly(self):
         settings = random_settings(7, seed=0)
-        c = bloch_coefficients(settings, BlochIndex(0, 0, 0, 3))
+        c = oracles.bloch_coefficients(settings, BlochIndex(0, 0, 0, 3))
         np.testing.assert_allclose(c, np.full(7, 1.0 / 7.0), atol=1e-12)
 
     def test_rank_deficiency_reported(self):
@@ -82,7 +80,7 @@ class TestBlochCoefficients:
             Setting(axis=np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)),
         ]
         with pytest.raises(RankDeficientSettings) as err:
-            bloch_coefficients(planar, BlochIndex(0, 0, 1, 0))
+            oracles.bloch_coefficients(planar, BlochIndex(0, 0, 1, 0))
         assert err.value.weight == 1
         assert err.value.residual > 0.1
 
@@ -92,7 +90,7 @@ class TestBlochCoefficients:
         n = 2
         settings = random_settings(6, seed=3)
         for idx in [BlochIndex(1, 0, 1, 0), BlochIndex(0, 1, 0, 1), BlochIndex(2, 0, 0, 0)]:
-            c = bloch_coefficients(settings, idx)
+            c = oracles.bloch_coefficients(settings, idx)
             combo = sum(
                 ci * oracles.sym_axis_power(n, s.axis, idx.weight)
                 for ci, s in zip(c, settings)
@@ -112,7 +110,7 @@ class TestBlochCoefficients:
             p = probabilities(state, rotated_blocks(n, s))
             moments.append([moment_coefficients(n, w) @ p for w in range(n + 1)])
         for idx in all_indices(n):
-            c = bloch_coefficients(settings, idx)
+            c = oracles.bloch_coefficients(settings, idx)
             estimate = sum(ci * row[idx.weight] for ci, row in zip(c, moments))
             oracle = np.trace(
                 full @ oracles.sym_pauli_product(n, idx.k, idx.l, idx.m)
@@ -131,23 +129,23 @@ class TestMomentVariance:
                 a = oracles.sym_axis_power(n, setting.axis, w)
                 mean = np.trace(full @ a).real
                 oracle = np.trace(full @ a @ a).real - mean**2
-                ours = moment_variance(state, setting, w)
+                ours = oracles.moment_variance(state, setting, w)
                 assert ours == pytest.approx(oracle, abs=1e-9)
 
     def test_deterministic_outcome_has_zero_variance(self):
         n = 4
         state = dicke_ensemble(n, 0)
-        assert moment_variance(state, E3, n) == pytest.approx(0.0, abs=1e-12)
+        assert oracles.moment_variance(state, E3, n) == pytest.approx(0.0, abs=1e-12)
 
     def test_weight_zero_is_exact(self):
         state = maximally_mixed_ensemble(sector_layout(3))
-        assert moment_variance(state, E1, 0) == pytest.approx(0.0, abs=1e-12)
+        assert oracles.moment_variance(state, E1, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_magnetization(self):
         # w = 1 along any axis: variance of (2k-N)/N over N fair coins.
         for n in (2, 4, 7):
             state = maximally_mixed_ensemble(sector_layout(n))
-            assert moment_variance(state, E3, 1) == pytest.approx(1.0 / n, abs=1e-12)
+            assert oracles.moment_variance(state, E3, 1) == pytest.approx(1.0 / n, abs=1e-12)
 
 
 class TestDesignProblem:
@@ -360,7 +358,7 @@ class TestBlochRoute:
         ])
         variances = means @ _krawtchouk_squares(n) - means**2
         expected = np.array([
-            [moment_variance(problem.target, s, w) for w in range(n + 1)]
+            [oracles.moment_variance(problem.target, s, w) for w in range(n + 1)]
             for s in settings
         ])
         np.testing.assert_allclose(variances, expected, rtol=0, atol=1e-12)

@@ -126,6 +126,10 @@ class TestFitSpec:
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
             FitSpec(principle="ls", weights=np.array([1.0, 0.0]))
+        # a NaN or infinite weight would fail only inside the Newton solve
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                FitSpec.least_squares(weights=np.array([1.0, bad]))
         with pytest.raises(ValueError):
             FitSpec(principle="ml", weights=np.ones(3))
 
@@ -427,15 +431,29 @@ class TestDerivatives:
         _, h2 = model.gradient_hessian(model.probabilities(0.5 * x))
         np.testing.assert_array_equal(h1, h2)
 
-    def test_ls_hessian_read_only_through_newton_stage(self, problem):
+    def test_ls_hessian_held_through_barrier_path(self, problem, monkeypatch):
+        # the constant LS Hessian is formed once per fit, into the Newton
+        # buffer; every stage's factorizations leave it there intact
         ds, param, _ = problem
         model = build_fit_model(ds, FitSpec.least_squares(), param)
-        _, H = model.gradient_hessian(model.probabilities(np.zeros(param.dimension)))
-        assert not H.flags.writeable
-        before = H.copy()
-        stage = newton_stage(model, param.affine, 1e-3, np.zeros(param.dimension))
-        assert stage.iterations > 0
-        np.testing.assert_array_equal(H, before)
+        fresh = model.gradient_hessian(model.probabilities(param.centre))[1]
+        held = []
+        original = reconstruct_module.newton_stage
+
+        def stage(*args, carry, **kwargs):
+            result = original(*args, carry=carry, **kwargs)
+            held.append(oracles.held_fit_hessian(carry[0].workspace, carry[0].fit_diagonal))
+            return result
+
+        monkeypatch.setattr(reconstruct_module, "newton_stage", stage)
+        cfg = SolverConfig()
+        stages = list(reconstruct_module._barrier_path(
+            model, param.affine, t_schedule(cfg), param.centre, cfg))
+        assert len(held) == len(stages) >= 3
+        assert sum(result.iterations for _, result in stages) > 0
+        assert sum(result.hessians for _, result in stages) == 1
+        for H in held:
+            assert np.array_equal(H, fresh)
 
     def test_barrier_matches_fd(self, problem):
         _, param, x = problem
@@ -576,8 +594,11 @@ def assert_same_stage(a, b, skip=()):
 def assert_same_carry(a, b):
     """Equal carried derivatives, equal points of the fit Hessian and
     equal factors (or both None)."""
-    for name in ("fit_gradient", "fit_hessian", "barrier_gradient", "barrier_hessian"):
+    for name in ("fit_gradient", "fit_diagonal", "barrier_gradient"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(oracles.held_fit_hessian(a.workspace, a.fit_diagonal),
+                          oracles.held_fit_hessian(b.workspace, b.fit_diagonal))
+    assert np.array_equal(a.barrier_hessian.data, b.barrier_hessian.data)
     assert (a.hessian_at is None) == (b.hessian_at is None)
     if a.hessian_at is not None:
         assert np.array_equal(a.hessian_at, b.hessian_at)
@@ -670,11 +691,11 @@ class TestNewtonStage:
         # the Newton step from the centre of a nearby t does, while the
         # zero step (|g| unchanged) and the reversed step do not
         model, param, first, carry = stage_end(principle)
-        _, g_fit, H_fit, _, bg, bH, _, _ = carry.pop()
+        _, g_fit, W, fit_diag, _, bg, bH, _, _ = carry.pop()
         x, t = first.x, 0.09
         g = g_fit + t * bg
         grad_norm = float(np.linalg.norm(g))
-        delta, _, _ = reconstruct_module._newton_direction(H_fit, bH, t, g)
+        delta, _, _ = reconstruct_module._newton_direction(W, fit_diag, bH, t, g)
         trial = reconstruct_module._endgame_step(model, param.affine, x, t, delta, grad_norm)
         assert trial is not None
         x_new, p_new, chols, obj, fit_v = trial
@@ -717,9 +738,9 @@ class TestNewtonStage:
                             (AffineBlockMap, "barrier_grad")):
             original = getattr(owner, name)
 
-            def counted(self, *args, original=original, name=name):
+            def counted(self, *args, original=original, name=name, **kwargs):
                 calls.append(name)
-                return original(self, *args)
+                return original(self, *args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
         rng = np.random.default_rng(9)
@@ -748,8 +769,9 @@ class TestTangentStart:
         carry = []
         centre = newton_stage(model, param.affine, 1.0, np.zeros(param.dimension),
                               SolverConfig(grad_tol=1e-11), carry=carry)
-        H_fit, bg, bH, factor = (carry[0].fit_hessian, carry[0].barrier_gradient,
-                                 carry[0].barrier_hessian, carry[0].factor)
+        H_fit = oracles.held_fit_hessian(carry[0].workspace, carry[0].fit_diagonal)
+        bg, bH, factor = (carry[0].barrier_gradient,
+                          oracles.dense_hessian(carry[0].barrier_hessian), carry[0].factor)
         assert centre.decrement <= 1e-22 and factor is not None
         expected = (0.1 - 1.0) * -np.linalg.solve(1.0 * bH + H_fit, bg)
         directions = []
@@ -783,7 +805,7 @@ class TestTangentStart:
             # the decrement of the system the stage solved, whose fit
             # Hessian may lag (LAG); the true Newton decrement is within
             # the factor (1 + LAG)^3 that keeps it in the quadratic region
-            held = carry[0].fit_hessian
+            held = oracles.held_fit_hessian(carry[0].workspace, carry[0].fit_diagonal)
             assert stage.decrement == pytest.approx(
                 newton_decrement(model, param.affine, 0.01, stage.x, held), rel=1e-8)
             assert stage.decrement <= CENTERING * 0.01
@@ -803,7 +825,8 @@ class TestTangentStart:
             return -delta, -slope
 
         monkeypatch.setattr(reconstruct_module, "_tangent_direction", uphill)
-        plain_carry = [carry[0]._replace(factor=None)]
+        # a carry owns its Newton buffer: the second stage gets a copy
+        plain_carry = [carry[0]._replace(workspace=carry[0].workspace.copy(), factor=None)]
         fallback = newton_stage(model, param.affine, 0.01, first.x, carry=carry)
         plain = newton_stage(model, param.affine, 0.01, first.x, carry=plain_carry)
         assert fallback.converged and fallback.iterations > 0
@@ -823,9 +846,9 @@ class TestTangentStart:
             factors.append(weakref.ref(factor[0]))
             return factor
 
-        def checked(self, p):
+        def checked(self, p, out=None):
             alive.append(sum(ref() is not None for ref in factors))
-            return original_derivatives(self, p)
+            return original_derivatives(self, p, out)
 
         monkeypatch.setattr(reconstruct_module, "cho_factor", tracked)
         monkeypatch.setattr(FitModel, "gradient_hessian", checked)
@@ -1104,18 +1127,17 @@ class TestLaggedHessian:
         # a fresh-Hessian Newton decrement <= grad_tol^2 where it stops.
         ds, spec = lag_case(n, principle, truth, data, seed)
         config = SolverConfig()
-        events, formed, stops = [], {}, []
+        events, formed, stops = [], [], []
         state = {"exact": False}
         original_hessian = FitModel.gradient_hessian
         original_gradient = FitModel.gradient
         original_stage = reconstruct_module.newton_stage
         original_direction = reconstruct_module._newton_direction
 
-        def gradient_hessian(self, p):
+        def gradient_hessian(self, p, out=None):
             events.append(("eval", p.copy(), state["exact"]))
-            g, H = original_hessian(self, p)
-            formed[id(H)] = (H, p.copy())  # H is kept alive, so its id is not reused
-            return g, H
+            formed.append(p.copy())  # the fit's one Newton buffer holds the latest
+            return original_hessian(self, p, out)
 
         def gradient(self, p):
             events.append(("eval", p.copy(), state["exact"]))
@@ -1127,10 +1149,10 @@ class TestLaggedHessian:
             stops.append((len(events), fit, affine, t, exact, result))
             return result
 
-        def direction(H_fit, H_bar, t, g):
-            delta, slope, factor = original_direction(H_fit, H_bar, t, g)
+        def direction(W, fit_diagonal, H_bar, t, g):
+            delta, slope, factor = original_direction(W, fit_diagonal, H_bar, t, g)
             p = next(e[1] for e in reversed(events) if e[0] == "eval")
-            events.append(("dir", p, state["exact"], t, -slope, id(H_fit)))
+            events.append(("dir", p, state["exact"], t, -slope, len(formed) - 1))
             return delta, slope, factor
 
         with pytest.MonkeyPatch.context() as patch:
@@ -1146,14 +1168,13 @@ class TestLaggedHessian:
         def drift_of(i):
             """The drift of direction i's Hessian from where it was formed."""
             _, p, _, _, _, key = events[i]
-            _, at = formed[key]
-            return model.hessian_drift(p, at)
+            return model.hessian_drift(p, formed[key])
 
         held = 0
         for i, event in enumerate(events):
             if event[0] != "dir" or not event[2] or principle == "ls":
                 continue
-            p, at = event[1], formed[event[5]][1]
+            p, at = event[1], formed[event[5]]
             if np.array_equal(p, at):
                 continue
             held += 1
@@ -1188,13 +1209,13 @@ class TestLaggedHessian:
         model, param, first, _ = stage_end(principle)
         x, t = first.x, 0.01
         p = model.probabilities(x)
-        g_fit, H_fit = model.gradient_hessian(p)
+        g_fit, W = model.gradient_hessian(p)
         _, bg, bH = param.affine.barrier_grad_hess(
             param.affine.cholesky_list(param.affine.blocks(x)))
         decrement = newton_decrement(model, param.affine, t, x)
         grad_tol = math.sqrt(1.1 * decrement)
         assert np.linalg.norm(g_fit + t * bg) > grad_tol
-        carry = [StageCarry(p, g_fit, H_fit, p / 1.1, bg, bH, None, math.inf)]
+        carry = [StageCarry(p, g_fit, W, W.diagonal().copy(), p / 1.1, bg, bH, None, math.inf)]
         assert model.hessian_drift(p, p / 1.1) == pytest.approx(0.1, rel=1e-12)
         stage = newton_stage(model, param.affine, t, x, SolverConfig(grad_tol=grad_tol),
                              exact=True, carry=carry)
@@ -1204,9 +1225,9 @@ class TestLaggedHessian:
         calls = []
         original = FitModel.gradient_hessian
 
-        def counted(self, p):
+        def counted(self, p, out=None):
             calls.append(None)
-            return original(self, p)
+            return original(self, p, out)
 
         monkeypatch.setattr(FitModel, "gradient_hessian", counted)
         ds, spec = lag_case(6, "ml", "mixed", "sampled", 0)
@@ -1251,8 +1272,8 @@ class TestLaggedHessian:
 
     def test_only_the_carry_holds_a_hessian_or_factor(self, monkeypatch):
         # between stages, the one carried StageCarry is the only holder
-        # of a fit Hessian or a Newton factor: a popped carry kept alive
-        # would hold three more d x d arrays
+        # of the Newton buffer (the held fit Hessian) and of a Newton
+        # factor; once the fit returns, neither is alive
         hessians, factors, alive = [], [], []
         original_factor = reconstruct_module.cho_factor
         original_derivatives = FitModel.gradient_hessian
@@ -1263,14 +1284,14 @@ class TestLaggedHessian:
             factors.append(weakref.ref(factor[0]))
             return factor
 
-        def tracked_derivatives(self, p):
-            g, H = original_derivatives(self, p)
+        def tracked_derivatives(self, p, out=None):
+            g, H = original_derivatives(self, p, out)
             hessians.append(weakref.ref(H))
             return g, H
 
         def stage(*args, carry, **kwargs):
             result = original_stage(*args, carry=carry, **kwargs)
-            held = {id(carry[0].fit_hessian)} if carry else set()
+            held = {id(carry[0].workspace)} if carry else set()
             if carry and carry[0].factor is not None:
                 held.add(id(carry[0].factor[0]))
             for ref in hessians + factors:
@@ -1345,8 +1366,10 @@ class TestRowChunks:
         reference = model.G.T @ (c[:, None] * model.G)
         assert np.abs(H - reference).max() <= 1e-13 * np.abs(reference).max()
         assert np.array_equal(H, H.T) and H.flags.c_contiguous
-        if model.constant_hessian:
-            assert not H.flags.writeable
+        # into a caller's buffer, whatever it held, the same bits
+        out = np.full_like(H, np.nan)
+        _, into = model.gradient_hessian(p, out=out)
+        assert into is out and np.array_equal(out, H)
 
     def test_gradient_hessian_holds_no_copy_of_G(self):
         # at most the Hessian, one chunk of weighted rows and a few
@@ -1361,13 +1384,14 @@ class TestRowChunks:
         assert H.shape == (d, d)
         assert peak <= d * d * 8 + reconstruct_module.ROW_CHUNK * d * 8 + 16 * rows * 8
 
-    def test_fit_holds_G_and_three_hessians(self):
-        # a step holds G, the fit and barrier Hessians and the Newton
-        # factor.  The slack of three chunks of G's rows covers the
-        # assembly of G (the temporaries of one chunk of outcomes, and
-        # the measurement's rotations) and the vectors of one entry per
-        # row; a second copy of G, or a whole sector's temporaries, do not
-        # fit in it.  A warm-up fit fills the caches
+    def test_fit_holds_G_and_one_newton_buffer(self):
+        # a step holds G, the one Newton buffer (the held fit Hessian and
+        # the factor) and the barrier Hessian's sector blocks and border.
+        # The slack of three chunks of G's rows covers the assembly of G
+        # (the temporaries of one chunk of outcomes, and the measurement's
+        # rotations) and the vectors of one entry per row; a second copy of
+        # G, or a whole sector's temporaries, do not fit in it.  A warm-up
+        # fit fills the caches
         ds, spec = memory_case()
         model = build_fit_model(ds, spec)
         rows, d = model.G.shape
@@ -1375,7 +1399,53 @@ class TestRowChunks:
         result, peak = traced_peak(lambda: reconstruct(ds, spec))
         assert result.converged
         slack = 3 * reconstruct_module.ROW_CHUNK * d * 8
-        assert peak <= model.G.nbytes + 3 * d * d * 8 + slack
+        barrier = model.parametrization.affine.directions.layout.size * 8
+        assert peak <= model.G.nbytes + d * d * 8 + barrier + slack
+
+    def test_no_step_allocates_a_d_by_d_array(self, monkeypatch):
+        # the Newton system is formed and factored in the fit's one buffer,
+        # and the barrier Hessian is its sector blocks and border: neither
+        # a direction (with its retries) nor the barrier derivatives
+        # allocate d x d doubles at any moment.  The buffer itself is
+        # allocated once, at the fit's first Hessian.  At N = 14 (d = 679)
+        # the temporaries of the barrier's closed forms are below d^2; at
+        # N = 8 they are not
+        rng = np.random.default_rng(14)
+        ds = sampled_dataset(interior_ensemble(14, rng), random_settings(rng, 20), 1000, rng)
+        spec = FitSpec.max_lik()
+        d = build_fit_model(ds, spec).G.shape[1]
+        peaks = {"direction": [], "barrier": []}
+        buffers = []
+
+        def measured(name, call):
+            def wrapper(*args, **kwargs):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                result = call(*args, **kwargs)
+                peaks[name].append(tracemalloc.get_traced_memory()[1] - before)
+                return result
+            return wrapper
+
+        original_hessian = FitModel.gradient_hessian
+
+        def gradient_hessian(self, p, out=None):
+            buffers.append(out)
+            return original_hessian(self, p, out)
+
+        monkeypatch.setattr(reconstruct_module, "_newton_direction",
+                            measured("direction", reconstruct_module._newton_direction))
+        monkeypatch.setattr(AffineBlockMap, "barrier_grad_hess",
+                            measured("barrier", AffineBlockMap.barrier_grad_hess))
+        monkeypatch.setattr(FitModel, "gradient_hessian", gradient_hessian)
+        reconstruct(ds, spec)  # fills the caches
+        for record in (peaks["direction"], peaks["barrier"], buffers):
+            record.clear()
+        result, _ = traced_peak(lambda: reconstruct(ds, spec))
+        assert result.converged
+        assert len(peaks["direction"]) >= result.total_iterations > 0
+        assert max(peaks["direction"] + peaks["barrier"]) < d * d * 8
+        assert len(buffers) == result.total_hessians
+        assert len({id(buffer) for buffer in buffers}) == 1 and buffers[0].shape == (d, d)
 
     def test_one_barrier_hessian_alive_at_a_time(self, monkeypatch):
         # the stage drops its barrier Hessian before it forms the next
@@ -1393,9 +1463,9 @@ class TestRowChunks:
             barrier.append(weakref.ref(hess))
             return value, grad, hess
 
-        def checked(self, p):
+        def checked(self, p, out=None):
             count()
-            return original_derivatives(self, p)
+            return original_derivatives(self, p, out)
 
         monkeypatch.setattr(reconstruct_module.AffineBlockMap, "barrier_grad_hess",
                             tracked_barrier)
@@ -1836,6 +1906,7 @@ class TestBarrierProperties:
         chols = amap.cholesky_list(amap.blocks(x))
         assert chols is not None
         value, grad, hess = amap.barrier_grad_hess(chols)
+        hess = oracles.dense_hessian(hess)
         ref_value, ref_grad, ref_hess = barrier_oracle(dense_terms(amap), x)
         assert_close(value, ref_value, 1e-10)
         assert_close(grad, ref_grad, 1e-10)
@@ -1929,8 +2000,9 @@ class TestBarrierProperties:
         x *= 0.04 / np.abs(x).sum()
         ours = herm.barrier_grad_hess(herm.cholesky_list(herm.blocks(x)))
         theirs = scalars.barrier_grad_hess(scalars.cholesky_list(scalars.blocks(x)))
-        for a, b in zip(ours, theirs):
+        for a, b in zip(ours[:2], theirs[:2]):
             assert_close(a, b, 1e-12)
+        assert_close(oracles.dense_hessian(ours[2]), oracles.dense_hessian(theirs[2]), 1e-12)
 
     def test_repeated_index_within_block_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -1955,6 +2027,7 @@ class TestGellMannClosedForm:
         x = fraction * param.coordinates(interior_ensemble(n, np.random.default_rng(seed)))
         chols = amap.cholesky_list(amap.blocks(x))
         value, grad, hess = amap.barrier_grad_hess(chols)
+        hess = oracles.dense_hessian(hess)
         ref_value, ref_grad, ref_hess = barrier_oracle(dense_terms(amap, param), x)
         assert_close(value, ref_value, 1e-12)
         assert_close(grad, ref_grad, 1e-12)
@@ -1963,6 +2036,135 @@ class TestGellMannClosedForm:
         value_only, grad_only = amap.barrier_grad(chols)
         assert amap.barrier_value(chols) == value == value_only
         assert np.array_equal(grad_only, grad)
+
+
+class TestBlockHessian:
+    """The barrier Hessian as sector blocks plus a border, and the Newton
+    system formed in the fit's one buffer, against the dense routes they
+    replaced (``oracles.reference_barrier_hessian`` and
+    ``oracles.reference_newton_direction``), bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           fraction=st.floats(0.0, 1.0))
+    def test_gell_mann_blocks_expand_to_the_dense_hessian(self, n, seed, fraction):
+        # one block per sector's n^2 - 1 Gell-Mann coordinates, and the
+        # S = sectors - 1 trace-shift rows as the border
+        param = reconstruct_module._shared_parametrization(sector_layout(n))
+        amap = param.affine
+        x = fraction * param.coordinates(interior_ensemble(n, np.random.default_rng(seed)))
+        chols = amap.cholesky_list(amap.blocks(x))
+        _, _, hess = amap.barrier_grad_hess(chols)
+        sizes = tuple((t + 1) ** 2 - 1 for t in param.layout.two_j_values)
+        assert hess.layout.sizes == sizes
+        assert hess.border.shape == (param.layout.num_sectors - 1, param.dimension)
+        assert hess.data.size == sum(k * k for k in sizes) + hess.border.size
+        assert np.array_equal(oracles.dense_hessian(hess),
+                              oracles.reference_barrier_hessian(amap, chols, param))
+
+    @BARRIER_PROPERTY
+    @given(**MAP_SHAPES)
+    def test_rank_one_maps_are_all_border(self, sizes, m, dim, seed):
+        rng = np.random.default_rng(seed)
+        amap = random_block_map(rng, sizes, m, dim)
+        x = rng.uniform(-1.0, 1.0, dim)
+        x *= 0.04 / np.abs(x).sum()
+        chols = amap.cholesky_list(amap.blocks(x))
+        _, _, hess = amap.barrier_grad_hess(chols)
+        assert hess.layout.sizes == () and hess.border.shape == (dim, dim)
+        assert np.array_equal(oracles.dense_hessian(hess),
+                              oracles.reference_barrier_hessian(amap, chols))
+
+    def test_diagonal_block_needs_border_coordinates(self):
+        # a slack on a sector's Gell-Mann coordinate would couple it with
+        # every coordinate of the slack block, outside the sector block
+        param = Parametrization(sector_layout(3))
+        affine = param.affine
+        with pytest.raises(ValueError, match="border"):
+            AffineBlockMap(affine.constants, affine.directions,
+                           [(np.ones(1), np.ones((1, 1)), [0])], param.dimension)
+        shift = param.dimension - 1
+        AffineBlockMap(affine.constants, affine.directions,
+                       [(np.ones(1), np.ones((1, 1)), [shift])], param.dimension)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           t=st.floats(1e-10, 10.0), ridge=st.booleans())
+    def test_newton_direction_matches_the_dense_route(self, n, seed, t, ridge):
+        # a random held fit Hessian in the buffer's strict lower triangle
+        # (the upper one and the diagonal NaN, so that reading them shows);
+        # with ``ridge`` it is shifted so that the system's least
+        # eigenvalue is -5e-12 (1 + max diag): the factorization fails until
+        # the ridge grows past it
+        rng = np.random.default_rng(seed)
+        param = reconstruct_module._shared_parametrization(sector_layout(n))
+        amap = param.affine
+        x = 0.5 * param.coordinates(interior_ensemble(n, rng))
+        _, _, bH = amap.barrier_grad_hess(amap.cholesky_list(amap.blocks(x)))
+        H_bar = oracles.dense_hessian(bH)
+        d = param.dimension
+        F = rng.normal(size=(2 * d, d))
+        H_fit = F.T @ F
+        H_fit = np.triu(H_fit) + np.triu(H_fit, 1).T
+        if ridge:
+            system = t * H_bar + H_fit
+            scale = 1.0 + system.diagonal().max()
+            H_fit -= (np.linalg.eigvalsh(system)[0] + 5e-12 * scale) * np.eye(d)
+        g = rng.normal(size=d)
+        fit_diagonal = H_fit.diagonal().copy()
+        W = H_fit.copy()
+        W[np.triu_indices(d)] = np.nan
+        lower = np.tril(W, -1)
+        factored = []
+        original = reconstruct_module.cho_factor
+
+        def counted(*args, **kwargs):
+            factored.append(None)
+            return original(*args, **kwargs)
+
+        try:
+            expected = oracles.reference_newton_direction(H_fit, H_bar, t, g)
+        except NonConvergenceError:
+            with pytest.raises(NonConvergenceError):
+                reconstruct_module._newton_direction(W, fit_diagonal.copy(), bH, t, g)
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reconstruct_module, "cho_factor", counted)
+            delta, slope, factor = reconstruct_module._newton_direction(
+                W, fit_diagonal, bH, t, g)
+        assert np.array_equal(delta, expected[0]) and slope == expected[1]
+        # the factor is the buffer's upper triangle, and the held Hessian
+        # is still its strict lower triangle and diagonal vector
+        assert factor[0].base is W and factor[1] == expected[2][1]
+        assert np.array_equal(np.triu(W), np.triu(expected[2][0].T))
+        assert np.array_equal(np.tril(W, -1), lower)
+        assert np.array_equal(fit_diagonal, H_fit.diagonal())
+        if ridge:
+            assert len(factored) > 1
+
+    @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
+    def test_one_buffer_per_fit(self, principle, monkeypatch):
+        # every stage of a fit's barrier path hands on the same buffer,
+        # and the factor it hands on, if any, is that buffer's triangle
+        carried = []
+        original = reconstruct_module.newton_stage
+
+        def stage(*args, carry, **kwargs):
+            result = original(*args, carry=carry, **kwargs)
+            carried.append(carry[0])
+            return result
+
+        monkeypatch.setattr(reconstruct_module, "newton_stage", stage)
+        rng = np.random.default_rng([5, 2])
+        ds = sampled_dataset(interior_ensemble(4, rng), random_settings(rng, 17), 500, rng)
+        result = reconstruct(ds, fit_spec(principle))
+        assert result.converged and len(carried) == len(result.trace) >= 3
+        W = carried[0].workspace
+        d = build_fit_model(ds, fit_spec(principle)).G.shape[1]
+        assert W.shape == (d, d) and W.flags.c_contiguous
+        assert all(c.workspace is W for c in carried)
+        factors = [c.factor for c in carried if c.factor is not None]
+        assert factors and all(f[0].base is W for f in factors)
 
 
 class TestPaddedFactors:
