@@ -94,14 +94,15 @@ LOAD_NORM_WARN = 1e-6
 
 @dataclass(frozen=True)
 class Setting:
-    """A measurement direction: unit 3-vector (tolerance 1e-12)."""
+    """A measurement direction: finite unit 3-vector (tolerance 1e-12)."""
 
     axis: np.ndarray
 
     def __post_init__(self):
         ax = np.asarray(self.axis, dtype=float).reshape(3)
         norm = float(np.linalg.norm(ax))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
+        # the negated form also rejects NaN
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:
             raise ValueError(f"setting axis norm {norm!r} deviates from 1")
         ax = ax.copy()
         ax.setflags(write=False)
@@ -109,8 +110,10 @@ class Setting:
 
     @classmethod
     def from_vector(cls, vec, warn_tol: float = LOAD_NORM_WARN) -> "Setting":
-        """Normalize an arbitrary non-zero 3-vector into a Setting."""
+        """Normalize an arbitrary non-zero finite 3-vector into a Setting."""
         v = np.asarray(vec, dtype=float).reshape(3)
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"setting axis {v.tolist()} must be finite")
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             raise ValueError("setting axis must be non-zero")

@@ -19,14 +19,15 @@ formed.  Every fit Hessian is G^T diag(c) G with c = phi''(p) >= 0
 sqrt(c) G, summed over chunks of ROW_CHUNK rows of G, into the fit's one
 d x d Newton buffer W.  The barrier Hessian is small: each sector's
 Gell-Mann coordinates couple only with themselves and the trace shifts,
-so it is one block per sector plus the shift rows (``BlockHessian``).
-The Newton system t H_barrier + H_fit is assembled in W's upper
-triangle, which LAPACK factors in place, while W's strict lower
-triangle and one d-vector keep H_fit for the next step.  A fit step
-thus holds G, W and the sector blocks (1.5 MB beside G's 20 MB and W's
-7.5 MB at N = 16), and no other array the size of G: neither the
-weighted copy sqrt(c) G nor, while G is assembled, a whole sector's
-temporaries, since both are formed one chunk at a time.
+so it is held as the upper entries of one block per sector and of the
+shift columns, each at its position in W (``BlockHessian``).  The
+Newton system t H_barrier + H_fit is assembled in W's upper triangle,
+which LAPACK factors in place, while W's strict lower triangle and one
+d-vector keep H_fit for the next step.  A fit step thus holds G, W and
+those entries (0.8 MB beside G's 20 MB and W's 7.5 MB at N = 16), and
+no other array the size of G: neither the weighted copy sqrt(c) G nor,
+while G is assembled, a whole sector's temporaries, since both are
+formed one chunk at a time.
 
 The barrier engine (``AffineBlockMap``) knows three block kinds, each
 with one representation.  Gell-Mann blocks (``_GellMannTables``) carry
@@ -350,65 +351,35 @@ class BlockFactors:
         return 0.5 * (A + np.swapaxes(A.conj(), 1, 2))
 
 
-class HessianLayout:
-    """Where a barrier Hessian's entries may be non-zero: square blocks
-    on consecutive ranges of the leading coordinates, of sizes ``sizes``,
-    then ``border`` trailing coordinates whose rows (and so columns) may
-    be dense; every other entry is zero.  A ``BlockHessian`` stores each
-    block row-major, then the (border, dim) border rows, in one flat
-    array of ``size`` entries: the blocks start at ``block_starts``
-    there and the border at ``border_start``."""
-
-    def __init__(self, sizes, border: int, dim: int):
-        self.sizes = tuple(int(k) for k in sizes)
-        self.border = int(border)
-        self.dim = int(dim)
-        self.block_starts = np.cumsum([0, *(k * k for k in self.sizes)], dtype=np.intp)
-        self.block_starts.setflags(write=False)
-        self.border_start = int(self.block_starts[-1])
-        self.size = self.border_start + self.border * self.dim
-
-    @functools.cached_property
-    def upper(self) -> tuple[np.ndarray, np.ndarray]:
-        """(source, target): the flat positions of every entry (i, l),
-        i <= l, of the Hessian's upper triangle in its storage and in a
-        C-ordered (dim, dim) matrix.  A border row's entry left of the
-        border is the mirror of an upper entry; one inside the border's
-        own corner below the diagonal is skipped."""
-        d, first = self.dim, self.dim - self.border
-        source, target = [], []
-        start = 0
-        for k, at in zip(self.sizes, self.block_starts):
-            i, l = np.triu_indices(k)
-            source.append(at + i * k + l)
-            target.append((start + i) * d + start + l)
-            start += k
-        entry = np.arange(self.border * d)
-        row, col = first + entry // d, entry % d
-        right, left = col >= row, col < first
-        source += [self.border_start + entry[right], self.border_start + entry[left]]
-        target += [row[right] * d + col[right], col[left] * d + row[left]]
-        tables = tuple(np.concatenate(parts).astype(np.intp) for parts in (source, target))
-        for table in tables:
-            table.setflags(write=False)
-        return tables
-
-
 class BlockHessian:
-    """A barrier Hessian stored as its ``layout`` says, in the one zeroed
-    array ``data``: the flat row-major blocks, then ``border``, a view of
-    the (border, dim) border rows."""
+    """A barrier Hessian as the values ``data`` of its structurally
+    non-zero upper entries (i <= l), in the order of their sorted flat
+    positions ``positions`` in a C-ordered (dim, dim) matrix, the block
+    kind's structure.  Writers find an entry's place there by ``_slots``;
+    the strict lower triangle is the mirror and is not stored."""
 
-    def __init__(self, layout: HessianLayout):
-        self.layout = layout
-        self.data = np.zeros(layout.size)
-        self.border = self.data[layout.border_start :].reshape(layout.border, layout.dim)
+    def __init__(self, positions: np.ndarray):
+        self.positions = positions
+        self.data = np.zeros(positions.size)
 
     def add_upper(self, W: np.ndarray, t: float) -> None:
         """Add t H to the upper triangle and diagonal of the C-ordered
         (dim, dim) W; its strict lower triangle is left as it is."""
-        source, target = self.layout.upper
-        W.reshape(-1)[target] += t * self.data[source]
+        W.reshape(-1)[self.positions] += t * self.data
+
+
+def _slots(positions: np.ndarray, rows, cols, dim: int) -> np.ndarray:
+    """The places in the sorted ``positions`` of the Hessian entries
+    (rows, cols), rows <= cols, which must be in the structure."""
+    return np.searchsorted(positions, rows * dim + cols)
+
+
+def _pair_slots(positions: np.ndarray, idx: np.ndarray, dim: int):
+    """(a, l, slots) of the pairs idx[a] <= idx[l] of one block's
+    distinct coordinates: the entries of a term over the block that the
+    upper triangle holds, and their places in ``positions``."""
+    a, l = np.nonzero(idx[:, None] <= idx)
+    return a, l, _slots(positions, idx[a], idx[l], dim)
 
 
 class _GellMannTables:
@@ -435,15 +406,16 @@ class _GellMannTables:
         diag-diag    Q^T |A|^2 Q
 
     A sector's Gell-Mann coordinates couple only with themselves and
-    with the trace shifts, so the Hessian is a ``BlockHessian``: one
-    block per sector, and the shift rows as its border (``layout``).
-    The stack and A are identity-padded (B, m, m) stacks; every table
-    indexes them, or the gradient and the Hessian's storage, flat, so
-    one evaluation makes a fixed number of numpy calls for any number of
-    sectors.  Pair-pair terms are computed for p <= p' and written to
-    both mirror positions, and the diagonal Gram matrix is symmetrized,
-    so each block is exactly symmetric; an entry of a shift column is
-    stored once, as the entry of its mirror shift row.  Pair slots run over
+    with the trace shifts, so the Hessian is a ``BlockHessian`` whose
+    ``positions`` are each sector block's upper triangle and the upper
+    entries of the S shift columns.  The stack and A are identity-padded
+    (B, m, m) stacks; every table indexes them, the gradient or the
+    Hessian's ``data`` flat, so one evaluation makes a fixed number of
+    numpy calls for any number of sectors.  Pair-pair terms are computed
+    for p <= p' and each written once, at its upper entry: for p = p'
+    the equal SY and YS both name (S_p, Y_p), and YS is written last.
+    Diagonal-type terms are read off the symmetrized Gram matrix for
+    columns k <= k', and shift x shift sums over sectors.  Pair slots run over
     ``np.triu_indices(m, 1)`` for every block: a slot outside block b
     reads only padding, where A is the identity, and gives zero.
     ``diag_coord`` reads block b's (x_diag, x_shift) out of x with a
@@ -455,14 +427,20 @@ class _GellMannTables:
         S = shift_coeff.shape[1]
         K = m - 1 + S  # diagonal-type columns: m - 1 Gell-Mann, then S shifts
         self.shift0 = dim - S
-        self.layout = HessianLayout([n * n - 1 for n in sizes], S, dim)
+        # the structure: the shift columns' upper entries, and each block's
+        # upper triangle
+        i, l = np.nonzero(np.arange(dim)[:, None] <= np.arange(self.shift0, dim))
+        upper = [i * dim + self.shift0 + l]
+        for n, offset in zip(sizes, offsets):
+            i, l = np.triu_indices(n * n - 1)
+            upper.append((offset + i) * dim + offset + l)
+        positions = self.positions = np.sort(np.concatenate(upper))
         self.slot_rows, self.slot_cols = np.triu_indices(m, 1)
         table = _diagonal_table(m)  # block n reads its [:n, :n - 1] corner
         Q = np.zeros((B, m, K))
         diag_coord = np.full((B, K), dim, dtype=np.intp)
         pair_entry, pair_mirror, pair_coord, grad_src, grad_dst = [], [], [], [], []
-        pp_src, pp_dst, pd_src, pd_dst, pd_value, dd_src, dd_dst = [], [], [], [], [], [], []
-        pd_count = 0
+        pp_src, pp_dst, pd_src, pd_dst, dd_src, dd_dst = [], [], [], [], [], []
         for b, (n, offset) in enumerate(zip(sizes, offsets)):
             Q[b, :n, : n - 1] = table[:n, : n - 1]
             Q[b, :n, m - 1 :] = shift_coeff[b]
@@ -472,17 +450,12 @@ class _GellMannTables:
             def entry(i, j, b=b):
                 return (b * m + i) * m + j
 
-            def stored(rows, cols, k=n * n - 1, offset=offset, at=self.layout.block_starts[b]):
-                """The storage positions of Hessian entries (rows, cols) of
-                this block's coordinates: a shift row is a border row."""
-                border = self.layout.border_start + (rows - self.shift0) * dim + cols
-                return np.where(rows >= self.shift0, border, at + (rows - offset) * k + cols - offset)
-
             sym = offset + 2 * np.arange(P)  # Y_p is sym + 1
             pair_entry.append(entry(r, c))
             pair_mirror.append(entry(c, r))
             pair_coord.append(sym)
-            # the valid diagonal-type columns of Q and their coordinates
+            # the valid diagonal-type columns of Q and their coordinates,
+            # which increase with the column
             kcols = np.concatenate([np.arange(n - 1), m - 1 + np.arange(S)])
             coords = np.concatenate([offset + 2 * P + np.arange(n - 1),
                                      self.shift0 + np.arange(S)])
@@ -495,33 +468,26 @@ class _GellMannTables:
                                     entry(c[i], c[j]), entry(r[i], r[j])]))
             rows = sym[i] + np.array([[0], [0], [1], [1]])
             cols = sym[j] + np.array([[0], [1], [0], [1]])
-            pp_dst.append(np.stack([stored(rows, cols), stored(cols, rows)]))
+            pp_dst.append(_slots(positions, np.minimum(rows, cols), np.maximum(rows, cols), dim))
 
             slot = r * m - r * (r + 1) // 2 + c - r - 1  # (r, c) in triu(m, 1)
             p, k = np.repeat(np.arange(P), kcols.size), np.tile(np.arange(kcols.size), P)
             pd_src.append((b * self.slot_rows.size + slot[p]) * K + kcols[k])
-            # entry (p, k) holds the values 2 (pd_count + index) (S row) and
-            # that + 1 (Y row); a shift column's entry is stored only as
-            # its mirror in the border row
-            rows = sym[p] + np.array([[0], [1]])
-            cols = np.broadcast_to(coords[k], rows.shape)
-            value = 2 * (pd_count + np.arange(p.size)) + np.array([[0], [1]])
-            pd_count += p.size
-            own = cols < self.shift0
-            pd_value.append(np.concatenate([value[own], value.ravel()]))
-            pd_dst.append(np.concatenate([stored(rows[own], cols[own]),
-                                          stored(cols, rows).ravel()]))
+            # a pair's coordinates precede every diagonal-type one
+            pd_dst.append(_slots(positions, sym[p] + np.array([[0], [1]]), coords[k], dim))
 
-            k1, k2 = np.meshgrid(np.arange(kcols.size), np.arange(kcols.size), indexing="ij")
-            # a Gell-Mann column: a shift row is stored in the border, and
-            # the shift column it mirrors is not; shift x shift is summed apart
-            keep = k2 < n - 1
+            # shift x shift is summed over sectors apart
+            k1, k2 = np.triu_indices(kcols.size)
+            keep = k1 < n - 1
             dd_src.append((b * K + kcols[k1[keep]]) * K + kcols[k2[keep]])
-            dd_dst.append(stored(coords[k1[keep]], coords[k2[keep]]))
+            dd_dst.append(_slots(positions, coords[k1[keep]], coords[k2[keep]], dim))
         self.Q = Q
         self.Qc = Q.astype(complex)
         self.diag_coord = diag_coord
         self.diag_cols = m - 1  # first shift column of Q
+        self.corner = np.triu_indices(S)
+        self.corner_dst = _slots(positions, self.shift0 + self.corner[0],
+                                 self.shift0 + self.corner[1], dim)
 
         def flat(parts, axis=-1):
             out = np.concatenate(parts, axis=axis).astype(np.intp)
@@ -532,7 +498,7 @@ class _GellMannTables:
         self.pair_coord = flat([np.stack([s, s + 1]) for s in pair_coord])
         self.grad_src, self.grad_dst = flat(grad_src), flat(grad_dst)
         self.pp_src, self.pp_dst = flat(pp_src), flat(pp_dst)
-        self.pd_src, self.pd_dst, self.pd_value = flat(pd_src), flat(pd_dst), flat(pd_value)
+        self.pd_src, self.pd_dst = flat(pd_src), flat(pd_dst)
         self.dd_src, self.dd_dst = flat(dd_src), flat(dd_dst)
 
     def write(self, x: np.ndarray, stack: np.ndarray) -> None:
@@ -561,8 +527,8 @@ class _GellMannTables:
 
     def hessian(self, A: np.ndarray, hess: BlockHessian) -> None:
         """Write tr(A D_i A D_l) over every block's directions into the
-        zero ``hess`` of ``layout``: each sector's Gell-Mann coordinates
-        are one block, the shift rows the border, and shift x shift sums
+        zero ``hess`` of ``positions``, each upper entry once but
+        (S_p, Y_p), which the pair p = p' names twice; shift x shift sums
         over sectors."""
         flat = hess.data
         g = A.reshape(-1)[self.pp_src]
@@ -572,12 +538,11 @@ class _GellMannTables:
                                       t1.imag + t2.imag, t2.real - t1.real])
         Y = A[:, self.slot_cols, :] * A[:, self.slot_rows, :].conj()
         z = (Y @ self.Qc).reshape(-1)[self.pd_src]
-        flat[self.pd_dst] = (math.sqrt(2.0) * np.stack([z.real, z.imag], axis=-1)).reshape(-1)[
-            self.pd_value]
+        flat[self.pd_dst] = math.sqrt(2.0) * np.stack([z.real, z.imag])
         W = np.swapaxes(self.Q, 1, 2) @ (A.real**2 + A.imag**2) @ self.Q
         W = 0.5 * (W + np.swapaxes(W, 1, 2))
         flat[self.dd_dst] = W.reshape(-1)[self.dd_src]
-        hess.border[:, self.shift0 :] = W[:, self.diag_cols :, self.diag_cols :].sum(axis=0)
+        flat[self.corner_dst] = W[:, self.diag_cols :, self.diag_cols :].sum(axis=0)[self.corner]
 
 
 def _distinct(indices) -> None:
@@ -603,8 +568,9 @@ class RankOneBlocks:
     work by up to (q/q_b)^2 (m/n_b); each block's term is symmetrized
     and added in block order, so the Hessian is exactly symmetric, and
     the gradient is the same with or without it, bit for bit.  Any two
-    coordinates may share a block, so the Hessian's ``layout`` is all
-    border.
+    coordinates may share a block, so the Hessian's ``positions`` are
+    the whole upper triangle; each block writes the pairs of its
+    coordinates idx_a <= idx_l (``_pair_slots``).
     """
 
     def __init__(self, columns, weights, indices, dim: int):
@@ -623,8 +589,9 @@ class RankOneBlocks:
             self.columns[b, :n, :k] = V
             self.weights[b, :k] = w
             self.indices[b, :k] = idx
-        self._pairs = [(i[:, None] * self.dim + i).ravel() for i in indices]
-        self.layout = HessianLayout((), self.dim, self.dim)
+        rows, cols = np.triu_indices(self.dim)
+        self.positions = rows * self.dim + cols
+        self._pairs = [_pair_slots(self.positions, idx, self.dim) for idx in indices]
 
     def write(self, x: np.ndarray, stack: np.ndarray) -> None:
         """Add sum_i x_i w_i v_i v_i^dagger of every block into the stack."""
@@ -632,7 +599,7 @@ class RankOneBlocks:
         stack += (self.columns * wx[:, None, :]) @ np.swapaxes(self.columns.conj(), 1, 2)
 
     def _forms(self, A: np.ndarray):
-        """(indices, w, M = V^dagger A V, Hessian entries) of every block."""
+        """(indices, w, M = V^dagger A V, ``_pair_slots``) of every block."""
         for b, ((n, k), pairs) in enumerate(zip(self._shapes, self._pairs)):
             V = self.columns[b, :n, :k]
             M = V.conj().T @ (A[b, :n, :n] @ V)
@@ -647,10 +614,10 @@ class RankOneBlocks:
         """``gradient`` into ``grad``, and w_i w_l |v_i^dagger A v_l|^2
         over every block into ``hess``, from the same M."""
         flat = hess.data
-        for idx, w, M, pairs in self._forms(A):
+        for idx, w, M, (a, l, slots) in self._forms(A):
             grad[idx] -= w * M.diagonal().real
             W = (M.real**2 + M.imag**2) * np.outer(w, w)
-            flat[pairs] += (0.5 * (W + W.T)).ravel()
+            flat[slots] += (0.5 * (W + W.T))[a, l]
 
 
 class AffineBlockMap:
@@ -669,8 +636,10 @@ class AffineBlockMap:
     slacks c + D^T x[idx], feasible iff every one is > 0, with barrier
     -sum log (a linear-programming block beside the semidefinite ones).
     A coordinate may enter several blocks, but at most once per block.
-    The barrier Hessian has the kind's ``layout``; every coordinate of a
-    diagonal block must be a border coordinate there.
+    The barrier Hessian has the kind's ``positions``; every coordinate of
+    a diagonal block must be a border coordinate there, one that couples
+    with every coordinate (the trace shifts of the Gell-Mann kind, and
+    every coordinate of the rank-one kind).
     """
 
     def __init__(self, constants, directions, diagonal, dim):
@@ -690,9 +659,14 @@ class AffineBlockMap:
             for c, D, idx in diagonal
         ]
         _distinct([idx for _, _, idx in self.diagonal])
-        self._first_border = self.dim - directions.layout.border
-        if any(np.any(idx < self._first_border) for _, _, idx in self.diagonal):
+        # a border coordinate couples with every coordinate: its row and
+        # column hold dim + 1 positions, the diagonal counted twice
+        rows, cols = np.divmod(directions.positions, self.dim)
+        coupled = np.bincount(rows, minlength=self.dim) + np.bincount(cols, minlength=self.dim)
+        if any(np.any(coupled[idx] != self.dim + 1) for _, _, idx in self.diagonal):
             raise ValueError("a diagonal block's coordinates must be border coordinates")
+        self._slack_pairs = [_pair_slots(directions.positions, idx, self.dim)
+                             for _, _, idx in self.diagonal]
         ends = np.cumsum([c.size for c, _, _ in self.diagonal], dtype=int)
         self._slack_ranges = [slice(e - c.size, e) for (c, _, _), e in zip(self.diagonal, ends)]
 
@@ -769,19 +743,19 @@ class AffineBlockMap:
 
     def barrier_grad_hess(self, chols: BlockFactors):
         """(value, gradient, Hessian) of -sum_b log det(block_b), the
-        Hessian a ``BlockHessian`` of the kind's layout.
+        Hessian a ``BlockHessian`` of the kind's ``positions``.
 
         grad_i = -sum_b tr(block^-1 D_i), hess_il = sum_b tr(block^-1 D_i
         block^-1 D_l): the Hermitian blocks' kind reads both off
         A = rho^-1, and a diagonal block with slacks s adds C = D / s and
-        the Hessian C C^T to the border rows.
+        the entries (C C^T)[a, l], idx_a <= idx_l, of its Hessian.
         """
         grad = np.zeros(self.dim)
-        hess = BlockHessian(self.directions.layout)
+        hess = BlockHessian(self.directions.positions)
         self.directions.gradient_hessian(chols.inverse, grad, hess)
-        for idx, C in self._slack_rows(chols):
+        for (idx, C), (a, l, slots) in zip(self._slack_rows(chols), self._slack_pairs):
             grad[idx] -= C.sum(axis=1)
-            hess.border[np.ix_(idx - self._first_border, idx)] += C @ C.T
+            hess.data[slots] += (C @ C.T)[a, l]
         return -chols.log_det, grad, hess
 
     def barrier_grad(self, chols: BlockFactors):
@@ -874,7 +848,8 @@ class Parametrization:
                                      tables, [], self.dimension)
         # read-only: ``build_fit_model`` shares one instance per layout
         for array in (shift_coeff, self.centre, tables.Q, tables.Qc, tables.slot_rows,
-                      tables.slot_cols, tables.diag_coord, *self.indices):
+                      tables.slot_cols, tables.diag_coord, tables.positions,
+                      *tables.corner, tables.corner_dst, *self.indices):
             array.setflags(write=False)
 
     def blocks(self, x: np.ndarray) -> dict[int, np.ndarray]:
@@ -1407,7 +1382,8 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
     and factors it there, leaving the fit Hessian in the lower one.  The
     buffer is the carry's, or allocated by the stage's first fit
     Hessian, so a step allocates no d x d array: it holds the buffer and
-    the barrier Hessian's sector blocks and border.
+    the barrier Hessian's upper entries on its sector blocks and shift
+    columns.
     """
     cfg = config or SolverConfig()
     x = np.asarray(x_start, dtype=float).copy()

@@ -254,17 +254,13 @@ def fd_gradient(fun, x, h=1e-6):
 
 def dense_hessian(hess):
     """A ``BlockHessian`` as the dense symmetric (dim, dim) matrix: its
-    blocks on the diagonal, its border rows and their mirror columns."""
-    layout = hess.layout
-    d, first = layout.dim, layout.dim - layout.border
-    out = np.zeros((d, d))
-    start = 0
-    for k, at in zip(layout.sizes, layout.block_starts):
-        out[start : start + k, start : start + k] = hess.data[at : at + k * k].reshape(k, k)
-        start += k
-    out[:, first:] = hess.border.T
-    out[first:, :] = hess.border
-    return out
+    upper entries at their ``positions`` and their mirrors.  Every
+    kind's structure holds the last diagonal entry, (dim-1, dim-1)."""
+    d = math.isqrt(int(hess.positions[-1]) + 1)
+    out = np.zeros(d * d)
+    out[hess.positions] = hess.data
+    upper = out.reshape(d, d)
+    return upper + np.triu(upper, 1).T
 
 
 def held_fit_hessian(workspace, fit_diagonal):

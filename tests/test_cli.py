@@ -97,6 +97,17 @@ class TestSimulate:
         assert rc == EXIT_INPUT
         assert "exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_rejects_nan_setting_axis(self, tmp_path, capsys, exact):
+        # Python's json reads the NaN literal
+        settings = tmp_path / "s.json"
+        settings.write_text("[[NaN, 0, 1], [0, 0, 1]]")
+        flags = ["--exact"] if exact else ["--shots", 10]
+        rc = run("simulate", "--n", 2, "--settings", settings, *flags,
+                 "-o", tmp_path / "d.json")
+        assert rc == EXIT_INPUT
+        assert "setting axis" in capsys.readouterr().err
+
     def test_dicke_excitations(self, tmp_path):
         settings = save_settings([E3], tmp_path / "s.json") or str(tmp_path / "s.json")
         out = tmp_path / "d.json"
@@ -337,6 +348,17 @@ class TestOptimizeSettings:
                  "-o", tmp_path / "o.json")
         assert rc == EXIT_INPUT
         assert "weight-1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_initial_axis(self, tmp_path, capsys, entry):
+        rows = [[float(c) for c in s.axis] for s in random_settings(8, seed=3)]
+        rows[2][0] = float(entry)  # json writes NaN, Infinity, -Infinity
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(rows))
+        rc = run("optimize-settings", "--n", 2, "--initial", init, "--seed", 0,
+                 "-o", tmp_path / "o.json")
+        assert rc == EXIT_INPUT
+        assert "setting axis" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["inf", "1e308"])
     def test_rejects_unbounded_noise_constant(self, tmp_path, capsys, value):

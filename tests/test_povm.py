@@ -85,6 +85,19 @@ class TestSetting:
         with pytest.raises(ValueError):
             Setting.from_vector([0.0, 0.0, 0.0])
 
+    def test_nan_axis_rejected(self):
+        # a NaN norm fails no plain "> tolerance" test
+        with pytest.raises(ValueError, match="setting axis"):
+            Setting(axis=np.array([math.nan, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_from_vector_rejects_non_finite(self, bad):
+        # an infinite entry would otherwise normalize to [nan, 0, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                Setting.from_vector([bad, 0.0, 1.0])
+
 
 class TestRotationParams:
     def test_z_axis(self):

@@ -1386,7 +1386,7 @@ class TestRowChunks:
 
     def test_fit_holds_G_and_one_newton_buffer(self):
         # a step holds G, the one Newton buffer (the held fit Hessian and
-        # the factor) and the barrier Hessian's sector blocks and border.
+        # the factor) and the barrier Hessian's upper entries.
         # The slack of three chunks of G's rows covers the assembly of G
         # (the temporaries of one chunk of outcomes, and the measurement's
         # rotations) and the vectors of one entry per row; a second copy of
@@ -1399,17 +1399,17 @@ class TestRowChunks:
         result, peak = traced_peak(lambda: reconstruct(ds, spec))
         assert result.converged
         slack = 3 * reconstruct_module.ROW_CHUNK * d * 8
-        barrier = model.parametrization.affine.directions.layout.size * 8
+        barrier = model.parametrization.affine.directions.positions.size * 8
         assert peak <= model.G.nbytes + d * d * 8 + barrier + slack
 
     def test_no_step_allocates_a_d_by_d_array(self, monkeypatch):
         # the Newton system is formed and factored in the fit's one buffer,
-        # and the barrier Hessian is its sector blocks and border: neither
-        # a direction (with its retries) nor the barrier derivatives
-        # allocate d x d doubles at any moment.  The buffer itself is
-        # allocated once, at the fit's first Hessian.  At N = 14 (d = 679)
-        # the temporaries of the barrier's closed forms are below d^2; at
-        # N = 8 they are not
+        # and the barrier Hessian is its upper entries on the sector blocks
+        # and shift columns: neither a direction (with its retries) nor the
+        # barrier derivatives allocate d x d doubles at any moment.  The
+        # buffer itself is allocated once, at the fit's first Hessian.  At
+        # N = 14 (d = 679) the temporaries of the barrier's closed forms are
+        # below d^2; at N = 8 they are not
         rng = np.random.default_rng(14)
         ds = sampled_dataset(interior_ensemble(14, rng), random_settings(rng, 20), 1000, rng)
         spec = FitSpec.max_lik()
@@ -2038,8 +2038,18 @@ class TestGellMannClosedForm:
         assert np.array_equal(grad_only, grad)
 
 
+def assert_upper_positions(hess, dim):
+    """``positions`` strictly increasing, in the upper triangle of a
+    (dim, dim) matrix, one value per position."""
+    rows, cols = np.divmod(hess.positions, dim)
+    assert np.all(np.diff(hess.positions) > 0)
+    assert np.all(rows <= cols) and hess.positions[-1] < dim * dim
+    assert hess.data.shape == hess.positions.shape
+
+
 class TestBlockHessian:
-    """The barrier Hessian as sector blocks plus a border, and the Newton
+    """The barrier Hessian as its upper entries at their Newton-matrix
+    positions (sector blocks plus the trace-shift columns), and the Newton
     system formed in the fit's one buffer, against the dense routes they
     replaced (``oracles.reference_barrier_hessian`` and
     ``oracles.reference_newton_direction``), bit for bit."""
@@ -2048,30 +2058,32 @@ class TestBlockHessian:
     @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
            fraction=st.floats(0.0, 1.0))
     def test_gell_mann_blocks_expand_to_the_dense_hessian(self, n, seed, fraction):
-        # one block per sector's n^2 - 1 Gell-Mann coordinates, and the
-        # S = sectors - 1 trace-shift rows as the border
+        # the upper triangle of one block per sector's n^2 - 1 Gell-Mann
+        # coordinates, and of the S = sectors - 1 trace-shift columns
         param = reconstruct_module._shared_parametrization(sector_layout(n))
         amap = param.affine
         x = fraction * param.coordinates(interior_ensemble(n, np.random.default_rng(seed)))
         chols = amap.cholesky_list(amap.blocks(x))
         _, _, hess = amap.barrier_grad_hess(chols)
-        sizes = tuple((t + 1) ** 2 - 1 for t in param.layout.two_j_values)
-        assert hess.layout.sizes == sizes
-        assert hess.border.shape == (param.layout.num_sectors - 1, param.dimension)
-        assert hess.data.size == sum(k * k for k in sizes) + hess.border.size
+        sizes = [(t + 1) ** 2 - 1 for t in param.layout.two_j_values]
+        d, S = param.dimension, param.layout.num_sectors - 1
+        assert_upper_positions(hess, d)
+        assert hess.positions.size == (sum(k * (k + 1) // 2 for k in sizes)
+                                       + S * (d - S) + S * (S + 1) // 2)
         assert np.array_equal(oracles.dense_hessian(hess),
                               oracles.reference_barrier_hessian(amap, chols, param))
 
     @BARRIER_PROPERTY
     @given(**MAP_SHAPES)
-    def test_rank_one_maps_are_all_border(self, sizes, m, dim, seed):
+    def test_rank_one_maps_are_the_whole_upper_triangle(self, sizes, m, dim, seed):
         rng = np.random.default_rng(seed)
         amap = random_block_map(rng, sizes, m, dim)
         x = rng.uniform(-1.0, 1.0, dim)
         x *= 0.04 / np.abs(x).sum()
         chols = amap.cholesky_list(amap.blocks(x))
         _, _, hess = amap.barrier_grad_hess(chols)
-        assert hess.layout.sizes == () and hess.border.shape == (dim, dim)
+        assert_upper_positions(hess, dim)
+        assert hess.positions.size == dim * (dim + 1) // 2
         assert np.array_equal(oracles.dense_hessian(hess),
                               oracles.reference_barrier_hessian(amap, chols))
 
