@@ -5,23 +5,25 @@ products [sigma_x^k sigma_y^l sigma_z^m 1^n]_PI.  Each measured axis a
 gives access to the symmetrized powers [(a.sigma)^(x)w (x) 1]_PI, which
 expand over the weight-w products with coefficients
 multinomial(w; k,l,m) a_x^k a_y^l a_z^m.  Inverting that expansion
-(the minimum-norm solution, from one Householder QR per weight) yields
-per-element estimators whose variances, propagated with squared
-coefficients and weighted by the multinomial element count, form the
-total-error figure of merit that the random-walk optimizer minimizes
-(Toth et al., PRL 105, 250403 (2010)).
+(the minimum-norm solution) yields per-element estimators whose
+variances, propagated with squared coefficients and weighted by the
+multinomial element count, form the total-error figure of merit that
+the random-walk optimizer minimizes (Toth et al., PRL 105, 250403
+(2010)).
 
 The figure of merit is evaluated for every proposal, so it works on
-whole tables and builds no rotation: one power table a_c^p per settings
-list feeds the expansion matrix of every weight (multinomial
-coefficients cached per weight).  The outcome moments are polynomials
+whole tables and builds no rotation: one gather from one power table
+a_c^p per settings list gives the expansion matrix E_w of every weight.
+Each E_w costs one Householder QR, whose pivots alone decide rank (an
+absolute residual test would not scale with the condition, 1e10 at
+N=30 on random determined designs), and one triangular solve against
+Q gives the squared coefficients.  The outcome moments are polynomials
 in the axis whose coefficients are the target's Bloch elements, so the
-weight-w moment means of all settings are one product of that
-expansion matrix with the target's weight-w elements, and their second
-moments follow from the Krawtchouk product rule, one (S, N+1) @
-(N+1, N+1) product with a cached table.  The target's elements are
-read once per problem from one batched rotation build on a fixed
-reference design.
+moment means of all settings are one product of the expansion matrices
+with those elements, and their second moments follow from the
+Krawtchouk product rule, one (S, N+1) @ (N+1, N+1) product with a
+cached table.  The target's elements are read once per problem from
+one batched rotation build on a fixed reference design.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .povm import Setting, moment_coefficients, probabilities, stacked_blocks
 from .povm import rotated_blocks  # unused here; kept so the benchmark tracer's hook resolves
@@ -59,13 +62,14 @@ def determined_setting_count(n_qubits: int) -> int:
 # same measurement.
 DUPLICATE_ANGLE_TOL = 1e-6
 
-# A least-squares residual above this marks the monomial as outside the
-# span of the settings' expansion rows.
-RANK_RESIDUAL_TOL = 1e-8
+# LAPACK workspace per column for a blocked QR; the wrappers' default
+# of 3 makes the QR of a weight-30 system about 1.8x slower.
+QR_BLOCK = 64
 
 
 class RankDeficientSettings(ValueError):
-    """Settings do not span the weight-w symmetrized products."""
+    """Settings do not span the weight-w symmetrized products.  The
+    package raises it with residual inf, from the QR pivot test."""
 
     def __init__(self, weight: int, residual: float):
         self.weight = weight
@@ -120,22 +124,25 @@ def _weight_monomials(weight: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=64)
-def _monomial_table(weight: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents (monomials, 3) of ``_weight_monomials(weight)`` and their
-    multinomial coefficients w!/(k! l! m!) as floats, both read-only.
+def _weight_tables(n_qubits: int) -> tuple[np.ndarray, ...]:
+    """The monomials of every weight w = 0..N, each weight's in
+    ``_weight_monomials(w)`` order, concatenated over w: their exponents
+    (monomials, 3), multinomial coefficients w!/(k! l! m!) and element
+    multiplicities N!/(k! l! m! (N-w)!) as floats, and the (N+2,) starts
+    of each weight's run.  All read-only.
 
-    The coefficients are exact in double precision for every weight that
-    ``sector_layout`` admits (w <= 30 keeps them below 2^53).
+    The coefficients are exact in double precision for every N that
+    ``sector_layout`` admits (N <= 30 keeps them below 2^53).
     """
-    monos = _weight_monomials(weight)
-    exps = np.array(monos, dtype=np.intp).reshape(-1, 3)
-    multinomial = np.array([
-        math.factorial(weight) // (math.factorial(k) * math.factorial(l) * math.factorial(m))
-        for k, l, m in monos
-    ], dtype=float)
-    exps.setflags(write=False)
-    multinomial.setflags(write=False)
-    return exps, multinomial
+    n, f = n_qubits, math.factorial
+    monos = [mono for w in range(n + 1) for mono in _weight_monomials(w)]
+    exps = np.array(monos, dtype=np.intp)
+    multinomial = np.array([f(k + l + m) / (f(k) * f(l) * f(m)) for k, l, m in monos])
+    multiplicity = multinomial * [math.comb(n, k + l + m) for k, l, m in monos]
+    starts = np.cumsum([0] + [len(_weight_monomials(w)) for w in range(n + 1)])
+    for table in (exps, multinomial, multiplicity, starts):
+        table.setflags(write=False)
+    return exps, multinomial, multiplicity, starts
 
 
 def _axis_powers(settings, max_weight: int) -> np.ndarray:
@@ -151,44 +158,54 @@ def _axis_powers(settings, max_weight: int) -> np.ndarray:
     return table.reshape(-1, 3, max_weight + 1).transpose(0, 2, 1)
 
 
-def _expansion_matrix(powers: np.ndarray, weight: int) -> np.ndarray:
-    """Row i holds the weight-w expansion of [(a_i.sigma)^(x)w (x) 1]_PI,
-    multinomial(w; k,l,m) a_x^k a_y^l a_z^m per monomial, read off the
-    power table of ``_axis_powers``."""
-    exps, multinomial = _monomial_table(weight)
-    return (
-        multinomial
-        * powers[:, exps[:, 0], 0]
-        * powers[:, exps[:, 1], 1]
-        * powers[:, exps[:, 2], 2]
-    )
+def _expansion_rows(powers: np.ndarray) -> np.ndarray:
+    """The expansion matrices E_w of every weight w up to the power
+    table's, transposed and stacked: rows starts[w]:starts[w+1]
+    (``_weight_tables``) are E_w^T.  Row i of E_w holds the weight-w
+    expansion of [(a_i.sigma)^(x)w (x) 1]_PI, multinomial(w; k,l,m)
+    a_x^k a_y^l a_z^m per monomial."""
+    exps, multinomial, _, _ = _weight_tables(powers.shape[1] - 1)
+    # one (monomials, S) gather alive at a time beside the result
+    rows = multinomial[:, None] * powers[:, exps[:, 0], 0].T
+    rows *= powers[:, exps[:, 1], 1].T
+    rows *= powers[:, exps[:, 2], 2].T
+    return rows
 
 
-def _min_norm_solve(mat: np.ndarray, rhs: np.ndarray, weight: int) -> np.ndarray:
-    """The least-norm X with mat^T X = rhs: X = Q R^-T rhs from the
-    Householder QR mat = Q R of the (settings, monomials) expansion
-    matrix.  Raises ``RankDeficientSettings`` (residual inf) when there
-    are fewer settings than monomials or R has a zero pivot (below
-    eps * max(shape) * the largest, the cutoff of an SVD least-squares
-    solve), and with the residual when it exceeds RANK_RESIDUAL_TOL."""
-    if mat.shape[0] < mat.shape[1]:
+def _householder(mat: np.ndarray, weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK's Householder QR (qr, tau) of the (settings, monomials)
+    expansion matrix, overwriting ``mat`` when it is Fortran-ordered.
+    The one rank test: raises ``RankDeficientSettings`` (residual inf)
+    when there are fewer settings than monomials or R has a zero pivot,
+    below eps * max(shape) * the largest (an SVD least-squares cutoff)."""
+    rows, cols = mat.shape
+    if rows < cols:
         raise RankDeficientSettings(weight, math.inf)
-    q, r = np.linalg.qr(mat)
-    pivots = np.abs(r.diagonal())
-    if not pivots.min() > np.finfo(float).eps * max(mat.shape) * pivots.max():
+    qr, tau, _, _ = dgeqrf(mat, lwork=QR_BLOCK * cols, overwrite_a=True)
+    pivots = np.abs(qr.diagonal())
+    if not pivots.min() > np.finfo(float).eps * rows * pivots.max():
         raise RankDeficientSettings(weight, math.inf)
-    coeff = q @ solve_triangular(r, rhs, trans="T", check_finite=False)
-    residual = float(np.abs(mat.T @ coeff - rhs).max())
-    if residual > RANK_RESIDUAL_TOL:
-        raise RankDeficientSettings(weight, residual)
-    return coeff
+    return qr, tau
+
+
+def _squared_coefficients(mat: np.ndarray, multiplicity: np.ndarray,
+                          weight: int) -> np.ndarray:
+    """sum_m multiplicity_m X_im^2 per setting i, X being the least-norm
+    solution of mat^T X = I: X = Q R^-T from the QR of ``_householder``
+    (which may overwrite ``mat``), one triangular solve X R^T = Q."""
+    qr, tau = _householder(mat, weight)
+    cols = mat.shape[1]
+    r = qr[:cols].copy(order="F")  # dtrsm reads only its upper triangle
+    q, _, _ = dorgqr(qr, tau, lwork=QR_BLOCK * cols, overwrite_a=True)
+    x = dtrsm(1.0, r, q, side=1, trans_a=1, overwrite_b=True)
+    return x**2 @ multiplicity
 
 
 def _reference_settings(n_qubits: int) -> list[Setting]:
     """determined_setting_count(N) axes on a golden spiral over the upper
     hemisphere, equally spaced in z.  No two are antipodal, and for every
-    N = 1..30 they determine every weight (condition of the weight-N
-    expansion matrix 7e2 at N=12, 3.6e7 at N=30)."""
+    N = 1..30 they pass the pivot test at every weight (condition of the
+    weight-N system 7e2 at N=12, 3.6e7 at N=30; random designs 1e10)."""
     count = determined_setting_count(n_qubits)
     turn = math.pi * (3.0 - math.sqrt(5.0))
     out = []
@@ -275,10 +292,11 @@ class DesignProblem:
         probs = probabilities(self.target, stacked_blocks(n, reference)).reshape(
             len(reference), n + 1
         )
-        powers = _axis_powers(reference, n)
+        rows = _expansion_rows(_axis_powers(reference, n))
+        starts = _weight_tables(n)[3]
         out = []
         for weight in range(n + 1):
-            mat = _expansion_matrix(powers, weight)
+            mat = rows[starts[weight]:starts[weight + 1]].T
             elements, *_ = np.linalg.lstsq(
                 mat, probs @ moment_coefficients(n, weight), rcond=None
             )
@@ -291,8 +309,9 @@ def total_error(problem: DesignProblem, settings) -> float:
     """Multinomially weighted squared error summed over all Bloch
     elements; +inf when any weight is outside the settings' span.
 
-    No rotation is built.  The weight-w expansion matrix E_w, read off
-    one power table, gives both the min-norm coefficients and the moment
+    No rotation is built.  One gather from one power table gives the
+    expansion matrices E_w of every weight, and with them the min-norm
+    coefficients (one QR each, ``_squared_coefficients``) and the moment
     means E_w @ b_w of every setting, b_w being the target's weight-w
     Bloch elements (``DesignProblem.bloch_elements``).  The second
     moments sum_k K(k,w)^2 p_k follow from the product rule
@@ -303,34 +322,31 @@ def total_error(problem: DesignProblem, settings) -> float:
     cached table of ``_krawtchouk_squares``.
     """
     n = problem.n_qubits
-    settings = list(settings)
-    powers = _axis_powers(settings, n)
-    means = np.empty((len(settings), n + 1))
-    coeffs = []
-    try:
-        for weight, elements in enumerate(problem.bloch_elements):
-            mat = _expansion_matrix(powers, weight)
-            coeffs.append(_min_norm_solve(mat, np.eye(mat.shape[1]), weight))
-            means[:, weight] = mat @ elements
-    except RankDeficientSettings:
-        return math.inf
+    *_, multiplicity, starts = _weight_tables(n)
+    rows = _expansion_rows(_axis_powers(settings, n))
+    elements = np.concatenate(problem.bloch_elements)
+    means = np.add.reduceat(rows * elements[:, None], starts[:-1], axis=0).T
     variances = means @ _krawtchouk_squares(n) - means**2
     total = 0.0
-    for weight, coeff in enumerate(coeffs):
-        # element multiplicity = multinomial(N; k, l, m, N-w)
-        mult = math.comb(n, weight) * _monomial_table(weight)[1]
-        total += float(variances[:, weight] @ coeff**2 @ mult)
+    try:
+        for weight in range(n + 1):
+            run = slice(starts[weight], starts[weight + 1])
+            total += float(variances[:, weight] @ _squared_coefficients(
+                rows[run].T, multiplicity[run], weight
+            ))
+    except RankDeficientSettings:
+        return math.inf
     return problem.noise_constant * total
 
 
 def first_deficient_weight(settings, n_qubits: int) -> int | None:
-    """Smallest weight whose monomials the settings cannot all reach,
-    or None when every coefficient system is solvable."""
-    powers = _axis_powers(settings, n_qubits)
+    """Smallest weight whose monomials the settings cannot all reach (by
+    the pivot test of ``_householder``), or None when they reach all."""
+    starts = _weight_tables(n_qubits)[3]
+    rows = _expansion_rows(_axis_powers(settings, n_qubits))
     for w in range(n_qubits + 1):
-        mat = _expansion_matrix(powers, w)
         try:
-            _min_norm_solve(mat, np.eye(mat.shape[1]), w)
+            _householder(rows[starts[w]:starts[w + 1]].T, w)
         except RankDeficientSettings as err:
             return err.weight
     return None

@@ -114,15 +114,20 @@ class Setting:
         v = np.asarray(vec, dtype=float).reshape(3)
         if not np.all(np.isfinite(v)):
             raise ValueError(f"setting axis {v.tolist()} must be finite")
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
+        if not v.any():
             raise ValueError("setting axis must be non-zero")
+        with np.errstate(over="ignore", under="ignore"):
+            norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > warn_tol:
             warnings.warn(
                 f"setting axis norm {norm:.8f} deviates from 1 by more than "
                 f"{warn_tol:g}; normalizing",
                 stacklevel=2,
             )
+        if norm == 0.0 or norm == math.inf:
+            # under- or overflow: scale first, only here, to keep all other bits
+            v = v / np.abs(v).max()
+            norm = float(np.linalg.norm(v))
         return cls(axis=v / norm)
 
 

@@ -234,6 +234,10 @@ T_REDUCE = 10.0
 ROW_CHUNK = 512
 # the triangle mirror of a chunked fit Hessian copies blocks of this many rows
 MIRROR_ROWS = 64
+# the corner triangle that receives _copy_triangle's copy from upper/lower
+_RECEIVES_FROM_UPPER = np.tri(MIRROR_ROWS, k=-1, dtype=bool)
+_RECEIVES_FROM_UPPER.setflags(write=False)
+_RECEIVES_FROM_LOWER = _RECEIVES_FROM_UPPER.T
 
 
 class NonConvergenceError(RuntimeError):
@@ -941,10 +945,7 @@ def _copy_triangle(H: np.ndarray, upper: bool) -> np.ndarray:
     a time, so that no d x d temporary is formed.  The copied triangle
     and the diagonal are left as they are, and H is then exactly
     symmetric."""
-    # the strict triangle of a diagonal corner that receives the copy
-    receives = np.tri(MIRROR_ROWS, k=-1, dtype=bool)
-    if not upper:
-        receives = receives.T
+    receives = _RECEIVES_FROM_UPPER if upper else _RECEIVES_FROM_LOWER
     for start in range(0, H.shape[0], MIRROR_ROWS):
         end = start + MIRROR_ROWS
         corner = H[start:end, start:end]

@@ -22,13 +22,12 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from pitomo.design import (
-    RANK_RESIDUAL_TOL,
     RankDeficientSettings,
     _axis_powers,
-    _expansion_matrix,
-    _min_norm_solve,
-    _monomial_table,
+    _expansion_rows,
+    _squared_coefficients,
     _weight_monomials,
+    _weight_tables,
 )
 from pitomo.povm import moment_coefficients, probabilities, rotated_blocks, stacked_blocks
 from pitomo.reconstruct import NonConvergenceError
@@ -37,6 +36,10 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
+
+# A least-squares residual above this marks a monomial as outside the
+# span of the settings' expansion rows (``bloch_coefficients``).
+RANK_RESIDUAL_TOL = 1e-8
 
 
 def kron_chain(mats):
@@ -388,6 +391,13 @@ def reference_newton_direction(H_fit, H_bar, t, g):
     raise NonConvergenceError("Newton system unsolvable even with ridge repair")
 
 
+def package_expansion_matrix(powers, weight):
+    """The package's weight-w expansion matrix (settings, monomials), cut
+    from its stacked ``_expansion_rows`` of the power table ``powers``."""
+    starts = _weight_tables(powers.shape[1] - 1)[3]
+    return _expansion_rows(powers)[starts[weight]:starts[weight + 1]].T
+
+
 def bloch_coefficients(settings, bloch_index):
     """Per-setting coefficients c_i with
     sum_i c_i [(a_i.sigma)^(x)w (x) 1]_PI = [x^k y^l z^m 1^n]_PI,
@@ -396,12 +406,15 @@ def bloch_coefficients(settings, bloch_index):
     Only the requested monomial has to be reachable, so a deliberately
     small setting list (even a single aligned axis) is fine here even
     though it could not support every element of the same weight; that
-    needs the SVD least-squares solve, not ``_min_norm_solve``.
+    needs the SVD least-squares solve and a residual test, not the
+    package's pivot test.
     """
     monos = _weight_monomials(bloch_index.weight)
     rhs = np.zeros(len(monos))
     rhs[monos.index((bloch_index.k, bloch_index.l, bloch_index.m))] = 1.0
-    mat = _expansion_matrix(_axis_powers(settings, bloch_index.weight), bloch_index.weight)
+    mat = package_expansion_matrix(
+        _axis_powers(settings, bloch_index.weight), bloch_index.weight
+    )
     coeff, *_ = np.linalg.lstsq(mat.T, rhs, rcond=None)
     residual = float(np.abs(mat.T @ coeff - rhs).max())
     if residual > RANK_RESIDUAL_TOL:
@@ -443,15 +456,19 @@ def rotation_total_error(problem, settings):
     """``pitomo.design.total_error`` by the rotation route: one batched
     rotation build gives the (S, N+1) outcome table P, and the moment
     means and variances of every weight are the columns of P @ K and
-    P @ K^2 - (P @ K)^2, K being the moment table."""
+    P @ K^2 - (P @ K)^2, K being the moment table.  The squared
+    coefficients come from the package's ``_squared_coefficients``, so
+    agreement checks the moments; ``squared_coefficients_mp`` checks
+    the coefficients."""
     n = problem.n_qubits
     settings = list(settings)
-    powers = _axis_powers(settings, n)
-    coeffs = []
+    rows = _expansion_rows(_axis_powers(settings, n))
+    *_, multiplicity, starts = _weight_tables(n)
+    weights = []
     try:
         for weight in range(n + 1):
-            mat = _expansion_matrix(powers, weight)
-            coeffs.append(_min_norm_solve(mat, np.eye(mat.shape[1]), weight))
+            run = slice(starts[weight], starts[weight + 1])
+            weights.append(_squared_coefficients(rows[run].T, multiplicity[run], weight))
     except RankDeficientSettings:
         return math.inf
     probs = probabilities(problem.target, stacked_blocks(n, settings)).reshape(
@@ -461,7 +478,23 @@ def rotation_total_error(problem, settings):
     means = probs @ kk
     variances = probs @ kk**2 - means**2
     total = 0.0
-    for weight, coeff in enumerate(coeffs):
-        mult = math.comb(n, weight) * _monomial_table(weight)[1]
-        total += float(variances[:, weight] @ coeff**2 @ mult)
+    for weight, squared in enumerate(weights):
+        total += float(variances[:, weight] @ squared)
     return problem.noise_constant * total
+
+
+def squared_coefficients_mp(mat, multiplicity, digits=40):
+    """sum_m multiplicity_m X_im^2 per row i of the double-precision
+    (settings, monomials) ``mat``, X = E (E^T E)^-1 being the least-norm
+    solution of E^T X = I, all in ``digits``-digit arithmetic (mpmath)
+    from the same E."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        e = mpmath.matrix(np.asarray(mat).tolist())
+        x = e * mpmath.inverse(e.T * e)
+        mult = [mpmath.mpf(float(m)) for m in multiplicity]
+        return np.array([
+            float(mpmath.fsum(m * x[i, j] ** 2 for j, m in enumerate(mult)))
+            for i in range(x.rows)
+        ])

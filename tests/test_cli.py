@@ -349,6 +349,17 @@ class TestOptimizeSettings:
         assert rc == EXIT_INPUT
         assert "weight-1" in capsys.readouterr().err
 
+    def test_scores_a_random_start_at_n20(self, tmp_path, capsys):
+        # a determined random start whose weight-20 system has condition
+        # ~1e9: the pivot test accepts it, as it determines the state
+        out = tmp_path / "o.json"
+        rc = run("optimize-settings", "--n", 20, "--count", 231, "--seed", 6,
+                 "--max-stall", 2, "-o", out)
+        assert rc == EXIT_OK, capsys.readouterr().err
+        from pitomo.povm import load_settings
+
+        assert len(load_settings(out)) == 231
+
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_initial_axis(self, tmp_path, capsys, entry):
         rows = [[float(c) for c in s.axis] for s in random_settings(8, seed=3)]

@@ -17,9 +17,9 @@ from pitomo.design import (
 import pitomo.design as design
 from pitomo.design import (
     _axis_powers,
-    _expansion_matrix,
     _krawtchouk_squares,
     _reference_settings,
+    _weight_tables,
 )
 from pitomo.povm import E1, E2, E3, Setting, moment_coefficients, probabilities, rotated_blocks
 from pitomo.sim import PURITY_MODES, random_pi_state
@@ -278,7 +278,7 @@ class TestTotalError:
         powers = _axis_powers(settings, n)
         for w in range(n + 1):
             np.testing.assert_allclose(
-                _expansion_matrix(powers, w),
+                oracles.package_expansion_matrix(powers, w),
                 oracles.expansion_matrix([s.axis for s in settings], w),
                 rtol=1e-13, atol=0,
             )
@@ -326,6 +326,76 @@ class TestTotalError:
         assert math.isfinite(total_error(problem, problem.settings))
 
 
+def flattened_settings(count, seed, squash):
+    """Random axes with one component shrunk by ``squash``, then turned
+    by one random rotation: nearly planar, so the high weights' expansion
+    matrices are ill-conditioned, and not merely by column scaling."""
+    rng = np.random.default_rng(seed)
+    turn, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    out = []
+    for _ in range(count):
+        v = turn @ (rng.normal(size=3) * np.array([1.0, 1.0, squash]))
+        out.append(Setting(axis=v / np.linalg.norm(v)))
+    return out
+
+
+class TestSquaredCoefficients:
+    """The per-setting weights sum_m mult_m X_im^2 of total_error against
+    a 40-digit solve from the same double-precision expansion matrix."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_within_condition_times_roundoff(self, n):
+        count = determined_setting_count(n)
+        designs = {
+            "determined": random_settings(count, seed=n),
+            "overdetermined": random_settings(count + 5, seed=10 + n),
+            "nearly planar": flattened_settings(count + 2, 20 + n, 10.0 ** (-7.0 / n)),
+        }
+        eps = np.finfo(float).eps
+        *_, multiplicity, starts = _weight_tables(n)
+        for name, settings in designs.items():
+            powers = _axis_powers(settings, n)
+            conds = []
+            for w in range(n + 1):
+                mat = oracles.package_expansion_matrix(powers, w)
+                mult = multiplicity[starts[w]:starts[w + 1]]
+                cond = np.linalg.cond(mat)
+                conds.append(cond)
+                exact = oracles.squared_coefficients_mp(mat, mult)
+                ours = design._squared_coefficients(np.array(mat, order="F"), mult, w)
+                assert np.all(np.abs(ours - exact) <= 64 * eps * cond * exact), (name, w)
+            if name == "nearly planar":
+                assert 1e5 <= max(conds) <= 1e9
+
+
+class TestPaperScale:
+    """Random determined designs at the paper's N pass the pivot test:
+    their top-weight systems reach condition ~1e9 to 1e10 but are of
+    full rank."""
+
+    @pytest.mark.parametrize("n", [12, 16, 20, 24, 30])
+    def test_random_determined_designs_are_determining(self, n):
+        count = determined_setting_count(n)
+        for seed in range(4, 16):
+            assert first_deficient_weight(random_settings(count, seed=seed), n) is None
+
+    def test_total_error_finite_at_n20(self):
+        n = 20
+        count = determined_setting_count(n)
+        problem = DesignProblem(
+            n_qubits=n,
+            target=maximally_mixed_ensemble(sector_layout(n)),
+            settings=tuple(random_settings(count, seed=6)),
+        )
+        for seed in (6, 10, 11):
+            settings = random_settings(count, seed=seed)
+            assert first_deficient_weight(settings, n) is None
+            assert math.isfinite(total_error(problem, settings))
+
+    def test_n30_design_is_determining(self):
+        assert first_deficient_weight(random_settings(496, seed=4), 30) is None
+
+
 class TestBlochRoute:
     """total_error's moments from the target's Bloch elements against
     the rotation route."""
@@ -353,7 +423,7 @@ class TestBlochRoute:
         settings = [E1, E2, E3, Setting(axis=-E3.axis)] + list(problem.settings)
         powers = _axis_powers(settings, n)
         means = np.column_stack([
-            _expansion_matrix(powers, w) @ elements
+            oracles.package_expansion_matrix(powers, w) @ elements
             for w, elements in enumerate(problem.bloch_elements)
         ])
         variances = means @ _krawtchouk_squares(n) - means**2

@@ -90,6 +90,23 @@ class TestSetting:
         with pytest.raises(ValueError, match="setting axis"):
             Setting(axis=np.array([math.nan, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("vec, axis", [
+        ([1e308, 1e308, 0.0], [math.sqrt(0.5), math.sqrt(0.5), 0.0]),
+        ([3e-170, -4e-170, 0.0], [0.6, -0.8, 0.0]),
+    ])
+    def test_from_vector_survives_norm_over_and_underflow(self, vec, axis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.warns(UserWarning, match="normalizing"):
+                s = Setting.from_vector(vec)
+        np.testing.assert_allclose(s.axis, axis, rtol=0, atol=1e-15)
+
+    def test_from_vector_keeps_the_plain_quotient(self):
+        # a representable norm takes the unscaled path: v / |v| to the bit
+        v = np.array([0.3, -1.7, 2.9])
+        s = Setting.from_vector(v, warn_tol=math.inf)
+        assert np.array_equal(s.axis, v / np.linalg.norm(v))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_from_vector_rejects_non_finite(self, bad):
         # an infinite entry would otherwise normalize to [nan, 0, 0]
