@@ -218,6 +218,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             "converged": result.converged,
             "total_iterations": result.total_iterations,
             "total_hessians": result.total_hessians,
+            "total_hessian_rows": result.total_hessian_rows,
             "estimate": result.estimate.to_json_dict(),
             "trace": [
                 {
@@ -228,14 +229,16 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                     # NaN (no Newton direction formed) is not JSON
                     "decrement": None if math.isnan(stage.decrement) else stage.decrement,
                     "hessians": stage.hessians,
+                    "hessian_rows": stage.hessian_rows,
                 }
                 for stage in result.trace
             ],
         }
-        header = ["t", "iterations", "fit_value", "grad_norm", "decrement", "hessians"]
+        header = ["t", "iterations", "fit_value", "grad_norm", "decrement", "hessians",
+                  "hessian_rows"]
         rows = [
             [f"{s.t!r}", s.iterations, f"{s.fit_value!r}", f"{s.grad_norm!r}", f"{s.decrement!r}",
-             s.hessians]
+             s.hessians, s.hessian_rows]
             for s in result.trace
         ]
         if truth is not None:
@@ -249,7 +252,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         summary = (
             f"{spec.principle}: fit {result.fit_value:.9g}, gap bound "
             f"{result.gap_bound:.3e}, {result.total_iterations} Newton steps, "
-            f"{result.total_hessians} fit Hessians"
+            f"{result.total_hessians} fit Hessians over {result.total_hessian_rows} rows"
         )
         if truth is not None:
             summary += f", distance to truth {payload['truth_distance']:.3e}"

@@ -75,13 +75,18 @@ engine.  ``build_fit_model`` shares one read-only ``Parametrization``
 per layout across fits.
 
 Every stage is chord Newton in the fit Hessian (Kelley, Iterative
-Methods for Linear and Nonlinear Equations, 5.4): the gradient is exact
-at every step, but the syrk that dominates a step from N = 16 up is
-formed again only once the outcome probabilities have drifted from
-where it was formed by more than a limit, which in the last two stages
-shrinks with the decrement (see LAG and ``newton_stage``).  The held
-Hessian and its p are the engine's (``StageCarry``); ``FitModel`` keeps
-no state.  A fit reads a point only through p = ``fit.probabilities(x)``
+Methods for Linear and Nonlinear Equations, 5.4), held row by row: the
+gradient is exact at every step, but the syrk that dominates a step from
+N = 16 up is formed once per fit, and then each of its rows r is
+re-weighted to the current p only once p_r has drifted from the
+p_ref[r] it is weighted at by more than a limit, which in the last two
+stages shrinks with the decrement (see LAG and ``newton_stage``).  A
+re-weighting adds G^T diag(phi''(p) - phi''(p_ref)) G over the drifted
+rows alone, two syrk passes on those rows of G, so a step pays for the
+rows that moved, not for all of G (at N = 16 most re-weightings touch
+under a fifth of the rows).  The held Hessian and its p_ref are the
+engine's (``StageCarry``); ``FitModel`` keeps no state.  A fit reads a
+point only through p = ``fit.probabilities(x)``
 (x itself for ``LinearFit``): the engine forms p = p0 + G x once per
 point and hands it to the fit value, the drift test, the fit
 derivatives and the ray.
@@ -200,21 +205,23 @@ PRINCIPLES = tuple(LOSSES)
 # fit/t + barrier has decrement 0.32 < (3 - sqrt 5)/2: Newton's quadratic region
 CENTERING = 0.1
 EXACT_STAGES = 2
-# Every stage keeps the fit Hessian G^T diag(c) G while the outcome
-# probabilities stay near the p_ref it was formed at (chord Newton).  With
-# drift = max |p/p_ref - 1| over the rows with f > 0 and c = f/p^k (k = 2 for
-# ML, 3 for FreeLS), c/c_ref >= (1 + drift)^-k, so the held system is
+# Every stage keeps the fit Hessian G^T diag(c) G with row r weighted at
+# p_ref[r] (chord Newton), and re-weights row r to p_r once it has drifted
+# past the limit, so every row stays near its own p_ref.  With drift =
+# max |p/p_ref - 1| over the rows with f > 0 and c = f/p^k (k = 2 for ML, 3
+# for FreeLS), c/c_ref >= (1 + drift)^-k row by row, so the held system is
 # >= (1 + drift)^-k times the true one and the true squared decrement is
 # lambda^2 <= (1 + drift)^k lambda_held^2 (Boyd & Vandenberghe, Convex
-# Optimization, 9.6).  Stages centred approximately hold it while drift <=
-# LAG: their stop lambda_held^2 <= 0.1 t certifies lambda^2 <= 0.116 t, still
-# inside the quadratic region lambda^2 < (3 - sqrt 5)^2 / 4 = 0.146 t, which
-# holds for LAG up to 0.13 (FreeLS) or 0.2 (ML).  The exact stages hold it
-# while drift <= LAG * min(1, lambda_last^2 / t), lambda_last^2 the decrement
-# of the last Newton direction: the Hessian's relative error k * drift then
-# shrinks with the decrement, so Newton's quadratic rate holds (Kelley,
-# Iterative Methods for Linear and Nonlinear Equations, 5.4), and their stop
-# (1 + drift)^k lambda_held^2 <= grad_tol^2 certifies lambda^2 <= grad_tol^2
+# Optimization, 9.6).  Stages centred approximately hold every row while its
+# drift is <= LAG: their stop lambda_held^2 <= 0.1 t certifies lambda^2 <=
+# 0.116 t, still inside the quadratic region lambda^2 < (3 - sqrt 5)^2 / 4 =
+# 0.146 t, which holds for LAG up to 0.13 (FreeLS) or 0.2 (ML).  The exact
+# stages hold a row while its drift is <= LAG * min(1, lambda_last^2 / t),
+# lambda_last^2 the decrement of the last Newton direction: the Hessian's
+# relative error k * drift then shrinks with the decrement, so Newton's
+# quadratic rate holds (Kelley, Iterative Methods for Linear and Nonlinear
+# Equations, 5.4), and their stop (1 + drift)^k lambda_held^2 <= grad_tol^2
+# certifies lambda^2 <= grad_tol^2
 LAG = 0.05
 # The step length along a Newton ray stops once |h'(a)| <= RAY_CURVATURE
 # |h'(0)| (the strong-Wolfe curvature test), after at most RAY_ITERATIONS
@@ -416,8 +423,10 @@ class _GellMannTables:
     (B, m, m) stacks; every table indexes them, the gradient or the
     Hessian's ``data`` flat, so one evaluation makes a fixed number of
     numpy calls for any number of sectors.  Pair-pair terms are computed
-    for p <= p' and each written once, at its upper entry: for p = p'
-    the equal SY and YS both name (S_p, Y_p), and YS is written last.
+    for p <= p', ``pair_slice`` terms at a time so that their temporaries
+    stay below d^2 / 2 doubles, and each written once, at its upper
+    entry: for p = p' the equal SY and YS both name (S_p, Y_p), and YS
+    is written last.
     Diagonal-type terms are read off the symmetrized Gram matrix for
     columns k <= k', and shift x shift sums over sectors.  Pair slots run over
     ``np.triu_indices(m, 1)`` for every block: a slot outside block b
@@ -502,6 +511,11 @@ class _GellMannTables:
         self.pair_coord = flat([np.stack([s, s + 1]) for s in pair_coord])
         self.grad_src, self.grad_dst = flat(grad_src), flat(grad_dst)
         self.pp_src, self.pp_dst = flat(pp_src), flat(pp_dst)
+        # pair-pair terms are formed this many at a time: a slice's
+        # temporaries (about 64 bytes a term) then stay below d^2 / 2
+        # doubles, and every layout but N = 2 (two slices) up to N = 30
+        # needs one slice
+        self.pair_slice = max(1, dim * dim // 16)
         self.pd_src, self.pd_dst = flat(pd_src), flat(pd_dst)
         self.dd_src, self.dd_dst = flat(dd_src), flat(dd_dst)
 
@@ -534,13 +548,21 @@ class _GellMannTables:
         zero ``hess`` of ``positions``, each upper entry once but
         (S_p, Y_p), which the pair p = p' names twice; shift x shift sums
         over sectors."""
-        flat = hess.data
-        g = A.reshape(-1)[self.pp_src]
-        t1 = g[0] * g[1]
-        t2 = g[2] * g[3].conj()
-        flat[self.pp_dst] = np.stack([t1.real + t2.real, t1.imag - t2.imag,
-                                      t1.imag + t2.imag, t2.real - t1.real])
-        Y = A[:, self.slot_cols, :] * A[:, self.slot_rows, :].conj()
+        flat, a = hess.data, A.reshape(-1)
+        src, dst = self.pp_src, self.pp_dst
+        for start in range(0, src.shape[1], self.pair_slice):
+            part = slice(start, start + self.pair_slice)
+            t1 = a[src[0, part]]
+            t1 *= a[src[1, part]]
+            t2 = a[src[2, part]]
+            t2 *= a[src[3, part]].conj()
+            # SY before YS: for p = p' both name (S_p, Y_p), and YS stays
+            flat[dst[0, part]] = t1.real + t2.real
+            flat[dst[1, part]] = t1.imag - t2.imag
+            flat[dst[2, part]] = t1.imag + t2.imag
+            flat[dst[3, part]] = t2.real - t1.real
+        Y = A[:, self.slot_cols, :]
+        Y *= A[:, self.slot_rows, :].conj()
         z = (Y @ self.Qc).reshape(-1)[self.pd_src]
         flat[self.pd_dst] = math.sqrt(2.0) * np.stack([z.real, z.imag])
         W = np.swapaxes(self.Q, 1, 2) @ (A.real**2 + A.imag**2) @ self.Q
@@ -624,6 +646,18 @@ class RankOneBlocks:
             flat[slots] += (0.5 * (W + W.T))[a, l]
 
 
+class _Blocks(list):
+    """The blocks of ``AffineBlockMap.blocks``, with the padded stack
+    ``stack`` that its Hermitian blocks ``views`` view: while those
+    entries are still the views, ``cholesky_list`` factors the stack
+    itself instead of copying them into a new one."""
+
+    def __init__(self, blocks, stack: np.ndarray):
+        super().__init__(blocks)
+        self.stack = stack
+        self.views = tuple(blocks[: len(stack)])
+
+
 class AffineBlockMap:
     """x -> the Hermitian blocks C_b + sum_i x_i D_i, then the diagonal
     blocks, over three block kinds.
@@ -680,13 +714,14 @@ class AffineBlockMap:
         self.directions.write(v, stack)
         return stack
 
-    def blocks(self, x: np.ndarray) -> list[np.ndarray]:
-        """The Hermitian blocks at x, then the diagonal blocks' slacks."""
+    def blocks(self, x: np.ndarray) -> "_Blocks":
+        """The Hermitian blocks at x, then the diagonal blocks' slacks: a
+        list whose Hermitian blocks are views of one identity-padded stack,
+        which it carries to ``cholesky_list``."""
         stack = self._base.copy()
         self.directions.write(x, stack)
-        return [stack[k, :n, :n] for k, n in enumerate(self._sizes)] + [
-            c + x[idx] @ D for c, D, idx in self.diagonal
-        ]
+        return _Blocks([stack[k, :n, :n] for k, n in enumerate(self._sizes)]
+                       + [c + x[idx] @ D for c, D, idx in self.diagonal], stack)
 
     def ray_eigenvalues(self, chols: BlockFactors, delta: np.ndarray) -> np.ndarray:
         """Eigenvalues mu of the step delta relative to each block, from
@@ -709,10 +744,14 @@ class AffineBlockMap:
         """The ``BlockFactors`` of the blocks (as ``blocks`` orders them),
         or None if any block is not positive definite or has a NaN or
         infinite pivot.  The padding's unit pivots never hide a failing
-        block."""
-        stack = self._base.copy()  # identity padding; every block is overwritten
-        for k, n in enumerate(self._sizes):
-            stack[k, :n, :n] = blocks[k]
+        block.  Blocks from ``blocks`` are factored in the stack they
+        view (an edit of a block in place is an edit of the stack); any
+        other list is copied into a fresh padded stack."""
+        stack = getattr(blocks, "stack", None)
+        if stack is None or any(b is not v for b, v in zip(blocks, blocks.views)):
+            stack = self._base.copy()  # identity padding; every block is overwritten
+            for k, n in enumerate(self._sizes):
+                stack[k, :n, :n] = blocks[k]
         try:
             chol = np.linalg.cholesky(stack)
         except np.linalg.LinAlgError:
@@ -978,14 +1017,19 @@ class FitModel:
     and one chunk beside G, never a second copy of G; it is exactly
     symmetric and C-ordered.  It fills the triangle numpy's own
     Gs.T @ Gs fills, so that one chunk reproduces that product (bit for
-    bit with OpenBLAS).  Every ``gradient_hessian`` call forms it, in the
+    bit with OpenBLAS).  A ``gradient_hessian`` call forms it, in the
     caller's d x d buffer if given one (the engine's Newton buffer) or
     in a fresh array; a constant one (LS) too, which the engine forms
-    once per fit.
+    once per fit.  Given the ``reference`` p a held Hessian's rows are
+    weighted at, a call instead re-weights just the given rows
+    (``drifted_rows``): two syrk passes, alpha = +1 and -1, on those rows
+    of G scaled by sqrt |phi''(p) - phi''(reference)| and gathered
+    ROW_CHUNK at a time into one buffer, into the Hessian's lower triangle.
     The ray's derivatives are sums of phi' and phi'' along it.  The
-    model holds no state between calls: which Hessian a Newton step
-    reuses is the engine's choice, made from ``hessian_drift`` and
-    bounded with ``curvature_power`` (see ``newton_stage``).  ``value``
+    model holds no state between calls: which rows of the held Hessian a
+    Newton step re-weights is the engine's choice, made from
+    ``drifted_rows`` and bounded with ``hessian_drift`` and
+    ``curvature_power`` (see ``newton_stage``).  ``value``
     and the derivative methods read a point only through its
     p = ``probabilities(x)``, so that one point pays one product G x.
     """
@@ -1028,7 +1072,7 @@ class FitModel:
         self.G = G
         base = maximally_mixed_ensemble(layout)
         self.p0 = probabilities(base, measurement)
-        self._mask = self.frequencies > 0
+        self._observed = np.flatnonzero(self.frequencies > 0)
         # f and w on the rows the loss reads
         self._rows = self.loss.rows(self.frequencies)
         self._f = self.frequencies[self._rows]
@@ -1083,11 +1127,18 @@ class FitModel:
         """max |p / reference - 1| over the rows with f > 0, the only rows
         where a curvature phi'' that depends on p is non-zero: how far the
         probabilities p have moved from the ``reference`` that a Hessian
-        was formed at.  It is 0.0 only when those rows of p equal
-        ``reference`` bit for bit, and so give the same Hessian."""
-        mask = self._mask
-        drift = p[mask] / reference[mask] - 1.0
+        was weighted at, row by row.  It is 0.0 only when those rows of p
+        equal ``reference`` bit for bit, and so give the same Hessian."""
+        observed = self._observed
+        drift = p[observed] / reference[observed] - 1.0
         return float(np.max(np.abs(drift), initial=0.0))
+
+    def drifted_rows(self, p: np.ndarray, reference: np.ndarray, limit: float) -> np.ndarray:
+        """The rows with f > 0 where |p / reference - 1| > limit, ascending:
+        those a Hessian weighted at ``reference`` must re-weight for its
+        drift (``hessian_drift``) to be <= limit at p."""
+        observed = self._observed
+        return observed[np.abs(p[observed] / reference[observed] - 1.0) > limit]
 
     @property
     def curvature_power(self) -> int:
@@ -1101,12 +1152,48 @@ class FitModel:
     def gradient(self, p: np.ndarray) -> np.ndarray:
         return self._gradient(p[self._rows])
 
-    def gradient_hessian(self, p: np.ndarray, out: np.ndarray | None = None):
+    def gradient_hessian(self, p: np.ndarray, out: np.ndarray | None = None, *,
+                         reference: np.ndarray | None = None, rows: np.ndarray | None = None):
         """(gradient, Hessian) at p.  The Hessian is exactly symmetric,
         written into the C-ordered (d, d) ``out`` and returned as it, or
-        into a fresh array without one."""
-        p = p[self._rows]
-        return self._gradient(p), self._hessian(p, out)
+        into a fresh array without one.
+
+        With ``reference`` and ``rows`` it is refreshed instead: ``out``
+        holds, in its lower triangle with the diagonal, a Hessian whose
+        row r is weighted at ``reference[r]``, and only ``rows`` (rows
+        with f > 0, from ``drifted_rows``) are re-weighted to p, by
+        adding G^T diag(phi''(p) - phi''(reference)) G over them; then
+        ``reference`` takes p on them.  The upper triangle is neither
+        read nor written."""
+        if reference is None:
+            return self._gradient(p[self._rows]), self._hessian(p[self._rows], out)
+        self._refresh(p, reference, rows, out)
+        return self._gradient(p[self._rows]), out
+
+    def _refresh(self, p: np.ndarray, reference: np.ndarray, rows: np.ndarray,
+                 H: np.ndarray) -> None:
+        """Add G^T diag(phi''(p) - phi''(reference)) G over ``rows`` to the
+        lower triangle of the C-ordered H, diagonal included: the rows
+        whose weight grew by syrk with alpha = +1, those whose weight fell
+        with alpha = -1, each on sqrt(|change|) G gathered ROW_CHUNK rows
+        at a time into one reused buffer; then reference[rows] = p[rows]."""
+        f = self.frequencies[rows]
+        w = None if self.spec.weights is None else self.spec.weights[rows]
+        change = self.loss.d2(f, p[rows], w) - self.loss.d2(f, reference[rows], w)
+        reference[rows] = p[rows]
+        chunk = np.empty((min(rows.size, ROW_CHUNK), self.G.shape[1]))
+        for sign in (1.0, -1.0):
+            moved = sign * change > 0.0
+            scale, part = np.sqrt(sign * change[moved]), rows[moved]
+            for start in range(0, part.size, ROW_CHUNK):
+                gather = part[start : start + ROW_CHUNK]
+                block = chunk[: gather.size]
+                # mode="clip" gathers straight into the buffer ("raise"
+                # would buffer the gather in a temporary first)
+                np.take(self.G, gather, axis=0, out=block, mode="clip")
+                block *= scale[start : start + ROW_CHUNK, None]
+                # the upper triangle of the Fortran-ordered H.T is H's lower one
+                dsyrk(sign, block.T, 1.0, H.T, overwrite_c=1, lower=0)
 
     def ray(self, p: np.ndarray, delta: np.ndarray):
         """Derivatives of a -> F(x + a delta) at p = p(x): a function of a
@@ -1171,7 +1258,12 @@ class StageResult:
     # (see LAG), and an exact stage that stopped on it kept the bound <=
     # grad_tol^2.  NaN if no direction was formed there
     decrement: float
-    hessians: int  # fit Hessians formed in the stage (gradient_hessian calls)
+    # gradient_hessian calls: fit Hessians formed, and held ones whose
+    # drifted rows were re-weighted
+    hessians: int
+    # rows of G (entries of p) those calls re-weighted; a formation
+    # counts every row
+    hessian_rows: int
 
 
 class StageCarry(NamedTuple):
@@ -1180,12 +1272,14 @@ class StageCarry(NamedTuple):
     next stage forms no p at its start, and the derivatives.  The fit
     Hessian is held in the fit's one Newton buffer ``workspace`` (d, d):
     its strict lower triangle, with the diagonal ``fit_diagonal``.  It
-    may be lagged: it was formed where the outcome probabilities were
-    ``hessian_at`` (None for a constant Hessian), and held at this
-    point.  ``factor`` is the Cholesky factor of the Newton system whose
-    decrement ended the stage, in the workspace's upper triangle, or
-    None; ``ratio`` is lambda^2 / t of the last Newton direction (inf if
-    none), which sets the next point's hold limit in an exact stage."""
+    may be lagged: its row r is weighted where the outcome probability
+    of row r was ``hessian_at[r]`` (None for a constant Hessian), a
+    vector the stage updates in place, row by row, as it re-weights
+    drifted rows; the carry owns it, as it owns the buffer.  ``factor``
+    is the Cholesky factor of the Newton system whose decrement ended
+    the stage, in the workspace's upper triangle, or None; ``ratio`` is
+    lambda^2 / t of the last Newton direction (inf if none), which sets
+    the next point's hold limit in an exact stage."""
 
     probabilities: np.ndarray
     fit_gradient: np.ndarray
@@ -1234,6 +1328,33 @@ def _newton_direction(W, fit_diagonal, H_bar, t, g):
             return delta, slope, factor
         ridge = 1e-12 * (1.0 + max_diag) if ridge == 0.0 else ridge * 10.0
     raise NonConvergenceError("Newton system unsolvable even with ridge repair")
+
+
+def _fit_derivatives(fit, p, W, fit_diag, hessian_at, limit):
+    """(fit gradient, fit_diag, hessian_at, rows re-weighted) at p, with
+    the fit Hessian held in the Newton buffer W: its strict lower
+    triangle, with the diagonal ``fit_diag`` (None while W holds none),
+    its row r weighted at ``hessian_at[r]`` (None for a constant one).
+
+    The Hessian is formed over every row of G (p.size of them) only when
+    W holds none.  After that, the rows that drifted by more than
+    ``limit`` are re-weighted to p (``FitModel.gradient_hessian`` with
+    ``reference``), so every row's drift is then <= limit; even all of
+    them cost less than a formation, which also reads the rows with
+    f = 0 and mirrors the triangle.  No drifted row, or a constant
+    Hessian, costs the gradient alone, and the rows are then None."""
+    if fit_diag is not None:
+        rows = None if hessian_at is None else fit.drifted_rows(p, hessian_at, limit)
+        if rows is None or rows.size == 0:
+            return fit.gradient(p), fit_diag, hessian_at, None
+        # the held diagonal goes beneath the refresh, in place of the last
+        # factor's
+        W.reshape(-1)[:: W.shape[0] + 1] = fit_diag
+        g_fit, _ = fit.gradient_hessian(p, out=W, reference=hessian_at, rows=rows)
+        return g_fit, W.diagonal().copy(), hessian_at, int(rows.size)
+    g_fit, _ = fit.gradient_hessian(p, out=W)
+    return (g_fit, W.diagonal().copy(), None if fit.constant_hessian else p.copy(),
+            int(p.size))
 
 
 def _tangent_direction(factor, g):
@@ -1342,19 +1463,28 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
     step that finds no trial is the stage's one failure exit: it reports
     converged iff |g| <= grad_tol (1 + |objective|).
 
-    The gradient is exact at every step, but the fit Hessian is a chord:
-    it is formed again only once the outcome probabilities have drifted
-    from where it was formed (``FitModel.hessian_drift``) by more than LAG,
-    or with ``exact=True`` by more than LAG * min(1, lambda^2 / t) of the
-    last Newton direction, so most steps skip the syrk.  Every step is
-    still a descent step, and (1 + drift)^k lambda^2 bounds the true
-    Newton decrement, k = ``FitModel.curvature_power`` (see LAG).  With
-    ``exact=False`` the stop still certifies the quadratic region; with
-    ``exact=True`` the held Hessian's error shrinks with the decrement,
-    so the last steps keep Newton's quadratic rate, and the stop certifies
-    a true Newton decrement <= grad_tol^2.  A constant Hessian (LS,
-    ``LinearFit``) is formed once.  ``hessians`` in the result counts the
-    Hessians formed.  The fit reads a point only through
+    The gradient is exact at every step, but the fit Hessian is a chord,
+    held row by row: at each pass that is not carried, the observed rows
+    whose probability has drifted from the p_ref it is weighted at
+    (``hessian_at``) by more than the limit, LAG or with ``exact=True``
+    LAG * min(1, lambda^2 / t) of the last Newton direction, are
+    re-weighted to p (``FitModel.drifted_rows``, then
+    ``FitModel.gradient_hessian`` with ``reference``), and p_ref takes p
+    on them.  The Hessian is formed over every row only at the fit's
+    first pass.  Most passes re-weight few rows or none, and skip most
+    or all of the syrk.  Every
+    row then drifts by at most the limit, every step is still a descent
+    step, and (1 + drift)^k lambda^2 bounds the true Newton decrement,
+    with drift = ``FitModel.hessian_drift`` over every row and k =
+    ``FitModel.curvature_power`` (see LAG).  With ``exact=False`` the stop
+    still certifies the quadratic region; with ``exact=True`` the held
+    Hessian's error shrinks with the decrement, so the last steps keep
+    Newton's quadratic rate, and the stop certifies a true Newton
+    decrement <= grad_tol^2.  A constant Hessian (LS, ``LinearFit``) is
+    formed once.  ``hessians`` in the result counts the
+    ``gradient_hessian`` calls, formations and re-weightings alike, and
+    ``hessian_rows`` the rows of G they re-weighted, a formation counting
+    every row it reads.  The fit reads a point only through
     p = ``fit.probabilities``, formed once per point: at the start
     (unless carried) and at each feasible trial point, whose p the
     accepted one hands on.
@@ -1378,7 +1508,8 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
     dropped before the next derivatives are formed, and the barrier
     Hessian before the next fit or barrier Hessian is formed.  The fit
     Hessian and the factor share one d x d buffer (``StageCarry``): a
-    fit Hessian is formed into it, over the one it replaces, and each
+    fit Hessian is formed into it, over the one it replaces, or its
+    drifted rows are re-weighted there, in the lower triangle, and each
     Newton direction writes its system into the buffer's upper triangle
     and factors it there, leaving the fit Hessian in the lower one.  The
     buffer is the carry's, or allocated by the stage's first fit
@@ -1397,7 +1528,7 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
     fit_v = fit.value(p)
     obj = fit_v + t * affine.barrier_value(chols)
 
-    iterations = hessians = 0
+    iterations = hessians = hessian_rows = 0
     decrement = math.nan
     ratio = math.inf  # lambda^2 / t of the last Newton direction
     converged = False
@@ -1409,30 +1540,27 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
         carried = bool(carry)
         if carried:
             _, g_fit, W, fit_diag, hessian_at, bg, bH, tangent, ratio = carry.pop()
-        # a held fit Hessian stands for this point's while its drift stays
-        # within LAG, or in an exact stage within LAG * min(1, lambda^2/t)
-        # of the last Newton direction; a carried one was held or formed at
-        # x_start by the stage that returned it.  A decrement formed with
-        # it is within the factor (1 + drift)^k of the true one (see LAG)
-        inflation = 1.0
-        if fit_diag is not None and hessian_at is not None:
-            drift = fit.hessian_drift(p, hessian_at)
-            if carried or drift <= LAG * (min(1.0, ratio) if exact else 1.0):
-                inflation = (1.0 + drift) ** fit.curvature_power
-            else:
-                fit_diag = None  # released: the next one is written over it
-        if not carried:
+        else:
             bH = None  # released before the next fit or barrier Hessian is formed
-            if fit_diag is not None:
-                g_fit = fit.gradient(p)
-            else:
-                if W is None:
-                    W = np.empty((x.size, x.size))
-                g_fit, _ = fit.gradient_hessian(p, out=W)
-                fit_diag = W.diagonal().copy()
-                hessian_at = None if fit.constant_hessian else p
+            if W is None:
+                W = np.empty((x.size, x.size))
+            # a held fit Hessian stands for this point's once every row's
+            # drift is within LAG, or in an exact stage within
+            # LAG * min(1, lambda^2/t) of the last Newton direction
+            limit = LAG * (min(1.0, ratio) if exact else 1.0)
+            g_fit, fit_diag, hessian_at, rows = _fit_derivatives(
+                fit, p, W, fit_diag, hessian_at, limit)
+            if rows is not None:
                 hessians += 1
+                hessian_rows += rows
             _, bg, bH = affine.barrier_grad_hess(chols)
+        # a carried Hessian was held or formed at x_start by the stage that
+        # returned it, and is held whatever its drift.  A decrement formed
+        # with the held Hessian is within the factor (1 + drift)^k of the
+        # true one (see LAG)
+        inflation = 1.0
+        if hessian_at is not None:
+            inflation = (1.0 + fit.hessian_drift(p, hessian_at)) ** fit.curvature_power
         g = g_fit + t * bg
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= cfg.grad_tol:
@@ -1489,6 +1617,7 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
         fit_value=fit_v,
         decrement=decrement,
         hessians=hessians,
+        hessian_rows=hessian_rows,
     )
 
 
@@ -1508,11 +1637,12 @@ def _barrier_path(fit, affine, schedule, x, config, stage=None):
     at the last one's point, and yield (t, StageResult) after each.
 
     Stages before the last EXACT_STAGES are centred approximately and
-    reuse the fit Hessian while p stays within LAG of where it was formed;
-    the last EXACT_STAGES reuse it while the drift stays within LAG times
-    the last Newton direction's lambda^2 / t, and stop on a bound of the
-    true Newton decrement (see LAG).  The ``StageCarry`` that ends one
-    stage (p, derivatives, the point of its fit Hessian, the factor of the
+    hold each row of the fit Hessian while its p stays within LAG of
+    where the row was weighted; the last EXACT_STAGES while its drift
+    stays within LAG times the last Newton direction's lambda^2 / t, and
+    stop on a bound of the true Newton decrement (see LAG).  The
+    ``StageCarry`` that ends one stage (p, derivatives, the rows' p_ref of
+    its fit Hessian, the factor of the
     Newton system whose decrement ended it and that decrement over t)
     seeds the next through ``carry``, which the stage empties on use:
     between stages that one carry is the only holder of the Newton buffer
@@ -1551,7 +1681,8 @@ class StageTrace:
     grad_norm: float
     decrement: float
     estimate: SpinEnsemble
-    hessians: int  # fit Hessians formed in the stage
+    hessians: int  # gradient_hessian calls: fit Hessians formed or refreshed
+    hessian_rows: int  # rows of G they re-weighted; a formation counts every row
 
 
 @dataclass
@@ -1568,9 +1699,15 @@ class ReconstructionResult:
 
     @property
     def total_hessians(self) -> int:
-        """Fit Hessians formed over all stages; fewer than the Newton
-        steps when the stages reuse them (LAG)."""
+        """Fit Hessians formed or refreshed over all stages; fewer than
+        the Newton steps when the stages hold them (LAG)."""
         return sum(s.hessians for s in self.trace)
+
+    @property
+    def total_hessian_rows(self) -> int:
+        """Rows of G re-weighted over all stages, a formation counting
+        every row: the cost of the fit Hessians apart from their number."""
+        return sum(s.hessian_rows for s in self.trace)
 
 
 def _resolve_spec(spec: FitSpec, dataset, freqs) -> FitSpec:
@@ -1637,6 +1774,7 @@ def reconstruct(dataset, spec: FitSpec,
                 decrement=stage.decrement,
                 estimate=param.ensemble(x),
                 hessians=stage.hessians,
+                hessian_rows=stage.hessian_rows,
             )
         )
 

@@ -273,6 +273,24 @@ def held_fit_hessian(workspace, fit_diagonal):
     return lower + lower.T + np.diag(fit_diagonal)
 
 
+def fit_curvature(model, p):
+    """phi''(p) of a ``FitModel``'s loss on every row: the loss's own
+    formula on the rows it reads, 0 on the others."""
+    rows = model.loss.rows(model.frequencies)
+    w = None if model.spec.weights is None else model.spec.weights[rows]
+    c = np.zeros(model.frequencies.size)
+    c[rows] = model.loss.d2(model.frequencies[rows], p[rows], w)
+    return c
+
+
+def weighted_gram(G, weights):
+    """(G^T diag(weights) G, |G|^T diag(|weights|) |G|) by plain products:
+    a fit Hessian with row r weighted by weights[r], and the scale that
+    bounds the roundoff of any sum of its terms."""
+    absolute = np.abs(G)
+    return G.T @ (weights[:, None] * G), absolute.T @ (np.abs(weights)[:, None] * absolute)
+
+
 # ---------------------------------------------------------------------------
 # Replaced package routes
 

@@ -153,7 +153,7 @@ class TestReconstruct:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(payload["trace"])
         assert {"t", "iterations", "fit_value", "grad_norm", "decrement", "hessians",
-                "trace_distance"} <= set(rows[0])
+                "hessian_rows", "trace_distance"} <= set(rows[0])
         distances = [float(r["trace_distance"]) for r in rows]
         assert distances[-1] <= 1e-4
         # fit Hessians formed per stage, apart from the Newton steps
@@ -161,6 +161,42 @@ class TestReconstruct:
         assert hessians == [entry["hessians"] for entry in payload["trace"]]
         assert sum(hessians) == payload["total_hessians"] >= 1
         assert payload["total_hessians"] <= payload["total_iterations"] + len(rows)
+        hessian_rows = [int(r["hessian_rows"]) for r in rows]
+        assert hessian_rows == [entry["hessian_rows"] for entry in payload["trace"]]
+        assert sum(hessian_rows) == payload["total_hessian_rows"]
+
+    @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
+    def test_reports_rows_reweighted(self, principle, tmp_path, capsys):
+        # a fit's first Hessian is formed over all 12 x 4 outcome rows; a
+        # held one re-weights only its drifted rows; LS forms its one
+        # Hessian once
+        n, count = 3, 12
+        settings = write_settings(tmp_path / "s.json", count, seed=4)
+        data = tmp_path / "d.json"
+        run("simulate", "--n", n, "--state", "mixed", "--settings", settings,
+            "--shots", 500, "--seed", 4, "-o", data)
+        out = tmp_path / "r.json"
+        trace = tmp_path / "t.csv"
+        rc = run("reconstruct", "--dataset", data, "--principle", principle, "-o", out,
+                 "--trace", trace)
+        assert rc == EXIT_OK
+        payload = json.loads(out.read_text())
+        outcomes = count * (n + 1)
+        total = payload["total_hessian_rows"]
+        assert f"{payload['total_hessians']} fit Hessians over {total} rows" in (
+            capsys.readouterr().out)
+        with open(trace, newline="") as fh:
+            csv_rows = [int(r["hessian_rows"]) for r in csv.DictReader(fh)]
+        assert csv_rows == [entry["hessian_rows"] for entry in payload["trace"]]
+        assert sum(csv_rows) == total
+        assert payload["trace"][0]["hessian_rows"] >= outcomes
+        if principle == "ls":
+            assert payload["total_hessians"] == 1 and total == outcomes
+        else:
+            assert outcomes < total < payload["total_hessians"] * outcomes
+        for entry in payload["trace"]:
+            assert entry["hessian_rows"] <= entry["hessians"] * outcomes
+            assert (entry["hessian_rows"] == 0) == (entry["hessians"] == 0)
 
     def test_hedged_gap_is_beta_times_dimension(self, tmp_path):
         settings = write_settings(tmp_path / "s.json", 6)

@@ -607,6 +607,32 @@ def assert_same_carry(a, b):
         assert np.array_equal(a.factor[0], b.factor[0]) and a.factor[1] == b.factor[1]
 
 
+def carry_at(model, param, x, workspace, fit_diagonal, hessian_at, ratio=math.inf):
+    """A ``StageCarry`` at x with p and every derivative evaluated afresh
+    there, holding the given fit Hessian (copies, so that no two carries
+    share an array a stage writes) and no factor."""
+    p = model.probabilities(x)
+    _, bg, bH = param.affine.barrier_grad_hess(param.affine.cholesky_list(param.affine.blocks(x)))
+    return StageCarry(p, model.gradient(p), workspace.copy(), fit_diagonal.copy(),
+                      None if hessian_at is None else hessian_at.copy(), bg, bH, None, ratio)
+
+
+def assert_carry_is_fresh_at(model, param, x, carry):
+    """The carry's p and derivatives are x's, bit for bit, and its held
+    fit Hessian is G^T diag(phi''(hessian_at)) G (for LS, at any p) to
+    roundoff, with every row's drift within LAG."""
+    fresh = carry_at(model, param, x, carry.workspace, carry.fit_diagonal, carry.hessian_at)
+    for name in ("probabilities", "fit_gradient", "barrier_gradient"):
+        assert np.array_equal(getattr(carry, name), getattr(fresh, name)), name
+    assert np.array_equal(carry.barrier_hessian.data, fresh.barrier_hessian.data)
+    at = carry.probabilities if carry.hessian_at is None else carry.hessian_at
+    reference, scale = oracles.weighted_gram(model.G, oracles.fit_curvature(model, at))
+    held = oracles.held_fit_hessian(carry.workspace, carry.fit_diagonal)
+    assert np.abs(held - reference).max() <= 1e-12 * scale.max()
+    if carry.hessian_at is not None:
+        assert model.hessian_drift(carry.probabilities, carry.hessian_at) <= LAG
+
+
 def newton_decrement(model, affine, t, x, fit_hessian=None):
     """lambda^2 = g^T (t H_bar + H_fit)^-1 g at x, from fresh derivatives,
     or with the fit Hessian ``fit_hessian`` in place of the fresh one."""
@@ -677,13 +703,21 @@ class TestNewtonStage:
         assert cut.grad_norm == float(np.linalg.norm(model.gradient(p) + 0.01 * bg))
         assert len(carry) == 1 and carry[0].factor is None
         assert np.array_equal(carry[0].probabilities, p)
-        fresh_carry = []
+        assert_carry_is_fresh_at(model, param, cut.x, carry[0])
+        # the held fit Hessian legitimately differs from one formed at
+        # cut.x (its rows are weighted where they last drifted), so the
+        # stage it seeds is compared with one seeded by fresh evaluations
+        # beside the same held Hessian, and with a stage from scratch to
+        # the stopping tolerance
+        rebuilt = [carry_at(model, param, cut.x, carry[0].workspace, carry[0].fit_diagonal,
+                            carry[0].hessian_at, carry[0].ratio)]
         seeded = newton_stage(model, param.affine, 0.001, cut.x, carry=carry)
-        fresh = newton_stage(model, param.affine, 0.001, cut.x, carry=fresh_carry)
-        assert seeded.iterations > 0
-        assert_same_stage(seeded, fresh, skip=("hessians",))
-        assert seeded.hessians == fresh.hessians - 1
-        assert_same_carry(carry.pop(), fresh_carry.pop())
+        again = newton_stage(model, param.affine, 0.001, cut.x, carry=rebuilt)
+        fresh = newton_stage(model, param.affine, 0.001, cut.x)
+        assert seeded.iterations > 0 and seeded.converged and fresh.converged
+        assert_same_stage(seeded, again)
+        assert_same_carry(carry.pop(), rebuilt.pop())
+        np.testing.assert_allclose(seeded.x, fresh.x, rtol=0, atol=1e-7)
 
     @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
     def test_endgame_step_needs_a_smaller_gradient(self, principle):
@@ -712,20 +746,41 @@ class TestNewtonStage:
     @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
     @pytest.mark.parametrize("exact", [True, False])
     def test_carried_derivatives_seed_exactly(self, principle, exact):
-        # the derivatives that end one stage do not depend on t, so
-        # seeding the next stage with them, its factor slot empty,
-        # changes nothing, bit for bit, but saves one fit Hessian
+        # the derivatives that end one stage do not depend on t: they are
+        # the returned point's, bit for bit, beside a held fit Hessian
+        # that is G^T diag(phi''(hessian_at)) G to roundoff.  Seeding the
+        # next stage with them, its factor slot empty, is seeding it with
+        # fresh evaluations there beside the same Hessian, bit for bit
         model, param, first, carry = stage_end(principle)
-        seeded_carry, fresh_carry = [carry.pop()._replace(factor=None)], []
+        held = carry.pop()._replace(factor=None)
+        assert_carry_is_fresh_at(model, param, first.x, held)
+        seeded_carry = [held]
+        rebuilt_carry = [carry_at(model, param, first.x, held.workspace, held.fit_diagonal,
+                                  held.hessian_at, held.ratio)]
         seeded = newton_stage(model, param.affine, 0.01, first.x, exact=exact,
                               carry=seeded_carry)
+        rebuilt = newton_stage(model, param.affine, 0.01, first.x, exact=exact,
+                               carry=rebuilt_carry)
+        assert seeded.iterations > 0
+        assert_same_stage(seeded, rebuilt)
+        assert_same_carry(seeded_carry.pop(), rebuilt_carry.pop())
+        # and a carry whose Hessian was formed at the start changes
+        # nothing, bit for bit, against a stage that forms it there, but
+        # saves that formation and the rows it reads
+        p = model.probabilities(first.x)
+        _, W = model.gradient_hessian(p)
+        formed_carry = [carry_at(model, param, first.x, W, W.diagonal(),
+                                 None if principle == "ls" else p)]
+        fresh_carry = []
+        formed = newton_stage(model, param.affine, 0.01, first.x, exact=exact,
+                              carry=formed_carry)
         fresh = newton_stage(model, param.affine, 0.01, first.x, exact=exact,
                              carry=fresh_carry)
-        assert seeded.iterations > 0
-        assert_same_stage(seeded, fresh, skip=("hessians",))
-        assert seeded.hessians == fresh.hessians - 1
-        assert_same_carry(seeded_carry.pop(), fresh_carry.pop())
-        assert seeded_carry == fresh_carry == []
+        assert_same_stage(formed, fresh, skip=("hessians", "hessian_rows"))
+        assert formed.hessians == fresh.hessians - 1
+        assert formed.hessian_rows == fresh.hessian_rows - p.size
+        assert_same_carry(formed_carry.pop(), fresh_carry.pop())
+        assert seeded_carry == rebuilt_carry == formed_carry == fresh_carry == []
 
     @pytest.mark.parametrize("principle", ["ml", "ls", "freels", "hedged"])
     def test_one_derivative_evaluation_per_step_plus_one(self, principle, monkeypatch):
@@ -825,8 +880,11 @@ class TestTangentStart:
             return -delta, -slope
 
         monkeypatch.setattr(reconstruct_module, "_tangent_direction", uphill)
-        # a carry owns its Newton buffer: the second stage gets a copy
-        plain_carry = [carry[0]._replace(workspace=carry[0].workspace.copy(), factor=None)]
+        # a carry owns its Newton buffer and the rows' reference p, which
+        # a stage writes in place: the second stage gets copies
+        held_at = carry[0].hessian_at
+        plain_carry = [carry[0]._replace(workspace=carry[0].workspace.copy(), factor=None,
+                                         hessian_at=None if held_at is None else held_at.copy())]
         fallback = newton_stage(model, param.affine, 0.01, first.x, carry=carry)
         plain = newton_stage(model, param.affine, 0.01, first.x, carry=plain_carry)
         assert fallback.converged and fallback.iterations > 0
@@ -846,9 +904,9 @@ class TestTangentStart:
             factors.append(weakref.ref(factor[0]))
             return factor
 
-        def checked(self, p, out=None):
+        def checked(self, p, out=None, **kwargs):
             alive.append(sum(ref() is not None for ref in factors))
-            return original_derivatives(self, p, out)
+            return original_derivatives(self, p, out, **kwargs)
 
         monkeypatch.setattr(reconstruct_module, "cho_factor", tracked)
         monkeypatch.setattr(FitModel, "gradient_hessian", checked)
@@ -1116,13 +1174,14 @@ class TestLaggedHessian:
     def test_exact_stages_hold_within_the_bound_and_stop_certified(self, n, principle,
                                                                    truth, data, seed):
         # The path is recorded as it runs: every fit derivative evaluation
-        # (the point where the engine decides whether a held Hessian
-        # stands), every fit Hessian formed and every Newton direction,
-        # each point by the p = p0 + G x the fit reads it through.
+        # (the point where the engine decides which rows of a held Hessian
+        # stand), every fit Hessian formed or re-weighted, by the p_ref its
+        # rows are then weighted at, and every Newton direction, each point
+        # by the p = p0 + G x the fit reads it through.
         # Each held Hessian an exact-stage direction uses must be within
-        # the hold limit of the stage that held it at that point: LAG, or
-        # in an exact stage LAG * min(1, lambda^2 / t) of the last Newton
-        # direction formed before it.  Each exact stage that stops on its
+        # the hold limit of the stage that held it at that point, on every
+        # row: LAG, or in an exact stage LAG * min(1, lambda^2 / t) of the
+        # last Newton direction formed before it.  Each exact stage that stops on its
         # decrement test, (1 + drift)^k lambda^2 <= grad_tol^2, must have
         # a fresh-Hessian Newton decrement <= grad_tol^2 where it stops.
         ds, spec = lag_case(n, principle, truth, data, seed)
@@ -1134,10 +1193,14 @@ class TestLaggedHessian:
         original_stage = reconstruct_module.newton_stage
         original_direction = reconstruct_module._newton_direction
 
-        def gradient_hessian(self, p, out=None):
+        def gradient_hessian(self, p, out=None, reference=None, **kwargs):
             events.append(("eval", p.copy(), state["exact"]))
-            formed.append(p.copy())  # the fit's one Newton buffer holds the latest
-            return original_hessian(self, p, out)
+            result = original_hessian(self, p, out, reference=reference, **kwargs)
+            # the fit's one Newton buffer holds the latest Hessian, formed
+            # at p or with its drifted rows re-weighted to p: row r is then
+            # weighted at reference[r]
+            formed.append(p.copy() if reference is None else reference.copy())
+            return result
 
         def gradient(self, p):
             events.append(("eval", p.copy(), state["exact"]))
@@ -1166,7 +1229,8 @@ class TestLaggedHessian:
         power = {"ml": 2, "hedged": 2, "freels": 3, "ls": 0}[principle]
 
         def drift_of(i):
-            """The drift of direction i's Hessian from where it was formed."""
+            """The drift of direction i's Hessian from where its rows were
+            weighted."""
             _, p, _, _, _, key = events[i]
             return model.hessian_drift(p, formed[key])
 
@@ -1225,9 +1289,9 @@ class TestLaggedHessian:
         calls = []
         original = FitModel.gradient_hessian
 
-        def counted(self, p, out=None):
+        def counted(self, p, out=None, **kwargs):
             calls.append(None)
-            return original(self, p, out)
+            return original(self, p, out, **kwargs)
 
         monkeypatch.setattr(FitModel, "gradient_hessian", counted)
         ds, spec = lag_case(6, "ml", "mixed", "sampled", 0)
@@ -1284,8 +1348,8 @@ class TestLaggedHessian:
             factors.append(weakref.ref(factor[0]))
             return factor
 
-        def tracked_derivatives(self, p, out=None):
-            g, H = original_derivatives(self, p, out)
+        def tracked_derivatives(self, p, out=None, **kwargs):
+            g, H = original_derivatives(self, p, out, **kwargs)
             hessians.append(weakref.ref(H))
             return g, H
 
@@ -1307,6 +1371,72 @@ class TestLaggedHessian:
         assert result.converged and result.total_hessians < result.total_iterations
         assert alive and all(alive)
         assert all(ref() is None for ref in hessians + factors)
+
+
+REFRESH_CASES = dict(
+    principle=st.sampled_from(["ml", "freels", "hedged"]),
+    seed=st.integers(0, 2**16),
+    chunk=st.sampled_from([1, 4, 7, 512]),
+    spread=st.sampled_from([0.003, 0.03, 0.3]),
+    limits=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=1, max_size=6),
+)
+
+
+class TestRowRefresh:
+    """A held fit Hessian re-weights only the rows that drifted past the
+    hold limit, and stays G^T diag(phi''(hessian_at)) G to roundoff."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(**REFRESH_CASES)
+    def test_refreshed_hessian_is_the_oracle_at_its_reference(self, principle, seed, chunk,
+                                                             spread, limits):
+        # p wanders around an interior point, each row up or down (so the
+        # weight changes of one refresh have both signs), over the 65 rows
+        # of chunk_case, many of them with zero counts, read ROW_CHUNK rows
+        # at a time (1 and 4 and 7 rows cross chunk boundaries; 512 is one
+        # chunk).  Each pass's limit is a fraction of LAG, 0 re-weighting
+        # every drifted row.  Between passes, NaN stands for the factor a
+        # Newton direction leaves in the buffer's upper triangle and
+        # diagonal, which the held Hessian must not read.  Every row r
+        # carries the sum m_r of the |weights| it was ever given (its
+        # formation's, then each refresh's change), and syrk sums of k
+        # terms err by at most k eps |terms|, so after each pass
+        #     |H_held - G^T diag(phi''(hessian_at)) G| <= 8 eps (rows + passes) |G|^T diag(m) |G|
+        ds, spec = chunk_case(principle)
+        model = build_fit_model(ds, spec)
+        rng = np.random.default_rng(seed)
+        centre = model.probabilities(
+            0.5 * model.parametrization.coordinates(interior_ensemble(4, rng)))
+        d = model.G.shape[1]
+        W = np.empty((d, d))
+        upper = np.triu_indices(d)
+        fit_diag = hessian_at = weights = None
+        eps = np.finfo(float).eps
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reconstruct_module, "ROW_CHUNK", chunk)
+            for passes, fraction in enumerate(limits, start=1):
+                p = centre * np.exp(spread * rng.normal(size=centre.size))
+                limit = LAG * fraction
+                before = None if hessian_at is None else hessian_at.copy()
+                g_fit, fit_diag, hessian_at, rows = reconstruct_module._fit_derivatives(
+                    model, p, W, fit_diag, hessian_at, limit)
+                W[upper] = np.nan
+                assert np.array_equal(g_fit, model.gradient(p))
+                assert model.hessian_drift(p, hessian_at) <= limit
+                curvature = oracles.fit_curvature(model, hessian_at)
+                if before is None:  # formed over every row
+                    assert rows == p.size and np.array_equal(hessian_at, p)
+                    weights = curvature
+                else:
+                    weights = weights + np.abs(curvature - oracles.fit_curvature(model, before))
+                    moved = np.flatnonzero(hessian_at != before)
+                    assert (rows or 0) == moved.size
+                    assert np.all(model.frequencies[moved] > 0)
+                reference, _ = oracles.weighted_gram(model.G, curvature)
+                _, scale = oracles.weighted_gram(model.G, weights)
+                held = oracles.held_fit_hessian(W, fit_diag)
+                bound = 8 * eps * (p.size + passes) * scale
+                assert np.all(np.abs(held - reference) <= bound)
 
 
 def chunk_case(principle):
@@ -1407,11 +1537,11 @@ class TestRowChunks:
         # and the barrier Hessian is its upper entries on the sector blocks
         # and shift columns: neither a direction (with its retries) nor the
         # barrier derivatives allocate d x d doubles at any moment.  The
-        # buffer itself is allocated once, at the fit's first Hessian.  At
-        # N = 14 (d = 679) the temporaries of the barrier's closed forms are
-        # below d^2; at N = 8 they are not
-        rng = np.random.default_rng(14)
-        ds = sampled_dataset(interior_ensemble(14, rng), random_settings(rng, 20), 1000, rng)
+        # buffer itself is allocated once, at the fit's first Hessian; each
+        # refresh of its drifted rows writes into it too.  At N = 8 (d = 164)
+        # the temporaries of the barrier's closed forms are below d^2
+        rng = np.random.default_rng(8)
+        ds = sampled_dataset(interior_ensemble(8, rng), random_settings(rng, 20), 1000, rng)
         spec = FitSpec.max_lik()
         d = build_fit_model(ds, spec).G.shape[1]
         peaks = {"direction": [], "barrier": []}
@@ -1428,9 +1558,9 @@ class TestRowChunks:
 
         original_hessian = FitModel.gradient_hessian
 
-        def gradient_hessian(self, p, out=None):
+        def gradient_hessian(self, p, out=None, **kwargs):
             buffers.append(out)
-            return original_hessian(self, p, out)
+            return original_hessian(self, p, out, **kwargs)
 
         monkeypatch.setattr(reconstruct_module, "_newton_direction",
                             measured("direction", reconstruct_module._newton_direction))
@@ -1463,9 +1593,9 @@ class TestRowChunks:
             barrier.append(weakref.ref(hess))
             return value, grad, hess
 
-        def checked(self, p, out=None):
+        def checked(self, p, out=None, **kwargs):
             count()
-            return original_derivatives(self, p, out)
+            return original_derivatives(self, p, out, **kwargs)
 
         monkeypatch.setattr(reconstruct_module.AffineBlockMap, "barrier_grad_hess",
                             tracked_barrier)
@@ -2037,6 +2167,32 @@ class TestGellMannClosedForm:
         assert amap.barrier_value(chols) == value == value_only
         assert np.array_equal(grad_only, grad)
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("pair_slice", [1, 3, 50])
+    def test_pair_slices_write_the_same_bits(self, n, pair_slice):
+        # the pair-pair terms of every block in slices of 1, 3 or 50 (slices
+        # that cross blocks, or split the (S_p, Y_p) terms of one pair p from
+        # its neighbours) write every entry one slice writes, to roundoff:
+        # numpy's vector and scalar loops may round a complex product
+        # differently.  N = 2 already takes two slices of its 6 terms
+        param = Parametrization(sector_layout(n))
+        tables = param.affine.directions
+        x = 0.5 * param.coordinates(interior_ensemble(n, np.random.default_rng(n)))
+        A = param.affine.cholesky_list(param.affine.blocks(x)).inverse
+        whole, sliced = (reconstruct_module.BlockHessian(tables.positions) for _ in range(2))
+        saved = tables.pair_slice
+        try:
+            tables.pair_slice = tables.pp_src.shape[1]
+            tables.hessian(A, whole)
+            tables.pair_slice = pair_slice
+            tables.hessian(A, sliced)
+        finally:
+            tables.pair_slice = saved
+        scale = np.abs(whole.data).max()
+        np.testing.assert_allclose(sliced.data, whole.data, rtol=0,
+                                   atol=4 * np.finfo(float).eps * scale)
+        assert (n == 2) == (saved < tables.pp_src.shape[1])
+
 
 def assert_upper_positions(hess, dim):
     """``positions`` strictly increasing, in the upper triangle of a
@@ -2197,6 +2353,39 @@ class TestPaddedFactors:
         smallest = [b.shape for b in blocks].index((1, 1))
         blocks[smallest] = np.array([[entry]], dtype=complex)
         assert amap.cholesky_list(blocks) is None
+
+    def test_blocks_hand_their_stack_to_the_factor(self):
+        # the blocks of ``blocks`` view one padded stack, which
+        # cholesky_list factors as it is: with the identity padding it
+        # copies from made NaN, they still factor, and a plain list of the
+        # same blocks (copied into that padding) does not
+        rng = np.random.default_rng(5)
+        amap = random_block_map(rng, [1, 3, 5], 2, 6)
+        x = rng.uniform(-1.0, 1.0, 6)
+        x *= 0.04 / np.abs(x).sum()
+        blocks = amap.blocks(x)
+        plain = amap.cholesky_list(list(blocks))
+        handed = amap.cholesky_list(blocks)
+        assert np.array_equal(handed.chol, plain.chol) and handed.log_det == plain.log_det
+        amap._base = np.full_like(amap._base, np.nan)
+        assert np.array_equal(amap.cholesky_list(blocks).chol, plain.chol)
+        assert amap.cholesky_list(list(blocks)) is None
+
+    @pytest.mark.parametrize("entry", [0.0, -0.5, np.nan])
+    def test_an_edit_in_place_is_factored(self, entry):
+        # an edit of a block of ``blocks`` in place is an edit of the
+        # stack it views, so the factor sees it as a copied list would
+        rng = np.random.default_rng(6)
+        amap = random_block_map(rng, [1, 3, 5], 2, 6)
+        x = rng.uniform(-1.0, 1.0, 6)
+        x *= 0.04 / np.abs(x).sum()
+        blocks = amap.blocks(x)
+        blocks[2][0, 0] = entry
+        assert amap.cholesky_list(blocks) is None
+        assert amap.cholesky_list(list(blocks)) is None
+        blocks[2][0, 0] = 10.0
+        assert np.array_equal(amap.cholesky_list(blocks).chol,
+                              amap.cholesky_list(list(blocks)).chol)
 
     @BARRIER_PROPERTY
     @given(**MAP_SHAPES)
