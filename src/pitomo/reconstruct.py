@@ -15,12 +15,13 @@ u_a conj(u_b) of the rank-one M_{k,j}^a = u u^dagger at its Gell-Mann
 index pairs, O(n^2) per outcome and sector, for all settings of a
 sector at once; neither M nor the dense basis stack (O(n^4)) is
 formed.  Every fit Hessian is G^T diag(c) G with c = phi''(p) >= 0
-(below), formed as the symmetric rank-k (BLAS syrk) product of
-sqrt(c) G, summed over chunks of ROW_CHUNK rows of G, into the fit's one
-d x d Newton buffer W.  The barrier Hessian is small: each sector's
-Gell-Mann coordinates couple only with themselves and the trace shifts,
-so it is held as the upper entries of one block per sector and of the
-shift columns, each at its position in W (``BlockHessian``).  The
+(below), added into the lower triangle of the fit's one d x d Newton
+buffer W by one kernel, symmetric rank-k (BLAS syrk) updates over rows
+of G gathered ROW_CHUNK at a time.  The barrier Hessian is small: each
+sector's Gell-Mann coordinates couple only with themselves and the
+trace shifts, so it is held as the upper entries of one block per
+sector and of the shift columns, each at its position in W
+(``BlockHessian``).  The
 Newton system t H_barrier + H_fit is assembled in W's upper triangle,
 which LAPACK factors in place, while W's strict lower triangle and one
 d-vector keep H_fit for the next step.  A fit step thus holds G, W and
@@ -77,14 +78,15 @@ per layout across fits.
 Every stage is chord Newton in the fit Hessian (Kelley, Iterative
 Methods for Linear and Nonlinear Equations, 5.4), held row by row: the
 gradient is exact at every step, but the syrk that dominates a step from
-N = 16 up is formed once per fit, and then each of its rows r is
-re-weighted to the current p only once p_r has drifted from the
-p_ref[r] it is weighted at by more than a limit, which in the last two
-stages shrinks with the decrement (see LAG and ``newton_stage``).  A
-re-weighting adds G^T diag(phi''(p) - phi''(p_ref)) G over the drifted
-rows alone, two syrk passes on those rows of G, so a step pays for the
-rows that moved, not for all of G (at N = 16 most re-weightings touch
-under a fifth of the rows).  The held Hessian and its p_ref are the
+N = 16 up re-weights each row r to the current p only once p_r has
+drifted from the p_ref[r] it is weighted at by more than a limit, which
+in the last two stages shrinks with the decrement (see LAG and
+``newton_stage``).  A re-weighting adds G^T diag(phi''(p) -
+phi''(p_ref)) G over the drifted rows alone, two syrk passes on those
+rows of G, so a step pays for the rows that moved, not for all of G (at
+N = 16 most re-weightings touch under a fifth of the rows).  A fit's
+first pass forms it as the same re-weighting of every row from
+phi''(p_ref) = 0.  The held Hessian and its p_ref are the
 engine's (``StageCarry``); ``FitModel`` keeps no state.  A fit reads a
 point only through p = ``fit.probabilities(x)``
 (x itself for ``LinearFit``): the engine forms p = p0 + G x once per
@@ -239,12 +241,12 @@ T_REDUCE = 10.0
 # second copy of G (671 MB at N = 30).  A (ROW_CHUNK, d) chunk keeps syrk's
 # inner dimension long enough for full speed
 ROW_CHUNK = 512
-# the triangle mirror of a chunked fit Hessian copies blocks of this many rows
+# a fit Hessian's lower triangle is zeroed, and copied onto the upper one,
+# in blocks of this many rows
 MIRROR_ROWS = 64
-# the corner triangle that receives _copy_triangle's copy from upper/lower
-_RECEIVES_FROM_UPPER = np.tri(MIRROR_ROWS, k=-1, dtype=bool)
-_RECEIVES_FROM_UPPER.setflags(write=False)
-_RECEIVES_FROM_LOWER = _RECEIVES_FROM_UPPER.T
+# the corner triangle that receives _copy_triangle's copy from the lower one
+_RECEIVES_FROM_LOWER = np.tri(MIRROR_ROWS, k=-1, dtype=bool).T
+_RECEIVES_FROM_LOWER.setflags(write=False)
 
 
 class NonConvergenceError(RuntimeError):
@@ -316,8 +318,9 @@ class SolverConfig:
         if self.t_min > self.t0:
             # t_schedule would start at t_min and drop t0 unannounced
             raise ValueError("t_min must not exceed t0")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be >= 1")
+        # a float budget such as NaN would never be reached
+        if not isinstance(self.max_newton_iters, (int, np.integer)) or self.max_newton_iters < 1:
+            raise ValueError("max_newton_iters must be an integer >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -978,22 +981,27 @@ def resolve_least_squares_weights(frequencies, repetitions) -> np.ndarray:
     return 1.0 / np.maximum(f, floor)
 
 
-def _copy_triangle(H: np.ndarray, upper: bool) -> np.ndarray:
-    """The square H with its strict upper (``upper``) or strict lower
-    triangle copied onto the other one, in place and MIRROR_ROWS rows at
-    a time, so that no d x d temporary is formed.  The copied triangle
-    and the diagonal are left as they are, and H is then exactly
-    symmetric."""
-    receives = _RECEIVES_FROM_UPPER if upper else _RECEIVES_FROM_LOWER
+def _copy_triangle(H: np.ndarray) -> np.ndarray:
+    """The square H with its strict lower triangle copied onto the strict
+    upper one, in place and MIRROR_ROWS rows at a time, so that no d x d
+    temporary is formed.  The lower triangle and the diagonal are left as
+    they are, and H is then exactly symmetric."""
     for start in range(0, H.shape[0], MIRROR_ROWS):
         end = start + MIRROR_ROWS
         corner = H[start:end, start:end]
-        np.copyto(corner, corner.T, where=receives[: len(corner), : len(corner)])
-        if upper:
-            H[end:, start:end] = H[start:end, end:].T
-        else:
-            H[start:end, end:] = H[end:, start:end].T
+        np.copyto(corner, corner.T, where=_RECEIVES_FROM_LOWER[: len(corner), : len(corner)])
+        H[start:end, end:] = H[end:, start:end].T
     return H
+
+
+def _zero_lower(H: np.ndarray) -> None:
+    """Zero the lower triangle and diagonal of the square H in place,
+    MIRROR_ROWS rows at a time; the strict upper one is not touched."""
+    for start in range(0, H.shape[0], MIRROR_ROWS):
+        end = start + MIRROR_ROWS
+        H[start:end, :start] = 0.0
+        corner = H[start:end, start:end]
+        np.copyto(corner, 0.0, where=~_RECEIVES_FROM_LOWER[: len(corner), : len(corner)])
 
 
 class FitModel:
@@ -1009,22 +1017,21 @@ class FitModel:
 
     The principle enters only through its ``Loss`` phi, on the rows the
     loss reads, and no method branches on it.  The gradient is
-    G^T phi'(p).  The Hessian G^T diag(phi''(p)) G is the symmetric
-    rank-k product Gs^T Gs of Gs = sqrt(phi'') G, by BLAS syrk (half the
-    flops of a general product).  Each chunk of ROW_CHUNK rows of Gs is
-    formed in one reused buffer and added to one triangle (syrk with
-    beta = 1), which is then mirrored, so a Hessian costs d^2 doubles
-    and one chunk beside G, never a second copy of G; it is exactly
-    symmetric and C-ordered.  It fills the triangle numpy's own
-    Gs.T @ Gs fills, so that one chunk reproduces that product (bit for
-    bit with OpenBLAS).  A ``gradient_hessian`` call forms it, in the
-    caller's d x d buffer if given one (the engine's Newton buffer) or
-    in a fresh array; a constant one (LS) too, which the engine forms
-    once per fit.  Given the ``reference`` p a held Hessian's rows are
-    weighted at, a call instead re-weights just the given rows
-    (``drifted_rows``): two syrk passes, alpha = +1 and -1, on those rows
-    of G scaled by sqrt |phi''(p) - phi''(reference)| and gathered
-    ROW_CHUNK at a time into one buffer, into the Hessian's lower triangle.
+    G^T phi'(p).  The Hessian G^T diag(phi''(p)) G comes from one
+    kernel that re-weights rows of a Hessian held in the lower triangle
+    of a C-ordered d x d array: given the ``reference`` p its rows are
+    weighted at, it adds G^T diag(phi''(p) - phi''(reference)) G over
+    the given rows, as two BLAS syrk passes (half the flops of a general
+    product), alpha = +1 and -1, on those rows of G scaled by
+    sqrt |phi''(p) - phi''(reference)| and gathered ROW_CHUNK at a time
+    into one reused buffer.  So a Hessian costs d^2 doubles and one
+    chunk beside G, never a second copy of G.  A ``gradient_hessian``
+    call without ``reference`` forms the Hessian: that kernel over the
+    rows the loss reads from weight 0, in the caller's d x d buffer (the
+    engine's Newton buffer), whose lower triangle it zeroes first, or in
+    a fresh array, which it then mirrors; a constant one (LS) too, which
+    the engine forms once per fit.  With ``reference`` it re-weights just
+    the given rows (``drifted_rows``) of the Hessian held in the buffer.
     The ray's derivatives are sums of phi' and phi'' along it.  The
     model holds no state between calls: which rows of the held Hessian a
     Newton step re-weights is the engine's choice, made from
@@ -1089,39 +1096,8 @@ class FitModel:
         self.loss.check_interior(p)
         return self.G.T @ self._scatter(self.loss.d1(self._f, p, self._w))
 
-    def _hessian(self, p: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """G^T diag(phi''(p)) G, the syrk product Gs^T Gs of
-        Gs = sqrt(phi''(p)) G, summed over chunks of ROW_CHUNK rows of G,
-        into the C-ordered (d, d) ``out`` or a fresh array."""
-        s = self._scatter(np.sqrt(self.loss.d2(self._f, p, self._w)))
-        G = self.G
-        rows, d = G.shape
-        # H is allocated before the chunk buffer, so that freeing the buffer
-        # leaves no hole beneath H in the heap (3 MB of peak RSS at N = 16)
-        if out is None:
-            H = np.zeros((d, d))
-        else:
-            H = out
-            H.fill(0.0)
-        chunk = np.empty((min(rows, ROW_CHUNK), d))
-        for start in range(0, rows, ROW_CHUNK):
-            part = G[start : start + ROW_CHUNK]
-            # every chunk's Gs is written into one buffer, and Gs.T is the
-            # Fortran-ordered operand syrk reads in place; each adds, in
-            # place, to the lower triangle of the Fortran-ordered H.T, the
-            # upper one of H
-            Gs = np.multiply(part, s[start : start + ROW_CHUNK, None], out=chunk[: len(part)]).T
-            dsyrk(1.0, Gs, 1.0, H.T, overwrite_c=1, lower=1)
-        del chunk, Gs  # the mirror's own small blocks need neither
-        return _copy_triangle(H, upper=True)
-
     def probabilities(self, x: np.ndarray) -> np.ndarray:
         return self.p0 + self.G @ x
-
-    @property
-    def constant_hessian(self) -> bool:
-        """True for LS, whose Hessian 2 G^T diag(w) G does not depend on x."""
-        return self.loss.power == 0
 
     def hessian_drift(self, p: np.ndarray, reference: np.ndarray) -> float:
         """max |p / reference - 1| over the rows with f > 0, the only rows
@@ -1154,33 +1130,45 @@ class FitModel:
 
     def gradient_hessian(self, p: np.ndarray, out: np.ndarray | None = None, *,
                          reference: np.ndarray | None = None, rows: np.ndarray | None = None):
-        """(gradient, Hessian) at p.  The Hessian is exactly symmetric,
-        written into the C-ordered (d, d) ``out`` and returned as it, or
-        into a fresh array without one.
+        """(gradient, Hessian) at p, the Hessian by ``_refresh``.  Without
+        ``reference`` it is formed, every row of G the loss reads
+        re-weighted to p from weight 0, so that rows of weight 0 (f = 0)
+        drop out: in the lower triangle and diagonal of the C-ordered
+        (d, d) ``out``, which it zeroes first, or in a fresh array, then
+        mirrored so that it is exactly symmetric.
 
         With ``reference`` and ``rows`` it is refreshed instead: ``out``
         holds, in its lower triangle with the diagonal, a Hessian whose
         row r is weighted at ``reference[r]``, and only ``rows`` (rows
         with f > 0, from ``drifted_rows``) are re-weighted to p, by
         adding G^T diag(phi''(p) - phi''(reference)) G over them; then
-        ``reference`` takes p on them.  The upper triangle is neither
-        read nor written."""
+        ``reference`` takes p on them.  The strict upper triangle of
+        ``out`` is never read nor written."""
+        g = self._gradient(p[self._rows])
+        # H is allocated before the chunk buffer, so that freeing the buffer
+        # leaves no hole beneath H in the heap (3 MB of peak RSS at N = 16)
+        H = np.empty((self.G.shape[1],) * 2) if out is None else out
         if reference is None:
-            return self._gradient(p[self._rows]), self._hessian(p[self._rows], out)
-        self._refresh(p, reference, rows, out)
-        return self._gradient(p[self._rows]), out
+            rows = np.arange(p.size)[self._rows]
+        self._refresh(p, reference, rows, H)
+        return g, (H if out is not None else _copy_triangle(H))
 
-    def _refresh(self, p: np.ndarray, reference: np.ndarray, rows: np.ndarray,
+    def _refresh(self, p: np.ndarray, reference: np.ndarray | None, rows: np.ndarray,
                  H: np.ndarray) -> None:
         """Add G^T diag(phi''(p) - phi''(reference)) G over ``rows`` to the
         lower triangle of the C-ordered H, diagonal included: the rows
         whose weight grew by syrk with alpha = +1, those whose weight fell
         with alpha = -1, each on sqrt(|change|) G gathered ROW_CHUNK rows
-        at a time into one reused buffer; then reference[rows] = p[rows]."""
+        at a time into one reused buffer; then reference[rows] = p[rows].
+        A ``reference`` of None is weight 0 on a triangle zeroed first."""
         f = self.frequencies[rows]
         w = None if self.spec.weights is None else self.spec.weights[rows]
-        change = self.loss.d2(f, p[rows], w) - self.loss.d2(f, reference[rows], w)
-        reference[rows] = p[rows]
+        change = self.loss.d2(f, p[rows], w)
+        if reference is None:
+            _zero_lower(H)
+        else:
+            change -= self.loss.d2(f, reference[rows], w)
+            reference[rows] = p[rows]
         chunk = np.empty((min(rows.size, ROW_CHUNK), self.G.shape[1]))
         for sign in (1.0, -1.0):
             moved = sign * change > 0.0
@@ -1215,9 +1203,9 @@ class FitModel:
 class LinearFit:
     """Linear objective c^T x (used by the pretest LMI).  Its
     ``probabilities`` are the point x itself, so its methods read x as the
-    p of ``FitModel``'s protocol."""
+    p of ``FitModel``'s protocol.  Its Hessian, 0, is constant."""
 
-    constant_hessian = True
+    curvature_power = 0
 
     def __init__(self, coefficients):
         self.c = np.asarray(coefficients, dtype=float).ravel()
@@ -1310,7 +1298,7 @@ def _newton_direction(W, fit_diagonal, H_bar, t, g):
     max_diag = None
     ridge = 0.0
     for _ in range(4):
-        _copy_triangle(W, upper=False)
+        _copy_triangle(W)
         diagonal[...] = fit_diagonal
         H_bar.add_upper(W, t)
         if max_diag is None:
@@ -1336,13 +1324,13 @@ def _fit_derivatives(fit, p, W, fit_diag, hessian_at, limit):
     triangle, with the diagonal ``fit_diag`` (None while W holds none),
     its row r weighted at ``hessian_at[r]`` (None for a constant one).
 
-    The Hessian is formed over every row of G (p.size of them) only when
-    W holds none.  After that, the rows that drifted by more than
-    ``limit`` are re-weighted to p (``FitModel.gradient_hessian`` with
-    ``reference``), so every row's drift is then <= limit; even all of
-    them cost less than a formation, which also reads the rows with
-    f = 0 and mirrors the triangle.  No drifted row, or a constant
-    Hessian, costs the gradient alone, and the rows are then None."""
+    The Hessian is formed, by re-weighting the rows from weight 0 (and
+    counted as all p.size of them), only when W holds none.  After that,
+    the rows that drifted by more than ``limit`` are re-weighted to p
+    (``FitModel.gradient_hessian`` with ``reference``), so every row's
+    drift is then <= limit.  No drifted row, or a constant Hessian
+    (``curvature_power`` 0), costs the gradient alone, and the rows are
+    then None."""
     if fit_diag is not None:
         rows = None if hessian_at is None else fit.drifted_rows(p, hessian_at, limit)
         if rows is None or rows.size == 0:
@@ -1353,7 +1341,7 @@ def _fit_derivatives(fit, p, W, fit_diag, hessian_at, limit):
         g_fit, _ = fit.gradient_hessian(p, out=W, reference=hessian_at, rows=rows)
         return g_fit, W.diagonal().copy(), hessian_at, int(rows.size)
     g_fit, _ = fit.gradient_hessian(p, out=W)
-    return (g_fit, W.diagonal().copy(), None if fit.constant_hessian else p.copy(),
+    return (g_fit, W.diagonal().copy(), None if fit.curvature_power == 0 else p.copy(),
             int(p.size))
 
 
@@ -1470,9 +1458,9 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
     LAG * min(1, lambda^2 / t) of the last Newton direction, are
     re-weighted to p (``FitModel.drifted_rows``, then
     ``FitModel.gradient_hessian`` with ``reference``), and p_ref takes p
-    on them.  The Hessian is formed over every row only at the fit's
-    first pass.  Most passes re-weight few rows or none, and skip most
-    or all of the syrk.  Every
+    on them.  The Hessian is formed, by the same re-weighting of the
+    rows from weight 0, only at the fit's first pass.  Most passes
+    re-weight few rows or none, and skip most or all of the syrk.  Every
     row then drifts by at most the limit, every step is still a descent
     step, and (1 + drift)^k lambda^2 bounds the true Newton decrement,
     with drift = ``FitModel.hessian_drift`` over every row and k =
@@ -1484,7 +1472,7 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
     formed once.  ``hessians`` in the result counts the
     ``gradient_hessian`` calls, formations and re-weightings alike, and
     ``hessian_rows`` the rows of G they re-weighted, a formation counting
-    every row it reads.  The fit reads a point only through
+    every row it is handed.  The fit reads a point only through
     p = ``fit.probabilities``, formed once per point: at the start
     (unless carried) and at each feasible trial point, whose p the
     accepted one hands on.

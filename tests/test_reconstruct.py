@@ -154,6 +154,9 @@ class TestSolverConfig:
             {"t_min": math.nan},
             {"t0": 1e-12},
             {"t0": 1e-3, "t_min": 1e-2},
+            {"max_newton_iters": math.nan},
+            {"max_newton_iters": math.inf},
+            {"max_newton_iters": 2.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -1379,6 +1382,7 @@ REFRESH_CASES = dict(
     chunk=st.sampled_from([1, 4, 7, 512]),
     spread=st.sampled_from([0.003, 0.03, 0.3]),
     limits=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=1, max_size=6),
+    fill=st.sampled_from([math.nan, math.inf, 1.0]),
 )
 
 
@@ -1389,15 +1393,17 @@ class TestRowRefresh:
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(**REFRESH_CASES)
     def test_refreshed_hessian_is_the_oracle_at_its_reference(self, principle, seed, chunk,
-                                                             spread, limits):
+                                                             spread, limits, fill):
         # p wanders around an interior point, each row up or down (so the
         # weight changes of one refresh have both signs), over the 65 rows
         # of chunk_case, many of them with zero counts, read ROW_CHUNK rows
         # at a time (1 and 4 and 7 rows cross chunk boundaries; 512 is one
         # chunk).  Each pass's limit is a fraction of LAG, 0 re-weighting
-        # every drifted row.  Between passes, NaN stands for the factor a
-        # Newton direction leaves in the buffer's upper triangle and
-        # diagonal, which the held Hessian must not read.  Every row r
+        # every drifted row.  The first pass forms the Hessian in a buffer
+        # filled with ``fill``, of which it may read nothing.  Between
+        # passes, NaN stands for the factor a Newton direction leaves in
+        # the buffer's upper triangle and diagonal, which the held Hessian
+        # must not read.  Every row r
         # carries the sum m_r of the |weights| it was ever given (its
         # formation's, then each refresh's change), and syrk sums of k
         # terms err by at most k eps |terms|, so after each pass
@@ -1408,7 +1414,7 @@ class TestRowRefresh:
         centre = model.probabilities(
             0.5 * model.parametrization.coordinates(interior_ensemble(4, rng)))
         d = model.G.shape[1]
-        W = np.empty((d, d))
+        W = np.full((d, d), fill)
         upper = np.triu_indices(d)
         fit_diag = hessian_at = weights = None
         eps = np.finfo(float).eps
@@ -1480,8 +1486,8 @@ class TestRowChunks:
         ds, spec = chunk_case(principle)
         whole = build_fit_model(ds, spec)
         monkeypatch.setattr(reconstruct_module, "ROW_CHUNK", chunk)
-        # d = 34 mirrored in blocks of 13, 13 and 8 rows: the copies between
-        # blocks and a partial last block are all exercised
+        # d = 34 zeroed and mirrored in blocks of 13, 13 and 8 rows: the
+        # copies between blocks and a partial last block are all exercised
         monkeypatch.setattr(reconstruct_module, "MIRROR_ROWS", 13)
         model = build_fit_model(ds, spec)
         assert model.G.shape[0] == 65 and np.any(model.frequencies == 0)
@@ -1496,10 +1502,13 @@ class TestRowChunks:
         reference = model.G.T @ (c[:, None] * model.G)
         assert np.abs(H - reference).max() <= 1e-13 * np.abs(reference).max()
         assert np.array_equal(H, H.T) and H.flags.c_contiguous
-        # into a caller's buffer, whatever it held, the same bits
+        # into a caller's buffer, whatever it held, the same bits in the
+        # lower triangle and diagonal, and its strict upper one untouched
         out = np.full_like(H, np.nan)
         _, into = model.gradient_hessian(p, out=out)
-        assert into is out and np.array_equal(out, H)
+        lower = np.tril_indices_from(H)
+        assert into is out and np.array_equal(out[lower], H[lower])
+        assert np.all(np.isnan(out[np.triu_indices_from(H, 1)]))
 
     def test_gradient_hessian_holds_no_copy_of_G(self):
         # at most the Hessian, one chunk of weighted rows and a few
