@@ -78,6 +78,7 @@ __all__ = [
     "MeasurementBlockSet",
     "StackedBlockSets",
     "stacked_blocks",
+    "sector_rotations",
     "rotation_params",
     "rotated_blocks",
     "probabilities",
@@ -260,36 +261,52 @@ def rotated_blocks(n_qubits: int, setting: Setting) -> MeasurementBlockSet:
     )
 
 
-def stacked_blocks(n_qubits: int, settings) -> StackedBlockSets:
-    """Block POVMs of several settings as one ``StackedBlockSets``.
-
-    Per sector, U_j = [R_z(phi) d^j(theta) R_z(-phi)][:, ::-1] of every
-    setting is one (S, n, n) batched product on the cached S_y
-    eigenbasis (see the module docstring); the dense per-outcome blocks
-    are never formed.
-    """
-    settings = list(settings)
-    if not settings:
-        raise ValueError("need at least one setting")
+def _angles(settings) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, phi) of every setting: W_j = R_z(phi) d^j(theta) R_z(-phi)."""
     params = [rotation_params(s) for s in settings]
     theta = np.array([t for _, t in params])
     phi = np.array([math.atan2(-n[0], n[1]) for n, _ in params])
+    return theta, phi
+
+
+def _rotations(two_j: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """[U_j^1 | ... | U_j^S] (n x S n, read-only) in sector ``two_j``:
+    U_j = [R_z(phi) d^j(theta) R_z(-phi)][:, ::-1] of every setting, one
+    (S, n, n) batched product on the cached S_y eigenbasis (see the module
+    docstring).  Column a n + r is the vector that outcome r of the sector
+    projects onto for setting a."""
+    dim = two_j + 1
+    mu, V = _s_y_eigen(two_j)
+    # d^j(theta) = V diag(e^{-i theta mu}) V^dagger is real
+    d = ((V * np.exp(-1j * theta[:, None, None] * mu)) @ V.conj().T).real
+    z = np.exp(-1j * phi[:, None] * (two_j / 2.0 - np.arange(dim)))  # R_z(phi)
+    # outcome r projects onto column two_j - r of W_j
+    U = z[:, :, None] * d[:, :, ::-1] * z[:, None, ::-1].conj()
+    U = U.transpose(1, 0, 2).reshape(dim, theta.size * dim)
+    U.setflags(write=False)
+    return U
+
+
+def sector_rotations(settings, two_j: int) -> np.ndarray:
+    """The rotations of one sector that ``stacked_blocks`` would hold for
+    these settings, without building the other sectors."""
+    return _rotations(two_j, *_angles(settings))
+
+
+def stacked_blocks(n_qubits: int, settings) -> StackedBlockSets:
+    """Block POVMs of several settings as one ``StackedBlockSets``: the
+    rotations of every sector, each one batched product over the
+    settings; the dense per-outcome blocks are never formed."""
+    settings = list(settings)
+    if not settings:
+        raise ValueError("need at least one setting")
+    theta, phi = _angles(settings)
     count, n_out = len(settings), n_qubits + 1
     rotations, slots = {}, {}
     for two_j in sector_layout(n_qubits).two_j_values:
-        dim = two_j + 1
-        mu, V = _s_y_eigen(two_j)
-        # d^j(theta) = V diag(e^{-i theta mu}) V^dagger is real
-        d = ((V * np.exp(-1j * theta[:, None, None] * mu)) @ V.conj().T).real
-        z = np.exp(-1j * phi[:, None] * (two_j / 2.0 - np.arange(dim)))  # R_z(phi)
-        # outcome r projects onto column two_j - r of W_j
-        U = z[:, :, None] * d[:, :, ::-1] * z[:, None, ::-1].conj()
-        # column a n + r of [U^1 | ... | U^S] is column r of U^a
-        U = U.transpose(1, 0, 2).reshape(dim, count * dim)
-        U.setflags(write=False)
-        rotations[two_j] = U
+        rotations[two_j] = _rotations(two_j, theta, phi)
         off = (n_qubits - two_j) // 2
-        slots[two_j] = (n_out * np.arange(count)[:, None] + off + np.arange(dim)).ravel()
+        slots[two_j] = (n_out * np.arange(count)[:, None] + off + np.arange(two_j + 1)).ravel()
     return StackedBlockSets(
         n_qubits=n_qubits, n_outcomes=count * n_out, rotations=rotations, slots=slots
     )

@@ -9,26 +9,33 @@ with ``base`` the compressed maximally mixed state and {B_i} an
 orthonormal (Frobenius) basis of traceless directions: per-sector
 generalized Gell-Mann matrices plus ``num_sectors - 1`` diagonal
 inter-sector trace shifts.  Outcome probabilities are affine in x,
-p = p0 + G x, with the overlap table G[row, i] = tr(B_i M_k^a) assembled
-once per (layout, settings).  Each block of G is read off the entries
-u_a conj(u_b) of the rank-one M_{k,j}^a = u u^dagger at its Gell-Mann
-index pairs, O(n^2) per outcome and sector, for all settings of a
-sector at once; neither M nor the dense basis stack (O(n^4)) is
-formed.  Every fit Hessian is G^T diag(c) G with c = phi''(p) >= 0
-(below), added into the lower triangle of the fit's one d x d Newton
-buffer W by one kernel, symmetric rank-k (BLAS syrk) updates over rows
-of G gathered ROW_CHUNK at a time.  The barrier Hessian is small: each
-sector's Gell-Mann coordinates couple only with themselves and the
-trace shifts, so it is held as the upper entries of one block per
-sector and of the shift columns, each at its position in W
-(``BlockHessian``).  The
-Newton system t H_barrier + H_fit is assembled in W's upper triangle,
-which LAPACK factors in place, while W's strict lower triangle and one
-d-vector keep H_fit for the next step.  A fit step thus holds G, W and
-those entries (0.8 MB beside G's 20 MB and W's 7.5 MB at N = 16), and
-no other array the size of G: neither the weighted copy sqrt(c) G nor,
-while G is assembled, a whole sector's temporaries, since both are
-formed one chunk at a time.
+p = p0 + G x, with the overlap table G[row, i] = tr(B_i M_k^a), and G is
+never stored: it is held as its factors (``Overlap``).  By Wigner-Eckart,
+the overlap of outcome k's block R_a |j,m><j,m| R_a^dagger (m = k - N/2)
+with a real spherical tensor T^j_LM is C_j[m, L] Y_LM(a), where C_j, from
+the diagonals of T^j_L0, does not depend on the setting and Y_LM(a), a
+real harmonic of the axis, does not depend on the sector (Klose, Smith &
+Jessen, PRL 86, 4721 (2001); Schmied & Treutlein, NJP 13, 065019
+(2011)).  So G = [C Y B, shift columns]: an S x (N+1)^2 table Y read off
+the top sector's rotations, the (N+1) x n_j columns C_j, one orthogonal
+map B_j per sector from its Gell-Mann coordinates to spherical tensor
+ones (block-diagonal by |M|), and the trace shifts' columns, which do
+not depend on the setting.  C, B and the shift columns are built once
+per layout (``Parametrization.multipoles``).  The products p = p0 + G x
+and G^T v are two small gemms and one sparse map each.  Every fit
+Hessian is G^T diag(c) G with c = phi''(p) >= 0 (below), added into the
+lower triangle of the fit's one d x d Newton buffer W by one kernel,
+symmetric rank-k (BLAS syrk) updates over rows of G that the operator
+builds from its factors a chunk at a time.  The barrier Hessian is
+small: each sector's Gell-Mann coordinates couple only with themselves
+and the trace shifts, so it is held as the upper entries of one block
+per sector and of the shift columns, each at its position in W
+(``BlockHessian``).  The Newton system t H_barrier + H_fit is assembled
+in W's upper triangle, which LAPACK factors in place, while W's strict
+lower triangle and one d-vector keep H_fit for the next step.  A fit
+step thus holds G's factors, W and those entries (0.8, 7.5 and 0.8 MB
+at N = 16, where G would take 20 MB), and no array the size of G: the
+rows that syrk reads are built ROW_CHUNK // 3 at a time.
 
 The barrier engine (``AffineBlockMap``) knows three block kinds, each
 with one representation.  Gell-Mann blocks (``_GellMannTables``) carry
@@ -121,13 +128,14 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import ztrtri
 
-from .povm import probabilities, stacked_blocks
+from .povm import probabilities, sector_rotations, stacked_blocks
 from .povm import rotated_blocks  # unused here; kept so the benchmark tracer's hook resolves
 from .spin_blocks import (
     SpinEnsemble,
     SpinSectorLayout,
     maximally_mixed_ensemble,
     sector_layout,
+    spin_operators,
 )
 
 __all__ = [
@@ -136,6 +144,7 @@ __all__ = [
     "Parametrization",
     "AffineBlockMap",
     "RankOneBlocks",
+    "Overlap",
     "FitModel",
     "LinearFit",
     "StageResult",
@@ -235,12 +244,16 @@ RAY_ITERATIONS = 50
 LS_ALPHA = 0.01
 LS_SHRINK = 0.5
 T_REDUCE = 10.0
-# G is read ROW_CHUNK rows (outcomes) at a time wherever a temporary would
-# otherwise have as many rows as G: the weighted rows sqrt(phi'') G of a
-# fit Hessian and the coordinate blocks that assemble G, so neither forms a
-# second copy of G (671 MB at N = 30).  A (ROW_CHUNK, d) chunk keeps syrk's
-# inner dimension long enough for full speed
+# A fit Hessian's formation or refresh holds ROW_CHUNK rows of d doubles
+# wherever a temporary would otherwise have as many rows as G: a third of
+# them the rows of G that the overlap operator builds from its factors and
+# syrk reads, weighted sqrt(phi''), two thirds the operator's scratch.  So
+# no array the size of G is formed (671 MB at N = 30), and the chunk of a
+# few hundred rows keeps syrk's inner dimension long enough for full speed
 ROW_CHUNK = 512
+# ``Overlap`` reads the harmonics Y off the top sector's rotations of this
+# many settings at a time
+SETTING_CHUNK = 64
 # a fit Hessian's lower triangle is zeroed, and copied onto the upper one,
 # in blocks of this many rows
 MIRROR_ROWS = 64
@@ -923,6 +936,12 @@ class Parametrization:
             )[0]
         return x
 
+    @functools.cached_property
+    def multipoles(self) -> "_Multipoles":
+        """The setting-independent factors of the overlap table G, built
+        on first use: every ``Overlap`` on this instance shares them."""
+        return _Multipoles(self)
+
     def basis_element(self, i: int) -> dict[int, np.ndarray]:
         """Materialize basis direction B_i as a block dictionary."""
         if not 0 <= i < self.dimension:
@@ -939,6 +958,246 @@ def _shared_parametrization(layout: SpinSectorLayout) -> Parametrization:
     """The ``Parametrization`` of a layout, built once: it depends on
     nothing else, and its arrays are read-only."""
     return Parametrization(layout)
+
+
+# ---------------------------------------------------------------------------
+# The overlap operator
+# ---------------------------------------------------------------------------
+
+
+def _tensor_lines(two_j: int) -> list[np.ndarray]:
+    """The spherical tensor operators T_LM, M >= 0, of sector ``two_j``
+    by their one non-zero line: entry i of column L - M of ``lines[M]`` is
+    T_LM[i, i + M] (basis m = j - i), for L = M..2j, each real and of
+    unit norm.
+
+    On the matrices of offset M, [J_+, .] is a bidiagonal map E_M to
+    offset M + 1, and T_LM is the eigenvector of E_M^T E_M = [J_-, [J_+, .]]
+    of eigenvalue L(L+1) - M(M+1).  Each has a positive first entry
+    T_LM[0, M], proportional to <j, j-M; L M | j, j>, whose sign is (-1)^M
+    for the standard tensors (Condon-Shortley) whatever j and L.  So every
+    sector's T_LM are the standard ones times the same signs (-1)^M, and
+    rotate by one and the same D^L, up to those signs.  T_L0's entries are
+    the Clebsch-Gordan coefficients <j m; L 0 | j m> up to one norm
+    (Varshalovich, Moskalev & Khersonskii, Quantum Theory of Angular
+    Momentum (1988)).
+    """
+    n = two_j + 1
+    a = spin_operators(two_j).j_minus.real.diagonal(-1)  # a_i = J_+[i, i + 1]
+    lines = []
+    for M in range(n):
+        i = np.arange(n - M - 1)
+        E = np.zeros((n - M - 1, n - M))
+        E[i, i + 1] = a[i]
+        E[i, i] = -a[i + M]
+        V = np.linalg.eigh(E.T @ E)[1]  # eigenvalues ascend with L
+        lines.append(V * np.sign(V[0]))
+    return lines
+
+
+class _Multipoles:
+    """The setting-independent factors of a ``Parametrization``'s overlap
+    table G (``Parametrization.multipoles``, built once per instance).
+
+    In sector j the real spherical tensor coordinates of a Hermitian A
+    are <T_L0, A> and, for M > 0, sqrt2 <T_LM, Re A> and -sqrt2 <T_LM, Im A>
+    (``_tensor_lines``), at lm = L^2, L^2 + 2M - 1 and L^2 + 2M.  B maps
+    the sector's Gell-Mann coordinates to those with L >= 1.  It is
+    orthogonal and block-diagonal: one block per sector and |M|, the same
+    for the pair directions S and Y, n_j - |M| square (n_j - 1 for M = 0),
+    sum_M (n_j - |M|)^2 - 1 entries per sector.  By Wigner-Eckart, the
+    coordinates of outcome k's block R_a |j,m><j,m| R_a^dagger, m = k - N/2,
+    are C_j[m, L] Y_lm(a), with ``coefficients`` (N+1, K) holding
+    C_j[m, L] = T_L0[m, m] at column K_j + L (K = sum_j n_j, zero where
+    |m| > j).
+
+    ``table`` places x's tensor coordinates in a (K, (N+1)^2) table at
+    (K_j + L, lm): B x, and each trace shift on the T_00 = I / sqrt(n_j) of
+    every sector, by the (place, coordinate, value) ``entries``;
+    ``coordinates`` is its transpose.  ``blocks`` holds B's transposed
+    blocks grouped by size, each group (Q, start, stop) the stack Q of
+    blocks whose tensor coordinates come start:stop in block order;
+    ``columns`` (d', N+1) is C of each of them in that order, ``lm`` its
+    lm - 1 (its column of Y without Y_00), and ``inverse`` puts the
+    Gell-Mann coordinates back from that order.  The trace shifts'
+    columns of G, ``shifts`` (N+1, shifts), do not depend on the
+    setting: tr(c I M) = c.  ``top`` is the top sector's
+    ``_tensor_lines``, from which ``Overlap`` reads Y.
+    """
+
+    def __init__(self, parametrization: "Parametrization"):
+        layout = parametrization.layout
+        n_out = layout.n_qubits + 1
+        sizes = [t + 1 for t in layout.two_j_values]
+        self.shift0 = sum(n * n - 1 for n in sizes)
+        self.shifts = np.zeros((n_out, len(sizes) - 1))
+        self.coefficients = np.zeros((n_out, sum(sizes)))
+        groups = {}  # size -> [(Gell-Mann coordinates, tensor coordinates, block)]
+        lm, jl = np.empty(self.shift0, dtype=np.intp), np.empty(self.shift0, dtype=np.intp)
+        offset = first = 0
+        for n, coeff in zip(sizes, parametrization.shift_coeff):
+            lines = _tensor_lines(n - 1)
+            k = (n - 1 + layout.n_qubits) // 2 - np.arange(n)  # outcome of basis index i
+            self.coefficients[k, first : first + n] = lines[0]
+            self.shifts[k] += coeff
+            own = slice(offset, offset + n * n - 1)
+            lm[own] = np.arange(1, n * n)
+            jl[own] = first + np.repeat(np.arange(n), 2 * np.arange(n) + 1)[1:]
+            # pair p = (r, c) of np.triu_indices(n, 1) has S, Y at 2p, 2p + 1;
+            # those of offset M = c - r have r = 0..n-M-1 in increasing p
+            r, c = np.triu_indices(n, 1)
+            for M in range(1, n):
+                p = np.flatnonzero(c - r == M)
+                for sigma in (0, 1):
+                    groups.setdefault(n - M, []).append(
+                        (offset + 2 * p + sigma, offset + np.arange(M, n) ** 2 + 2 * M - 2 + sigma,
+                         lines[M]))
+            if n > 1:
+                groups.setdefault(n - 1, []).append(
+                    (offset + 2 * r.size + np.arange(n - 1), offset + np.arange(1, n) ** 2 - 1,
+                     _diagonal_table(n).T @ lines[0][:, 1:]))
+            offset += n * n - 1
+            first += n
+        self.blocks, order, gell_mann, rows, cols, vals = [], [], [], [], [], []
+        start = 0
+        for size in sorted(groups):
+            gm, tensor, Q = (np.stack(part) for part in zip(*groups[size]))
+            self.blocks.append((Q, start, start + gm.size))
+            start += gm.size
+            order.append(tensor.ravel())
+            gell_mann.append(gm.ravel())
+            # B[tensor[b, l], gm[b, i]] = Q[b, i, l]
+            rows.append(np.broadcast_to(tensor[:, None, :], Q.shape).ravel())
+            cols.append(np.broadcast_to(gm[:, :, None], Q.shape).ravel())
+            vals.append(Q.ravel())
+        order, gell_mann = np.concatenate(order), np.concatenate(gell_mann)
+        self.inverse = np.empty_like(gell_mann)
+        self.inverse[gell_mann] = np.arange(gell_mann.size)
+        rows, cols, vals = (np.concatenate(part) for part in (rows, cols, vals))
+        # the trace shift s enters sector j's T_00 = I / sqrt(n_j) as sqrt(n_j) c[j, s]
+        first = np.cumsum([0] + sizes[:-1]) * n_out**2
+        self.entries = (
+            np.concatenate([(jl * n_out**2 + lm)[rows], np.repeat(first, len(sizes) - 1)]),
+            np.concatenate([cols, np.tile(self.shift0 + np.arange(len(sizes) - 1), len(sizes))]),
+            np.concatenate([vals, (np.sqrt(sizes)[:, None] * parametrization.shift_coeff).ravel()]))
+        self.lm = lm[order] - 1
+        self.columns = np.ascontiguousarray(self.coefficients.T[jl[order]])
+        self.top = lines
+        # read-only: every ``Overlap`` on the parametrization shares them
+        for array in self._arrays():
+            array.setflags(write=False)
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [self.shifts, self.coefficients, self.inverse, self.lm, self.columns,
+                *self.entries, *self.top, *(Q for Q, _, _ in self.blocks)]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self._arrays())
+
+    def table(self, x: np.ndarray) -> np.ndarray:
+        """The (K, (N+1)^2) table of x's tensor coordinates: B x, and the
+        trace shifts on each sector's T_00, each at its (j, L) and lm."""
+        places, coordinates, values = self.entries
+        size = self.coefficients.shape[1] * self.shifts.shape[0] ** 2
+        return np.bincount(places, weights=values * x[coordinates], minlength=size).reshape(
+            self.coefficients.shape[1], -1)
+
+    def coordinates(self, table: np.ndarray) -> np.ndarray:
+        """The transpose of ``table``: x from a (K, (N+1)^2) table."""
+        places, coordinates, values = self.entries
+        return np.bincount(coordinates, weights=values * table.reshape(-1)[places],
+                           minlength=self.shift0 + self.shifts.shape[1])
+
+
+def _harmonics(lines: list[np.ndarray], U: np.ndarray) -> np.ndarray:
+    """Y (S, n^2), n = N + 1: row a holds the real spherical tensor
+    coordinates (``_Multipoles``) of R_a T_L0 R_a^dagger at lm, for the
+    top sector's T_LM (``lines``) and rotations U (n, S n).  As
+    T_L0 = sum_m T_L0[m, m] |m><m|, that is sum_r C[r, L] u_r^dagger T_LM u_r
+    over the outcomes r of setting a, formed offset by offset."""
+    n = len(lines)
+    U = U.reshape(n, -1, n)  # (i, a, r); outcome r measures basis index n - 1 - r
+    C = lines[0][::-1]  # (r, L)
+    Y = np.empty((U.shape[1], n * n))
+    for M, T in enumerate(lines):
+        # A_L[i, i + M] = sum_r C[r, L] u_r[i] conj(u_r[i + M]) for L >= M
+        product = U[: n - M] * U[M:].conj()
+        A = (product.reshape(-1, n) @ C[:, M:]).reshape(n - M, -1, n - M)
+        v = np.einsum("ial,il->al", A, T)
+        L = np.arange(M, n)
+        if M == 0:
+            Y[:, L * L] = v.real
+            Y[:, 0] = 1.0  # tr(T_00 T_00), which the roundoff of v.real misses
+        else:
+            Y[:, L * L + 2 * M - 1] = math.sqrt(2.0) * v.real
+            Y[:, L * L + 2 * M] = -math.sqrt(2.0) * v.imag
+    return Y
+
+
+class Overlap:
+    """The overlap table G of a ``Parametrization`` and a list of
+    ``settings``, p = p0 + G x over the rows (setting, outcome), held as its
+    factors: G = [C Y B, shift columns] with C and B the parametrization's
+    ``_Multipoles`` and Y (S, (N+1)^2) the real harmonics of the settings,
+    read off the top sector's rotations (``_harmonics``).  No product
+    forms G: ``matvec`` G x and ``rmatvec`` G^T v are each two small
+    gemms and one sparse map (``_Multipoles.table``), and ``rows`` builds
+    the rows a refresh re-weights.  ``shape`` is G's, and ``nbytes`` the
+    factors' bytes.
+    """
+
+    def __init__(self, parametrization: "Parametrization", settings):
+        self.settings = tuple(settings)
+        self.multipoles = parametrization.multipoles
+        n = parametrization.layout.n_qubits
+        # SETTING_CHUNK settings at a time, so that the rotations and the
+        # temporaries stay a fraction of Y
+        self.harmonics = np.concatenate([
+            _harmonics(self.multipoles.top,
+                       sector_rotations(self.settings[start : start + SETTING_CHUNK], n))
+            for start in range(0, len(self.settings), SETTING_CHUNK)])
+        self.harmonics.setflags(write=False)
+        self.shape = (len(self.settings) * self.multipoles.coefficients.shape[0],
+                      parametrization.dimension)
+
+    @property
+    def nbytes(self) -> int:
+        return self.harmonics.nbytes + self.multipoles.nbytes
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """G x: x's table of tensor coordinates, times C on the left and Y
+        on the right (Y_00 = 1 carries the trace shifts)."""
+        m = self.multipoles
+        return (self.harmonics @ (m.coefficients @ m.table(x)).T).reshape(-1)
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """G^T v, the transpose of ``matvec`` step by step."""
+        m = self.multipoles
+        v = v.reshape(-1, m.shifts.shape[0])
+        return m.coordinates(m.coefficients.T @ (v.T @ self.harmonics))
+
+    def rows(self, index: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+        """Write the rows ``index`` of G as the columns of the C-ordered
+        (d, index.size) ``out``, with 2 (d - shifts) index.size doubles of
+        ``work`` as scratch: the coordinates C[k] * Y[a] of each row, in
+        block order, mapped block by block through B^T, then put in
+        Gell-Mann order, and the shift columns of outcome k."""
+        m = self.multipoles
+        n = index.size
+        setting, outcome = np.divmod(index, m.shifts.shape[0])
+        X, O = work[: 2 * m.shift0 * n].reshape(2, m.shift0, n)
+        # mode="clip" gathers straight into ``out=`` ("raise" would buffer
+        # the gather in a temporary first); every index is in range
+        harmonics = self.harmonics.T[1:]
+        np.take(np.take(harmonics, setting, axis=1, out=O[: len(harmonics)], mode="clip"),
+                m.lm, axis=0, out=X, mode="clip")
+        X *= np.take(m.columns, outcome, axis=1, out=O, mode="clip")
+        for Q, start, stop in m.blocks:
+            np.matmul(Q, X[start:stop].reshape(len(Q), -1, n),
+                      out=O[start:stop].reshape(len(Q), -1, n))
+        np.take(O, m.inverse, axis=0, out=out[: m.shift0], mode="clip")
+        out[m.shift0 :] = m.shifts[outcome].T
 
 
 # ---------------------------------------------------------------------------
@@ -1007,13 +1266,12 @@ def _zero_lower(H: np.ndarray) -> None:
 class FitModel:
     """A fit principle evaluated over parametrization coordinates.
 
-    Precomputes p0 (the outcome probabilities of the maximally mixed
-    state) and the overlap table G with p(x) = p0 + G x; rows run over
-    (setting, outcome) in dataset order, as the outcomes of the
-    ``StackedBlockSets`` it is built from.  Each sector's columns of G
-    are read off its rotation U_j by ``_gell_mann_coordinates``, O(n^2)
-    per outcome, and written with one scatter per chunk of ROW_CHUNK
-    outcomes, so the temporaries are a chunk's, not a sector's.
+    Holds p0, the outcome probabilities C(N, k) / 2^N of the maximally
+    mixed state, and the overlap table G as an ``Overlap`` (its factors),
+    with p(x) = p0 + G x; rows run over (setting, outcome) in dataset
+    order.  G is never formed: ``probabilities`` and the ray apply it,
+    the gradient applies its transpose, and the Hessian kernel has it
+    build the rows it re-weights.
 
     The principle enters only through its ``Loss`` phi, on the rows the
     loss reads, and no method branches on it.  The gradient is
@@ -1023,9 +1281,10 @@ class FitModel:
     weighted at, it adds G^T diag(phi''(p) - phi''(reference)) G over
     the given rows, as two BLAS syrk passes (half the flops of a general
     product), alpha = +1 and -1, on those rows of G scaled by
-    sqrt |phi''(p) - phi''(reference)| and gathered ROW_CHUNK at a time
-    into one reused buffer.  So a Hessian costs d^2 doubles and one
-    chunk beside G, never a second copy of G.  A ``gradient_hessian``
+    sqrt |phi''(p) - phi''(reference)|, built ROW_CHUNK // 3 at a time
+    into one reused buffer beside the operator's scratch.  So a Hessian
+    costs d^2 doubles and ROW_CHUNK rows of d beside G's factors, never
+    an array the size of G.  A ``gradient_hessian``
     call without ``reference`` forms the Hessian: that kernel over the
     rows the loss reads from weight 0, in the caller's d x d buffer (the
     engine's Newton buffer), whose lower triangle it zeroes first, or in
@@ -1042,43 +1301,24 @@ class FitModel:
     """
 
     def __init__(self, spec: FitSpec, parametrization: Parametrization,
-                 measurement, frequencies):
+                 overlap: Overlap, frequencies):
         self.spec = spec
         self.loss = LOSSES[spec.principle]
         self.parametrization = parametrization
-        layout = parametrization.layout
-        n = layout.n_qubits
-        if measurement.n_qubits != n:
-            raise ValueError("block set qubit number does not match layout")
         self.frequencies = np.concatenate(
             [np.asarray(fr, dtype=float).ravel() for fr in frequencies]
         )
-        rows = measurement.n_outcomes
+        rows = overlap.shape[0]
         if self.frequencies.size != rows:
             raise ValueError(
                 f"{self.frequencies.size} frequencies for {rows} outcome rows"
             )
         w = _weights(spec, self.frequencies)
-        indices = parametrization.indices
-        shift_coeff = parametrization.shift_coeff
-        G = np.zeros((rows, parametrization.dimension))
-        # one scatter per sector and chunk of ROW_CHUNK outcomes; rows
-        # repeat across sectors and the trace-shift columns are shared, so
-        # sectors add up.  Column r of U is the u of outcome r's block
-        # u u^dagger
-        for b, two_j in enumerate(layout.two_j_values):
-            U = measurement.rotations[two_j]
-            slots = measurement.outcome_slots(two_j)
-            upper, lower = np.triu_indices(two_j + 1, 1)
-            for start in range(0, U.shape[1], ROW_CHUNK):
-                part = slice(start, start + ROW_CHUNK)
-                u = U[:, part]
-                G[np.ix_(slots[part], indices[b])] += _gell_mann_coordinates(
-                    u[upper] * u[lower].conj(), u.real**2 + u.imag**2, shift_coeff[b]
-                )
-        self.G = G
-        base = maximally_mixed_ensemble(layout)
-        self.p0 = probabilities(base, measurement)
+        self.G = overlap
+        # the maximally mixed state's p_k = C(N, k) / 2^N, for every setting
+        n = parametrization.layout.n_qubits
+        binomial = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+        self.p0 = np.tile(binomial / 2.0**n, rows // (n + 1))
         self._observed = np.flatnonzero(self.frequencies > 0)
         # f and w on the rows the loss reads
         self._rows = self.loss.rows(self.frequencies)
@@ -1094,10 +1334,10 @@ class FitModel:
     def _gradient(self, p: np.ndarray) -> np.ndarray:
         """G^T phi'(p) from p on the rows the loss reads."""
         self.loss.check_interior(p)
-        return self.G.T @ self._scatter(self.loss.d1(self._f, p, self._w))
+        return self.G.rmatvec(self._scatter(self.loss.d1(self._f, p, self._w)))
 
     def probabilities(self, x: np.ndarray) -> np.ndarray:
-        return self.p0 + self.G @ x
+        return self.p0 + self.G.matvec(x)
 
     def hessian_drift(self, p: np.ndarray, reference: np.ndarray) -> float:
         """max |p / reference - 1| over the rows with f > 0, the only rows
@@ -1158,8 +1398,9 @@ class FitModel:
         """Add G^T diag(phi''(p) - phi''(reference)) G over ``rows`` to the
         lower triangle of the C-ordered H, diagonal included: the rows
         whose weight grew by syrk with alpha = +1, those whose weight fell
-        with alpha = -1, each on sqrt(|change|) G gathered ROW_CHUNK rows
-        at a time into one reused buffer; then reference[rows] = p[rows].
+        with alpha = -1, each on sqrt(|change|) G built ROW_CHUNK // 3
+        rows at a time, as the columns of one reused buffer that also
+        holds the operator's scratch; then reference[rows] = p[rows].
         A ``reference`` of None is weight 0 on a triangle zeroed first."""
         f = self.frequencies[rows]
         w = None if self.spec.weights is None else self.spec.weights[rows]
@@ -1169,19 +1410,20 @@ class FitModel:
         else:
             change -= self.loss.d2(f, reference[rows], w)
             reference[rows] = p[rows]
-        chunk = np.empty((min(rows.size, ROW_CHUNK), self.G.shape[1]))
+        step = max(1, ROW_CHUNK // 3)
+        d = self.G.shape[1]
+        # a chunk of rows (as columns) and the overlap operator's scratch
+        buffer = np.empty(3 * d * min(rows.size, step))
         for sign in (1.0, -1.0):
             moved = sign * change > 0.0
             scale, part = np.sqrt(sign * change[moved]), rows[moved]
-            for start in range(0, part.size, ROW_CHUNK):
-                gather = part[start : start + ROW_CHUNK]
-                block = chunk[: gather.size]
-                # mode="clip" gathers straight into the buffer ("raise"
-                # would buffer the gather in a temporary first)
-                np.take(self.G, gather, axis=0, out=block, mode="clip")
-                block *= scale[start : start + ROW_CHUNK, None]
+            for start in range(0, part.size, step):
+                gather = part[start : start + step]
+                block = buffer[: d * gather.size].reshape(d, gather.size)
+                self.G.rows(gather, block, buffer[d * gather.size :])
+                block *= scale[start : start + step]
                 # the upper triangle of the Fortran-ordered H.T is H's lower one
-                dsyrk(sign, block.T, 1.0, H.T, overwrite_c=1, lower=0)
+                dsyrk(sign, block.T, 1.0, H.T, trans=1, overwrite_c=1, lower=0)
 
     def ray(self, p: np.ndarray, delta: np.ndarray):
         """Derivatives of a -> F(x + a delta) at p = p(x): a function of a
@@ -1190,7 +1432,7 @@ class FitModel:
         once.  It makes no interior check: the ray search keeps a below
         the step to the boundary."""
         p = p[self._rows]
-        q = (self.G @ delta)[self._rows]
+        q = self.G.matvec(delta)[self._rows]
         f, w, q2, loss = self._f, self._w, q * q, self.loss
 
         def derivatives(a):
@@ -1712,14 +1954,14 @@ def _resolve_spec(spec: FitSpec, dataset, freqs) -> FitSpec:
 
 def build_fit_model(dataset, spec: FitSpec,
                     parametrization: Parametrization | None = None) -> FitModel:
-    """Assemble the FitModel (overlap table, frequencies) for a dataset.
+    """Build the FitModel (overlap operator, frequencies) for a dataset.
 
     Without ``parametrization`` the layout's shared instance is used."""
     freqs = [rec.frequencies for rec in dataset.records]
     param = parametrization or _shared_parametrization(sector_layout(dataset.n_qubits))
-    measurement = stacked_blocks(dataset.n_qubits, [rec.setting for rec in dataset.records])
+    overlap = Overlap(param, [rec.setting for rec in dataset.records])
     resolved = _resolve_spec(spec, dataset, freqs)
-    return FitModel(resolved, param, measurement, freqs)
+    return FitModel(resolved, param, overlap, freqs)
 
 
 def reconstruct(dataset, spec: FitSpec,

@@ -30,7 +30,7 @@ from pitomo.design import (
     _weight_tables,
 )
 from pitomo.povm import moment_coefficients, probabilities, rotated_blocks, stacked_blocks
-from pitomo.reconstruct import NonConvergenceError
+from pitomo.reconstruct import NonConvergenceError, _gell_mann_coordinates
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -293,6 +293,30 @@ def weighted_gram(G, weights):
 
 # ---------------------------------------------------------------------------
 # Replaced package routes
+
+
+def dense_overlap(parametrization, settings):
+    """The dense overlap table G[(a, k), i] = tr(B_i M_k^a), assembled as
+    the package did before it held G as factors: each sector's columns
+    are the Gell-Mann coordinates of the rank-one blocks u u^dagger, read
+    off the sector's rotations, and sectors add up on the rows they
+    share."""
+    layout = parametrization.layout
+    measurement = stacked_blocks(layout.n_qubits, settings)
+    G = np.zeros((measurement.n_outcomes, parametrization.dimension))
+    for b, two_j in enumerate(layout.two_j_values):
+        U = measurement.rotations[two_j]
+        upper, lower = np.triu_indices(two_j + 1, 1)
+        G[np.ix_(measurement.outcome_slots(two_j), parametrization.indices[b])] += (
+            _gell_mann_coordinates(U[upper] * U[lower].conj(), U.real**2 + U.imag**2,
+                                   parametrization.shift_coeff[b]))
+    return G
+
+
+def model_overlap(model):
+    """``dense_overlap`` of a ``FitModel``: its parametrization and the
+    settings of its overlap operator."""
+    return dense_overlap(model.parametrization, model.G.settings)
 
 
 def barrier_value_grad_hess(affine, x, t):

@@ -18,6 +18,7 @@ from pitomo.reconstruct import (
     FitSpec,
     LinearFit,
     NonConvergenceError,
+    Overlap,
     Parametrization,
     RankOneBlocks,
     SolverConfig,
@@ -32,7 +33,7 @@ from pitomo.reconstruct import (
     resolve_least_squares_weights,
     t_schedule,
 )
-from pitomo.design import random_settings as design_random_settings
+from pitomo.design import determined_setting_count, random_settings as design_random_settings
 from pitomo.sim import Dataset, DatasetRecord as Record, dicke_mixture_state, sample_dataset
 from pitomo.spin_blocks import (
     SpinEnsemble,
@@ -260,6 +261,11 @@ class TestParametrization:
         for array in (shared.shift_coeff, shared.centre, tables.Q, tables.Qc,
                       tables.diag_coord, *affine.constants, *shared.indices):
             assert not array.flags.writeable
+        multipoles = build_fit_model(ds, FitSpec.max_lik()).G.multipoles
+        assert multipoles is shared.multipoles
+        for array in (multipoles.coefficients, multipoles.columns, *multipoles.entries,
+                      *(Q for Q, _, _ in multipoles.blocks)):
+            assert not array.flags.writeable
         own = Parametrization(shared.layout)
         assert build_fit_model(ds, FitSpec.max_lik(), own).parametrization is own
 
@@ -295,8 +301,75 @@ class TestOverlapTable:
                     p0[row] += np.trace(base[two_j] @ M).real
                     for i, element in enumerate(basis):
                         G[row, i] += np.trace(element[two_j] @ M).real
-        np.testing.assert_allclose(model.G, G, rtol=0, atol=1e-13)
+        # G is read as the operator applied to the identity
+        applied = np.column_stack([model.G.matvec(e) for e in np.eye(param.dimension)])
+        np.testing.assert_allclose(applied, G, rtol=0, atol=1e-13)
         np.testing.assert_allclose(model.p0, p0, rtol=0, atol=1e-13)
+
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_operator_matches_dense_assembly(self, n):
+        # G x, G^T v and the rows the operator builds, against the dense
+        # Gell-Mann assembly, on random settings with a repeated one, an
+        # antipodal pair and both poles, to 1e-13 of the sums' scale
+        rng = np.random.default_rng(60 + n)
+        param = Parametrization(sector_layout(n))
+        settings = random_settings(rng, 6)
+        settings += [settings[0], Setting(axis=-settings[1].axis),
+                     Setting(axis=np.array([0.0, 0.0, 1.0])), Setting(axis=np.array([0.0, 0.0, -1.0]))]
+        G = oracles.dense_overlap(param, settings)
+        op = Overlap(param, settings)
+        assert op.shape == G.shape
+        x, v = rng.normal(size=G.shape[1]), rng.normal(size=G.shape[0])
+        assert np.all(np.abs(op.matvec(x) - G @ x) <= 1e-13 * (np.abs(G) @ np.abs(x)).max())
+        assert np.all(np.abs(op.rmatvec(v) - G.T @ v) <= 1e-13 * (np.abs(G).T @ np.abs(v)).max())
+        index = rng.permutation(G.shape[0])
+        out = np.full((G.shape[1], index.size), np.nan)
+        op.rows(index, out, np.full(2 * out.size, np.nan))
+        assert np.all(np.abs(out.T - G[index]) <= 1e-13 * np.abs(G).max())
+
+
+class TestMultipoles:
+    """The factors of G against closed forms: C_j's columns are
+    Clebsch-Gordan coefficients, and Y's rows are real harmonics."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_columns_are_clebsch_gordan(self, n):
+        # column L of C_j is <j m; L 0 | j m> over m = -j..j, up to one
+        # norm and one sign per (j, L)
+        from sympy import Rational
+        from sympy.physics.wigner import clebsch_gordan
+
+        coefficients = Parametrization(sector_layout(n)).multipoles.coefficients
+        first = 0
+        for two_j in sector_layout(n).two_j_values:
+            j = Rational(two_j, 2)
+            outcomes = (n - two_j) // 2 + np.arange(two_j + 1)  # m = -j..j
+            for L in range(two_j + 1):
+                cg = np.array([float(clebsch_gordan(j, L, j, m, 0, m))
+                               for m in (-j + i for i in range(two_j + 1))])
+                column = coefficients[outcomes, first + L]
+                assert np.all(coefficients[:, first + L][
+                    np.setdiff1d(np.arange(n + 1), outcomes)] == 0.0)
+                a, b = column / np.linalg.norm(column), cg / np.linalg.norm(cg)
+                assert np.abs(a - np.sign(a @ b) * b).max() <= 1e-13
+            first += two_j + 1
+
+    def test_rows_are_real_harmonics(self):
+        # Y_lm(a) are the coordinates of R_a T_L0 R_a^dagger in an
+        # orthonormal basis of degree L, so sum_M Y_LM(a)^2 = 1 for every
+        # axis (the addition theorem: (2L+1)/4pi in the usual norm), and
+        # Y_L0(a) = D^L_00 = P_L(a_z), with either sign of T_L0
+        rng = np.random.default_rng(12)
+        settings = random_settings(rng, 20) + [Setting(axis=np.array([0.0, 0.0, 1.0])),
+                                               Setting(axis=np.array([0.0, 0.0, -1.0]))]
+        Y = Overlap(Parametrization(sector_layout(12)), settings).harmonics
+        z = np.array([s.axis[2] for s in settings])
+        for L in range(13):
+            degree = Y[:, L * L : (L + 1) ** 2]
+            np.testing.assert_allclose((degree**2).sum(axis=1), 1.0, rtol=0, atol=1e-13)
+            legendre = np.polynomial.legendre.legval(z, np.eye(L + 1)[L])
+            np.testing.assert_allclose(degree[:, 0], legendre, rtol=0, atol=1e-13)
 
 
 class TestFitValue:
@@ -629,7 +702,8 @@ def assert_carry_is_fresh_at(model, param, x, carry):
         assert np.array_equal(getattr(carry, name), getattr(fresh, name)), name
     assert np.array_equal(carry.barrier_hessian.data, fresh.barrier_hessian.data)
     at = carry.probabilities if carry.hessian_at is None else carry.hessian_at
-    reference, scale = oracles.weighted_gram(model.G, oracles.fit_curvature(model, at))
+    reference, scale = oracles.weighted_gram(oracles.model_overlap(model),
+                                             oracles.fit_curvature(model, at))
     held = oracles.held_fit_hessian(carry.workspace, carry.fit_diagonal)
     assert np.abs(held - reference).max() <= 1e-12 * scale.max()
     if carry.hessian_at is not None:
@@ -1379,7 +1453,7 @@ class TestLaggedHessian:
 REFRESH_CASES = dict(
     principle=st.sampled_from(["ml", "freels", "hedged"]),
     seed=st.integers(0, 2**16),
-    chunk=st.sampled_from([1, 4, 7, 512]),
+    chunk=st.sampled_from([3, 12, 21, 1536]),
     spread=st.sampled_from([0.003, 0.03, 0.3]),
     limits=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=1, max_size=6),
     fill=st.sampled_from([math.nan, math.inf, 1.0]),
@@ -1396,9 +1470,9 @@ class TestRowRefresh:
                                                              spread, limits, fill):
         # p wanders around an interior point, each row up or down (so the
         # weight changes of one refresh have both signs), over the 65 rows
-        # of chunk_case, many of them with zero counts, read ROW_CHUNK rows
-        # at a time (1 and 4 and 7 rows cross chunk boundaries; 512 is one
-        # chunk).  Each pass's limit is a fraction of LAG, 0 re-weighting
+        # of chunk_case, many of them with zero counts, built ROW_CHUNK // 3
+        # rows at a time (1 and 4 and 7 rows cross chunk boundaries; 512 is
+        # one chunk).  Each pass's limit is a fraction of LAG, 0 re-weighting
         # every drifted row.  The first pass forms the Hessian in a buffer
         # filled with ``fill``, of which it may read nothing.  Between
         # passes, NaN stands for the factor a Newton direction leaves in
@@ -1413,7 +1487,8 @@ class TestRowRefresh:
         rng = np.random.default_rng(seed)
         centre = model.probabilities(
             0.5 * model.parametrization.coordinates(interior_ensemble(4, rng)))
-        d = model.G.shape[1]
+        G = oracles.model_overlap(model)
+        d = G.shape[1]
         W = np.full((d, d), fill)
         upper = np.triu_indices(d)
         fit_diag = hessian_at = weights = None
@@ -1438,8 +1513,8 @@ class TestRowRefresh:
                     moved = np.flatnonzero(hessian_at != before)
                     assert (rows or 0) == moved.size
                     assert np.all(model.frequencies[moved] > 0)
-                reference, _ = oracles.weighted_gram(model.G, curvature)
-                _, scale = oracles.weighted_gram(model.G, weights)
+                reference, _ = oracles.weighted_gram(G, curvature)
+                _, scale = oracles.weighted_gram(G, weights)
                 held = oracles.held_fit_hessian(W, fit_diag)
                 bound = 8 * eps * (p.size + passes) * scale
                 assert np.all(np.abs(held - reference) <= bound)
@@ -1472,13 +1547,15 @@ def traced_peak(call):
 
 
 class TestRowChunks:
-    """A fit reads G in chunks of ROW_CHUNK rows: it holds G plus the
-    engine's d x d arrays, and never a second array the size of G."""
+    """A fit builds rows of G from its factors in chunks of ROW_CHUNK // 3
+    rows, beside twice as much scratch: it holds G's factors plus the
+    engine's d x d arrays, and never an array the size of G."""
 
-    # chunk sizes for the 65 rows of chunk_case: one chunk with rows to
-    # spare (the buffer then has G's 65 rows), exactly one chunk, one chunk
-    # and one row, two chunks less one row, five full chunks
-    CHUNKS = {"below": 130, "one": 65, "one+1": 64, "two-1": 33, "five": 13}
+    # ROW_CHUNK for syrk chunks of a third as many rows, on the 65 rows of
+    # chunk_case: one chunk with rows to spare (the buffer then has G's 65
+    # rows), exactly one chunk, one chunk and one row, two chunks less one
+    # row, five full chunks
+    CHUNKS = {"below": 390, "one": 195, "one+1": 192, "two-1": 99, "five": 39}
 
     @every_principle
     @pytest.mark.parametrize("chunk", CHUNKS.values(), ids=CHUNKS.keys())
@@ -1490,8 +1567,8 @@ class TestRowChunks:
         # copies between blocks and a partial last block are all exercised
         monkeypatch.setattr(reconstruct_module, "MIRROR_ROWS", 13)
         model = build_fit_model(ds, spec)
-        assert model.G.shape[0] == 65 and np.any(model.frequencies == 0)
-        np.testing.assert_allclose(model.G, whole.G, rtol=0, atol=1e-15)
+        G = oracles.model_overlap(model)
+        assert model.G.shape == G.shape and G.shape[0] == 65 and np.any(model.frequencies == 0)
         x = 0.5 * model.parametrization.coordinates(interior_ensemble(4, np.random.default_rng(1)))
         p = model.probabilities(x)
         _, H = model.gradient_hessian(p)
@@ -1499,7 +1576,7 @@ class TestRowChunks:
         rows = model.loss.rows(model.frequencies)
         w = None if model.spec.weights is None else model.spec.weights[rows]
         c[rows] = model.loss.d2(model.frequencies[rows], p[rows], w)
-        reference = model.G.T @ (c[:, None] * model.G)
+        reference = G.T @ (c[:, None] * G)
         assert np.abs(H - reference).max() <= 1e-13 * np.abs(reference).max()
         assert np.array_equal(H, H.T) and H.flags.c_contiguous
         # into a caller's buffer, whatever it held, the same bits in the
@@ -1524,22 +1601,36 @@ class TestRowChunks:
         assert peak <= d * d * 8 + reconstruct_module.ROW_CHUNK * d * 8 + 16 * rows * 8
 
     def test_fit_holds_G_and_one_newton_buffer(self):
-        # a step holds G, the one Newton buffer (the held fit Hessian and
-        # the factor) and the barrier Hessian's upper entries.
-        # The slack of three chunks of G's rows covers the assembly of G
-        # (the temporaries of one chunk of outcomes, and the measurement's
-        # rotations) and the vectors of one entry per row; a second copy of
-        # G, or a whole sector's temporaries, do not fit in it.  A warm-up
-        # fit fills the caches
+        # a step holds G's factors, the one Newton buffer (the held fit
+        # Hessian and the factor) and the barrier Hessian's upper entries.
+        # The slack of two chunks of ROW_CHUNK rows of d covers the
+        # refresh's rows and scratch (one chunk), the build of the factors
+        # (the top sector's rotations of SETTING_CHUNK settings) and the
+        # vectors of one entry per row; an array the size of G (13 times
+        # its factors here) does not fit in it.  A warm-up fit fills the
+        # caches
         ds, spec = memory_case()
         model = build_fit_model(ds, spec)
         rows, d = model.G.shape
         reconstruct(ds, spec)
         result, peak = traced_peak(lambda: reconstruct(ds, spec))
         assert result.converged
-        slack = 3 * reconstruct_module.ROW_CHUNK * d * 8
+        assert rows * d * 8 > 2 * reconstruct_module.ROW_CHUNK * d * 8
+        slack = 2 * reconstruct_module.ROW_CHUNK * d * 8
         barrier = model.parametrization.affine.directions.positions.size * 8
         assert peak <= model.G.nbytes + d * d * 8 + barrier + slack
+
+    def test_build_holds_a_tenth_of_dense_G(self):
+        # at N = 20 a dense G would take 69 MB; building a model holds G's
+        # factors (1.8 MB), p0 and the frequencies, and reads Y off the top
+        # sector's rotations of SETTING_CHUNK settings at a time.  A
+        # warm-up build fills the shared parametrization and its multipoles
+        settings = design_random_settings(determined_setting_count(20), seed=20)
+        ds = exact_dataset(maximally_mixed_ensemble(sector_layout(20)), settings)
+        dense = math.prod(build_fit_model(ds, FitSpec.max_lik()).G.shape) * 8
+        model, peak = traced_peak(lambda: build_fit_model(ds, FitSpec.max_lik()))
+        assert dense > 68e6 and peak < 7e6
+        assert model.G.nbytes < 2e6
 
     def test_no_step_allocates_a_d_by_d_array(self, monkeypatch):
         # the Newton system is formed and factored in the fit's one buffer,
