@@ -72,7 +72,7 @@ Armijo backtracking start from it.  The fit and barrier derivatives do
 not depend on t, so the ones that end a stage start the next, and so
 does the Cholesky factor of the Newton system whose decrement ended it:
 the next stage's first direction is then the first-order predictor
-along the central path, for one triangular solve (``_tangent_direction``).
+along the central path, for one triangular solve (``NewtonSystem.tangent``).
 Standard barrier duality gives F(x_t) - F(x*) <= t * compressed_dim
 with certificate Lambda = t rho(x_t)^{-1}, which is what ``gap_bound``
 reports.  Only the last stage's point is returned, so the stages before
@@ -82,31 +82,19 @@ grad_tol^2.  The pretest's linear-objective LMI runs on the same
 engine.  ``build_fit_model`` shares one read-only ``Parametrization``
 per layout across fits.
 
-Every stage is chord Newton in the fit Hessian (Kelley, Iterative
-Methods for Linear and Nonlinear Equations, 5.4), held row by row: the
-gradient is exact at every step, but the syrk that dominates a step from
-N = 16 up re-weights each row r to the current p only once p_r has
-drifted from the p_ref[r] it is weighted at by more than a limit, which
-in the last two stages shrinks with the decrement (see LAG and
-``newton_stage``).  A re-weighting adds G^T diag(phi''(p) -
-phi''(p_ref)) G over the drifted rows alone, two syrk passes on those
-rows of G, so a step pays for the rows that moved, not for all of G (at
-N = 16 most re-weightings touch under a fifth of the rows).  A fit's
-first pass forms it as the same re-weighting of every row from
-phi''(p_ref) = 0.  The held Hessian and its p_ref are the
-engine's (``StageCarry``); ``FitModel`` keeps no state.  A fit reads a
-point only through p = ``fit.probabilities(x)``
-(x itself for ``LinearFit``): the engine forms p = p0 + G x once per
-point and hands it to the fit value, the drift test, the fit
-derivatives and the ray.
+Each fit's stages share one ``NewtonSystem``, which holds the Newton
+buffer, the chord fit Hessian and the factor, and states the chord
+contract once: the gradient is exact at every step, but a fit Hessian
+row is re-weighted only once its p has drifted past a limit, two syrk
+passes over the drifted rows alone (at N = 16 most re-weightings touch
+under a fifth of the rows).  ``FitModel`` keeps no state, and a fit
+reads a point only through p = ``fit.probabilities(x)`` (x itself for
+``LinearFit``), formed once per point.
 
 ``newton_stage`` is one loop: derivatives at the point, the stopping
 tests, then a direction (the central-path tangent or Newton) and one
 step call, ``_line_search`` or, once the predicted decrease is beneath
-the objective's roundoff, ``_endgame_step``.  A Newton step that finds
-no trial point is the stage's one failure exit; an exhausted iteration
-budget stops on derivatives already formed at the returned point, which
-the stage hands on like any other.
+the objective's roundoff, ``_endgame_step``.
 
 ``fixed_point_reconstruct`` provides the non-convex iteration
 rho_j <- R_j rho_j R_j / norm with R_j = sum (f/p) M_{k,j}, mainly as a
@@ -149,6 +137,7 @@ __all__ = [
     "LinearFit",
     "StageResult",
     "StageCarry",
+    "NewtonSystem",
     "StageTrace",
     "ReconstructionResult",
     "FixedPointResult",
@@ -216,23 +205,9 @@ PRINCIPLES = tuple(LOSSES)
 # fit/t + barrier has decrement 0.32 < (3 - sqrt 5)/2: Newton's quadratic region
 CENTERING = 0.1
 EXACT_STAGES = 2
-# Every stage keeps the fit Hessian G^T diag(c) G with row r weighted at
-# p_ref[r] (chord Newton), and re-weights row r to p_r once it has drifted
-# past the limit, so every row stays near its own p_ref.  With drift =
-# max |p/p_ref - 1| over the rows with f > 0 and c = f/p^k (k = 2 for ML, 3
-# for FreeLS), c/c_ref >= (1 + drift)^-k row by row, so the held system is
-# >= (1 + drift)^-k times the true one and the true squared decrement is
-# lambda^2 <= (1 + drift)^k lambda_held^2 (Boyd & Vandenberghe, Convex
-# Optimization, 9.6).  Stages centred approximately hold every row while its
-# drift is <= LAG: their stop lambda_held^2 <= 0.1 t certifies lambda^2 <=
-# 0.116 t, still inside the quadratic region lambda^2 < (3 - sqrt 5)^2 / 4 =
-# 0.146 t, which holds for LAG up to 0.13 (FreeLS) or 0.2 (ML).  The exact
-# stages hold a row while its drift is <= LAG * min(1, lambda_last^2 / t),
-# lambda_last^2 the decrement of the last Newton direction: the Hessian's
-# relative error k * drift then shrinks with the decrement, so Newton's
-# quadratic rate holds (Kelley, Iterative Methods for Linear and Nonlinear
-# Equations, 5.4), and their stop (1 + drift)^k lambda_held^2 <= grad_tol^2
-# certifies lambda^2 <= grad_tol^2
+# A held fit Hessian's row is re-weighted once its p has drifted from where
+# it was weighted by more than LAG, or in an exact stage by more than
+# LAG * min(1, lambda^2 / t): the chord contract of ``NewtonSystem``
 LAG = 0.05
 # The step length along a Newton ray stops once |h'(a)| <= RAY_CURVATURE
 # |h'(0)| (the strong-Wolfe curvature test), after at most RAY_ITERATIONS
@@ -1275,35 +1250,22 @@ class FitModel:
 
     The principle enters only through its ``Loss`` phi, on the rows the
     loss reads, and no method branches on it.  The gradient is
-    G^T phi'(p).  The Hessian G^T diag(phi''(p)) G comes from one
-    kernel that re-weights rows of a Hessian held in the lower triangle
-    of a C-ordered d x d array: given the ``reference`` p its rows are
-    weighted at, it adds G^T diag(phi''(p) - phi''(reference)) G over
-    the given rows, as two BLAS syrk passes (half the flops of a general
-    product), alpha = +1 and -1, on those rows of G scaled by
-    sqrt |phi''(p) - phi''(reference)|, built ROW_CHUNK // 3 at a time
-    into one reused buffer beside the operator's scratch.  So a Hessian
-    costs d^2 doubles and ROW_CHUNK rows of d beside G's factors, never
-    an array the size of G.  A ``gradient_hessian``
-    call without ``reference`` forms the Hessian: that kernel over the
-    rows the loss reads from weight 0, in the caller's d x d buffer (the
-    engine's Newton buffer), whose lower triangle it zeroes first, or in
-    a fresh array, which it then mirrors; a constant one (LS) too, which
-    the engine forms once per fit.  With ``reference`` it re-weights just
-    the given rows (``drifted_rows``) of the Hessian held in the buffer.
-    The ray's derivatives are sums of phi' and phi'' along it.  The
-    model holds no state between calls: which rows of the held Hessian a
-    Newton step re-weights is the engine's choice, made from
-    ``drifted_rows`` and bounded with ``hessian_drift`` and
-    ``curvature_power`` (see ``newton_stage``).  ``value``
-    and the derivative methods read a point only through its
-    p = ``probabilities(x)``, so that one point pays one product G x.
+    G^T phi'(p).  The Hessian G^T diag(phi''(p)) G comes from one kernel
+    (``_refresh``) that re-weights given rows of a Hessian held in the
+    lower triangle of a C-ordered d x d buffer, from weight 0 to form it.
+    So a Hessian costs d^2 doubles and ROW_CHUNK rows of d beside G's
+    factors, never an array the size of G.  The model holds no state
+    between calls: which rows are re-weighted, and when, is the chord
+    contract of ``NewtonSystem``.  ``value`` and the derivative methods
+    read a point only through its p = ``probabilities(x)``, so that one
+    point pays one product G x.
     """
 
     def __init__(self, spec: FitSpec, parametrization: Parametrization,
                  overlap: Overlap, frequencies):
         self.spec = spec
         self.loss = LOSSES[spec.principle]
+        self.curvature_power = self.loss.power
         self.parametrization = parametrization
         self.frequencies = np.concatenate(
             [np.asarray(fr, dtype=float).ravel() for fr in frequencies]
@@ -1319,9 +1281,9 @@ class FitModel:
         n = parametrization.layout.n_qubits
         binomial = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
         self.p0 = np.tile(binomial / 2.0**n, rows // (n + 1))
-        self._observed = np.flatnonzero(self.frequencies > 0)
-        # f and w on the rows the loss reads
-        self._rows = self.loss.rows(self.frequencies)
+        self.observed = np.flatnonzero(self.frequencies > 0)
+        # the index of the rows the loss reads, and f and w on them
+        self._rows = np.arange(rows)[self.loss.rows(self.frequencies)]
         self._f = self.frequencies[self._rows]
         self._w = None if w is None else w[self._rows]
 
@@ -1339,28 +1301,12 @@ class FitModel:
     def probabilities(self, x: np.ndarray) -> np.ndarray:
         return self.p0 + self.G.matvec(x)
 
-    def hessian_drift(self, p: np.ndarray, reference: np.ndarray) -> float:
-        """max |p / reference - 1| over the rows with f > 0, the only rows
-        where a curvature phi'' that depends on p is non-zero: how far the
-        probabilities p have moved from the ``reference`` that a Hessian
-        was weighted at, row by row.  It is 0.0 only when those rows of p
-        equal ``reference`` bit for bit, and so give the same Hessian."""
-        observed = self._observed
-        drift = p[observed] / reference[observed] - 1.0
-        return float(np.max(np.abs(drift), initial=0.0))
-
-    def drifted_rows(self, p: np.ndarray, reference: np.ndarray, limit: float) -> np.ndarray:
-        """The rows with f > 0 where |p / reference - 1| > limit, ascending:
-        those a Hessian weighted at ``reference`` must re-weight for its
-        drift (``hessian_drift``) to be <= limit at p."""
-        observed = self._observed
-        return observed[np.abs(p[observed] / reference[observed] - 1.0) > limit]
-
-    @property
-    def curvature_power(self) -> int:
-        """k with the Hessian weights phi'' proportional to p^-k on the
-        rows with f > 0 (``Loss.power``)."""
-        return self.loss.power
+    def drift(self, p: np.ndarray, reference: np.ndarray) -> np.ndarray:
+        """|p / reference - 1| on the rows ``observed`` (f > 0), the only
+        rows where a curvature phi'' that depends on p is non-zero: how far
+        each row of p has moved from the ``reference`` a Hessian was
+        weighted at."""
+        return np.abs(p[self.observed] / reference[self.observed] - 1.0)
 
     def value(self, p: np.ndarray) -> float:
         return fit_value(self.spec, self.frequencies, p)
@@ -1368,30 +1314,20 @@ class FitModel:
     def gradient(self, p: np.ndarray) -> np.ndarray:
         return self._gradient(p[self._rows])
 
-    def gradient_hessian(self, p: np.ndarray, out: np.ndarray | None = None, *,
+    def gradient_hessian(self, p: np.ndarray, out: np.ndarray, *,
                          reference: np.ndarray | None = None, rows: np.ndarray | None = None):
-        """(gradient, Hessian) at p, the Hessian by ``_refresh``.  Without
-        ``reference`` it is formed, every row of G the loss reads
-        re-weighted to p from weight 0, so that rows of weight 0 (f = 0)
-        drop out: in the lower triangle and diagonal of the C-ordered
-        (d, d) ``out``, which it zeroes first, or in a fresh array, then
-        mirrored so that it is exactly symmetric.
-
-        With ``reference`` and ``rows`` it is refreshed instead: ``out``
-        holds, in its lower triangle with the diagonal, a Hessian whose
-        row r is weighted at ``reference[r]``, and only ``rows`` (rows
-        with f > 0, from ``drifted_rows``) are re-weighted to p, by
-        adding G^T diag(phi''(p) - phi''(reference)) G over them; then
-        ``reference`` takes p on them.  The strict upper triangle of
-        ``out`` is never read nor written."""
+        """(gradient, ``out``) at p, the Hessian written by ``_refresh``
+        into the lower triangle and diagonal of the C-ordered (d, d)
+        ``out``; its strict upper triangle is never read nor written.
+        Without ``reference`` the Hessian is formed: ``out``'s lower
+        triangle is zeroed and every row the loss reads is re-weighted to
+        p from weight 0, so that rows of weight 0 (f = 0) drop out.  With
+        ``reference`` it is refreshed: ``out`` holds a Hessian whose row r
+        is weighted at ``reference[r]``, only ``rows`` (rows with f > 0)
+        are re-weighted to p, and ``reference`` takes p on them."""
         g = self._gradient(p[self._rows])
-        # H is allocated before the chunk buffer, so that freeing the buffer
-        # leaves no hole beneath H in the heap (3 MB of peak RSS at N = 16)
-        H = np.empty((self.G.shape[1],) * 2) if out is None else out
-        if reference is None:
-            rows = np.arange(p.size)[self._rows]
-        self._refresh(p, reference, rows, H)
-        return g, (H if out is not None else _copy_triangle(H))
+        self._refresh(p, reference, self._rows if reference is None else rows, out)
+        return g, out
 
     def _refresh(self, p: np.ndarray, reference: np.ndarray | None, rows: np.ndarray,
                  H: np.ndarray) -> None:
@@ -1402,28 +1338,32 @@ class FitModel:
         rows at a time, as the columns of one reused buffer that also
         holds the operator's scratch; then reference[rows] = p[rows].
         A ``reference`` of None is weight 0 on a triangle zeroed first."""
-        f = self.frequencies[rows]
-        w = None if self.spec.weights is None else self.spec.weights[rows]
-        change = self.loss.d2(f, p[rows], w)
+        change = self._curvature(p, rows)
         if reference is None:
             _zero_lower(H)
         else:
-            change -= self.loss.d2(f, reference[rows], w)
+            change -= self._curvature(reference, rows)
             reference[rows] = p[rows]
+        grew, fell = change > 0.0, change < 0.0
+        scale = np.sqrt(np.abs(change, out=change), out=change)
         step = max(1, ROW_CHUNK // 3)
         d = self.G.shape[1]
         # a chunk of rows (as columns) and the overlap operator's scratch
         buffer = np.empty(3 * d * min(rows.size, step))
-        for sign in (1.0, -1.0):
-            moved = sign * change > 0.0
-            scale, part = np.sqrt(sign * change[moved]), rows[moved]
+        for sign, moved in ((1.0, grew), (-1.0, fell)):
+            part, weight = rows[moved], scale[moved]
             for start in range(0, part.size, step):
                 gather = part[start : start + step]
                 block = buffer[: d * gather.size].reshape(d, gather.size)
                 self.G.rows(gather, block, buffer[d * gather.size :])
-                block *= scale[start : start + step]
+                block *= weight[start : start + step]
                 # the upper triangle of the Fortran-ordered H.T is H's lower one
                 dsyrk(sign, block.T, 1.0, H.T, trans=1, overwrite_c=1, lower=0)
+
+    def _curvature(self, p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """phi''(p) on ``rows``."""
+        w = None if self.spec.weights is None else self.spec.weights[rows]
+        return self.loss.d2(self.frequencies[rows], p[rows], w)
 
     def ray(self, p: np.ndarray, delta: np.ndarray):
         """Derivatives of a -> F(x + a delta) at p = p(x): a function of a
@@ -1483,118 +1423,161 @@ class StageResult:
     converged: bool
     objective: float
     fit_value: float
-    # lambda^2 = -g^T delta at x, with the held fit Hessian if it lags, in
-    # any stage; the true Newton decrement is within (1 + drift)^k of it
-    # (see LAG), and an exact stage that stopped on it kept the bound <=
-    # grad_tol^2.  NaN if no direction was formed there
+    # lambda^2 = -g^T delta at x of the held system, within its
+    # ``NewtonSystem.inflation`` of the true one.  NaN if no direction was
+    # formed there
     decrement: float
-    # gradient_hessian calls: fit Hessians formed, and held ones whose
-    # drifted rows were re-weighted
+    # gradient_hessian calls: fit Hessians formed or re-weighted
     hessians: int
-    # rows of G (entries of p) those calls re-weighted; a formation
-    # counts every row
+    # rows of G those calls re-weighted; a formation counts every row
     hessian_rows: int
 
 
 class StageCarry(NamedTuple):
     """What a ``newton_stage`` hands the next one, all at the point it
     returned, whichever exit ended the stage: the fit's p there, so the
-    next stage forms no p at its start, and the derivatives.  The fit
-    Hessian is held in the fit's one Newton buffer ``workspace`` (d, d):
-    its strict lower triangle, with the diagonal ``fit_diagonal``.  It
-    may be lagged: its row r is weighted where the outcome probability
-    of row r was ``hessian_at[r]`` (None for a constant Hessian), a
-    vector the stage updates in place, row by row, as it re-weights
-    drifted rows; the carry owns it, as it owns the buffer.  ``factor``
-    is the Cholesky factor of the Newton system whose decrement ended
-    the stage, in the workspace's upper triangle, or None; ``ratio`` is
-    lambda^2 / t of the last Newton direction (inf if none), which sets
-    the next point's hold limit in an exact stage."""
+    next stage forms no p at its start, the fit's ``NewtonSystem``, and
+    the fit and barrier derivatives.  Between stages the carry is the
+    system's only holder."""
 
     probabilities: np.ndarray
     fit_gradient: np.ndarray
-    workspace: np.ndarray
-    fit_diagonal: np.ndarray
-    hessian_at: np.ndarray | None
+    system: "NewtonSystem"
     barrier_gradient: np.ndarray
     barrier_hessian: BlockHessian
-    factor: tuple | None
-    ratio: float
 
 
-def _newton_direction(W, fit_diagonal, H_bar, t, g):
-    """Solve (t H_bar + H_fit) delta = -g by Cholesky, adding an
-    escalating ridge on factorization failure or loss of descent
-    (lambda = 1e-12 (1 + max diag), then x10, at most three escalations).
-    Returns (delta, slope g^T delta, factor).
+class NewtonSystem:
+    """The Newton system t H_bar + H_fit of one fit, held from its first
+    barrier stage to its last, and its chord contract, stated here once.
 
-    H_fit is held in the C-ordered buffer W: its strict lower triangle,
-    with the diagonal ``fit_diagonal``.  Each attempt writes the system
-    into W's upper triangle and diagonal (the lower triangle copied up,
-    the diagonal restored, then t H_bar and the ridge added) and factors
-    it there in place: LAPACK's lower factor of the Fortran-ordered view
-    W.T reads and writes only that triangle, and so does the solve, so
-    H_fit outlives every attempt, and the factor is W's upper triangle.
-    The system's entries are those of t H_bar + H_fit, bit for bit."""
-    diagonal = W.reshape(-1)[:: W.shape[0] + 1]
-    max_diag = None
-    ridge = 0.0
-    for _ in range(4):
-        _copy_triangle(W)
-        diagonal[...] = fit_diagonal
-        H_bar.add_upper(W, t)
-        if max_diag is None:
-            max_diag = float(np.max(diagonal)) if g.size else 0.0
-        if ridge:
-            diagonal += ridge
-        try:
-            factor = cho_factor(W.T, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError:
+    Every stage is chord Newton in the fit Hessian H_fit (Kelley,
+    Iterative Methods for Linear and Nonlinear Equations, 5.4), held row
+    by row.  The gradient is exact at every pass, but row r of H_fit is
+    weighted at ``hessian_at[r]``, the value of p_r it was last weighted at.
+    ``update`` forms H_fit on first use, re-weighting every row the loss
+    reads from weight 0 (a formation counts all of them).  After that it
+    re-weights to p only the rows with f > 0 whose drift |p_r /
+    hessian_at[r] - 1| (``FitModel.drift``) exceeds the hold limit: LAG,
+    or in an exact stage LAG * min(1, ``ratio``), with ``ratio`` = lambda^2
+    / t of the last Newton direction.  So most passes re-weight few rows
+    or none, and every row then drifts by at most the limit.  A stage
+    started from a carry holds the carried H_fit at its first point
+    whatever the drift, which ``inflation`` covers.  A constant H_fit
+    (LS, ``LinearFit``: ``hessian_at`` None) is formed once.
+
+    With drift the largest over the rows and phi'' proportional to p^-k
+    (k = ``curvature_power``: 2 for ML, 3 for FreeLS), phi''(p) /
+    phi''(hessian_at) >= (1 + drift)^-k row by row, so the held system is
+    >= (1 + drift)^-k times the true one: every direction is a descent
+    direction, and the true squared Newton decrement is lambda^2 <=
+    ``inflation`` * lambda_held^2, with ``inflation`` = (1 + drift)^k
+    (Boyd & Vandenberghe, Convex Optimization, 9.6).  Stages centred
+    approximately stop at lambda_held^2 <= CENTERING * t, which certifies
+    lambda^2 <= 0.116 t, still inside the quadratic region lambda^2 <
+    (3 - sqrt 5)^2 / 4 = 0.146 t; so would any LAG up to 0.13 (FreeLS) or
+    0.2 (ML).  In the exact stages the Hessian's relative error
+    k * drift shrinks with the decrement, so Newton's quadratic rate
+    holds, and their stop inflation * lambda_held^2 <= grad_tol^2
+    certifies lambda^2 <= grad_tol^2.
+
+    One C-ordered d x d Newton buffer ``W`` holds the system: H_fit in
+    its strict lower triangle, with the held ``diagonal``, and the
+    Cholesky factor of the last system ``direction`` solved in its upper
+    triangle.  So H_fit outlives every factor, and a step allocates no
+    d x d array.  ``direction`` keeps its ``factor`` and ``tangent``
+    solves with it once more and drops it; a stage drops it by setting
+    ``factor`` to None.  ``hessians`` and ``hessian_rows`` count the
+    updates that formed or re-weighted H_fit and the rows they re-weighted,
+    for the stage that zeroes them at its start.
+    """
+
+    def __init__(self, fit, dimension: int):
+        self.fit = fit
+        self.W = np.empty((dimension, dimension))
+        self.diagonal = self.hessian_at = self.factor = None
+        self.ratio = math.inf
+        self.hessians = self.hessian_rows = 0
+
+    def update(self, p: np.ndarray, exact: bool) -> np.ndarray:
+        """The fit gradient at p.  H_fit is formed on first use; after
+        that the rows that drifted past the hold limit are re-weighted to
+        p.  Either is one ``FitModel.gradient_hessian`` call."""
+        fit, W = self.fit, self.W
+        if self.diagonal is None:
+            g, _ = fit.gradient_hessian(p, W)
+            self.hessian_rows += p.size
+            self.hessian_at = p.copy() if fit.curvature_power else None
+        else:
+            if self.hessian_at is None:
+                return fit.gradient(p)
+            limit = LAG * (min(1.0, self.ratio) if exact else 1.0)
+            rows = fit.observed[fit.drift(p, self.hessian_at) > limit]
+            if rows.size == 0:
+                return fit.gradient(p)
+            # the held diagonal goes beneath the refresh, in place of the
+            # last factor's
+            W.reshape(-1)[:: len(W) + 1] = self.diagonal
+            g, _ = fit.gradient_hessian(p, W, reference=self.hessian_at, rows=rows)
+            self.hessian_rows += rows.size
+        self.diagonal = W.diagonal().copy()
+        self.hessians += 1
+        return g
+
+    def inflation(self, p: np.ndarray) -> float:
+        """(1 + drift)^k at p, by which the held decrement bounds the true
+        one; 1.0 for a constant H_fit."""
+        if self.hessian_at is None:
+            return 1.0
+        drift = float(np.max(self.fit.drift(p, self.hessian_at), initial=0.0))
+        return (1.0 + drift) ** self.fit.curvature_power
+
+    def direction(self, H_bar: BlockHessian, t: float, g: np.ndarray):
+        """(delta, slope g^T delta) of (t H_bar + H_fit) delta = -g by
+        Cholesky, adding an escalating ridge on factorization failure or
+        loss of descent (1e-12 (1 + max diag), then x10, at most three
+        escalations); ``ratio`` becomes -slope / t.  Each attempt writes
+        the system into W's upper triangle and diagonal (the lower
+        triangle copied up, the diagonal restored, then t H_bar and the
+        ridge added) and factors it there in place: LAPACK's lower factor
+        of the Fortran-ordered view W.T reads and writes only that
+        triangle, and so does the solve.  The system's entries are those
+        of t H_bar + H_fit, bit for bit."""
+        W = self.W
+        diagonal = W.reshape(-1)[:: len(W) + 1]
+        max_diag = None
+        ridge = 0.0
+        for _ in range(4):
+            _copy_triangle(W)
+            diagonal[...] = self.diagonal
+            H_bar.add_upper(W, t)
+            if max_diag is None:
+                max_diag = float(np.max(diagonal)) if g.size else 0.0
+            if ridge:
+                diagonal += ridge
+            try:
+                self.factor = cho_factor(W.T, lower=True, overwrite_a=True, check_finite=False)
+            except np.linalg.LinAlgError:
+                ridge = 1e-12 * (1.0 + max_diag) if ridge == 0.0 else ridge * 10.0
+                continue
+            delta = cho_solve(self.factor, -g, check_finite=False)
+            slope = float(g @ delta)
+            if slope < 0.0 and np.all(np.isfinite(delta)):
+                self.ratio = -slope / t
+                return delta, slope
             ridge = 1e-12 * (1.0 + max_diag) if ridge == 0.0 else ridge * 10.0
-            continue
-        delta = cho_solve(factor, -g, check_finite=False)
-        slope = float(g @ delta)
-        if slope < 0.0 and np.all(np.isfinite(delta)):
-            return delta, slope, factor
-        ridge = 1e-12 * (1.0 + max_diag) if ridge == 0.0 else ridge * 10.0
-    raise NonConvergenceError("Newton system unsolvable even with ridge repair")
+        raise NonConvergenceError("Newton system unsolvable even with ridge repair")
 
-
-def _fit_derivatives(fit, p, W, fit_diag, hessian_at, limit):
-    """(fit gradient, fit_diag, hessian_at, rows re-weighted) at p, with
-    the fit Hessian held in the Newton buffer W: its strict lower
-    triangle, with the diagonal ``fit_diag`` (None while W holds none),
-    its row r weighted at ``hessian_at[r]`` (None for a constant one).
-
-    The Hessian is formed, by re-weighting the rows from weight 0 (and
-    counted as all p.size of them), only when W holds none.  After that,
-    the rows that drifted by more than ``limit`` are re-weighted to p
-    (``FitModel.gradient_hessian`` with ``reference``), so every row's
-    drift is then <= limit.  No drifted row, or a constant Hessian
-    (``curvature_power`` 0), costs the gradient alone, and the rows are
-    then None."""
-    if fit_diag is not None:
-        rows = None if hessian_at is None else fit.drifted_rows(p, hessian_at, limit)
-        if rows is None or rows.size == 0:
-            return fit.gradient(p), fit_diag, hessian_at, None
-        # the held diagonal goes beneath the refresh, in place of the last
-        # factor's
-        W.reshape(-1)[:: W.shape[0] + 1] = fit_diag
-        g_fit, _ = fit.gradient_hessian(p, out=W, reference=hessian_at, rows=rows)
-        return g_fit, W.diagonal().copy(), hessian_at, int(rows.size)
-    g_fit, _ = fit.gradient_hessian(p, out=W)
-    return (g_fit, W.diagonal().copy(), None if fit.curvature_power == 0 else p.copy(),
-            int(p.size))
-
-
-def _tangent_direction(factor, g):
-    """(delta, slope) of delta = -M^-1 g, from the factor of the last
-    stage's Newton system M = t H_bar + H_fit and this stage's gradient
-    g = grad F + t' grad B at the same point.  At a t-centre grad F =
-    -t grad B, so delta = (t' - t) x'(t): the step along the central
-    path's tangent x' = -M^-1 grad B.  No factorization is made."""
-    delta = cho_solve(factor, -g, check_finite=False)
-    return delta, float(g @ delta)
+    def tangent(self, g: np.ndarray):
+        """(delta, slope) of delta = -M^-1 g, solved with the factor of the
+        last stage's Newton system M = t H_bar + H_fit, which it then drops;
+        g = grad F + t' grad B is this stage's gradient at the same point.
+        At a t-centre grad F = -t grad B, so delta = (t' - t) x'(t): the
+        step along the central path's tangent x' = -M^-1 grad B, for no
+        factorization."""
+        delta = cho_solve(self.factor, -g, check_finite=False)
+        self.factor = None
+        return delta, float(g @ delta)
 
 
 def _ray_step(fit_derivatives, mu: np.ndarray, t: float, slope: float) -> float:
@@ -1673,81 +1656,52 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
                  config: SolverConfig | None = None, *,
                  exact: bool = True, carry: list | None = None) -> StageResult:
     """Minimize fit(x) - t sum log det over the interior of ``affine``'s
-    blocks from x_start, by damped Newton.
+    blocks from x_start, by damped Newton on the fit's ``NewtonSystem``,
+    whose chord contract the stops below rest on.
 
-    Each pass forms the derivatives at the current point, then stops, or
-    forms a direction and takes one step.  It stops converged once
-    |g| <= grad_tol, or once (1 + drift)^k lambda^2 <= grad_tol^2, with
-    lambda^2 = -g^T delta formed with the held fit Hessian (below); with
-    ``exact=False`` also once lambda^2 <= CENTERING * t, in Newton's
-    quadratic region of fit/t + barrier.  Starting at an optimum costs
-    zero iterations.  After ``max_newton_iters`` steps it stops
-    unconverged on the derivatives it has just formed, so ``grad_norm``
-    is that of the returned point.  A step is one call: ``_line_search``
-    if the predicted decrease -slope exceeds the objective's roundoff,
-    else, for a Newton direction, ``_endgame_step``.  The line search
-    starts at the minimum of the exact barrier along the Newton ray
-    (``_ray_step``), so trials almost never leave the feasible set, and
-    backtracks to feasibility (every block must pass Cholesky) and Armijo
-    sufficient decrease.  A Newton
-    step that finds no trial is the stage's one failure exit: it reports
-    converged iff |g| <= grad_tol (1 + |objective|).
-
-    The gradient is exact at every step, but the fit Hessian is a chord,
-    held row by row: at each pass that is not carried, the observed rows
-    whose probability has drifted from the p_ref it is weighted at
-    (``hessian_at``) by more than the limit, LAG or with ``exact=True``
-    LAG * min(1, lambda^2 / t) of the last Newton direction, are
-    re-weighted to p (``FitModel.drifted_rows``, then
-    ``FitModel.gradient_hessian`` with ``reference``), and p_ref takes p
-    on them.  The Hessian is formed, by the same re-weighting of the
-    rows from weight 0, only at the fit's first pass.  Most passes
-    re-weight few rows or none, and skip most or all of the syrk.  Every
-    row then drifts by at most the limit, every step is still a descent
-    step, and (1 + drift)^k lambda^2 bounds the true Newton decrement,
-    with drift = ``FitModel.hessian_drift`` over every row and k =
-    ``FitModel.curvature_power`` (see LAG).  With ``exact=False`` the stop
-    still certifies the quadratic region; with ``exact=True`` the held
-    Hessian's error shrinks with the decrement, so the last steps keep
-    Newton's quadratic rate, and the stop certifies a true Newton
-    decrement <= grad_tol^2.  A constant Hessian (LS, ``LinearFit``) is
-    formed once.  ``hessians`` in the result counts the
-    ``gradient_hessian`` calls, formations and re-weightings alike, and
-    ``hessian_rows`` the rows of G they re-weighted, a formation counting
-    every row it is handed.  The fit reads a point only through
-    p = ``fit.probabilities``, formed once per point: at the start
-    (unless carried) and at each feasible trial point, whose p the
+    Each pass forms the derivatives at the current point (the fit's by
+    ``NewtonSystem.update``), then stops, or forms a direction and takes
+    one step.  It stops converged once |g| <= grad_tol, or once the
+    squared decrement lambda^2 = -g^T delta of the held system, times its
+    ``inflation``, is <= grad_tol^2; with ``exact=False`` also once
+    lambda^2 <= CENTERING * t, in Newton's quadratic region of
+    fit/t + barrier.  Starting at an optimum costs zero iterations.
+    After ``max_newton_iters`` steps it stops unconverged on the
+    derivatives it has just formed, so ``grad_norm`` is that of the
+    returned point.  A step is one call: ``_line_search`` if the
+    predicted decrease -slope exceeds the objective's roundoff, else, for
+    a Newton direction, ``_endgame_step``.  The line search starts at the
+    minimum of the exact barrier along the Newton ray (``_ray_step``), so
+    trials almost never leave the feasible set, and backtracks to
+    feasibility (every block must pass Cholesky) and Armijo sufficient
+    decrease.  A Newton step that finds no trial is the stage's one
+    failure exit: it reports converged iff |g| <= grad_tol (1 +
+    |objective|).  ``hessians`` and ``hessian_rows`` in the result are
+    the system's counts for this stage.  The fit reads a point only
+    through p = ``fit.probabilities``, formed once per point: at the
+    start (unless carried) and at each feasible trial point, whose p the
     accepted one hands on.
 
-    ``carry`` hands work from stage to stage.  If it holds a
-    ``StageCarry`` taken at x_start, its p and derivatives, which do not
-    depend on t, replace the first evaluation, and it is removed from the
-    list.  Its fit Hessian was held at x_start by the stage that returned
-    it, and holds here too; until this stage forms a Newton direction,
-    its ``ratio`` sets the hold limit.  The factor, if not None, is
-    the Cholesky factor of the last stage's Newton system at x_start: the
-    first direction is then the central-path tangent step
-    -M^-1 (grad F + t grad B) of ``_tangent_direction``, which costs no
-    factorization, and its step length comes from the same ray search.
-    If it is not a descent direction by more than roundoff, or no trial
-    point is accepted, the stage hands itself its derivatives back
-    without the factor and takes the Newton direction at the same point,
-    so the tangent never ends a stage.  On return ``carry`` holds the
-    ``StageCarry`` at the returned point, with the factor of the
-    direction whose decrement ended the stage, or None.  A factor is
-    dropped before the next derivatives are formed, and the barrier
-    Hessian before the next fit or barrier Hessian is formed.  The fit
-    Hessian and the factor share one d x d buffer (``StageCarry``): a
-    fit Hessian is formed into it, over the one it replaces, or its
-    drifted rows are re-weighted there, in the lower triangle, and each
-    Newton direction writes its system into the buffer's upper triangle
-    and factors it there, leaving the fit Hessian in the lower one.  The
-    buffer is the carry's, or allocated by the stage's first fit
-    Hessian, so a step allocates no d x d array: it holds the buffer and
-    the barrier Hessian's upper entries on its sector blocks and shift
-    columns.
+    ``carry`` hands work from stage to stage of one fit; a ``StageCarry``
+    of another fit's system raises ``ValueError``.  If it holds one taken
+    at x_start, its p and derivatives, which do not depend on t, replace
+    the first evaluation, its system serves this stage, and it is removed
+    from the list.  If that system holds a factor, the first direction is
+    the central-path tangent step ``NewtonSystem.tangent``, which costs
+    no factorization, and its step length comes from the same ray
+    search.  If it is not a descent direction by more than roundoff, or
+    no trial point is accepted, the stage hands itself its derivatives
+    back and takes the Newton direction at the same point, so the
+    tangent never ends a stage.  On return ``carry`` holds the
+    ``StageCarry`` at the returned point, whose system holds the factor
+    of the Newton direction whose decrement ended the stage, and no
+    factor after any other exit.  A factor is dropped before the next
+    derivatives are formed, and the barrier Hessian before the next fit
+    or barrier Hessian is formed.
     """
     cfg = config or SolverConfig()
+    if carry and carry[-1].system.fit is not fit:
+        raise ValueError("newton_stage was handed the Newton system of another fit")
     x = np.asarray(x_start, dtype=float).copy()
     chols = affine.cholesky_list(affine.blocks(x))
     if chols is None:
@@ -1758,66 +1712,40 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
     fit_v = fit.value(p)
     obj = fit_v + t * affine.barrier_value(chols)
 
-    iterations = hessians = hessian_rows = 0
+    system = carry[-1].system if carry else NewtonSystem(fit, x.size)
+    system.hessians = system.hessian_rows = iterations = 0
     decrement = math.nan
-    ratio = math.inf  # lambda^2 / t of the last Newton direction
-    converged = False
-    # W is the Newton buffer, a carried one or allocated at the first fit
-    # Hessian; fit_diag is None while W holds no fit Hessian
-    factor = tangent = W = fit_diag = hessian_at = None
     eps = float(np.finfo(float).eps)
     while True:
-        carried = bool(carry)
-        if carried:
-            _, g_fit, W, fit_diag, hessian_at, bg, bH, tangent, ratio = carry.pop()
+        if carry:
+            _, g_fit, _, bg, bH = carry.pop()
         else:
             bH = None  # released before the next fit or barrier Hessian is formed
-            if W is None:
-                W = np.empty((x.size, x.size))
-            # a held fit Hessian stands for this point's once every row's
-            # drift is within LAG, or in an exact stage within
-            # LAG * min(1, lambda^2/t) of the last Newton direction
-            limit = LAG * (min(1.0, ratio) if exact else 1.0)
-            g_fit, fit_diag, hessian_at, rows = _fit_derivatives(
-                fit, p, W, fit_diag, hessian_at, limit)
-            if rows is not None:
-                hessians += 1
-                hessian_rows += rows
+            g_fit = system.update(p, exact)
             _, bg, bH = affine.barrier_grad_hess(chols)
-        # a carried Hessian was held or formed at x_start by the stage that
-        # returned it, and is held whatever its drift.  A decrement formed
-        # with the held Hessian is within the factor (1 + drift)^k of the
-        # true one (see LAG)
-        inflation = 1.0
-        if hessian_at is not None:
-            inflation = (1.0 + fit.hessian_drift(p, hessian_at)) ** fit.curvature_power
         g = g_fit + t * bg
         grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= cfg.grad_tol:
-            converged = True
+        converged = grad_norm <= cfg.grad_tol
+        if converged or iterations >= cfg.max_newton_iters:
+            system.factor = None  # only a stop on the decrement hands a factor on
             break
-        if iterations >= cfg.max_newton_iters:
-            break
-        newton = tangent is None
+        newton = system.factor is None
         if newton:
-            delta, slope, factor = _newton_direction(W, fit_diag, bH, t, g)
+            delta, slope = system.direction(bH, t, g)
             decrement = -slope
-            ratio = decrement / t
             # Affine-invariant centrality: the squared Newton decrement
             # g^T H^-1 g is what self-concordance bounds the remaining
             # decrease by.  In badly scaled geometry (barrier curvature
             # ~1/lambda^2 near the cone boundary) the plain gradient norm
             # can sit far above grad_tol while the iterate is already
-            # central to machine precision; the decrement is not fooled.
-            # inflation * decrement bounds the true one (see LAG)
-            if (decrement * inflation <= cfg.grad_tol**2
+            # central to machine precision; the decrement is not fooled
+            if (decrement * system.inflation(p) <= cfg.grad_tol**2
                     or (not exact and decrement <= CENTERING * t)):
                 converged = True
                 break
-            factor = None
+            system.factor = None
         else:
-            delta, slope = _tangent_direction(tangent, g)
-            tangent = None
+            delta, slope = system.tangent(g)
         # Armijo certifies only a predicted decrease above the objective's
         # roundoff; beneath it, only a Newton direction takes the endgame
         if -slope > 64.0 * eps * abs(obj) and np.all(np.isfinite(delta)):
@@ -1828,16 +1756,16 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
             if newton:
                 converged = grad_norm <= cfg.grad_tol * (1.0 + abs(obj))
                 break
-            # a failed tangent hands the next pass this point's derivatives,
-            # without the factor: it takes the Newton direction here
-            carry.append(StageCarry(p, g_fit, W, fit_diag, hessian_at, bg, bH, None, ratio))
+            # a failed tangent hands the next pass this point's derivatives:
+            # it takes the Newton direction here
+            carry.append(StageCarry(p, g_fit, system, bg, bH))
             continue
         x, p, chols, obj, fit_v = trial
         decrement = math.nan
         iterations += 1
 
     if carry is not None:
-        carry.append(StageCarry(p, g_fit, W, fit_diag, hessian_at, bg, bH, factor, ratio))
+        carry.append(StageCarry(p, g_fit, system, bg, bH))
     return StageResult(
         x=x,
         iterations=iterations,
@@ -1846,8 +1774,8 @@ def newton_stage(fit, affine: AffineBlockMap, t: float, x_start: np.ndarray,
         objective=obj,
         fit_value=fit_v,
         decrement=decrement,
-        hessians=hessians,
-        hessian_rows=hessian_rows,
+        hessians=system.hessians,
+        hessian_rows=system.hessian_rows,
     )
 
 
@@ -1866,32 +1794,25 @@ def _barrier_path(fit, affine, schedule, x, config, stage=None):
     """Run one ``newton_stage`` per t of ``schedule``, each warm-started
     at the last one's point, and yield (t, StageResult) after each.
 
-    Stages before the last EXACT_STAGES are centred approximately and
-    hold each row of the fit Hessian while its p stays within LAG of
-    where the row was weighted; the last EXACT_STAGES while its drift
-    stays within LAG times the last Newton direction's lambda^2 / t, and
-    stop on a bound of the true Newton decrement (see LAG).  The
-    ``StageCarry`` that ends one stage (p, derivatives, the rows' p_ref of
-    its fit Hessian, the factor of the
-    Newton system whose decrement ended it and that decrement over t)
-    seeds the next through ``carry``, which the stage empties on use:
-    between stages that one carry is the only holder of the Newton buffer
-    and so of the fit Hessian and factor, and the first stage's buffer
-    serves every stage of the fit.  A fit Hessian that still holds is carried on, so it may
-    serve several stages.  Every stage but the first and the last thus
-    starts with a central-path tangent step.  The final stage gets the
-    derivatives without the factor: it starts from the exact centre of
-    the one before with plain Newton steps, so its point, and the
-    certificate t * dim, are those of an all-exact path to the stopping
-    tolerance.  ``stage`` replaces
-    ``newton_stage`` for a caller that passes it as looked up in its own
-    module.
+    Stages before the last EXACT_STAGES are centred approximately; the
+    last EXACT_STAGES hold the fit Hessian to the tighter limit and stop
+    on a bound of the true Newton decrement (``NewtonSystem``).  The
+    ``StageCarry`` that ends one stage seeds the next through ``carry``,
+    which the stage empties on use, so the fit's one ``NewtonSystem``
+    serves every stage, and a fit Hessian that still holds may serve
+    several.  Every stage but the first and the last thus starts with a
+    central-path tangent step.  The final stage gets the derivatives
+    without the factor: it starts from the exact centre of the one
+    before with plain Newton steps, so its point, and the certificate
+    t * dim, are those of an all-exact path to the stopping tolerance.
+    ``stage`` replaces ``newton_stage`` for a caller that passes it as
+    looked up in its own module.
     """
     stage = stage or newton_stage
     carry = []
     for i, t in enumerate(schedule):
         if carry and i == len(schedule) - 1:
-            carry.append(carry.pop()._replace(factor=None))
+            carry[-1].system.factor = None
         result = stage(fit, affine, t, x, config,
                        exact=i >= len(schedule) - EXACT_STAGES, carry=carry)
         x = result.x

@@ -266,11 +266,21 @@ def dense_hessian(hess):
     return upper + np.triu(upper, 1).T
 
 
-def held_fit_hessian(workspace, fit_diagonal):
-    """The fit Hessian a Newton buffer holds, as a dense symmetric
-    matrix: the buffer's strict lower triangle and ``fit_diagonal``."""
-    lower = np.tril(workspace, -1)
-    return lower + lower.T + np.diag(fit_diagonal)
+def held_fit_hessian(system):
+    """The fit Hessian a ``NewtonSystem`` holds, as a dense symmetric
+    matrix: its buffer's strict lower triangle and its held diagonal."""
+    lower = np.tril(system.W, -1)
+    return lower + lower.T + np.diag(system.diagonal)
+
+
+def fit_gradient_hessian(model, p):
+    """(gradient, Hessian) of a fit at p, the Hessian formed in a fresh
+    (d, d) buffer and mirrored from its lower triangle, so that it is
+    exactly symmetric."""
+    H = np.empty((model.G.shape[1],) * 2)
+    g, _ = model.gradient_hessian(p, H)
+    lower = np.tril(H, -1)
+    return g, lower + lower.T + np.diag(H.diagonal())
 
 
 def fit_curvature(model, p):

@@ -231,8 +231,8 @@ def test_a06_derivative_correctness():
     param = model.parametrization
     x1 = 0.3 * param.coordinates(pt.random_pi_state(layout, "hs-mixed", seed=rng))
     x2 = 0.6 * param.coordinates(pt.random_pi_state(layout, "hs-mixed", seed=rng))
-    _, h1 = model.gradient_hessian(model.probabilities(x1))
-    _, h2 = model.gradient_hessian(model.probabilities(x2))
+    _, h1 = oracles.fit_gradient_hessian(model, model.probabilities(x1))
+    _, h2 = oracles.fit_gradient_hessian(model, model.probabilities(x2))
     identical = bool(np.array_equal(h1, h2)) and not np.array_equal(x1, x2)
 
     ok = worst_fit <= 1e-6 and worst_barrier <= 1e-6 and identical

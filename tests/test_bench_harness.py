@@ -96,13 +96,13 @@ def test_tracer_sees_tangent_solves(tracing, monkeypatch):
     api = tracing.pitomo_modules()
     recon = api["reconstruct"]
     tangents = []
-    original = recon._tangent_direction
+    original = recon.NewtonSystem.tangent
 
-    def counted(factor, g):
+    def counted(self, g):
         tangents.append(None)
-        return original(factor, g)
+        return original(self, g)
 
-    monkeypatch.setattr(recon, "_tangent_direction", counted)
+    monkeypatch.setattr(recon.NewtonSystem, "tangent", counted)
     rng = np.random.default_rng(4)
     axes = rng.normal(size=(12, 3))
     settings = [Setting(axis=a / np.linalg.norm(a)) for a in axes]

@@ -17,6 +17,7 @@ from pitomo.reconstruct import (
     FitModel,
     FitSpec,
     LinearFit,
+    NewtonSystem,
     NonConvergenceError,
     Overlap,
     Parametrization,
@@ -469,7 +470,7 @@ class TestDerivatives:
     def test_fit_hessian_matches_fd(self, problem, spec):
         ds, param, x = problem
         model = build_fit_model(ds, spec, param)
-        g, H = model.gradient_hessian(model.probabilities(x))
+        g, H = oracles.fit_gradient_hessian(model, model.probabilities(x))
         np.testing.assert_allclose(g, model.gradient(model.probabilities(x)), atol=1e-13)
         assert np.array_equal(H, H.T)
         rng = np.random.default_rng(0)
@@ -486,7 +487,7 @@ class TestDerivatives:
     def test_fit_hessian_psd(self, problem, principle):
         ds, param, x = problem
         model = build_fit_model(ds, fit_spec(principle), param)
-        _, H = model.gradient_hessian(model.probabilities(x))
+        _, H = oracles.fit_gradient_hessian(model, model.probabilities(x))
         assert np.linalg.eigvalsh(H).min() > -1e-10
 
     @every_principle
@@ -496,15 +497,15 @@ class TestDerivatives:
         ds, param, x = problem
         model = build_fit_model(ds, fit_spec(principle), param)
         p = model.probabilities(x)
-        _, H = model.gradient_hessian(p)
-        _, H_doubled = model.gradient_hessian(2.0 * p)
+        _, H = oracles.fit_gradient_hessian(model, p)
+        _, H_doubled = oracles.fit_gradient_hessian(model, 2.0 * p)
         np.testing.assert_allclose(H_doubled * 2.0**model.curvature_power, H, rtol=1e-12)
 
     def test_ls_hessian_constant(self, problem):
         ds, param, x = problem
         model = build_fit_model(ds, FitSpec.least_squares(), param)
-        _, h1 = model.gradient_hessian(model.probabilities(x))
-        _, h2 = model.gradient_hessian(model.probabilities(0.5 * x))
+        _, h1 = oracles.fit_gradient_hessian(model, model.probabilities(x))
+        _, h2 = oracles.fit_gradient_hessian(model, model.probabilities(0.5 * x))
         np.testing.assert_array_equal(h1, h2)
 
     def test_ls_hessian_held_through_barrier_path(self, problem, monkeypatch):
@@ -512,13 +513,13 @@ class TestDerivatives:
         # buffer; every stage's factorizations leave it there intact
         ds, param, _ = problem
         model = build_fit_model(ds, FitSpec.least_squares(), param)
-        fresh = model.gradient_hessian(model.probabilities(param.centre))[1]
+        fresh = oracles.fit_gradient_hessian(model, model.probabilities(param.centre))[1]
         held = []
         original = reconstruct_module.newton_stage
 
         def stage(*args, carry, **kwargs):
             result = original(*args, carry=carry, **kwargs)
-            held.append(oracles.held_fit_hessian(carry[0].workspace, carry[0].fit_diagonal))
+            held.append(oracles.held_fit_hessian(carry[0].system))
             return result
 
         monkeypatch.setattr(reconstruct_module, "newton_stage", stage)
@@ -668,52 +669,72 @@ def assert_same_stage(a, b, skip=()):
 
 
 def assert_same_carry(a, b):
-    """Equal carried derivatives, equal points of the fit Hessian and
-    equal factors (or both None)."""
-    for name in ("fit_gradient", "fit_diagonal", "barrier_gradient"):
+    """Equal carried derivatives, equal systems: the same held fit
+    Hessian weighted at the same points, the same ratio and equal
+    factors (or both None)."""
+    for name in ("fit_gradient", "barrier_gradient"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert np.array_equal(oracles.held_fit_hessian(a.workspace, a.fit_diagonal),
-                          oracles.held_fit_hessian(b.workspace, b.fit_diagonal))
+    s, u = a.system, b.system
+    assert np.array_equal(s.diagonal, u.diagonal) and s.ratio == u.ratio
+    assert np.array_equal(oracles.held_fit_hessian(s), oracles.held_fit_hessian(u))
     assert np.array_equal(a.barrier_hessian.data, b.barrier_hessian.data)
-    assert (a.hessian_at is None) == (b.hessian_at is None)
-    if a.hessian_at is not None:
-        assert np.array_equal(a.hessian_at, b.hessian_at)
-    assert (a.factor is None) == (b.factor is None)
-    if a.factor is not None:
-        assert np.array_equal(a.factor[0], b.factor[0]) and a.factor[1] == b.factor[1]
+    assert (s.hessian_at is None) == (u.hessian_at is None)
+    if s.hessian_at is not None:
+        assert np.array_equal(s.hessian_at, u.hessian_at)
+    assert (s.factor is None) == (u.factor is None)
+    if s.factor is not None:
+        assert np.array_equal(s.factor[0], u.factor[0]) and s.factor[1] == u.factor[1]
 
 
-def carry_at(model, param, x, workspace, fit_diagonal, hessian_at, ratio=math.inf):
+def system_holding(model, W, diagonal, hessian_at, ratio=math.inf):
+    """A ``NewtonSystem`` of ``model`` holding a copy of the buffer W, its
+    strict lower triangle with ``diagonal`` the fit Hessian, with rows
+    weighted at a copy of ``hessian_at``, the given ratio and no factor:
+    no two systems share an array a stage writes."""
+    system = NewtonSystem(model, len(W))
+    system.W[...] = W
+    system.diagonal = diagonal.copy()
+    system.hessian_at = None if hessian_at is None else hessian_at.copy()
+    system.ratio = ratio
+    return system
+
+
+def copied(system):
+    """A copy of ``system`` without its factor."""
+    return system_holding(system.fit, system.W, system.diagonal, system.hessian_at,
+                          system.ratio)
+
+
+def carry_at(model, param, x, system):
     """A ``StageCarry`` at x with p and every derivative evaluated afresh
-    there, holding the given fit Hessian (copies, so that no two carries
-    share an array a stage writes) and no factor."""
+    there, holding a copy of ``system`` without its factor."""
     p = model.probabilities(x)
     _, bg, bH = param.affine.barrier_grad_hess(param.affine.cholesky_list(param.affine.blocks(x)))
-    return StageCarry(p, model.gradient(p), workspace.copy(), fit_diagonal.copy(),
-                      None if hessian_at is None else hessian_at.copy(), bg, bH, None, ratio)
+    return StageCarry(p, model.gradient(p), copied(system), bg, bH)
 
 
 def assert_carry_is_fresh_at(model, param, x, carry):
     """The carry's p and derivatives are x's, bit for bit, and its held
     fit Hessian is G^T diag(phi''(hessian_at)) G (for LS, at any p) to
     roundoff, with every row's drift within LAG."""
-    fresh = carry_at(model, param, x, carry.workspace, carry.fit_diagonal, carry.hessian_at)
+    fresh = carry_at(model, param, x, carry.system)
     for name in ("probabilities", "fit_gradient", "barrier_gradient"):
         assert np.array_equal(getattr(carry, name), getattr(fresh, name)), name
     assert np.array_equal(carry.barrier_hessian.data, fresh.barrier_hessian.data)
-    at = carry.probabilities if carry.hessian_at is None else carry.hessian_at
+    hessian_at = carry.system.hessian_at
+    at = carry.probabilities if hessian_at is None else hessian_at
     reference, scale = oracles.weighted_gram(oracles.model_overlap(model),
                                              oracles.fit_curvature(model, at))
-    held = oracles.held_fit_hessian(carry.workspace, carry.fit_diagonal)
+    held = oracles.held_fit_hessian(carry.system)
     assert np.abs(held - reference).max() <= 1e-12 * scale.max()
-    if carry.hessian_at is not None:
-        assert model.hessian_drift(carry.probabilities, carry.hessian_at) <= LAG
+    if hessian_at is not None:
+        assert np.all(model.drift(carry.probabilities, hessian_at) <= LAG)
 
 
 def newton_decrement(model, affine, t, x, fit_hessian=None):
     """lambda^2 = g^T (t H_bar + H_fit)^-1 g at x, from fresh derivatives,
     or with the fit Hessian ``fit_hessian`` in place of the fresh one."""
-    g_fit, H_fit = model.gradient_hessian(model.probabilities(x))
+    g_fit, H_fit = oracles.fit_gradient_hessian(model, model.probabilities(x))
     H_fit = H_fit if fit_hessian is None else fit_hessian
     _, bg, bH = oracles.barrier_value_grad_hess(affine, x, 1.0)
     g = g_fit + t * bg
@@ -778,7 +799,7 @@ class TestNewtonStage:
         p = model.probabilities(cut.x)
         _, bg, _ = oracles.barrier_value_grad_hess(param.affine, cut.x, 1.0)
         assert cut.grad_norm == float(np.linalg.norm(model.gradient(p) + 0.01 * bg))
-        assert len(carry) == 1 and carry[0].factor is None
+        assert len(carry) == 1 and carry[0].system.factor is None
         assert np.array_equal(carry[0].probabilities, p)
         assert_carry_is_fresh_at(model, param, cut.x, carry[0])
         # the held fit Hessian legitimately differs from one formed at
@@ -786,8 +807,7 @@ class TestNewtonStage:
         # stage it seeds is compared with one seeded by fresh evaluations
         # beside the same held Hessian, and with a stage from scratch to
         # the stopping tolerance
-        rebuilt = [carry_at(model, param, cut.x, carry[0].workspace, carry[0].fit_diagonal,
-                            carry[0].hessian_at, carry[0].ratio)]
+        rebuilt = [carry_at(model, param, cut.x, carry[0].system)]
         seeded = newton_stage(model, param.affine, 0.001, cut.x, carry=carry)
         again = newton_stage(model, param.affine, 0.001, cut.x, carry=rebuilt)
         fresh = newton_stage(model, param.affine, 0.001, cut.x)
@@ -802,11 +822,11 @@ class TestNewtonStage:
         # the Newton step from the centre of a nearby t does, while the
         # zero step (|g| unchanged) and the reversed step do not
         model, param, first, carry = stage_end(principle)
-        _, g_fit, W, fit_diag, _, bg, bH, _, _ = carry.pop()
+        _, g_fit, system, bg, bH = carry.pop()
         x, t = first.x, 0.09
         g = g_fit + t * bg
         grad_norm = float(np.linalg.norm(g))
-        delta, _, _ = reconstruct_module._newton_direction(W, fit_diag, bH, t, g)
+        delta, _ = system.direction(bH, t, g)
         trial = reconstruct_module._endgame_step(model, param.affine, x, t, delta, grad_norm)
         assert trial is not None
         x_new, p_new, chols, obj, fit_v = trial
@@ -829,11 +849,11 @@ class TestNewtonStage:
         # next stage with them, its factor slot empty, is seeding it with
         # fresh evaluations there beside the same Hessian, bit for bit
         model, param, first, carry = stage_end(principle)
-        held = carry.pop()._replace(factor=None)
+        held = carry.pop()
+        held.system.factor = None
         assert_carry_is_fresh_at(model, param, first.x, held)
         seeded_carry = [held]
-        rebuilt_carry = [carry_at(model, param, first.x, held.workspace, held.fit_diagonal,
-                                  held.hessian_at, held.ratio)]
+        rebuilt_carry = [carry_at(model, param, first.x, held.system)]
         seeded = newton_stage(model, param.affine, 0.01, first.x, exact=exact,
                               carry=seeded_carry)
         rebuilt = newton_stage(model, param.affine, 0.01, first.x, exact=exact,
@@ -845,9 +865,9 @@ class TestNewtonStage:
         # nothing, bit for bit, against a stage that forms it there, but
         # saves that formation and the rows it reads
         p = model.probabilities(first.x)
-        _, W = model.gradient_hessian(p)
-        formed_carry = [carry_at(model, param, first.x, W, W.diagonal(),
-                                 None if principle == "ls" else p)]
+        formed_at_start = NewtonSystem(model, param.dimension)
+        formed_at_start.update(p, exact)
+        formed_carry = [carry_at(model, param, first.x, formed_at_start)]
         fresh_carry = []
         formed = newton_stage(model, param.affine, 0.01, first.x, exact=exact,
                               carry=formed_carry)
@@ -901,20 +921,20 @@ class TestTangentStart:
         carry = []
         centre = newton_stage(model, param.affine, 1.0, np.zeros(param.dimension),
                               SolverConfig(grad_tol=1e-11), carry=carry)
-        H_fit = oracles.held_fit_hessian(carry[0].workspace, carry[0].fit_diagonal)
+        H_fit = oracles.held_fit_hessian(carry[0].system)
         bg, bH, factor = (carry[0].barrier_gradient,
-                          oracles.dense_hessian(carry[0].barrier_hessian), carry[0].factor)
+                          oracles.dense_hessian(carry[0].barrier_hessian), carry[0].system.factor)
         assert centre.decrement <= 1e-22 and factor is not None
         expected = (0.1 - 1.0) * -np.linalg.solve(1.0 * bH + H_fit, bg)
         directions = []
-        original = reconstruct_module._tangent_direction
+        original = NewtonSystem.tangent
 
-        def recorded(factor, g):
-            delta, slope = original(factor, g)
+        def recorded(self, g):
+            delta, slope = original(self, g)
             directions.append(delta)
             return delta, slope
 
-        monkeypatch.setattr(reconstruct_module, "_tangent_direction", recorded)
+        monkeypatch.setattr(NewtonSystem, "tangent", recorded)
         newton_stage(model, param.affine, 0.1, centre.x, carry=carry)
         assert len(directions) == 1
         error = np.linalg.norm(directions[0] - expected)
@@ -927,7 +947,7 @@ class TestTangentStart:
         # is never reported: a stage whose last direction was the
         # tangent reports NaN
         model, param, first, carry = stage_end(principle, exact=False)
-        assert carry[0].factor is not None
+        assert carry[0].system.factor is not None
         cfg = SolverConfig(max_newton_iters=max_iters)
         stage = newton_stage(model, param.affine, 0.01, first.x, cfg, exact=False, carry=carry)
         assert stage.iterations >= 1
@@ -937,7 +957,7 @@ class TestTangentStart:
             # the decrement of the system the stage solved, whose fit
             # Hessian may lag (LAG); the true Newton decrement is within
             # the factor (1 + LAG)^3 that keeps it in the quadratic region
-            held = oracles.held_fit_hessian(carry[0].workspace, carry[0].fit_diagonal)
+            held = oracles.held_fit_hessian(carry[0].system)
             assert stage.decrement == pytest.approx(
                 newton_decrement(model, param.affine, 0.01, stage.x, held), rel=1e-8)
             assert stage.decrement <= CENTERING * 0.01
@@ -949,19 +969,17 @@ class TestTangentStart:
         # with a non-descent tangent the stage takes the Newton direction
         # at the same point: exactly the stage started without a factor
         model, param, first, carry = stage_end(principle, exact=False)
-        assert carry[0].factor is not None
-        original = reconstruct_module._tangent_direction
+        assert carry[0].system.factor is not None
+        original = NewtonSystem.tangent
 
-        def uphill(factor, g):
-            delta, slope = original(factor, g)
+        def uphill(self, g):
+            delta, slope = original(self, g)
             return -delta, -slope
 
-        monkeypatch.setattr(reconstruct_module, "_tangent_direction", uphill)
-        # a carry owns its Newton buffer and the rows' reference p, which
-        # a stage writes in place: the second stage gets copies
-        held_at = carry[0].hessian_at
-        plain_carry = [carry[0]._replace(workspace=carry[0].workspace.copy(), factor=None,
-                                         hessian_at=None if held_at is None else held_at.copy())]
+        monkeypatch.setattr(NewtonSystem, "tangent", uphill)
+        # a carry's system owns its Newton buffer and the rows' reference
+        # p, which a stage writes in place: the second stage gets a copy
+        plain_carry = [carry[0]._replace(system=copied(carry[0].system))]
         fallback = newton_stage(model, param.affine, 0.01, first.x, carry=carry)
         plain = newton_stage(model, param.affine, 0.01, first.x, carry=plain_carry)
         assert fallback.converged and fallback.iterations > 0
@@ -981,7 +999,7 @@ class TestTangentStart:
             factors.append(weakref.ref(factor[0]))
             return factor
 
-        def checked(self, p, out=None, **kwargs):
+        def checked(self, p, out, **kwargs):
             alive.append(sum(ref() is not None for ref in factors))
             return original_derivatives(self, p, out, **kwargs)
 
@@ -1009,7 +1027,7 @@ class TestTangentStart:
         original = reconstruct_module.newton_stage
 
         def recording(*args, carry, **kwargs):
-            received.append(carry[0].factor if carry else "empty")
+            received.append(carry[0].system.factor if carry else "empty")
             return original(*args, carry=carry, **kwargs)
 
         monkeypatch.setattr(reconstruct_module, "newton_stage", recording)
@@ -1025,6 +1043,39 @@ class TestTangentStart:
         # factor; the last stage gets only the derivatives
         assert not math.isnan(result.trace[-2].decrement)
         assert received[-1] is None
+
+    @pytest.mark.parametrize("principle", ["ml", "ls", "freels"])
+    def test_stop_at_the_start_hands_on_no_factor(self, principle):
+        # a carried stage that stops at its start on |g| <= grad_tol has
+        # formed no direction: it neither uses the carried factor nor hands
+        # it on, and the system the next stage gets holds none
+        model, param, first, carry = stage_end(principle, exact=False)
+        system = carry[0].system
+        assert system.factor is not None
+        stopped = newton_stage(model, param.affine, 0.01, first.x, SolverConfig(grad_tol=1e3),
+                               exact=False, carry=carry)
+        assert stopped.converged and stopped.iterations == 0
+        assert math.isnan(stopped.decrement) and stopped.hessians == 0
+        assert len(carry) == 1 and carry[0].system is system
+        assert system.factor is None
+
+    def test_carry_of_another_fit_is_refused(self):
+        # the carry of an ML stage holds ML's system: its fit Hessian is
+        # not the LS one, so an LS stage seeded with it would step and
+        # stop on the wrong Newton system
+        truth = dicke_mixture_state(4, seed=1)
+        settings = design_random_settings(determined_setting_count(4), seed=2)
+        ds = sample_dataset(truth, settings, 500, seed=3)
+        ml = build_fit_model(ds, FitSpec.max_lik())
+        ls = build_fit_model(ds, FitSpec.least_squares(), ml.parametrization)
+        param = ml.parametrization
+        carry = []
+        centred = newton_stage(ml, param.affine, 1.0, param.centre, exact=False, carry=carry)
+        with pytest.raises(ValueError, match="another fit"):
+            newton_stage(ls, param.affine, 0.1, centred.x, carry=carry)
+        # refused before it is used: the carry still seeds its own fit
+        assert len(carry) == 1
+        assert newton_stage(ml, param.affine, 0.1, centred.x, carry=carry).converged
 
 
 class TestTSchedule:
@@ -1268,9 +1319,9 @@ class TestLaggedHessian:
         original_hessian = FitModel.gradient_hessian
         original_gradient = FitModel.gradient
         original_stage = reconstruct_module.newton_stage
-        original_direction = reconstruct_module._newton_direction
+        original_direction = NewtonSystem.direction
 
-        def gradient_hessian(self, p, out=None, reference=None, **kwargs):
+        def gradient_hessian(self, p, out, reference=None, **kwargs):
             events.append(("eval", p.copy(), state["exact"]))
             result = original_hessian(self, p, out, reference=reference, **kwargs)
             # the fit's one Newton buffer holds the latest Hessian, formed
@@ -1289,17 +1340,17 @@ class TestLaggedHessian:
             stops.append((len(events), fit, affine, t, exact, result))
             return result
 
-        def direction(W, fit_diagonal, H_bar, t, g):
-            delta, slope, factor = original_direction(W, fit_diagonal, H_bar, t, g)
+        def direction(self, H_bar, t, g):
+            delta, slope = original_direction(self, H_bar, t, g)
             p = next(e[1] for e in reversed(events) if e[0] == "eval")
             events.append(("dir", p, state["exact"], t, -slope, len(formed) - 1))
-            return delta, slope, factor
+            return delta, slope
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(FitModel, "gradient_hessian", gradient_hessian)
             patch.setattr(FitModel, "gradient", gradient)
             patch.setattr(reconstruct_module, "newton_stage", stage)
-            patch.setattr(reconstruct_module, "_newton_direction", direction)
+            patch.setattr(NewtonSystem, "direction", direction)
             result = reconstruct(ds, spec, config)
         assert result.converged
         model = stops[0][1]
@@ -1309,7 +1360,7 @@ class TestLaggedHessian:
             """The drift of direction i's Hessian from where its rows were
             weighted."""
             _, p, _, _, _, key = events[i]
-            return model.hessian_drift(p, formed[key])
+            return model.drift(p, formed[key]).max(initial=0.0)
 
         held = 0
         for i, event in enumerate(events):
@@ -1350,14 +1401,15 @@ class TestLaggedHessian:
         model, param, first, _ = stage_end(principle)
         x, t = first.x, 0.01
         p = model.probabilities(x)
-        g_fit, W = model.gradient_hessian(p)
+        g_fit, H = oracles.fit_gradient_hessian(model, p)
         _, bg, bH = param.affine.barrier_grad_hess(
             param.affine.cholesky_list(param.affine.blocks(x)))
         decrement = newton_decrement(model, param.affine, t, x)
         grad_tol = math.sqrt(1.1 * decrement)
         assert np.linalg.norm(g_fit + t * bg) > grad_tol
-        carry = [StageCarry(p, g_fit, W, W.diagonal().copy(), p / 1.1, bg, bH, None, math.inf)]
-        assert model.hessian_drift(p, p / 1.1) == pytest.approx(0.1, rel=1e-12)
+        system = system_holding(model, H, H.diagonal(), p / 1.1)
+        carry = [StageCarry(p, g_fit, system, bg, bH)]
+        assert system.inflation(p) == pytest.approx(1.1 ** model.curvature_power, rel=1e-12)
         stage = newton_stage(model, param.affine, t, x, SolverConfig(grad_tol=grad_tol),
                              exact=True, carry=carry)
         assert stage.iterations >= 1 and stage.converged
@@ -1366,7 +1418,7 @@ class TestLaggedHessian:
         calls = []
         original = FitModel.gradient_hessian
 
-        def counted(self, p, out=None, **kwargs):
+        def counted(self, p, out, **kwargs):
             calls.append(None)
             return original(self, p, out, **kwargs)
 
@@ -1425,16 +1477,16 @@ class TestLaggedHessian:
             factors.append(weakref.ref(factor[0]))
             return factor
 
-        def tracked_derivatives(self, p, out=None, **kwargs):
+        def tracked_derivatives(self, p, out, **kwargs):
             g, H = original_derivatives(self, p, out, **kwargs)
             hessians.append(weakref.ref(H))
             return g, H
 
         def stage(*args, carry, **kwargs):
             result = original_stage(*args, carry=carry, **kwargs)
-            held = {id(carry[0].workspace)} if carry else set()
-            if carry and carry[0].factor is not None:
-                held.add(id(carry[0].factor[0]))
+            held = {id(carry[0].system.W)} if carry else set()
+            if carry and carry[0].system.factor is not None:
+                held.add(id(carry[0].system.factor[0]))
             for ref in hessians + factors:
                 if ref() is not None:
                     alive.append(id(ref()) in held)
@@ -1489,21 +1541,25 @@ class TestRowRefresh:
             0.5 * model.parametrization.coordinates(interior_ensemble(4, rng)))
         G = oracles.model_overlap(model)
         d = G.shape[1]
-        W = np.full((d, d), fill)
+        system = NewtonSystem(model, d)
+        system.W[...] = fill
         upper = np.triu_indices(d)
-        fit_diag = hessian_at = weights = None
+        weights = None
         eps = np.finfo(float).eps
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(reconstruct_module, "ROW_CHUNK", chunk)
             for passes, fraction in enumerate(limits, start=1):
                 p = centre * np.exp(spread * rng.normal(size=centre.size))
-                limit = LAG * fraction
-                before = None if hessian_at is None else hessian_at.copy()
-                g_fit, fit_diag, hessian_at, rows = reconstruct_module._fit_derivatives(
-                    model, p, W, fit_diag, hessian_at, limit)
-                W[upper] = np.nan
+                # an exact stage's limit LAG * min(1, ratio) is LAG * fraction
+                system.ratio = fraction
+                before = None if system.hessian_at is None else system.hessian_at.copy()
+                counted = system.hessian_rows
+                g_fit = system.update(p, exact=True)
+                rows = system.hessian_rows - counted
+                hessian_at = system.hessian_at
+                system.W[upper] = np.nan
                 assert np.array_equal(g_fit, model.gradient(p))
-                assert model.hessian_drift(p, hessian_at) <= limit
+                assert np.all(model.drift(p, hessian_at) <= LAG * fraction)
                 curvature = oracles.fit_curvature(model, hessian_at)
                 if before is None:  # formed over every row
                     assert rows == p.size and np.array_equal(hessian_at, p)
@@ -1511,11 +1567,11 @@ class TestRowRefresh:
                 else:
                     weights = weights + np.abs(curvature - oracles.fit_curvature(model, before))
                     moved = np.flatnonzero(hessian_at != before)
-                    assert (rows or 0) == moved.size
+                    assert rows == moved.size
                     assert np.all(model.frequencies[moved] > 0)
                 reference, _ = oracles.weighted_gram(G, curvature)
                 _, scale = oracles.weighted_gram(G, weights)
-                held = oracles.held_fit_hessian(W, fit_diag)
+                held = oracles.held_fit_hessian(system)
                 bound = 8 * eps * (p.size + passes) * scale
                 assert np.all(np.abs(held - reference) <= bound)
 
@@ -1571,7 +1627,7 @@ class TestRowChunks:
         assert model.G.shape == G.shape and G.shape[0] == 65 and np.any(model.frequencies == 0)
         x = 0.5 * model.parametrization.coordinates(interior_ensemble(4, np.random.default_rng(1)))
         p = model.probabilities(x)
-        _, H = model.gradient_hessian(p)
+        _, H = oracles.fit_gradient_hessian(model, p)
         c = np.zeros_like(p)
         rows = model.loss.rows(model.frequencies)
         w = None if model.spec.weights is None else model.spec.weights[rows]
@@ -1596,7 +1652,7 @@ class TestRowChunks:
         rows, d = model.G.shape
         assert rows > 3 * reconstruct_module.ROW_CHUNK
         p = model.probabilities(model.parametrization.centre)
-        (_, H), peak = traced_peak(lambda: model.gradient_hessian(p))
+        (_, H), peak = traced_peak(lambda: model.gradient_hessian(p, np.empty((d, d))))
         assert H.shape == (d, d)
         assert peak <= d * d * 8 + reconstruct_module.ROW_CHUNK * d * 8 + 16 * rows * 8
 
@@ -1658,12 +1714,12 @@ class TestRowChunks:
 
         original_hessian = FitModel.gradient_hessian
 
-        def gradient_hessian(self, p, out=None, **kwargs):
+        def gradient_hessian(self, p, out, **kwargs):
             buffers.append(out)
             return original_hessian(self, p, out, **kwargs)
 
-        monkeypatch.setattr(reconstruct_module, "_newton_direction",
-                            measured("direction", reconstruct_module._newton_direction))
+        monkeypatch.setattr(NewtonSystem, "direction",
+                            measured("direction", NewtonSystem.direction))
         monkeypatch.setattr(AffineBlockMap, "barrier_grad_hess",
                             measured("barrier", AffineBlockMap.barrier_grad_hess))
         monkeypatch.setattr(FitModel, "gradient_hessian", gradient_hessian)
@@ -1693,7 +1749,7 @@ class TestRowChunks:
             barrier.append(weakref.ref(hess))
             return value, grad, hess
 
-        def checked(self, p, out=None, **kwargs):
+        def checked(self, p, out, **kwargs):
             count()
             return original_derivatives(self, p, out, **kwargs)
 
@@ -2379,10 +2435,10 @@ class TestBlockHessian:
             scale = 1.0 + system.diagonal().max()
             H_fit -= (np.linalg.eigvalsh(system)[0] + 5e-12 * scale) * np.eye(d)
         g = rng.normal(size=d)
-        fit_diagonal = H_fit.diagonal().copy()
         W = H_fit.copy()
         W[np.triu_indices(d)] = np.nan
         lower = np.tril(W, -1)
+        system = system_holding(None, W, H_fit.diagonal(), None)
         factored = []
         original = reconstruct_module.cho_factor
 
@@ -2394,19 +2450,20 @@ class TestBlockHessian:
             expected = oracles.reference_newton_direction(H_fit, H_bar, t, g)
         except NonConvergenceError:
             with pytest.raises(NonConvergenceError):
-                reconstruct_module._newton_direction(W, fit_diagonal.copy(), bH, t, g)
+                system.direction(bH, t, g)
             return
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(reconstruct_module, "cho_factor", counted)
-            delta, slope, factor = reconstruct_module._newton_direction(
-                W, fit_diagonal, bH, t, g)
+            delta, slope = system.direction(bH, t, g)
         assert np.array_equal(delta, expected[0]) and slope == expected[1]
+        assert system.ratio == -slope / t
         # the factor is the buffer's upper triangle, and the held Hessian
         # is still its strict lower triangle and diagonal vector
-        assert factor[0].base is W and factor[1] == expected[2][1]
-        assert np.array_equal(np.triu(W), np.triu(expected[2][0].T))
-        assert np.array_equal(np.tril(W, -1), lower)
-        assert np.array_equal(fit_diagonal, H_fit.diagonal())
+        factor = system.factor
+        assert factor[0].base is system.W and factor[1] == expected[2][1]
+        assert np.array_equal(np.triu(system.W), np.triu(expected[2][0].T))
+        assert np.array_equal(np.tril(system.W, -1), lower)
+        assert np.array_equal(system.diagonal, H_fit.diagonal())
         if ridge:
             assert len(factored) > 1
 
@@ -2419,7 +2476,7 @@ class TestBlockHessian:
 
         def stage(*args, carry, **kwargs):
             result = original(*args, carry=carry, **kwargs)
-            carried.append(carry[0])
+            carried.append((carry[0].system, carry[0].system.factor))
             return result
 
         monkeypatch.setattr(reconstruct_module, "newton_stage", stage)
@@ -2427,11 +2484,12 @@ class TestBlockHessian:
         ds = sampled_dataset(interior_ensemble(4, rng), random_settings(rng, 17), 500, rng)
         result = reconstruct(ds, fit_spec(principle))
         assert result.converged and len(carried) == len(result.trace) >= 3
-        W = carried[0].workspace
+        system = carried[0][0]
+        W = system.W
         d = build_fit_model(ds, fit_spec(principle)).G.shape[1]
         assert W.shape == (d, d) and W.flags.c_contiguous
-        assert all(c.workspace is W for c in carried)
-        factors = [c.factor for c in carried if c.factor is not None]
+        assert all(s is system and s.W is W for s, _ in carried)
+        factors = [f for _, f in carried if f is not None]
         assert factors and all(f[0].base is W for f in factors)
 
 
