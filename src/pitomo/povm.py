@@ -78,7 +78,6 @@ __all__ = [
     "MeasurementBlockSet",
     "StackedBlockSets",
     "stacked_blocks",
-    "sector_rotations",
     "rotation_params",
     "rotated_blocks",
     "probabilities",
@@ -285,12 +284,6 @@ def _rotations(two_j: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     U = U.transpose(1, 0, 2).reshape(dim, theta.size * dim)
     U.setflags(write=False)
     return U
-
-
-def sector_rotations(settings, two_j: int) -> np.ndarray:
-    """The rotations of one sector that ``stacked_blocks`` would hold for
-    these settings, without building the other sectors."""
-    return _rotations(two_j, *_angles(settings))
 
 
 def stacked_blocks(n_qubits: int, settings) -> StackedBlockSets:

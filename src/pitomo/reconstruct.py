@@ -16,11 +16,12 @@ with a real spherical tensor T^j_LM is C_j[m, L] Y_LM(a), where C_j, from
 the diagonals of T^j_L0, does not depend on the setting and Y_LM(a), a
 real harmonic of the axis, does not depend on the sector (Klose, Smith &
 Jessen, PRL 86, 4721 (2001); Schmied & Treutlein, NJP 13, 065019
-(2011)).  So G = [C Y B, shift columns]: an S x (N+1)^2 table Y read off
-the top sector's rotations, the (N+1) x n_j columns C_j, one orthogonal
-map B_j per sector from its Gell-Mann coordinates to spherical tensor
-ones (block-diagonal by |M|), and the trace shifts' columns, which do
-not depend on the setting.  C, B and the shift columns are built once
+(2011)).  So G = [C Y B, shift columns]: an S x (N+1)^2 table Y of real
+spherical harmonics, computed from the axes by the associated-Legendre
+recurrence, the (N+1) x n_j columns C_j, one orthogonal map B_j per
+sector from its Gell-Mann coordinates to spherical tensor ones
+(block-diagonal by |M|), and the trace shifts' columns, which do not
+depend on the setting.  C, B and the shift columns are built once
 per layout (``Parametrization.multipoles``).  The products p = p0 + G x
 and G^T v are two small gemms and one sparse map each.  Every fit
 Hessian is G^T diag(c) G with c = phi''(p) >= 0 (below), added into the
@@ -116,7 +117,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import ztrtri
 
-from .povm import probabilities, sector_rotations, stacked_blocks
+from .povm import probabilities, stacked_blocks
 from .povm import rotated_blocks  # unused here; kept so the benchmark tracer's hook resolves
 from .spin_blocks import (
     SpinEnsemble,
@@ -226,9 +227,6 @@ T_REDUCE = 10.0
 # no array the size of G is formed (671 MB at N = 30), and the chunk of a
 # few hundred rows keeps syrk's inner dimension long enough for full speed
 ROW_CHUNK = 512
-# ``Overlap`` reads the harmonics Y off the top sector's rotations of this
-# many settings at a time
-SETTING_CHUNK = 64
 # a fit Hessian's lower triangle is zeroed, and copied onto the upper one,
 # in blocks of this many rows
 MIRROR_ROWS = 64
@@ -808,29 +806,6 @@ def _diagonal_table(n: int) -> np.ndarray:
     return table
 
 
-def _gell_mann_coordinates(upper: np.ndarray, diag: np.ndarray,
-                           shift_coeff: np.ndarray) -> np.ndarray:
-    """Re tr(D_q M) for R Hermitian n x n matrices M, in O(n^2) each.
-
-    Each M is given by its entries: ``upper`` (pairs, R) holds M_ab for
-    the pairs a < b of ``np.triu_indices(n, 1)``, ``diag`` (n, R) the
-    diagonal.  D_q runs over one sector's directions in
-    ``Parametrization`` order: the generalized Gell-Mann matrices (pairs
-    S_ab, Y_ab, then the diagonal table), then the trace shifts
-    ``shift_coeff[s] * I``.  The coordinates are sqrt2 Re M_ab and
-    -sqrt2 Im M_ab for a < b, diag(M) against the diagonal table, and
-    tr M for the shifts.
-    """
-    pairs, R = upper.shape
-    n = diag.shape[0]
-    out = np.empty((R, n * n - 1 + shift_coeff.size))
-    out[:, 0 : 2 * pairs : 2] = math.sqrt(2.0) * upper.real.T
-    out[:, 1 : 2 * pairs : 2] = -math.sqrt(2.0) * upper.imag.T
-    out[:, 2 * pairs : n * n - 1] = diag.T @ _diagonal_table(n)
-    out[:, n * n - 1 :] = np.outer(diag.sum(axis=0), shift_coeff)
-    return out
-
-
 class Parametrization:
     """Orthonormal affine coordinates on unit-trace PI states.
 
@@ -894,22 +869,17 @@ class Parametrization:
         return SpinEnsemble(layout=self.layout, blocks=self.blocks(x))
 
     def coordinates(self, ensemble: SpinEnsemble) -> np.ndarray:
-        """Coordinates of an ensemble: x_i = tr((rho - base) B_i)."""
+        """Coordinates of an ensemble: x_i = tr((rho - base) B_i), the
+        adjoint of the directions' ``write``.  Their ``gradient`` adds
+        -tr(A D_i), here at the zero-padded stack A = rho - base."""
         if ensemble.layout != self.layout:
             raise ValueError("ensemble layout does not match parametrization")
+        delta = np.zeros_like(self.affine._base)
+        for k, (two_j, C) in enumerate(zip(self.layout.two_j_values, self.affine.constants)):
+            delta[k, : two_j + 1, : two_j + 1] = ensemble.blocks[two_j] - C
         x = np.zeros(self.dimension)
-        for two_j, C, coeff, idx in zip(
-            self.layout.two_j_values,
-            self.affine.constants,
-            self.shift_coeff,
-            self.indices,
-        ):
-            delta = ensemble.blocks[two_j] - C
-            rows, cols = np.triu_indices(two_j + 1, 1)
-            x[idx] += _gell_mann_coordinates(
-                delta[rows, cols][:, None], delta.diagonal().real[:, None], coeff
-            )[0]
-        return x
+        self.affine.directions.gradient(delta, x)
+        return -x
 
     @functools.cached_property
     def multipoles(self) -> "_Multipoles":
@@ -984,7 +954,7 @@ class _Multipoles:
     coordinates of outcome k's block R_a |j,m><j,m| R_a^dagger, m = k - N/2,
     are C_j[m, L] Y_lm(a), with ``coefficients`` (N+1, K) holding
     C_j[m, L] = T_L0[m, m] at column K_j + L (K = sum_j n_j, zero where
-    |m| > j).
+    |m| > j) and Y_lm(a) the real harmonics of the axis (``_harmonics``).
 
     ``table`` places x's tensor coordinates in a (K, (N+1)^2) table at
     (K_j + L, lm): B x, and each trace shift on the T_00 = I / sqrt(n_j) of
@@ -996,8 +966,7 @@ class _Multipoles:
     lm - 1 (its column of Y without Y_00), and ``inverse`` puts the
     Gell-Mann coordinates back from that order.  The trace shifts'
     columns of G, ``shifts`` (N+1, shifts), do not depend on the
-    setting: tr(c I M) = c.  ``top`` is the top sector's
-    ``_tensor_lines``, from which ``Overlap`` reads Y.
+    setting: tr(c I M) = c.
     """
 
     def __init__(self, parametrization: "Parametrization"):
@@ -1057,14 +1026,13 @@ class _Multipoles:
             np.concatenate([vals, (np.sqrt(sizes)[:, None] * parametrization.shift_coeff).ravel()]))
         self.lm = lm[order] - 1
         self.columns = np.ascontiguousarray(self.coefficients.T[jl[order]])
-        self.top = lines
         # read-only: every ``Overlap`` on the parametrization shares them
         for array in self._arrays():
             array.setflags(write=False)
 
     def _arrays(self) -> list[np.ndarray]:
         return [self.shifts, self.coefficients, self.inverse, self.lm, self.columns,
-                *self.entries, *self.top, *(Q for Q, _, _ in self.blocks)]
+                *self.entries, *(Q for Q, _, _ in self.blocks)]
 
     @property
     def nbytes(self) -> int:
@@ -1085,28 +1053,35 @@ class _Multipoles:
                            minlength=self.shift0 + self.shifts.shape[1])
 
 
-def _harmonics(lines: list[np.ndarray], U: np.ndarray) -> np.ndarray:
-    """Y (S, n^2), n = N + 1: row a holds the real spherical tensor
-    coordinates (``_Multipoles``) of R_a T_L0 R_a^dagger at lm, for the
-    top sector's T_LM (``lines``) and rotations U (n, S n).  As
-    T_L0 = sum_m T_L0[m, m] |m><m|, that is sum_r C[r, L] u_r^dagger T_LM u_r
-    over the outcomes r of setting a, formed offset by offset."""
-    n = len(lines)
-    U = U.reshape(n, -1, n)  # (i, a, r); outcome r measures basis index n - 1 - r
-    C = lines[0][::-1]  # (r, L)
-    Y = np.empty((U.shape[1], n * n))
-    for M, T in enumerate(lines):
-        # A_L[i, i + M] = sum_r C[r, L] u_r[i] conj(u_r[i + M]) for L >= M
-        product = U[: n - M] * U[M:].conj()
-        A = (product.reshape(-1, n) @ C[:, M:]).reshape(n - M, -1, n - M)
-        v = np.einsum("ial,il->al", A, T)
-        L = np.arange(M, n)
-        if M == 0:
-            Y[:, L * L] = v.real
-            Y[:, 0] = 1.0  # tr(T_00 T_00), which the roundoff of v.real misses
-        else:
-            Y[:, L * L + 2 * M - 1] = math.sqrt(2.0) * v.real
-            Y[:, L * L + 2 * M] = -math.sqrt(2.0) * v.imag
+def _harmonics(axes: np.ndarray, n: int) -> np.ndarray:
+    """Y^T (n^2, S), n = N + 1: column a holds the real harmonics Y_lm of
+    the unit axis ``axes[a]``, the real spherical tensor coordinates
+    (``_Multipoles``) of R_a T_L0 R_a^dagger, at lm = L^2 for M = 0 and
+    L^2 + 2M - 1, L^2 + 2M for M > 0.  With z = a_z, rho = hypot(a_x, a_y)
+    and phi = atan2(a_y, a_x), they are Pbar_L^0 and sqrt2 Pbar_L^M
+    cos(M phi), sqrt2 Pbar_L^M sin(M phi), where
+    Pbar_L^M = sqrt((L-M)!/(L+M)!) P_L^M(z) without the Condon-Shortley
+    phase.  Pbar runs up the stable recurrence in L (Abramowitz & Stegun
+    8.5.3, normalized) from Pbar_L^L = Pbar_{L-1}^{L-1} rho
+    sqrt((2L-1)/(2L)), Pbar_0^0 = 1, every M of a degree at once, and
+    each degree fills its rows of Y^T whole."""
+    x, y, z = axes.T
+    rho, angle = np.hypot(x, y), np.arange(1, n)[:, None] * np.arctan2(y, x)
+    cos, sin = math.sqrt(2.0) * np.cos(angle), math.sqrt(2.0) * np.sin(angle)
+    Y = np.empty((n * n, z.size))
+    # rows M of Pbar_{L-2}^M and Pbar_{L-1}^M, zero where M exceeds the degree
+    older, last = np.zeros((n, z.size)), np.zeros((n, z.size))
+    last[0] = 1.0
+    for L in range(n):
+        if L:
+            M = np.arange(L)[:, None]
+            older[:L] = ((2 * L - 1) * z * last[:L] - np.sqrt((L - 1) ** 2 - M * M) * older[:L]
+                         ) / np.sqrt(L * L - M * M)
+            older[L] = last[L - 1] * rho * math.sqrt((2 * L - 1) / (2 * L))
+            older, last = last, older
+        Y[L * L] = last[0]
+        Y[L * L + 1 : (L + 1) ** 2 : 2] = last[1 : L + 1] * cos[:L]
+        Y[L * L + 2 : (L + 1) ** 2 : 2] = last[1 : L + 1] * sin[:L]
     return Y
 
 
@@ -1114,25 +1089,21 @@ class Overlap:
     """The overlap table G of a ``Parametrization`` and a list of
     ``settings``, p = p0 + G x over the rows (setting, outcome), held as its
     factors: G = [C Y B, shift columns] with C and B the parametrization's
-    ``_Multipoles`` and Y (S, (N+1)^2) the real harmonics of the settings,
-    read off the top sector's rotations (``_harmonics``).  No product
-    forms G: ``matvec`` G x and ``rmatvec`` G^T v are each two small
-    gemms and one sparse map (``_Multipoles.table``), and ``rows`` builds
-    the rows a refresh re-weights.  ``shape`` is G's, and ``nbytes`` the
-    factors' bytes.
+    ``_Multipoles`` and Y (S, (N+1)^2) the real harmonics of the settings'
+    axes (``_harmonics``).  No product forms G: ``matvec`` G x and
+    ``rmatvec`` G^T v are each two small gemms and one sparse map
+    (``_Multipoles.table``), and ``rows`` builds the rows a refresh
+    re-weights.  ``shape`` is G's, and ``nbytes`` the factors' bytes.
     """
 
     def __init__(self, parametrization: "Parametrization", settings):
         self.settings = tuple(settings)
         self.multipoles = parametrization.multipoles
-        n = parametrization.layout.n_qubits
-        # SETTING_CHUNK settings at a time, so that the rotations and the
-        # temporaries stay a fraction of Y
-        self.harmonics = np.concatenate([
-            _harmonics(self.multipoles.top,
-                       sector_rotations(self.settings[start : start + SETTING_CHUNK], n))
-            for start in range(0, len(self.settings), SETTING_CHUNK)])
-        self.harmonics.setflags(write=False)
+        table = _harmonics(np.array([s.axis for s in self.settings]),
+                           parametrization.layout.n_qubits + 1)
+        table.setflags(write=False)
+        # the transpose of the C-ordered Y^T, whose rows ``rows`` gathers from
+        self.harmonics = table.T
         self.shape = (len(self.settings) * self.multipoles.coefficients.shape[0],
                       parametrization.dimension)
 

@@ -30,7 +30,7 @@ from pitomo.design import (
     _weight_tables,
 )
 from pitomo.povm import moment_coefficients, probabilities, rotated_blocks, stacked_blocks
-from pitomo.reconstruct import NonConvergenceError, _gell_mann_coordinates
+from pitomo.reconstruct import NonConvergenceError, _diagonal_table, _tensor_lines
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -305,6 +305,53 @@ def weighted_gram(G, weights):
 # Replaced package routes
 
 
+def gell_mann_coordinates(upper, diag, shift_coeff):
+    """Re tr(D_q M) for R Hermitian n x n matrices M, in O(n^2) each.
+
+    Each M is given by its entries: ``upper`` (pairs, R) holds M_ab for
+    the pairs a < b of ``np.triu_indices(n, 1)``, ``diag`` (n, R) the
+    diagonal.  D_q runs over one sector's directions in
+    ``Parametrization`` order: the generalized Gell-Mann matrices (pairs
+    S_ab, Y_ab, then the diagonal table), then the trace shifts
+    ``shift_coeff[s] * I``.  The coordinates are sqrt2 Re M_ab and
+    -sqrt2 Im M_ab for a < b, diag(M) against the diagonal table, and
+    tr M for the shifts.
+    """
+    pairs, R = upper.shape
+    n = diag.shape[0]
+    out = np.empty((R, n * n - 1 + shift_coeff.size))
+    out[:, 0 : 2 * pairs : 2] = math.sqrt(2.0) * upper.real.T
+    out[:, 1 : 2 * pairs : 2] = -math.sqrt(2.0) * upper.imag.T
+    out[:, 2 * pairs : n * n - 1] = diag.T @ _diagonal_table(n)
+    out[:, n * n - 1 :] = np.outer(diag.sum(axis=0), shift_coeff)
+    return out
+
+
+def rotation_harmonics(settings, n):
+    """The harmonics table Y (S, (N+1)^2) of ``Overlap``, N = n, read off
+    the top sector's rotations as the package did before it computed Y
+    from the axes: row a holds the real spherical tensor coordinates of
+    R_a T_L0 R_a^dagger, which as T_L0 = sum_m T_L0[m, m] |m><m| is
+    sum_r C[r, L] u_r^dagger T_LM u_r over the outcomes r of setting a."""
+    lines = _tensor_lines(n)
+    U = stacked_blocks(n, settings).rotations[n].reshape(n + 1, -1, n + 1)  # (i, a, r)
+    C = lines[0][::-1]  # (r, L); outcome r measures basis index n - r
+    Y = np.empty((U.shape[1], (n + 1) ** 2))
+    for M, T in enumerate(lines):
+        # A_L[i, i + M] = sum_r C[r, L] u_r[i] conj(u_r[i + M]) for L >= M
+        product = U[: n + 1 - M] * U[M:].conj()
+        A = (product.reshape(-1, n + 1) @ C[:, M:]).reshape(n + 1 - M, -1, n + 1 - M)
+        v = np.einsum("ial,il->al", A, T)
+        L = np.arange(M, n + 1)
+        if M == 0:
+            Y[:, L * L] = v.real
+            Y[:, 0] = 1.0  # tr(T_00 T_00), which the roundoff of v.real misses
+        else:
+            Y[:, L * L + 2 * M - 1] = math.sqrt(2.0) * v.real
+            Y[:, L * L + 2 * M] = -math.sqrt(2.0) * v.imag
+    return Y
+
+
 def dense_overlap(parametrization, settings):
     """The dense overlap table G[(a, k), i] = tr(B_i M_k^a), assembled as
     the package did before it held G as factors: each sector's columns
@@ -318,7 +365,7 @@ def dense_overlap(parametrization, settings):
         U = measurement.rotations[two_j]
         upper, lower = np.triu_indices(two_j + 1, 1)
         G[np.ix_(measurement.outcome_slots(two_j), parametrization.indices[b])] += (
-            _gell_mann_coordinates(U[upper] * U[lower].conj(), U.real**2 + U.imag**2,
+            gell_mann_coordinates(U[upper] * U[lower].conj(), U.real**2 + U.imag**2,
                                    parametrization.shift_coeff[b]))
     return G
 

@@ -226,6 +226,26 @@ class TestParametrization:
             )
         np.testing.assert_allclose(param.coordinates(back), x, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_coordinates_are_overlaps_with_the_basis(self, n):
+        # x_i = tr((rho - base) B_i) over every sector, and the entry
+        # read-off the package used before, sector by sector
+        param = Parametrization(sector_layout(n))
+        truth = interior_ensemble(n, np.random.default_rng(70 + n))
+        delta = {two_j: truth.blocks[two_j] - C
+                 for two_j, C in zip(param.layout.two_j_values, param.affine.constants)}
+        overlaps = [sum(np.trace(delta[t] @ B[t]).real for t in delta)
+                    for B in map(param.basis_element, range(param.dimension))]
+        entries = np.zeros(param.dimension)
+        for b, two_j in enumerate(param.layout.two_j_values):
+            rows, cols = np.triu_indices(two_j + 1, 1)
+            entries[param.indices[b]] += oracles.gell_mann_coordinates(
+                delta[two_j][rows, cols][:, None], delta[two_j].diagonal().real[:, None],
+                param.shift_coeff[b])[0]
+        x = param.coordinates(truth)
+        np.testing.assert_allclose(x, overlaps, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(x, entries, rtol=0, atol=1e-15)
+
     def test_basis_element_bounds(self):
         param = Parametrization(sector_layout(2))
         with pytest.raises(IndexError):
@@ -371,6 +391,41 @@ class TestMultipoles:
             np.testing.assert_allclose((degree**2).sum(axis=1), 1.0, rtol=0, atol=1e-13)
             legendre = np.polynomial.legendre.legval(z, np.eye(L + 1)[L])
             np.testing.assert_allclose(degree[:, 0], legendre, rtol=0, atol=1e-13)
+
+
+POLE_AXES = ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-9, 0.0, 1.0], [-1e-12, 0.0, 1.0],
+             [0.0, 1e-9, -1.0], [0.0, -1e-12, -1.0])
+HARMONICS_PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
+
+
+class TestHarmonics:
+    """Y computed from the axes by the Legendre recurrence, against the
+    rotation read-off it replaced and against the addition theorem."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 30])
+    def test_matches_the_rotation_read_off(self, n):
+        # random axes, a repeated one, an antipode, both poles, and axes
+        # 1e-9 and 1e-12 from either pole
+        rng = np.random.default_rng(80 + n)
+        axes = random_settings(rng, 12)
+        axes += [axes[0], Setting(axis=-axes[1].axis)]
+        axes += [Setting.from_vector(a) for a in POLE_AXES]
+        Y = Overlap(Parametrization(sector_layout(n)), axes).harmonics
+        np.testing.assert_allclose(Y, oracles.rotation_harmonics(axes, n), rtol=0, atol=1e-13)
+
+    @HARMONICS_PROPERTY
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2**16))
+    def test_addition_theorem_and_parity(self, n, seed):
+        # sum_M Y_LM(a) Y_LM(b) = P_L(a.b) in this norm (Y_LM(a)^2 sums to
+        # P_L(1) = 1), and Y_LM(-a) = (-1)^L Y_LM(a), on ten pairs
+        a, b = (np.array([s.axis for s in random_settings(np.random.default_rng(seed), 10)])
+                for _ in range(2))
+        Ya, Yb, Yminus = (reconstruct_module._harmonics(axes, n + 1) for axes in (a, b, -a))
+        degree = np.repeat(np.arange(n + 1), 2 * np.arange(n + 1) + 1)
+        addition = np.add.reduceat(Ya * Yb, np.arange(n + 1) ** 2, axis=0)
+        legendre = np.polynomial.legendre.legvander(np.einsum("ai,ai->a", a, b), n).T
+        np.testing.assert_allclose(addition, legendre, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(Yminus, (-1.0) ** degree[:, None] * Ya, rtol=0, atol=1e-13)
 
 
 class TestFitValue:
@@ -1661,10 +1716,9 @@ class TestRowChunks:
         # Hessian and the factor) and the barrier Hessian's upper entries.
         # The slack of two chunks of ROW_CHUNK rows of d covers the
         # refresh's rows and scratch (one chunk), the build of the factors
-        # (the top sector's rotations of SETTING_CHUNK settings) and the
-        # vectors of one entry per row; an array the size of G (13 times
-        # its factors here) does not fit in it.  A warm-up fit fills the
-        # caches
+        # (Y and the few rows of its recurrence) and the vectors of one
+        # entry per row; an array the size of G (13 times its factors
+        # here) does not fit in it.  A warm-up fit fills the caches
         ds, spec = memory_case()
         model = build_fit_model(ds, spec)
         rows, d = model.G.shape
@@ -1678,9 +1732,9 @@ class TestRowChunks:
 
     def test_build_holds_a_tenth_of_dense_G(self):
         # at N = 20 a dense G would take 69 MB; building a model holds G's
-        # factors (1.8 MB), p0 and the frequencies, and reads Y off the top
-        # sector's rotations of SETTING_CHUNK settings at a time.  A
-        # warm-up build fills the shared parametrization and its multipoles
+        # factors (1.8 MB), p0 and the frequencies, and computes Y from the
+        # axes.  A warm-up build fills the shared parametrization and its
+        # multipoles
         settings = design_random_settings(determined_setting_count(20), seed=20)
         ds = exact_dataset(maximally_mixed_ensemble(sector_layout(20)), settings)
         dense = math.prod(build_fit_model(ds, FitSpec.max_lik()).G.shape) * 8
