@@ -14,10 +14,13 @@ the random-walk optimizer minimizes (Toth et al., PRL 105, 250403
 The figure of merit is evaluated for every proposal, so it works on
 whole tables and builds no rotation: one gather from one power table
 a_c^p per settings list gives the expansion matrix E_w of every weight.
-Each E_w costs one Householder QR, whose pivots alone decide rank (an
-absolute residual test would not scale with the condition, 1e10 at
-N=30 on random determined designs), and one triangular solve against
-Q gives the squared coefficients.  The outcome moments are polynomials
+Each E_w costs one Householder QR (LAPACK's ``dgeqrf``), whose pivots
+alone decide rank (an absolute residual test would not scale with the
+condition, 1e10 at N=30 on random determined designs), and one
+triangular solve (BLAS ``dtrsm``) against Q (``dorgqr``) gives the
+squared coefficients.  These are scipy's compiled routines, loaded by
+``_lapack`` without importing ``scipy.linalg``; a nonzero LAPACK status
+raises, naming the routine.  The outcome moments are polynomials
 in the axis whose coefficients are the target's Bloch elements, so the
 moment means of all settings are one product of the expansion matrices
 with those elements, and their second moments follow from the
@@ -33,9 +36,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dgeqrf, dorgqr
 
+from ._lapack import check_info, dgeqrf, dorgqr, dtrsm
 from .povm import Setting, moment_coefficients, probabilities, stacked_blocks
 from .povm import rotated_blocks  # unused here; kept so the benchmark tracer's hook resolves
 from .spin_blocks import SpinEnsemble
@@ -181,7 +183,8 @@ def _householder(mat: np.ndarray, weight: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = mat.shape
     if rows < cols:
         raise RankDeficientSettings(weight, math.inf)
-    qr, tau, _, _ = dgeqrf(mat, lwork=QR_BLOCK * cols, overwrite_a=True)
+    qr, tau, _, info = dgeqrf(mat, lwork=QR_BLOCK * cols, overwrite_a=True)
+    check_info("dgeqrf", info)
     pivots = np.abs(qr.diagonal())
     if not pivots.min() > np.finfo(float).eps * rows * pivots.max():
         raise RankDeficientSettings(weight, math.inf)
@@ -196,7 +199,8 @@ def _squared_coefficients(mat: np.ndarray, multiplicity: np.ndarray,
     qr, tau = _householder(mat, weight)
     cols = mat.shape[1]
     r = qr[:cols].copy(order="F")  # dtrsm reads only its upper triangle
-    q, _, _ = dorgqr(qr, tau, lwork=QR_BLOCK * cols, overwrite_a=True)
+    q, _, info = dorgqr(qr, tau, lwork=QR_BLOCK * cols, overwrite_a=True)
+    check_info("dorgqr", info)
     x = dtrsm(1.0, r, q, side=1, trans_a=1, overwrite_b=True)
     return x**2 @ multiplicity
 

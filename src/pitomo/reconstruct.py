@@ -32,11 +32,14 @@ small: each sector's Gell-Mann coordinates couple only with themselves
 and the trace shifts, so it is held as the upper entries of one block
 per sector and of the shift columns, each at its position in W
 (``BlockHessian``).  The Newton system t H_barrier + H_fit is assembled
-in W's upper triangle, which LAPACK factors in place, while W's strict
-lower triangle and one d-vector keep H_fit for the next step.  A fit
-step thus holds G's factors, W and those entries (0.8, 7.5 and 0.8 MB
-at N = 16, where G would take 20 MB), and no array the size of G: the
-rows that syrk reads are built ROW_CHUNK // 3 at a time.
+in W's upper triangle, which LAPACK's Cholesky ``dpotrf`` factors in
+place and ``dpotrs`` solves with, while W's strict lower triangle and
+one d-vector keep H_fit for the next step.  These routines, ``dsyrk``
+and ``ztrtri`` are scipy's compiled ones, loaded by ``_lapack`` without
+importing ``scipy.linalg``.  A fit step thus holds G's factors, W and
+those entries (0.8, 7.5 and 0.8 MB at N = 16, where G would take
+20 MB), and no array the size of G: the rows that syrk reads are built
+ROW_CHUNK // 3 at a time.
 
 The barrier engine (``AffineBlockMap``) knows three block kinds, each
 with one representation.  Gell-Mann blocks (``_GellMannTables``) carry
@@ -113,10 +116,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import ztrtri
 
+from ._lapack import check_info, dpotrf, dpotrs, dsyrk, ztrtri
 from .povm import probabilities, stacked_blocks
 from .povm import rotated_blocks  # unused here; kept so the benchmark tracer's hook resolves
 from .spin_blocks import (
@@ -338,10 +339,13 @@ class BlockFactors:
     def inv_l(self) -> np.ndarray:
         """L^-1 by LAPACK's triangular inverse, one call per block: the
         batched LU inverse pivots rows and loses the componentwise
-        accuracy that blocks near the boundary need."""
+        accuracy that blocks near the boundary need.  A zero pivot
+        (info > 0) would mean ``cholesky_list`` passed a singular factor,
+        so it raises."""
         out = np.empty_like(self.chol)
         for k, L in enumerate(self.chol):
-            out[k] = ztrtri(L, lower=1)[0]
+            out[k], info = ztrtri(L, lower=1)
+            check_info("ztrtri", info)
         return out
 
     @functools.cached_property
@@ -1418,6 +1422,26 @@ class StageCarry(NamedTuple):
     barrier_hessian: BlockHessian
 
 
+def cho_factor(a: np.ndarray):
+    """(factor, lower) of the symmetric positive definite ``a``: LAPACK's
+    lower Cholesky factor (``dpotrf``), formed in place when ``a`` is
+    Fortran-ordered, reading and writing only the lower triangle.  Raises
+    ``np.linalg.LinAlgError`` when a leading minor is not positive
+    definite."""
+    factor, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    check_info("dpotrf", info)
+    return factor, True
+
+
+def cho_solve(factor, b: np.ndarray) -> np.ndarray:
+    """x of a x = b, from ``cho_factor``'s (factor, lower) pair of a
+    (``dpotrs``); b is not overwritten."""
+    c, lower = factor
+    x, info = dpotrs(c, b, lower=lower)
+    check_info("dpotrs", info)
+    return x
+
+
 class NewtonSystem:
     """The Newton system t H_bar + H_fit of one fit, held from its first
     barrier stage to its last, and its chord contract, stated here once.
@@ -1505,15 +1529,16 @@ class NewtonSystem:
 
     def direction(self, H_bar: BlockHessian, t: float, g: np.ndarray):
         """(delta, slope g^T delta) of (t H_bar + H_fit) delta = -g by
-        Cholesky, adding an escalating ridge on factorization failure or
+        Cholesky (``cho_factor``, LAPACK's ``dpotrf``, then ``cho_solve``,
+        ``dpotrs``), adding an escalating ridge on factorization failure or
         loss of descent (1e-12 (1 + max diag), then x10, at most three
         escalations); ``ratio`` becomes -slope / t.  Each attempt writes
         the system into W's upper triangle and diagonal (the lower
         triangle copied up, the diagonal restored, then t H_bar and the
-        ridge added) and factors it there in place: LAPACK's lower factor
-        of the Fortran-ordered view W.T reads and writes only that
-        triangle, and so does the solve.  The system's entries are those
-        of t H_bar + H_fit, bit for bit."""
+        ridge added) and factors it there in place: ``dpotrf``'s lower
+        factor of the Fortran-ordered view W.T reads and writes only that
+        triangle, and ``dpotrs`` reads only it.  The system's entries are
+        those of t H_bar + H_fit, bit for bit."""
         W = self.W
         diagonal = W.reshape(-1)[:: len(W) + 1]
         max_diag = None
@@ -1527,11 +1552,11 @@ class NewtonSystem:
             if ridge:
                 diagonal += ridge
             try:
-                self.factor = cho_factor(W.T, lower=True, overwrite_a=True, check_finite=False)
+                self.factor = cho_factor(W.T)
             except np.linalg.LinAlgError:
                 ridge = 1e-12 * (1.0 + max_diag) if ridge == 0.0 else ridge * 10.0
                 continue
-            delta = cho_solve(self.factor, -g, check_finite=False)
+            delta = cho_solve(self.factor, -g)
             slope = float(g @ delta)
             if slope < 0.0 and np.all(np.isfinite(delta)):
                 self.ratio = -slope / t
@@ -1540,13 +1565,14 @@ class NewtonSystem:
         raise NonConvergenceError("Newton system unsolvable even with ridge repair")
 
     def tangent(self, g: np.ndarray):
-        """(delta, slope) of delta = -M^-1 g, solved with the factor of the
-        last stage's Newton system M = t H_bar + H_fit, which it then drops;
+        """(delta, slope) of delta = -M^-1 g, solved by ``dpotrs``
+        (``cho_solve``) with the ``dpotrf`` factor of the last stage's
+        Newton system M = t H_bar + H_fit, which it then drops;
         g = grad F + t' grad B is this stage's gradient at the same point.
         At a t-centre grad F = -t grad B, so delta = (t' - t) x'(t): the
         step along the central path's tangent x' = -M^-1 grad B, for no
         factorization."""
-        delta = cho_solve(self.factor, -g, check_finite=False)
+        delta = cho_solve(self.factor, -g)
         self.factor = None
         return delta, float(g @ delta)
 

@@ -1,5 +1,6 @@
-"""``tools/code_lines.py``, the code-line count of the ROADMAP's rule, and
-the comparison step of ``tools/parity.py``."""
+"""``tools/code_lines.py``, the code-line count of the ROADMAP's rule, the
+comparison step of ``tools/parity.py`` and the modules that
+``tools/import_cost.py`` finds loaded."""
 
 import importlib.util
 import subprocess
@@ -98,3 +99,14 @@ def test_parity_reports_each_difference():
         pytest.approx([1e-3] * 3))
     assert summary["errors"] == [(("design-pretest-n12", 5), 3)]
     assert len(parity.report(summary)) == 8
+
+
+def test_import_cost_loads_no_scipy_linalg():
+    # time and RSS are noisy, so only the loaded modules are asserted
+    tool = TOOLS / "import_cost.py"
+    out = subprocess.run([sys.executable, str(tool)], check=True, capture_output=True,
+                         text=True).stdout.splitlines()
+    assert [line.split()[:2] for line in out[:2]] == [["import", "pitomo"],
+                                                      ["import", "pitomo.cli"]]
+    assert out[2].startswith("ru_maxrss")
+    assert out[3:] == [f"{name:18s} not loaded" for name in load_tool("import_cost").HEAVY]
